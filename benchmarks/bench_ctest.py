@@ -1,25 +1,25 @@
-"""CTest round-engine micro-benchmark: scalar loop vs vectorized engine.
+"""CTest round-engine micro-benchmark: per-round loop oracle vs batched engine.
 
 Times one full ``ctest_batch`` window — pressure start, all observation
 rounds, pressure stop, verdicts — over synthetic fleets at
 1x/4x/16x/64x/256x of an 800-instance campaign wave with the paper's
-60-round test window, comparing the scalar per-round loop (one probe
-round-trip per instance per round) against the batched ``observe_rounds``
-engine (one observation call per host per window).
+60-round test window, comparing the per-round loop (one probe round-trip
+per instance per round; the reference kept in ``tests/oracles/ctest.py``)
+against the batched ``observe_rounds`` engine (one observation call per
+host per window) that ``RngCovertChannel`` always runs.
 
-The two engines are byte-identical by contract (see the identity suites
-in ``tests/unit/test_ctest_vectorized.py`` and ``tests/scale``); this
-benchmark checks the point of the fast path — that it actually is fast —
-and re-asserts verdict equality up to 16x as a sanity belt.  The scalar
-loop is timed once (not best-of-3) at 64x and skipped at 256x
-(a ~200k-instance wave), where the tier reports the vectorized engine
-alone.
+The two are byte-identical by contract (see the identity suites in
+``tests/unit/test_ctest_vectorized.py`` and ``tests/scale``); this
+benchmark checks the point of the engine — that it actually is fast —
+and re-asserts verdict equality up to 16x as a sanity belt.  The loop is
+timed once (not best-of-3) at 64x and skipped at 256x (a ~200k-instance
+wave), where the tier reports the engine alone.
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_ctest.py --out BENCH_ctest.json
 
-Exit status is non-zero if the vectorized engine is less than 5x faster
+Exit status is non-zero if the batched engine is less than 5x faster
 than the loop at 16x or 64x scale, or regresses at 1x.
 """
 
@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from repro.hardware.host import PhysicalHost
 from repro.hardware.tsc import TimestampCounter
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.simtime.clock import SimClock
+
+# The loop baseline is the test-suite oracle, imported from the repo root.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.oracles.ctest import LoopRngCovertChannel  # noqa: E402
 
 PAPER_WAVE_INSTANCES = 800  # one campaign wave's worth of CTest subjects
 SCALES = {"1x": 1, "4x": 4, "16x": 16, "64x": 64, "256x": 256}
@@ -102,7 +107,8 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
 
 def run_engine(vectorized: bool, n_instances: int, seed: int = 0):
     groups = build_groups(n_instances, seed)
-    channel = RngCovertChannel(total_rounds=TOTAL_ROUNDS, vectorized=vectorized)
+    cls = RngCovertChannel if vectorized else LoopRngCovertChannel
+    channel = cls(total_rounds=TOTAL_ROUNDS)
     results = channel.ctest_batch(groups, THRESHOLD_M)
     return [result.positive for result in results]
 

@@ -1,7 +1,7 @@
 """Attacker-side analysis: clustering metrics, drift fitting, distributions,
 policy inference, and terminal chart rendering."""
 
-from repro.analysis.aggregation import FootprintAccumulator, census_reduce_scalar
+from repro.analysis.aggregation import FootprintAccumulator
 from repro.analysis.asciichart import render_cdf, render_series
 from repro.analysis.distributions import cdf_at, empirical_cdf, summarize
 from repro.analysis.drift import DriftFit, estimate_expiration_time, fit_boot_time_drift
@@ -21,7 +21,6 @@ from repro.analysis.policy_inference import (
 
 __all__ = [
     "FootprintAccumulator",
-    "census_reduce_scalar",
     "render_cdf",
     "render_series",
     "cdf_at",

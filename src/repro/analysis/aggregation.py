@@ -13,8 +13,8 @@ integer code once, a launch becomes an ``int64`` code array, and both
 reductions (``len(footprint)`` and ``len(seen)``) are ``np.unique`` /
 boolean-mask counts.  Outputs are pure counts, so they are independent of
 ``PYTHONHASHSEED`` and of fingerprint insertion order; the scalar set
-reference (:func:`census_reduce_scalar`) is kept for the twin-world and
-Hypothesis equivalence suites that pin the two paths equal.
+reference lives in ``tests/oracles``, where the twin-world and Hypothesis
+equivalence suites pin the two paths equal.
 """
 
 from __future__ import annotations
@@ -86,22 +86,3 @@ class FootprintAccumulator:
         self._n_seen += int(newly.sum())
         return int(unique_codes.size), self._n_seen
 
-
-def census_reduce_scalar(
-    launches: Iterable[Iterable[Hashable]],
-) -> tuple[list[int], list[int]]:
-    """The historical set-based census reduction (scalar reference).
-
-    Returns ``(per_launch, cumulative_unique)`` for a sequence of launch
-    footprints.  The equivalence suites pin
-    :class:`FootprintAccumulator` to this byte-for-byte.
-    """
-    seen: set[Hashable] = set()
-    per_launch: list[int] = []
-    cumulative: list[int] = []
-    for launch in launches:
-        footprint = set(launch)
-        seen |= footprint
-        per_launch.append(len(footprint))
-        cumulative.append(len(seen))
-    return per_launch, cumulative

@@ -68,7 +68,7 @@ class InstanceHandle:
         Engine-side plumbing for batched covert-channel physics: handles
         are grouped by their (hidden) placement, preserving input order
         within each group, and ``probe`` receives each group's sandbox
-        list in one call — which is what lets the vectorized CTest engine
+        list in one call — which is what lets the CTest round engine
         issue one observation call per *host* per test window instead of
         one per instance per round.  Returns ``(handles, result)`` pairs
         in first-appearance order of the hosts.

@@ -30,8 +30,8 @@ from repro.cloud.platform import PlatformProfile
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import DEFAULT_LAUNCH_RETRY, FaultPlan, RetryPolicy
-from repro.fleet import HostHandle, ServiceStateStore
-from repro.sandbox.base import Sandbox, TscPolicy
+from repro.fleet import ServiceStateStore
+from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.scheduler import EventScheduler, ScheduledEvent, SequenceCounter
@@ -103,9 +103,6 @@ class Orchestrator:
         self._probe_counters: dict[str, int] = {}
         self._instance_counter = SequenceCounter()
         self._image_counter = SequenceCounter()
-        # Scalar-reference switch for the launch path (twin-world tests
-        # pin the batched path against it); production code never sets it.
-        self.force_scalar_launch = False
 
     # ------------------------------------------------------------------
     # Control plane
@@ -562,6 +559,84 @@ class Orchestrator:
         account: Account,
         count: int,
     ) -> list[ContainerInstance]:
+        """Place and commit one launch batch as a run of segments.
+
+        A segment's head takes the next instance id and survives its
+        launch faults (:meth:`_attempt_launch` may sleep retry backoff,
+        firing clock hooks that launch or reap, or raise
+        :class:`LaunchError` with every earlier segment committed).  The
+        segment then absorbs each following id whose first attempt
+        succeeds — fault decisions are pure hashes of the id, so the
+        look-ahead has no side effects — and commits them with one vector
+        seed draw, one ``add_at`` and one ``on_created``.  A vector draw of
+        size k consumes the same stream as k scalar ``integers(2**63)``
+        draws, and count bookkeeping never feeds the RNG, so the commit is
+        byte-identical to launching instance by instance (pinned by the
+        twin-world launch tests).  Without a fault plan the whole batch is
+        one segment.
+        """
+        chosen = self._place_batch(service, account, count)
+        qualified = service.qualified_name
+        now = self.clock.now()
+        state_index = self._svc_state.ensure(qualified)
+        ids = self.fleet.ids
+        counts = self.fleet.service_counts(qualified)
+        service_list = self._service_instances.setdefault(qualified, [])
+        host_of = self.datacenter.host
+        cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+        plan = self.fault_plan
+        hosts = chosen.tolist()
+        created: list[ContainerInstance] = []
+        pending: str | None = None
+        start = 0
+        while start < len(hosts):
+            head = pending or f"{qualified}#{next(self._instance_counter):07d}"
+            self._attempt_launch(head)
+            segment_ids = [head]
+            pending = None
+            while start + len(segment_ids) < len(hosts):
+                instance_id = f"{qualified}#{next(self._instance_counter):07d}"
+                if plan is not None and plan.launch_would_fail(instance_id, 0):
+                    pending = instance_id
+                    break
+                segment_ids.append(instance_id)
+            stop = start + len(segment_ids)
+            segment = chosen[start:stop]
+            seeds = self._rng.integers(2**63, size=segment.size)
+            counts.add_at(segment)
+            self._svc_state.on_created(state_index, count=len(segment_ids))
+            for host_index, seed, instance_id in zip(
+                hosts[start:stop], seeds, segment_ids
+            ):
+                host_id = ids[host_index]
+                sandbox = cls(
+                    host_of(host_id),
+                    self.clock,
+                    np.random.default_rng(seed),
+                    instance_id,
+                    tsc_policy=self.tsc_policy,
+                )
+                instance = ContainerInstance(
+                    instance_id=instance_id,
+                    service=service,
+                    host_id=host_id,
+                    sandbox=sandbox,
+                    created_at=now,
+                )
+                self.instances[instance_id] = instance
+                self._billed_seconds[instance_id] = 0.0
+                service_list.append(instance)
+                created.append(instance)
+            start = stop
+        return created
+
+    def _place_batch(
+        self,
+        service: Service,
+        account: Account,
+        count: int,
+    ) -> np.ndarray:
+        """Host indices for ``count`` new instances of ``service``."""
         fleet = self.fleet
         qualified = service.qualified_name
         cacheable = self.datacenter.profile.defense != "randomized_base"
@@ -599,82 +674,7 @@ class Orchestrator:
             ),
             scatter_candidates=fleet.all_indices,
         )
-        chosen = self._placement.place(request, fleet)
-
-        now = self.clock.now()
-        state_index = self._svc_state.ensure(qualified)
-        created = []
-        # Hot loop: operate on the columns directly (equivalent to a
-        # HostHandle per instance, minus the per-instance cursor objects).
-        ids = fleet.ids
-        counts = fleet.service_counts(qualified)
-        service_list = self._service_instances.setdefault(qualified, [])
-
-        if self.fault_plan is None and not self.force_scalar_launch:
-            # Batched launch path.  Without a fault plan, _attempt_launch
-            # is a no-op, so the loop's only RNG consumption is the
-            # per-instance sandbox seed — and one vector draw of size n
-            # consumes the identical stream as n scalar `integers(2**63)`
-            # draws (power-of-two bound takes the Lemire-free mask path;
-            # pinned by the twin-world launch tests).  Count and state
-            # bookkeeping never feed the RNG, so committing them as one
-            # add_at / on_created(count=n) is identity-safe.
-            seeds = self._rng.integers(2**63, size=chosen.size)
-            counts.add_at(chosen)
-            self._svc_state.on_created(state_index, count=int(chosen.size))
-            host_of = self.datacenter.host
-            cls = (
-                GVisorSandbox
-                if self._generation(service) == "gen1"
-                else MicroVMSandbox
-            )
-            for host_index, seed in zip(chosen.tolist(), seeds.tolist()):
-                host_id = ids[host_index]
-                instance_id = f"{qualified}#{next(self._instance_counter):07d}"
-                sandbox = cls(
-                    host_of(host_id),
-                    self.clock,
-                    np.random.default_rng(seed),
-                    instance_id,
-                    tsc_policy=self.tsc_policy,
-                )
-                instance = ContainerInstance(
-                    instance_id=instance_id,
-                    service=service,
-                    host_id=host_id,
-                    sandbox=sandbox,
-                    created_at=now,
-                )
-                self.instances[instance_id] = instance
-                self._billed_seconds[instance_id] = 0.0
-                service_list.append(instance)
-                created.append(instance)
-            return created
-
-        # Scalar reference path: a fault plan can abort the loop mid-way
-        # (LaunchError) or sleep simulated time between launches, so each
-        # instance must draw its sandbox seed individually — batching the
-        # draws would desynchronize the stream on the first failed launch.
-        for host_index in chosen:
-            index = int(host_index)
-            host_id = ids[index]
-            instance_id = f"{qualified}#{next(self._instance_counter):07d}"
-            self._attempt_launch(instance_id)
-            counts.inc(index)
-            sandbox = self._make_sandbox(service, host_id, instance_id)
-            instance = ContainerInstance(
-                instance_id=instance_id,
-                service=service,
-                host_id=host_id,
-                sandbox=sandbox,
-                created_at=now,
-            )
-            self.instances[instance_id] = instance
-            self._billed_seconds[instance_id] = 0.0
-            service_list.append(instance)
-            self._svc_state.on_created(state_index)
-            created.append(instance)
-        return created
+        return self._placement.place(request, fleet)
 
     def _attempt_launch(self, instance_id: str) -> None:
         """Survive injected launch failures with bounded retry-with-backoff.
@@ -704,12 +704,6 @@ class Orchestrator:
         if self.platform is not None:
             generation = self.platform.generation_for(generation)
         return generation
-
-    def _make_sandbox(self, service: Service, host_id: str, instance_id: str) -> Sandbox:
-        host = self.datacenter.host(host_id)
-        sandbox_rng = np.random.default_rng(self._rng.integers(2**63))
-        cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
-        return cls(host, self.clock, sandbox_rng, instance_id, tsc_policy=self.tsc_policy)
 
     #: Gen 2 microVMs have a larger resource footprint and boot slower
     #: than Gen 1 containers (paper §2.3).

@@ -308,11 +308,11 @@ class TargetVictimLocator:
     # ------------------------------------------------------------------
     @staticmethod
     def _start(sandbox: Sandbox) -> None:
-        sandbox.start_bus_pressure()
+        sandbox.start_channel_pressure("bus")
 
     @staticmethod
     def _stop(sandbox: Sandbox) -> None:
-        sandbox.stop_bus_pressure()
+        sandbox.stop_channel_pressure("bus")
 
     def _measure(self, trace: _SearchTrace, n_probes: int | None = None) -> float:
         """Median latency over ``n_probes`` requests to the victim."""

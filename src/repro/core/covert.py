@@ -26,7 +26,6 @@ from repro.cloud.api import InstanceHandle
 from repro.errors import InstanceGoneError, VerificationError
 from repro.faults import FaultPlan, current_fault_plan
 from repro.hardware.channels import DvfsFrequencyResource
-from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.base import ChannelPort, Sandbox
 from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
 
@@ -176,8 +175,13 @@ class RngCovertChannel(CovertChannel):
 
     Also the concrete base of every registry-backed channel: subclasses
     *declare* their :attr:`kind` (a :mod:`repro.hardware.channels` registry
-    name) instead of overriding the start/observe/stop/port hooks, and the
-    generic sandbox channel surface does the per-kind routing.
+    name) instead of overriding the start/stop/port hooks, and the generic
+    sandbox channel surface does the per-kind routing.
+
+    Each test window runs on one round engine: a single
+    :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
+    call per host, byte-identical to probing every instance once per round
+    (that per-round reference is a test oracle in ``tests/oracles``).
 
     Parameters
     ----------
@@ -194,14 +198,6 @@ class RngCovertChannel(CovertChannel):
         noise and mid-test instance deaths.  Defaults to the ambient plan
         (:func:`~repro.faults.current_fault_plan`), so channels built
         inside a fault-injected experiment cell pick it up automatically.
-    vectorized:
-        Use the batched round engine (one
-        :meth:`~repro.hardware.rng_resource.RngContentionResource.observe_rounds`
-        call per host per test window) when stream identity with the
-        scalar per-round loop is provable; fall back to the loop
-        otherwise.  Both engines produce byte-identical verdicts, hit
-        counts, and RNG end states — the flag exists for benchmarking and
-        belt-and-braces debugging, not because results differ.
     """
 
     #: Registry name of the covert-channel kind this class tests over.
@@ -213,7 +209,6 @@ class RngCovertChannel(CovertChannel):
         required_rounds: int = 30,
         seconds_per_test: float = 1.2,
         fault_plan: FaultPlan | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         if not 0 < required_rounds <= total_rounds:
@@ -225,28 +220,20 @@ class RngCovertChannel(CovertChannel):
         self.required_rounds = required_rounds
         self.seconds_per_test = seconds_per_test
         self.fault_plan = fault_plan if fault_plan is not None else current_fault_plan()
-        self.vectorized = vectorized
         self._batch_serial = 0
         #: Per-instance contention-hit counts of the most recent test
-        #: window (diagnostics; the identity suite pins loop vs batched).
+        #: window (diagnostics; the identity suites pin it to the oracle).
         self._last_hits: dict[str, int] = {}
 
     # Resource hooks, routed through the generic sandbox channel surface
-    # by declared kind.  The ``_observe``/``_port`` pair must stay
-    # consistent: ``_port`` yields the host resource whose batched engine
-    # reproduces ``_observe``'s scalar stream, and the vectorized path
-    # refuses to run (falls back to the loop) when a subclass overrides
-    # one without the other.
+    # by declared kind.
     def _start(self, sandbox) -> None:
         sandbox.start_channel_pressure(self.kind)
-
-    def _observe(self, sandbox) -> int:
-        return sandbox.observe_channel_contention(self.kind)
 
     def _stop(self, sandbox) -> None:
         sandbox.stop_channel_pressure(self.kind)
 
-    def _port(self, sandbox) -> ChannelPort | None:
+    def _port(self, sandbox) -> ChannelPort:
         return sandbox.channel_port(self.kind)
 
     def ctest_batch(
@@ -325,15 +312,7 @@ class RngCovertChannel(CovertChannel):
             except InstanceGoneError:
                 dead.add(handle.instance_id)
         try:
-            hits = None
-            if self.vectorized:
-                hits = self._observe_window_batched(
-                    flat, dead, death_round, threshold_of
-                )
-            if hits is None:
-                hits = self._observe_window_loop(
-                    flat, dead, death_round, threshold_of
-                )
+            hits = self._observe_window(flat, dead, death_round, threshold_of)
             self._last_hits = hits
             # The test window occupies wall time *while* the pressure is
             # on — which is exactly what a platform-side abuse monitor
@@ -376,58 +355,18 @@ class RngCovertChannel(CovertChannel):
             )
         return results
 
-    # ------------------------------------------------------------------
-    # Round engines: scalar loop and vectorized fast path
-    # ------------------------------------------------------------------
-    def _observe_window_loop(
+    def _observe_window(
         self,
         flat: Sequence[InstanceHandle],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
-        """Scalar reference engine: one probe round-trip per instance per
-        round, visiting instances in flat order within each round."""
-        hits = {handle.instance_id: 0 for handle in flat}
-        for round_index in range(self.total_rounds):
-            for handle in flat:
-                instance_id = handle.instance_id
-                if instance_id in dead:
-                    continue
-                if death_round.get(instance_id) == round_index:
-                    dead.add(instance_id)
-                    try:
-                        handle.run(self._stop)
-                    except InstanceGoneError:
-                        pass
-                    continue
-                try:
-                    level = handle.run(self._observe)
-                except InstanceGoneError:
-                    dead.add(instance_id)
-                    continue
-                if level >= threshold_of[instance_id]:
-                    hits[instance_id] += 1
-        return hits
+        """Contention-hit counts of one test window, per instance.
 
-    def _observe_window_batched(
-        self,
-        flat: Sequence[InstanceHandle],
-        dead: set[str],
-        death_round: dict[str, int],
-        threshold_of: dict[str, int],
-    ) -> dict[str, int] | None:
-        """Vectorized engine: one ``observe_rounds`` call per host per
-        window, byte-identical to :meth:`_observe_window_loop`.
-
-        Returns ``None`` — *before consuming any randomness* — whenever
-        stream identity with the scalar loop is not provable: a subclass
-        changed the observe/port pairing, a sandbox customized its scalar
-        observation, or a host resource overrides the contention model.
-        The caller then runs the loop engine on untouched streams.
+        One ``observe_rounds`` call per host per window, byte-identical to
+        probing every live instance once per round in flat order.
         """
-        if not self._vector_capable():
-            return None
         hits = {handle.instance_id: 0 for handle in flat}
         live: list[InstanceHandle] = []
         ports: dict[str, ChannelPort] = {}
@@ -437,21 +376,12 @@ class RngCovertChannel(CovertChannel):
             try:
                 port = handle.run(self._port)
             except InstanceGoneError:
-                # The loop engine would discover this at the instance's
+                # A per-round probe would discover this at the instance's
                 # round-0 observe: no observations, no stop call (its
                 # stale pressure keeps counting for co-residents, which
                 # ``observe_rounds`` models as external pressure).
                 dead.add(handle.instance_id)
                 continue
-            if port is None:
-                return None
-            resource = port.resource
-            if (
-                type(resource).observe is not ContentionResource.observe
-                or type(resource).observe_rounds
-                is not ContentionResource.observe_rounds
-            ):
-                return None
             ports[handle.instance_id] = port
             live.append(handle)
         if not live:
@@ -477,10 +407,10 @@ class RngCovertChannel(CovertChannel):
                 hits[instance_id] = int(
                     np.count_nonzero(level_stream >= threshold_of[instance_id])
                 )
-        # Mid-window fault deaths: the loop engine stops the dying
-        # instance's pressure at its death slot; the batched engine
-        # already truncated its observations and pressure contribution,
-        # so only the state transition (dead + unregister) remains.
+        # Mid-window fault deaths: ``observe_rounds`` already truncated
+        # the dying instance's observations and pressure contribution at
+        # its death slot, so only the state transition (dead + unregister)
+        # remains.
         for handle in live:
             instance_id = handle.instance_id
             if death_round.get(instance_id) is not None:
@@ -490,17 +420,6 @@ class RngCovertChannel(CovertChannel):
                 except InstanceGoneError:
                     pass
         return hits
-
-    def _vector_capable(self) -> bool:
-        """Whether this channel instance may use the batched engine.
-
-        The observe/port hook pair must be one of the known-consistent
-        pairs; a subclass that overrides ``_observe`` without the matching
-        ``_port`` (or vice versa) silently loses the fast path instead of
-        silently changing physics.
-        """
-        pair = (type(self)._observe, type(self)._port)
-        return pair in _VECTOR_SAFE_ENGINES
 
 
 class MemoryBusCovertChannel(RngCovertChannel):
@@ -523,14 +442,12 @@ class MemoryBusCovertChannel(RngCovertChannel):
         required_rounds: int = 42,
         seconds_per_test: float = 4.0,
         fault_plan: FaultPlan | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             total_rounds=total_rounds,
             required_rounds=required_rounds,
             seconds_per_test=seconds_per_test,
             fault_plan=fault_plan,
-            vectorized=vectorized,
         )
 
 
@@ -555,14 +472,12 @@ class LlcOccupancyChannel(RngCovertChannel):
         required_rounds: int = 36,
         seconds_per_test: float = 2.5,
         fault_plan: FaultPlan | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             total_rounds=total_rounds,
             required_rounds=required_rounds,
             seconds_per_test=seconds_per_test,
             fault_plan=fault_plan,
-            vectorized=vectorized,
         )
 
 
@@ -590,14 +505,12 @@ class DvfsFingerprintChannel(RngCovertChannel):
         required_rounds: int = 24,
         seconds_per_test: float = 3.0,
         fault_plan: FaultPlan | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             total_rounds=total_rounds,
             required_rounds=required_rounds,
             seconds_per_test=seconds_per_test,
             fault_plan=fault_plan,
-            vectorized=vectorized,
         )
 
     def _start(self, sandbox) -> None:
@@ -608,12 +521,7 @@ class DvfsFingerprintChannel(RngCovertChannel):
         sandbox.start_channel_pressure(self.kind)
 
     def _frequency_resource(self, sandbox: Sandbox) -> DvfsFrequencyResource:
-        port = sandbox.channel_port(self.kind)
-        if port is None:
-            raise VerificationError(
-                "customized sandbox does not expose a dvfs channel port"
-            )
-        resource = port.resource
+        resource = sandbox.channel_port(self.kind).resource
         if not isinstance(resource, DvfsFrequencyResource):
             raise VerificationError(
                 f"dvfs channel needs a DvfsFrequencyResource, got "
@@ -652,7 +560,7 @@ def covert_channel_for(kind: str, **kwargs) -> RngCovertChannel:
     """Build the CTest provider for a channel kind.
 
     Keyword arguments pass through to the class constructor (rounds,
-    window length, ``fault_plan``, ``vectorized``).
+    window length, ``fault_plan``).
     """
     try:
         cls = COVERT_CHANNEL_CLASSES[kind]
@@ -663,13 +571,3 @@ def covert_channel_for(kind: str, **kwargs) -> RngCovertChannel:
         ) from None
     return cls(**kwargs)
 
-
-#: Observe/port hook pairs proven stream-identical between the scalar and
-#: batched engines; subclasses that override either hook fall off this set
-#: and run the scalar loop (correct, just slower) until they register a
-#: consistent pair of their own.  Every kind-declaring channel inherits
-#: the one generic pair — per-kind routing lives in the sandbox channel
-#: surface, not in the hooks — so the set has a single entry.
-_VECTOR_SAFE_ENGINES = {
-    (RngCovertChannel._observe, RngCovertChannel._port),
-}

@@ -253,12 +253,16 @@ class FaultPlan:
     # ------------------------------------------------------------------
     # Site-specific decisions
     # ------------------------------------------------------------------
-    def launch_fails(self, instance_id: str, attempt: int) -> bool:
-        """Whether launch ``attempt`` (0-based) of an instance fails."""
-        failed = (
+    def launch_would_fail(self, instance_id: str, attempt: int) -> bool:
+        """The launch decision alone, counting nothing (a look-ahead)."""
+        return (
             self.uniform("launch", f"{instance_id}#a{attempt}")
             < self.spec.launch_error_rate
         )
+
+    def launch_fails(self, instance_id: str, attempt: int) -> bool:
+        """Whether launch ``attempt`` (0-based) of an instance fails."""
+        failed = self.launch_would_fail(instance_id, attempt)
         if failed:
             self.counters.launch_errors += 1
             current_telemetry().count("faults.launch_errors")

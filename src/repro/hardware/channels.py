@@ -3,21 +3,19 @@
 Every covert channel the CTest pipeline can run over is described once,
 here, by a :class:`ChannelKind`: the contention-domain parameters a
 :class:`~repro.hardware.host.PhysicalHost` needs to build the shared
-resource, and the (optional) legacy sandbox method names the generic
-:meth:`~repro.sandbox.base.Sandbox.channel_port` dispatch must route
-through.  Hosts, sandboxes, and :class:`~repro.core.covert.CovertChannel`
+resource.  Hosts, sandboxes, and :class:`~repro.core.covert.CovertChannel`
 subclasses all resolve a kind through this registry instead of hard-coded
 string branches, so adding a channel is one :func:`register_channel_kind`
 call plus a resource/verdict model — nothing in the host, sandbox, or
 engine layers changes.
 
-Extension contract (what keeps a new kind *vector-safe*, i.e. eligible for
-the batched ``observe_rounds`` engine):
+Extension contract (what keeps a new kind on the one batched
+``observe_rounds`` CTest engine):
 
 * the resource class must not override
   :meth:`~repro.hardware.rng_resource.ContentionResource.observe` or
   :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
-  (the engine compares the method identities before consuming randomness);
+  (:func:`register_channel_kind` rejects a class that does);
 * channel physics beyond background/drop rates must be expressed as pure
   post-draw transforms (``saturation`` clamping, the DVFS level-to-frequency
   map) so draw order stays byte-identical to the scalar reference;
@@ -52,8 +50,8 @@ class LlcOccupancyResource(ContentionResource):
     resolving individual sweepers once the cache is fully thrashed (the
     observation *saturates*).  Both are parameters of the shared
     :class:`~repro.hardware.rng_resource.ContentionResource` model — no
-    method is overridden, so the vectorized engine's stream-identity check
-    keeps passing and the batched path stays available.
+    method is overridden, so the kind registers under the batched
+    engine's contract.
     """
 
     def __init__(
@@ -78,7 +76,7 @@ class DvfsFrequencyResource(ContentionResource):
     sustained loads from the step depth.  The contention *level* follows
     the shared draw model; :meth:`frequency_of_level` is the pure post-hoc
     map from a level to the steady-state frequency the guest would time —
-    applied after the draws, so the channel stays vector-safe.
+    applied after the draws, so draw order matches every other kind.
 
     Parameters
     ----------
@@ -146,12 +144,6 @@ class ChannelKind:
         Class instantiated per host (a
         :class:`~repro.hardware.rng_resource.ContentionResource` or a
         subclass that keeps ``observe``/``observe_rounds`` untouched).
-    sandbox_start / sandbox_stop / sandbox_observe:
-        Names of legacy per-kind :class:`~repro.sandbox.base.Sandbox`
-        methods the generic channel surface must dispatch through (so
-        subclass customizations of those methods keep working, and the
-        port guard can detect them).  ``None`` routes directly to the
-        host's channel resource.
     """
 
     name: str
@@ -159,9 +151,6 @@ class ChannelKind:
     background_rate: float
     drop_rate: float
     resource_cls: type[ContentionResource] = ContentionResource
-    sandbox_start: str | None = None
-    sandbox_stop: str | None = None
-    sandbox_observe: str | None = None
 
     def build_resource(self, noise_multiplier: float = 1.0) -> ContentionResource:
         """Instantiate the kind's per-host shared resource.
@@ -192,10 +181,18 @@ def register_channel_kind(kind: ChannelKind) -> ChannelKind:
 
     Registration is metadata-only: no resource is built until a host first
     serves the kind, so registering can never perturb existing kinds' RNG
-    draw order.
+    draw order.  A ``resource_cls`` that overrides the contention model's
+    ``observe`` or ``observe_rounds`` is rejected: the CTest engine draws
+    every window through the base ``observe_rounds``.
     """
     if kind.name in _CHANNEL_KINDS:
         raise ValueError(f"covert-channel kind {kind.name!r} already registered")
+    for method in ("observe", "observe_rounds"):
+        if getattr(kind.resource_cls, method) is not getattr(ContentionResource, method):
+            raise ValueError(
+                f"covert-channel kind {kind.name!r}: resource class "
+                f"{kind.resource_cls.__name__} overrides ContentionResource.{method}"
+            )
     _CHANNEL_KINDS[kind.name] = kind
     return kind
 
@@ -230,9 +227,6 @@ register_channel_kind(
         description="hardware-RNG (RDRAND) contention — the paper's channel",
         background_rate=0.005,
         drop_rate=0.02,
-        sandbox_start="start_rng_pressure",
-        sandbox_stop="stop_rng_pressure",
-        sandbox_observe="observe_rng_contention",
     )
 )
 register_channel_kind(
@@ -241,9 +235,6 @@ register_channel_kind(
         description="memory-bus locking contention (Wu et al.)",
         background_rate=0.18,
         drop_rate=0.05,
-        sandbox_start="start_bus_pressure",
-        sandbox_stop="stop_bus_pressure",
-        sandbox_observe="observe_bus_contention",
     )
 )
 register_channel_kind(

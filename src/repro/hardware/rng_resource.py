@@ -225,7 +225,6 @@ class ContentionResource:
 
 
 #: Historical name of :class:`ContentionResource`, kept as an alias (not a
-#: subclass: the vectorized CTest engine proves stream identity by comparing
-#: ``type(resource).observe`` against this class's methods, and an alias
-#: keeps every existing identity check true by construction).
+#: subclass, so the channel registry's no-override contract holds for it by
+#: construction).
 RngContentionResource = ContentionResource

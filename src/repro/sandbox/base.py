@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.hardware.channels import channel_kind
 from repro.hardware.host import PhysicalHost
 from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.syscalls import SyscallLayer
@@ -28,7 +27,7 @@ class ChannelPort(NamedTuple):
     needs to reproduce one sandbox's scalar observation stream: the host's
     shared contention domain, the pressure-registration id, and the
     sandbox's private randomness source.  It is simulator plumbing — the
-    vectorized CTest engine uses it to issue one observation call per
+    CTest round engine uses it to issue one observation call per
     *host* per test window — and must never leak into attacker logic,
     which only ever sees the scalar observe results.
     """
@@ -149,101 +148,30 @@ class Sandbox(abc.ABC):
     # ------------------------------------------------------------------
     # Shared-hardware covert channel
     # ------------------------------------------------------------------
-    def start_rng_pressure(self) -> None:
-        """Begin hammering the host hardware RNG (RDRAND loop)."""
-        self._host.rng_resource.start_pressure(self.sandbox_id)
-
-    def stop_rng_pressure(self) -> None:
-        """Stop hammering the host hardware RNG."""
-        self._host.rng_resource.stop_pressure(self.sandbox_id)
-
-    def observe_rng_contention(self) -> int:
-        """Sample the current RNG contention level (must be pressuring)."""
-        return self._host.rng_resource.observe(self.sandbox_id, self._rng)
-
-    def start_bus_pressure(self) -> None:
-        """Begin hammering the host memory bus (atomic-op loop)."""
-        self._host.memory_bus.start_pressure(self.sandbox_id)
-
-    def stop_bus_pressure(self) -> None:
-        """Stop hammering the host memory bus."""
-        self._host.memory_bus.stop_pressure(self.sandbox_id)
-
-    def observe_bus_contention(self) -> int:
-        """Sample memory-bus contention (must be pressuring).
-
-        Noisier than the RNG channel: ordinary tenants exercise the bus
-        constantly, so background contention is common.
-        """
-        return self._host.memory_bus.observe(self.sandbox_id, self._rng)
-
-    # -- generic registry-driven channel surface -----------------------
     def start_channel_pressure(self, kind: str) -> None:
-        """Begin pressuring one registered covert-channel kind.
-
-        Kinds whose descriptor names a legacy per-kind method (``rng``,
-        ``bus``) dispatch through it, so subclasses customizing those
-        methods keep their behavior; registry-only kinds go straight to
-        the host's shared resource.
-        """
-        descriptor = channel_kind(kind)
-        if descriptor.sandbox_start is not None:
-            getattr(self, descriptor.sandbox_start)()
-        else:
-            self._host.channel_resource(kind).start_pressure(self.sandbox_id)
+        """Begin pressuring one registered covert-channel kind (an RDRAND
+        loop for ``rng``, an atomic-op loop for ``bus``, ...)."""
+        self._host.channel_resource(kind).start_pressure(self.sandbox_id)
 
     def stop_channel_pressure(self, kind: str) -> None:
         """Stop pressuring one registered covert-channel kind."""
-        descriptor = channel_kind(kind)
-        if descriptor.sandbox_stop is not None:
-            getattr(self, descriptor.sandbox_stop)()
-        else:
-            self._host.channel_resource(kind).stop_pressure(self.sandbox_id)
+        self._host.channel_resource(kind).stop_pressure(self.sandbox_id)
 
     def observe_channel_contention(self, kind: str) -> int:
         """Sample one kind's contention level (must be pressuring it).
 
-        The single scalar-observation entry point of the generic channel
-        surface: per-kind draw semantics live entirely in the host's
+        The single scalar-observation entry point of the channel surface:
+        per-kind draw semantics live entirely in the host's
         :class:`~repro.hardware.rng_resource.ContentionResource`, so every
         kind inherits the module-level draw-order contract unchanged.
         """
-        descriptor = channel_kind(kind)
-        if descriptor.sandbox_observe is not None:
-            return getattr(self, descriptor.sandbox_observe)()
         return self._host.channel_resource(kind).observe(self.sandbox_id, self._rng)
 
-    def channel_port(self, kind: str) -> ChannelPort | None:
-        """Batched-observation port for one channel kind, or ``None``.
-
-        Returns ``None`` when this sandbox's scalar observation semantics
-        have been customized — a subclass overrides the kind's legacy
-        observe method or the generic
-        :meth:`observe_channel_contention` — in which case the vectorized
-        CTest engine cannot prove stream identity and must fall back to
-        the scalar per-round loop.
-        """
-        descriptor = channel_kind(kind)
-        if (
-            type(self).observe_channel_contention
-            is not Sandbox.observe_channel_contention
-        ):
-            return None
-        if descriptor.sandbox_observe is not None:
-            observer = descriptor.sandbox_observe
-            if getattr(type(self), observer) is not getattr(Sandbox, observer):
-                return None
+    def channel_port(self, kind: str) -> ChannelPort:
+        """Batched-observation port for one registered channel kind."""
         return ChannelPort(
             self._host.channel_resource(kind), self.sandbox_id, self._rng
         )
-
-    def rng_channel_port(self) -> ChannelPort | None:
-        """Deprecated shim for ``channel_port("rng")`` (same guard)."""
-        return self.channel_port("rng")
-
-    def bus_channel_port(self) -> ChannelPort | None:
-        """Deprecated shim for ``channel_port("bus")`` (same guard)."""
-        return self.channel_port("bus")
 
     # ------------------------------------------------------------------
     # Request serving (victim-side latency surface)

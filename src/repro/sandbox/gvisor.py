@@ -21,7 +21,7 @@ class GVisorSandbox(Sandbox):
     :class:`~repro.sandbox.base.Sandbox`: ``RDRAND`` is an unprivileged
     instruction gVisor cannot intercept, so RNG-contention pressure and
     observation hit real shared hardware — which also makes the batched
-    observation port (:meth:`~repro.sandbox.base.Sandbox.rng_channel_port`)
+    observation port (:meth:`~repro.sandbox.base.Sandbox.channel_port`)
     valid for Gen 1 without any generation-specific handling.
     """
 

@@ -27,7 +27,7 @@ class MicroVMSandbox(Sandbox):
     surface, but the hypervisor does not virtualize shared-resource
     contention: ``RDRAND`` and memory-bus pressure still reach host
     hardware, so the inherited covert-channel surface — including the
-    batched observation ports the vectorized CTest engine uses — behaves
+    batched observation ports the CTest round engine uses — behaves
     identically to Gen 1 (paper §4.5 relies on exactly this).
     """
 

@@ -107,6 +107,7 @@ def tiny_env_factory():
         seed: int = 42,
         fault_plan=None,
         retry_policy=None,
+        background=None,
         **profile_overrides,
     ) -> SimulationEnv:
         return default_env(
@@ -114,6 +115,7 @@ def tiny_env_factory():
             seed=seed,
             fault_plan=fault_plan,
             retry_policy=retry_policy,
+            background=background,
         )
 
     return build

@@ -40,10 +40,10 @@ class TestAbuseMonitor:
         name = client.deploy(ServiceConfig(name="crypto"))
         handles = client.connect(name, 3)
         for handle in handles:
-            handle.run(lambda s: s.start_rng_pressure())
+            handle.run(lambda s: s.start_channel_pressure("rng"))
         client.wait(30.0)
         for handle in handles:
-            handle.run(lambda s: s.stop_rng_pressure())
+            handle.run(lambda s: s.stop_channel_pressure("rng"))
         client.wait(120.0)
         assert monitor.flagged_accounts == set()
 

@@ -1,0 +1,13 @@
+"""Scalar reference implementations the twin-world suites pin against.
+
+``src/`` keeps one engine per layer.  The straightforward per-instance and
+per-round versions those engines replaced live here, and only here: the
+identity suites run a world on each and assert byte-identical draws,
+columns and verdicts.  Nothing in this package is collected as a test.
+
+* :mod:`tests.oracles.launch` — the per-instance launch loop, bound onto
+  an orchestrator's ``_create_instances``;
+* :mod:`tests.oracles.ctest` — the per-round CTest loop, as channel
+  subclasses overriding the single window method;
+* :mod:`tests.oracles.census` — the set-algebra census reduction.
+"""

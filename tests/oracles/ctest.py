@@ -1,0 +1,60 @@
+"""Per-round CTest loop (reference for the batched ``observe_rounds`` engine).
+
+One probe round-trip per live instance per round, visiting instances in
+flat order within each round.  :func:`loop_reference` derives, from any
+registered channel class, a subclass that runs its windows this way, so
+every kind's batched engine is pinned against the same loop.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from repro.cloud.api import InstanceHandle
+from repro.core.covert import RngCovertChannel
+from repro.errors import InstanceGoneError
+
+
+class LoopWindow:
+    """Mixin replacing the channel's window method with the round loop."""
+
+    def _observe_window(
+        self,
+        flat: Sequence[InstanceHandle],
+        dead: set[str],
+        death_round: dict[str, int],
+        threshold_of: dict[str, int],
+    ) -> dict[str, int]:
+        kind = self.kind
+        hits = {handle.instance_id: 0 for handle in flat}
+        for round_index in range(self.total_rounds):
+            for handle in flat:
+                instance_id = handle.instance_id
+                if instance_id in dead:
+                    continue
+                if death_round.get(instance_id) == round_index:
+                    dead.add(instance_id)
+                    try:
+                        handle.run(self._stop)
+                    except InstanceGoneError:
+                        pass
+                    continue
+                try:
+                    level = handle.run(
+                        lambda sandbox: sandbox.observe_channel_contention(kind)
+                    )
+                except InstanceGoneError:
+                    dead.add(instance_id)
+                    continue
+                if level >= threshold_of[instance_id]:
+                    hits[instance_id] += 1
+        return hits
+
+
+def loop_reference(channel_cls: type[RngCovertChannel]) -> type[RngCovertChannel]:
+    """``channel_cls`` with its test windows run by the per-round loop."""
+    return type(f"Loop{channel_cls.__name__}", (LoopWindow, channel_cls), {})
+
+
+#: The paper's RNG channel on the per-round loop.
+LoopRngCovertChannel = loop_reference(RngCovertChannel)

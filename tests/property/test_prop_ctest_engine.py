@@ -1,4 +1,4 @@
-"""Property-based equivalence of the scalar and vectorized CTest engines.
+"""Property-based equivalence of the batched CTest engine and the loop oracle.
 
 For arbitrary placements, group shapes, thresholds, and fault-injected
 mid-test deaths, twin worlds driven by the two engines must produce
@@ -16,6 +16,7 @@ from repro.experiments.base import default_env
 from repro.faults import FaultPlan, FaultSpec
 
 from tests.conftest import tiny_profile
+from tests.oracles.ctest import LoopRngCovertChannel
 
 
 @st.composite
@@ -29,16 +30,15 @@ def engine_cases(draw):
     return seed, n, group_size, threshold, death_rate, total_rounds
 
 
-def run_world(vectorized, seed, n, group_size, threshold, death_rate, total_rounds):
+def run_world(channel_cls, seed, n, group_size, threshold, death_rate, total_rounds):
     env = default_env(profile=tiny_profile(), seed=seed)
     client = env.attacker
     name = client.deploy(ServiceConfig(name="prop-engine"))
     handles = client.connect(name, n)
-    channel = RngCovertChannel(
+    channel = channel_cls(
         total_rounds=total_rounds,
         required_rounds=(total_rounds + 1) // 2,
         fault_plan=FaultPlan(FaultSpec(ctest_death_rate=death_rate, seed=seed)),
-        vectorized=vectorized,
     )
     groups = [handles[i : i + group_size] for i in range(0, n, group_size)]
     results = channel.ctest_batch(groups, threshold)
@@ -58,6 +58,6 @@ def run_world(vectorized, seed, n, group_size, threshold, death_rate, total_roun
 @given(engine_cases())
 @settings(max_examples=20, deadline=None)
 def test_vectorized_engine_equals_scalar_loop(case):
-    loop_world = run_world(False, *case)
-    batched_world = run_world(True, *case)
+    loop_world = run_world(LoopRngCovertChannel, *case)
+    batched_world = run_world(RngCovertChannel, *case)
     assert loop_world == batched_world

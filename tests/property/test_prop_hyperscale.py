@@ -18,13 +18,14 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.aggregation import FootprintAccumulator, census_reduce_scalar
+from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.placement import PlacementPolicy, PlacementRequest
 from repro.cloud.services import ServiceConfig
 from repro.experiments.base import default_env, host_coverage
 from repro.fleet import FleetStore, SparseServiceCounts
 
 from tests.conftest import tiny_profile
+from tests.oracles.census import census_reduce_scalar
 
 # ----------------------------------------------------------------------
 # SparseServiceCounts == dense column

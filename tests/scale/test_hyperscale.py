@@ -19,7 +19,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.analysis.aggregation import FootprintAccumulator, census_reduce_scalar
+from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
 from repro.experiments.base import default_env
@@ -29,6 +29,7 @@ from repro.simtime.clock import SimClock
 from repro.simtime.scheduler import _COMPACT_MIN_DEAD, EventScheduler
 
 from tests.conftest import tiny_profile
+from tests.oracles.census import census_reduce_scalar
 from tests.unit.test_hyperscale_identity import run_twin_launch_worlds
 
 pytestmark = pytest.mark.scale
@@ -53,11 +54,12 @@ def hyperscale_profile(**overrides):
     return tiny_profile(**knobs)
 
 
-def hyperscale_env_factory(seed=42, fault_plan=None, **profile_overrides):
+def hyperscale_env_factory(seed=42, fault_plan=None, background=None, **profile_overrides):
     return default_env(
         profile=hyperscale_profile(**profile_overrides),
         seed=seed,
         fault_plan=fault_plan,
+        background=background,
     )
 
 

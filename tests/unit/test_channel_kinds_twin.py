@@ -2,14 +2,14 @@
 
 Two guarantees per kind:
 
-* **engine identity** — the scalar loop and the batched ``observe_rounds``
-  engine produce identical verdicts, hits, RNG end states, and pressurer
-  sets for every registered kind (the per-kind generalization of the RNG
-  twin-world suite);
-* **refactor identity** — the generic kind-routed hooks
-  (``channel_port(kind)`` / ``observe_channel_contention``) reproduce the
-  historical per-kind hook wiring (``rng_channel_port`` /
-  ``observe_rng_contention`` and the bus equivalents) byte-for-byte.
+* **engine identity** — the per-round loop oracle and the batched
+  ``observe_rounds`` engine produce identical verdicts, hits, RNG end
+  states, and pressurer sets for every registered kind (the per-kind
+  generalization of the RNG twin-world suite);
+* **refactor identity** — the kind-routed hooks (``channel_port(kind)`` /
+  ``start_channel_pressure(kind)``) reproduce the historical wiring
+  straight to the host's eager ``rng_resource`` / ``memory_bus`` fields
+  byte-for-byte.
 """
 
 from __future__ import annotations
@@ -25,51 +25,41 @@ KINDS = tuple(COVERT_CHANNEL_CLASSES)
 
 
 class LegacyRngChannel(RngCovertChannel):
-    """The pre-registry hook wiring: static per-kind sandbox methods.
-
-    Overriding the hooks knocks the class off the vector-safe set, so it
-    runs the scalar loop — the original reference semantics.
-    """
+    """The pre-registry hook wiring: the host's ``rng_resource`` field."""
 
     @staticmethod
     def _start(sandbox) -> None:
-        sandbox.start_rng_pressure()
-
-    @staticmethod
-    def _observe(sandbox) -> int:
-        return sandbox.observe_rng_contention()
+        sandbox._host.rng_resource.start_pressure(sandbox.sandbox_id)
 
     @staticmethod
     def _stop(sandbox) -> None:
-        sandbox.stop_rng_pressure()
+        sandbox._host.rng_resource.stop_pressure(sandbox.sandbox_id)
 
     @staticmethod
-    def _port(sandbox) -> ChannelPort | None:
-        return sandbox.rng_channel_port()
+    def _port(sandbox) -> ChannelPort:
+        return ChannelPort(sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng)
 
 
 class LegacyBusChannel(MemoryBusCovertChannel):
-    @staticmethod
-    def _start(sandbox) -> None:
-        sandbox.start_bus_pressure()
+    """The pre-registry hook wiring: the host's ``memory_bus`` field."""
 
     @staticmethod
-    def _observe(sandbox) -> int:
-        return sandbox.observe_bus_contention()
+    def _start(sandbox) -> None:
+        sandbox._host.memory_bus.start_pressure(sandbox.sandbox_id)
 
     @staticmethod
     def _stop(sandbox) -> None:
-        sandbox.stop_bus_pressure()
+        sandbox._host.memory_bus.stop_pressure(sandbox.sandbox_id)
 
     @staticmethod
-    def _port(sandbox) -> ChannelPort | None:
-        return sandbox.bus_channel_port()
+    def _port(sandbox) -> ChannelPort:
+        return ChannelPort(sandbox._host.memory_bus, sandbox.sandbox_id, sandbox._rng)
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_engine_identity(tiny_env_factory, kind, seed):
-    """Loop and batched engines agree for every registered kind."""
+    """Loop oracle and batched engine agree for every registered kind."""
     run_twin_worlds(
         tiny_env_factory,
         seed=seed,
@@ -110,56 +100,20 @@ def test_generic_hooks_match_legacy_hooks(
         threshold=2,
         plan_factory=lambda: None,
         channel_cls=legacy_cls,
-        expect_batched=False,  # overridden hooks fall back to the loop
     )
     # run_twin_worlds already proved loop==batched inside each call; this
     # pins the two wirings to the same observation dicts across calls.
     assert generic[0] == legacy[0]
 
 
-def test_channel_port_shims_are_equivalent(tiny_env):
+def test_channel_port_resolves_every_kind(tiny_env):
     handle = launch(tiny_env, 1)[0]
     sandbox = handle._instance.sandbox
-    assert sandbox.rng_channel_port() == sandbox.channel_port("rng")
-    assert sandbox.bus_channel_port() == sandbox.channel_port("bus")
-    llc_port = sandbox.channel_port("llc")
-    assert llc_port is not None
-    assert llc_port.resource is sandbox._host.channel_resource("llc")
-    assert llc_port.rng is sandbox._rng
-
-
-def test_legacy_override_blocks_generic_port_for_that_kind_only(tiny_env):
-    handle = launch(tiny_env, 1)[0]
-    sandbox = handle._instance.sandbox
-
-    class CustomSandbox(type(sandbox)):
-        def observe_bus_contention(self):
-            return 99
-
-    custom = CustomSandbox(
-        host=sandbox._host,
-        clock=sandbox._clock,
-        rng=sandbox._rng,
-        sandbox_id="custom",
-    )
-    assert custom.channel_port("bus") is None
-    assert custom.channel_port("rng") is not None
-    assert custom.channel_port("llc") is not None
-
-
-def test_generic_observe_override_blocks_every_port(tiny_env):
-    handle = launch(tiny_env, 1)[0]
-    sandbox = handle._instance.sandbox
-
-    class CustomSandbox(type(sandbox)):
-        def observe_channel_contention(self, kind):
-            return 99
-
-    custom = CustomSandbox(
-        host=sandbox._host,
-        clock=sandbox._clock,
-        rng=sandbox._rng,
-        sandbox_id="custom",
-    )
+    host = sandbox._host
+    assert sandbox.channel_port("rng").resource is host.rng_resource
+    assert sandbox.channel_port("bus").resource is host.memory_bus
     for kind in KINDS:
-        assert custom.channel_port(kind) is None
+        port = sandbox.channel_port(kind)
+        assert port.resource is host.channel_resource(kind)
+        assert port.sandbox_id == handle.instance_id
+        assert port.rng is sandbox._rng

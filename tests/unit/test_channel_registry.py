@@ -78,6 +78,26 @@ class TestRegistry:
             unregister_channel_kind("test-scratch")
         assert "test-scratch" not in registered_channel_kinds()
 
+    @pytest.mark.parametrize("method", ["observe", "observe_rounds"])
+    def test_resource_overriding_contention_model_rejected(self, method):
+        """The one CTest engine draws through the base contention model,
+        so a kind whose resource replaces it is refused at registration."""
+
+        def override(self, *args, **kwargs):  # pragma: no cover - never called
+            raise AssertionError
+
+        custom = type("CustomResource", (ContentionResource,), {method: override})
+        kind = ChannelKind(
+            name="test-custom-model",
+            description="resource with its own contention model",
+            background_rate=0.01,
+            drop_rate=0.01,
+            resource_cls=custom,
+        )
+        with pytest.raises(ValueError, match=f"overrides ContentionResource.{method}"):
+            register_channel_kind(kind)
+        assert "test-custom-model" not in registered_channel_kinds()
+
     def test_legacy_alias_still_importable(self):
         assert RngContentionResource is ContentionResource
 

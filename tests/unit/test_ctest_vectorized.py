@@ -1,11 +1,12 @@
-"""Twin-world identity suite for the vectorized CTest round engine.
+"""Twin-world identity suite for the batched CTest round engine.
 
 Every test builds two byte-identical simulated worlds from the same seed,
-runs the scalar per-round loop in one and the batched ``observe_rounds``
-engine in the other, and asserts that verdicts, per-instance hit counts,
-sandbox RNG end states, and host pressurer sets all match exactly.  This
-is the engine-level counterpart of the golden-trace byte-identity
-guarantee: the fast path must be indistinguishable from the loop.
+runs the per-round loop oracle (:mod:`tests.oracles.ctest`) in one and the
+batched ``observe_rounds`` engine in the other, and asserts that verdicts,
+per-instance hit counts, sandbox RNG end states, and host pressurer sets
+all match exactly.  This is the engine-level counterpart of the
+golden-trace byte-identity guarantee: the engine must be
+indistinguishable from the loop.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.errors import InstanceGoneError
 from repro.faults import FaultPlan, FaultSpec
 from repro.sandbox.base import ChannelPort
+from tests.oracles.ctest import LoopRngCovertChannel, loop_reference
 
 
 class ScriptedPlan(FaultPlan):
@@ -63,15 +65,6 @@ def pressurer_sets(env, handles) -> dict[str, frozenset]:
     }
 
 
-def forbid_loop_engine(channel: RngCovertChannel) -> None:
-    """Make the channel fail loudly if the batched engine falls back."""
-
-    def fail(*_args, **_kwargs):  # pragma: no cover - only on regression
-        pytest.fail("vectorized channel fell back to the scalar loop engine")
-
-    channel._observe_window_loop = fail
-
-
 def run_twin_worlds(
     tiny_env_factory,
     seed: int,
@@ -81,7 +74,6 @@ def run_twin_worlds(
     plan_factory,
     channel_cls=RngCovertChannel,
     kill_first: bool = False,
-    expect_batched: bool = True,
 ):
     """Run one identical ctest_batch in a loop world and a batched world.
 
@@ -90,7 +82,7 @@ def run_twin_worlds(
     performed here.
     """
     worlds = {}
-    for label, vectorized in (("loop", False), ("batched", True)):
+    for label, cls in (("loop", loop_reference(channel_cls)), ("batched", channel_cls)):
         env = tiny_env_factory(seed=seed)
         handles = launch(env, n_instances)
         if kill_first:
@@ -99,9 +91,7 @@ def run_twin_worlds(
             handles[i : i + group_size]
             for i in range(0, len(handles), group_size)
         ]
-        channel = channel_cls(fault_plan=plan_factory(), vectorized=vectorized)
-        if vectorized and expect_batched:
-            forbid_loop_engine(channel)
+        channel = cls(fault_plan=plan_factory())
         results = channel.ctest_batch(groups, threshold)
         worlds[label] = {
             "ids": [h.instance_id for h in handles],
@@ -214,28 +204,22 @@ class TestEdgeCases:
         pressure, and the batched engine must model that stale pressure
         as external contention."""
         worlds = {}
-        for vectorized in (False, True):
+        for label, cls in (("loop", LoopRngCovertChannel), ("batched", RngCovertChannel)):
             env = tiny_env_factory(seed=7)
             handles = launch(env, 6)
-            channel = RngCovertChannel(vectorized=vectorized)
+            channel = cls()
             for handle in handles:
                 handle.run(channel._start)
             victim = handles[0]
             victim._instance.terminate(env.orchestrator.clock.now())
             dead: set[str] = set()
-            engine = (
-                channel._observe_window_batched
-                if vectorized
-                else channel._observe_window_loop
-            )
-            hits = engine(
+            hits = channel._observe_window(
                 handles,
                 dead,
                 {},
                 {h.instance_id: 2 for h in handles},
             )
-            assert hits is not None
-            worlds[vectorized] = {
+            worlds[label] = {
                 "hits": hits,
                 "dead": set(dead),
                 "states": {
@@ -243,32 +227,29 @@ class TestEdgeCases:
                 },
                 "pressurers": pressurer_sets(env, handles),
             }
-        assert worlds[False] == worlds[True]
+        assert worlds["loop"] == worlds["batched"]
         # The victim's stale pressure is still registered on its host.
-        victim_id = next(iter(worlds[False]["dead"]))
+        victim_id = next(iter(worlds["loop"]["dead"]))
         assert any(
             victim_id in members
-            for members in worlds[False]["pressurers"].values()
+            for members in worlds["loop"]["pressurers"].values()
         )
 
     def test_verifier_with_singleton_adjacent_chunks(self, tiny_env_factory):
         """A 7-member fingerprint group at m=2 chunks as 3+3+1, which
         ``_balanced_chunks`` rebalances to 3+2+2 — the singleton-adjacent
         shape.  The full verifier must report identical clusters and test
-        counts under both engines."""
+        counts under the engine and the loop oracle."""
         reports = {}
-        for vectorized in (False, True):
+        for label, cls in (("loop", LoopRngCovertChannel), ("batched", RngCovertChannel)):
             env = tiny_env_factory(seed=8)
             handles = launch(env, 7)
             tagged = [
                 TaggedInstance(handle=h, fingerprint="same-fp", model_key="cpu0")
                 for h in handles
             ]
-            channel = RngCovertChannel(vectorized=vectorized)
-            if vectorized:
-                forbid_loop_engine(channel)
-            report = ScalableVerifier(channel, threshold_m=2).verify(tagged)
-            reports[vectorized] = {
+            report = ScalableVerifier(cls(), threshold_m=2).verify(tagged)
+            reports[label] = {
                 "clusters": sorted(
                     sorted(h.instance_id for h in cluster)
                     for cluster in report.clusters
@@ -278,7 +259,7 @@ class TestEdgeCases:
                 "fallback_groups": report.fallback_groups,
                 "states": {h.instance_id: rng_state(h) for h in handles},
             }
-        assert reports[False] == reports[True]
+        assert reports["loop"] == reports["batched"]
         # The clusters match the simulator's ground truth placement.
         env = tiny_env_factory(seed=8)
         handles = launch(env, 7)
@@ -287,7 +268,7 @@ class TestEdgeCases:
             truth.setdefault(
                 env.orchestrator.true_host_of(h.instance_id), set()
             ).add(h.instance_id)
-        assert sorted(sorted(m) for m in truth.values()) == reports[True]["clusters"]
+        assert sorted(sorted(m) for m in truth.values()) == reports["batched"]["clusters"]
 
     def test_memory_bus_channel_identity(self, tiny_env_factory):
         run_twin_worlds(
@@ -302,69 +283,15 @@ class TestEdgeCases:
 
 
 class TestEngineGuards:
-    def test_subclass_overriding_observe_loses_fast_path(self, tiny_env_factory):
-        class CustomObserve(RngCovertChannel):
-            @staticmethod
-            def _observe(sandbox):
-                return sandbox.observe_rng_contention()
-
-        class CustomPort(RngCovertChannel):
-            @staticmethod
-            def _port(sandbox):
-                return sandbox.rng_channel_port()
-
-        assert not CustomObserve()._vector_capable()
-        assert not CustomPort()._vector_capable()
-        assert RngCovertChannel()._vector_capable()
-        assert MemoryBusCovertChannel()._vector_capable()
-
-    def test_incapable_channel_still_correct(self, tiny_env_factory):
-        """A subclass that falls off the fast path silently runs the loop
-        and produces the same verdicts."""
-
-        class CustomObserve(RngCovertChannel):
-            @staticmethod
-            def _observe(sandbox):
-                return sandbox.observe_rng_contention()
-
-        loop, _ = run_twin_worlds(
-            tiny_env_factory,
-            seed=10,
-            n_instances=4,
-            group_size=2,
-            threshold=2,
-            plan_factory=lambda: None,
-            channel_cls=CustomObserve,
-            expect_batched=False,
-        )
-        assert len(loop["positives"]) == 2
-
-    def test_customized_sandbox_yields_no_port(self, tiny_env):
-        handle = launch(tiny_env, 1)[0]
-        sandbox = handle._instance.sandbox
-
-        class CustomSandbox(type(sandbox)):
-            def observe_rng_contention(self):
-                return 99
-
-        custom = CustomSandbox(
-            host=sandbox._host,
-            clock=sandbox._clock,
-            rng=sandbox._rng,
-            sandbox_id="custom",
-        )
-        assert custom.rng_channel_port() is None
-        assert custom.bus_channel_port() is not None
-
     def test_port_carries_host_resource_and_private_rng(self, tiny_env):
         handle = launch(tiny_env, 1)[0]
         sandbox = handle._instance.sandbox
-        port = sandbox.rng_channel_port()
+        port = sandbox.channel_port("rng")
         assert isinstance(port, ChannelPort)
         assert port.resource is sandbox._host.rng_resource
         assert port.rng is sandbox._rng
         assert port.sandbox_id == handle.instance_id
-        bus_port = sandbox.bus_channel_port()
+        bus_port = sandbox.channel_port("bus")
         assert bus_port.resource is sandbox._host.memory_bus
 
     def test_channel_resource_unknown_kind_rejected(self, tiny_env):

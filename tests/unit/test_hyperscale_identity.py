@@ -1,41 +1,35 @@
 """Twin-world identity suite for the hyperscale batched paths.
 
-PR 8 vectorized three more layers: the orchestrator launch path (vector
-sandbox-seed draws plus batched count commits), the helper-host recruiter
-(gathered id resolution), and the census aggregation
+Three layers run batched: the orchestrator launch commit (segmented
+vector sandbox-seed draws plus batched count commits), the helper-host
+recruiter (gathered id resolution), and the census aggregation
 (:class:`~repro.analysis.aggregation.FootprintAccumulator`).  Each test
 here builds two byte-identical worlds from one seed, runs the scalar
-reference in one and the batched engine in the other, and pins placements,
-sandbox RNG end states, the orchestrator RNG end state, service-count
-columns, and load columns exactly equal — the same contract the golden
-traces enforce end-to-end, exercised over a seed x shape matrix that
-includes mid-campaign instance deaths, ``InstanceGoneError`` handling, and
-fault-injected launch failures (where the batched path must fall back to
-the scalar loop on both sides).
+reference from :mod:`tests.oracles` in one and the batched engine in the
+other, and pins placements, sandbox RNG end states, the orchestrator RNG
+end state, service-count columns, load columns and fault counters exactly
+equal — the same contract the golden traces enforce end-to-end, exercised
+over a seed x shape matrix that includes mid-campaign instance deaths,
+``InstanceGoneError`` handling, fault-injected launch failures and retry
+backoff sleeps that fire background-traffic clock hooks.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.analysis.aggregation import FootprintAccumulator, census_reduce_scalar
+from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
-from repro.errors import InstanceGoneError
+from repro.cloud.traffic import TrafficConfig
+from repro.errors import InstanceGoneError, LaunchError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import FleetStore
-
-
-def forbid_scalar_launch(orchestrator) -> None:
-    """Make the orchestrator fail loudly if the batched launch path
-    falls back to the scalar loop (only the scalar loop calls
-    ``_attempt_launch``)."""
-
-    def fail(*_args, **_kwargs):  # pragma: no cover - only on regression
-        pytest.fail("batched launch path fell back to the scalar loop")
-
-    orchestrator._attempt_launch = fail
+from tests.oracles.census import census_reduce_scalar
+from tests.oracles.launch import bind_scalar_launch
 
 
 def orch_rng_state(env) -> str:
@@ -86,6 +80,7 @@ def run_campaign(
             else:
                 client.wait(profile.idle_grace / 2)
 
+    plan = orch.fault_plan
     return {
         "hosts": hosts_per_launch,
         "gone_raised": gone_raised,
@@ -97,87 +92,165 @@ def run_campaign(
         "orch_rng": orch_rng_state(env),
         "service_counts": orch.fleet.service_counts(qualified).tolist(),
         "load": orch.fleet.load_slots.tolist(),
+        "instances": list(orch.instances),
         "clock": orch.clock.now(),
+        "fault_counters": (
+            None if plan is None else dataclasses.asdict(plan.counters)
+        ),
     }
 
 
 def run_twin_launch_worlds(
-    tiny_env_factory, seed, *, fault_plan_factory=None, **campaign_kwargs
+    env_factory, seed, *, fault_plan_factory=None, background=None, **campaign_kwargs
 ):
-    """Scalar-reference launch world vs batched launch world."""
+    """Per-instance launch oracle world vs segmented batched launch world."""
     worlds = {}
-    for label, scalar in (("scalar", True), ("batched", False)):
-        env = tiny_env_factory(
+    for label in ("scalar", "batched"):
+        env = env_factory(
             seed=seed,
             fault_plan=None if fault_plan_factory is None else fault_plan_factory(),
+            background=background,
         )
-        env.orchestrator.force_scalar_launch = scalar
-        if not scalar and fault_plan_factory is None:
-            forbid_scalar_launch(env.orchestrator)
+        if label == "scalar":
+            bind_scalar_launch(env.orchestrator)
         worlds[label] = run_campaign(env, **campaign_kwargs)
     assert worlds["scalar"] == worlds["batched"]
     return worlds["scalar"]
 
 
-# 4 seeds x 4 shapes = 16 identity cases (the PR's pinned matrix): a
-# single clean wave, a reconnect campaign with mid-campaign idle deaths, a
-# campaign with a killed instance (InstanceGoneError on both paths), and a
-# fault-injected campaign where launches fail and retry (the batched path
-# must decline and run the scalar loop on both sides).
+def faulty(rate):
+    return lambda seed: FaultPlan(FaultSpec(launch_error_rate=rate, seed=seed))
+
+
+# 4 seeds x 5 shapes = 20 identity cases: a single clean wave, a reconnect
+# campaign with mid-campaign idle deaths, a campaign with a killed
+# instance (InstanceGoneError on both paths), a fault-injected campaign
+# where launches fail and retry, and the same under live background
+# traffic, whose evaluations and reaps fire during the retry backoff sleeps.
 LAUNCH_SHAPES = [
-    pytest.param(dict(n=12, launches=1), None, id="single-wave"),
+    pytest.param(dict(n=12, launches=1), None, None, id="single-wave"),
     pytest.param(
-        dict(n=10, launches=3, idle_deaths=True), None, id="idle-deaths"
+        dict(n=10, launches=3, idle_deaths=True), None, None, id="idle-deaths"
     ),
     pytest.param(
-        dict(n=8, launches=2, kill_mid=True), None, id="killed-instance"
+        dict(n=8, launches=2, kill_mid=True), None, None, id="killed-instance"
     ),
+    pytest.param(dict(n=10, launches=2), faulty(0.2), None, id="faulty-launches"),
     pytest.param(
-        dict(n=10, launches=2),
-        lambda seed: FaultPlan(FaultSpec(launch_error_rate=0.2, seed=seed)),
-        id="faulty-launches",
+        dict(n=10, launches=2, idle_deaths=True),
+        faulty(0.3),
+        lambda seed: TrafficConfig(n_tenants=40, seed=seed, duration_s=3600.0),
+        id="background-faulty-launches",
     ),
 ]
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14])
-@pytest.mark.parametrize("shape,plan", LAUNCH_SHAPES)
-def test_launch_identity_matrix(tiny_env_factory, seed, shape, plan):
+@pytest.mark.parametrize("shape,plan,traffic", LAUNCH_SHAPES)
+def test_launch_identity_matrix(tiny_env_factory, seed, shape, plan, traffic):
     run_twin_launch_worlds(
         tiny_env_factory,
         seed,
         fault_plan_factory=None if plan is None else (lambda: plan(seed)),
+        background=None if traffic is None else traffic(seed),
         **shape,
     )
 
 
-def test_batched_launch_engages_without_fault_plan(tiny_env_factory):
-    """Guard against silently losing the fast path: a clean environment
-    must never enter the scalar launch loop."""
+class SeedDrawRecorder:
+    """Forwarding proxy that records the orchestrator's vector draws."""
+
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self.sizes: list[int] = []
+
+    def integers(self, *args, **kwargs):
+        if "size" in kwargs:
+            self.sizes.append(kwargs["size"])
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def record_seed_draws(env) -> SeedDrawRecorder:
+    recorder = SeedDrawRecorder(env.orchestrator._rng)
+    env.orchestrator._rng = recorder
+    return recorder
+
+
+def test_clean_batch_draws_seeds_in_one_call(tiny_env_factory):
     env = tiny_env_factory(seed=21)
-    forbid_scalar_launch(env.orchestrator)
+    recorder = record_seed_draws(env)
     client = env.clients["account-1"]
     name = client.deploy(ServiceConfig(name="svc"))
     assert len(client.connect(name, 15)) == 15
+    assert recorder.sizes == [15]
 
 
-def test_fault_plan_forces_scalar_launch(tiny_env_factory):
-    """With a fault plan installed, identity is not provable (a mid-batch
-    LaunchError truncates the seed-draw sequence), so the orchestrator
-    must take the scalar loop."""
-    env = tiny_env_factory(
-        seed=22,
-        fault_plan=FaultPlan(FaultSpec(launch_error_rate=0.3, seed=22)),
-    )
-    calls = []
-    original = env.orchestrator._attempt_launch
-    env.orchestrator._attempt_launch = lambda iid: (
-        calls.append(iid), original(iid)
-    )[1]
-    client = env.clients["account-1"]
-    name = client.deploy(ServiceConfig(name="svc"))
-    client.connect(name, 6)
-    assert len(calls) == 6
+def test_faulted_batch_draws_seeds_once_per_segment(tiny_env_factory):
+    """A segment breaks exactly where an instance's first launch attempt
+    fails: that instance heads the next segment."""
+    plan = FaultPlan(FaultSpec(launch_error_rate=0.3, seed=22))
+    env = tiny_env_factory(seed=22, fault_plan=plan)
+    orch = env.orchestrator
+    recorder = record_seed_draws(env)
+    service = orch.deploy_service("account-1", ServiceConfig(name="svc"))
+    created = [i.instance_id for i in orch.scale_to(service, 12)]
+    heads = [0] + [
+        k for k, iid in enumerate(created) if k and plan.launch_would_fail(iid, 0)
+    ]
+    expected = [b - a for a, b in zip(heads, heads[1:] + [len(created)])]
+    assert len(expected) > 1, "seed must exercise a segmented batch"
+    assert recorder.sizes == expected
+    assert plan.counters.launch_errors >= len(expected) - 1
+
+
+class DoomedLaunchPlan(FaultPlan):
+    """Every attempt of the instance with sequence number ``doomed`` fails."""
+
+    def __init__(self, doomed: int) -> None:
+        super().__init__(FaultSpec())
+        self._suffix = f"#{doomed:07d}"
+
+    def launch_would_fail(self, instance_id: str, attempt: int) -> bool:
+        return instance_id.endswith(self._suffix)
+
+
+def test_mid_batch_launch_error_commits_oracle_prefix(tiny_env_factory):
+    """A LaunchError in the middle of a batch leaves exactly the state of
+    the per-instance loop's committed prefix."""
+    worlds = {}
+    for label in ("scalar", "batched"):
+        plan = DoomedLaunchPlan(doomed=5)
+        env = tiny_env_factory(seed=24, fault_plan=plan)
+        orch = env.orchestrator
+        if label == "scalar":
+            bind_scalar_launch(orch)
+        service = orch.deploy_service("account-1", ServiceConfig(name="svc"))
+        qualified = service.qualified_name
+        with pytest.raises(LaunchError):
+            orch.scale_to(service, 10)
+        state = orch.service_state
+        index = state.ensure(qualified)
+        worlds[label] = {
+            "orch_rng": orch_rng_state(env),
+            "instances": list(orch.instances),
+            "next_instance": orch._instance_counter.value,
+            "service_counts": orch.fleet.service_counts(qualified).tolist(),
+            "load": orch.fleet.load_slots.tolist(),
+            "state": (state.active_count(index), state.idle_count(index)),
+            "sandbox_states": {
+                iid: str(inst.sandbox._rng.bit_generator.state)
+                for iid, inst in orch.instances.items()
+            },
+            "fault_counters": dataclasses.asdict(plan.counters),
+            "clock": orch.clock.now(),
+        }
+    assert worlds["scalar"] == worlds["batched"]
+    assert len(worlds["batched"]["instances"]) == 5
+    assert worlds["batched"]["state"] == (5, 0)
+    assert worlds["batched"]["fault_counters"]["launch_errors"] == 3
 
 
 class TestRecruiterIdentity:

@@ -59,14 +59,14 @@ class TestMemoryBusChannel:
             return sum(1 for level in readings if level >= 2) / len(readings)
 
         rng_rate = elevated_fraction(
-            lambda s: s.start_rng_pressure(),
-            lambda s: s.observe_rng_contention(),
-            lambda s: s.stop_rng_pressure(),
+            lambda s: s.start_channel_pressure("rng"),
+            lambda s: s.observe_channel_contention("rng"),
+            lambda s: s.stop_channel_pressure("rng"),
         )
         bus_rate = elevated_fraction(
-            lambda s: s.start_bus_pressure(),
-            lambda s: s.observe_bus_contention(),
-            lambda s: s.stop_bus_pressure(),
+            lambda s: s.start_channel_pressure("bus"),
+            lambda s: s.observe_channel_contention("bus"),
+            lambda s: s.stop_channel_pressure("bus"),
         )
         assert rng_rate < 0.03
         assert bus_rate > 5 * max(rng_rate, 0.005)

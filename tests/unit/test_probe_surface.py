@@ -33,14 +33,14 @@ class TestServeRequest:
     def test_one_locker_band(self, tiny_env):
         victim = _one_instance(tiny_env, tiny_env.victim(), "vic")
         # Lock the victim's own bus from inside: same host by construction.
-        victim.run(lambda sb: sb.start_bus_pressure())
+        victim.run(lambda sb: sb.start_channel_pressure("bus"))
         p = 0.05
         low = p * (1.0 + Sandbox.BUS_LOCK_SLOWDOWN)
         high = low * (1.0 + Sandbox.SERVE_JITTER)
         for _ in range(50):
             latency = victim.run(lambda sb: sb.serve_request(p))
             assert low <= latency <= high
-        victim.run(lambda sb: sb.stop_bus_pressure())
+        victim.run(lambda sb: sb.stop_channel_pressure("bus"))
 
     def test_threshold_separates_the_bands(self):
         """The absolute threshold sits strictly between the unlocked
@@ -55,7 +55,7 @@ class TestServeRequest:
     def test_lockers_stack_additively(self, tiny_env):
         victim = _one_instance(tiny_env, tiny_env.victim(), "vic")
         p = 0.05
-        victim.run(lambda sb: sb.start_bus_pressure())
+        victim.run(lambda sb: sb.start_channel_pressure("bus"))
         one = victim.run(lambda sb: sb.serve_request(p))
         assert one >= p * (1.0 + Sandbox.BUS_LOCK_SLOWDOWN)
 
@@ -98,7 +98,7 @@ class TestProbeApi:
         threshold = probe_latency_threshold(0.05)
         quiet = tiny_env.attacker.probe("account-2/vic")
         assert quiet < threshold
-        victim.run(lambda sb: sb.start_bus_pressure())
+        victim.run(lambda sb: sb.start_channel_pressure("bus"))
         loud = tiny_env.attacker.probe("account-2/vic")
         assert loud >= threshold
 
@@ -111,8 +111,8 @@ class TestDeadLockerCleanup:
         handle = _one_instance(tiny_env, tiny_env.attacker)
         host_id = handle._instance.host_id
         host = tiny_env.datacenter.host(host_id)
-        handle.run(lambda sb: sb.start_bus_pressure())
-        handle.run(lambda sb: sb.start_rng_pressure())
+        handle.run(lambda sb: sb.start_channel_pressure("bus"))
+        handle.run(lambda sb: sb.start_channel_pressure("rng"))
         assert host.memory_bus.pressurer_count == 1
         assert host.rng_resource.pressurer_count == 1
         tiny_env.orchestrator._terminate(handle._instance, tiny_env.clock.now())

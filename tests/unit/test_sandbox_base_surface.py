@@ -27,12 +27,12 @@ class TestSharedSurface:
     def test_bus_pressure_surface(self):
         sandboxes, host = both_generations()
         for sandbox in sandboxes:
-            sandbox.start_bus_pressure()
+            sandbox.start_channel_pressure("bus")
         assert host.memory_bus.pressurer_count == 2
-        level = sandboxes[0].observe_bus_contention()
+        level = sandboxes[0].observe_channel_contention("bus")
         assert level >= 1
         for sandbox in sandboxes:
-            sandbox.stop_bus_pressure()
+            sandbox.stop_channel_pressure("bus")
         assert host.memory_bus.pressurer_count == 0
 
     def test_run_busy_visible_to_sibling(self):
@@ -42,10 +42,10 @@ class TestSharedSurface:
 
     def test_rng_and_bus_domains_are_independent(self):
         sandboxes, host = both_generations()
-        sandboxes[0].start_rng_pressure()
+        sandboxes[0].start_channel_pressure("rng")
         assert host.memory_bus.pressurer_count == 0
         assert host.rng_resource.pressurer_count == 1
-        sandboxes[0].stop_rng_pressure()
+        sandboxes[0].stop_channel_pressure("rng")
 
     def test_boot_wall_time_recorded(self):
         clock = SimClock()

@@ -88,11 +88,11 @@ class TestGVisorSandbox:
         clock = SimClock()
         s1, _, _ = make_sandbox(host, clock, sid="a")
         s2, _, _ = make_sandbox(host, clock, sid="b")
-        s1.start_rng_pressure()
-        s2.start_rng_pressure()
-        assert s1.observe_rng_contention() == 2
-        s2.stop_rng_pressure()
-        assert s1.observe_rng_contention() == 1
+        s1.start_channel_pressure("rng")
+        s2.start_channel_pressure("rng")
+        assert s1.observe_channel_contention("rng") == 2
+        s2.stop_channel_pressure("rng")
+        assert s1.observe_channel_contention("rng") == 1
 
 
 class TestGVisorTscMitigation:
