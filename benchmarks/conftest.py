@@ -1,54 +1,47 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one table or figure of the paper at full scale
-(800-instance launches, the three US datacenters), prints a
-paper-vs-measured comparison, and asserts the reproduction band: we match
-*shape* — who wins, by roughly what factor, where crossovers fall — not the
-authors' absolute testbed numbers.
+``test_bench_figures.py`` is the fidelity tier: one case per (figure
+spec, scale).  Each regenerates one table or figure of the paper from its
+:class:`~repro.experiments.spec.FigureSpec` — the same config the CLI
+runs — prints the paper-vs-measured report, and asserts the spec's
+reproduction bands: we match *shape* — who wins, by roughly what factor,
+where crossovers fall — not the authors' absolute testbed numbers.
+Quick-scale cases skip the bands marked ``full_only``; CI gates the quick
+cases.  The ``test_bench_ablation_*`` and ``test_bench_robustness`` files
+hold sweeps that reproduce no single figure.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/test_bench_figures.py -k quick            # CI gate
+    pytest benchmarks/test_bench_figures.py --benchmark-only -k full
+    pytest benchmarks/ --benchmark-only                         # everything
 
-Append ``-s`` to see the regenerated tables inline.
+Append ``-s`` to see the regenerated tables inline.  For one figure's
+telemetry counters, run ``python -m repro --metrics run <id> --scale
+full``: it runs the same spec.
 
 The multi-cell benchmarks route through :mod:`repro.runner`; set
 ``REPRO_BENCH_JOBS=N`` to fan their simulation cells over N worker
 processes and ``REPRO_BENCH_CACHE=1`` to reuse completed cells from the
 on-disk cache (off by default — a cached benchmark measures cache reads,
 not the simulation).
-
-Set ``REPRO_BENCH_METRICS_DIR=DIR`` to collect telemetry during each
-benchmark and drop a per-figure metric snapshot (counters, gauges,
-timing histograms) as ``DIR/BENCH_<test>.metrics.json`` — handy for
-comparing instance-launch volume, CTest counts, or cell timings across
-harness revisions.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
-from pathlib import Path
 
 import pytest
 
 from repro.runner import RunnerConfig
-from repro.telemetry import Telemetry, metrics_snapshot, telemetry_context
-
-
-def bench_runner() -> RunnerConfig:
-    """Runner policy for one benchmark, from the environment."""
-    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0"))
-    cache = os.environ.get("REPRO_BENCH_CACHE", "") == "1"
-    return RunnerConfig(parallelism=jobs, cache_read=cache, cache_write=cache)
 
 
 @pytest.fixture
 def runner() -> RunnerConfig:
     """A fresh env-configured RunnerConfig; stats cover just this test."""
-    return bench_runner()
+    jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0"))
+    cache = os.environ.get("REPRO_BENCH_CACHE", "") == "1"
+    return RunnerConfig(parallelism=jobs, cache_read=cache, cache_write=cache)
 
 
 def run_once(benchmark, fn):
@@ -58,31 +51,6 @@ def run_once(benchmark, fn):
     them only re-measures the same code path, so one round suffices.
     """
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-@pytest.fixture(autouse=True)
-def _bench_metrics(request):
-    """Snapshot each benchmark's telemetry metrics when asked to.
-
-    With ``REPRO_BENCH_METRICS_DIR`` unset this activates nothing: the
-    ambient handle stays :data:`~repro.telemetry.NULL_TELEMETRY` and the
-    benchmark measures the uninstrumented path.
-    """
-    directory = os.environ.get("REPRO_BENCH_METRICS_DIR")
-    if not directory:
-        yield
-        return
-    telemetry = Telemetry()
-    with telemetry_context(telemetry):
-        yield
-    out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    name = re.sub(r"[^A-Za-z0-9_.-]+", "_", request.node.name)
-    path = out_dir / f"BENCH_{name}.metrics.json"
-    path.write_text(
-        json.dumps(metrics_snapshot(telemetry), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro.cloud.platform import platform_profile
 from repro.errors import CloudError, FaultSpecError
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import EXPERIMENTS, get_spec, run_experiment
 from repro.faults import FaultPlan
 from repro.runner import RunnerConfig
 from repro.telemetry import (
@@ -154,8 +154,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     if args.command == "list":
         width = max(len(eid) for eid in EXPERIMENTS)
-        for eid, (description, _runner) in sorted(EXPERIMENTS.items()):
-            print(f"{eid:<{width}}  {description}")
+        for eid, spec in sorted(EXPERIMENTS.items()):
+            print(f"{eid:<{width}}  {spec.description}")
         return 0
 
     if args.command == "run":
@@ -179,13 +179,29 @@ def main(argv: Sequence[str] | None = None) -> int:
             except CloudError as error:
                 print(f"--platform: {error}", file=sys.stderr)
                 return 2
+        ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+        try:
+            specs = [get_spec(eid) for eid in ids]
+        except KeyError as error:
+            print(error.args[0], file=sys.stderr)
+            return 2
+        # Fault plans and platform profiles reach a simulation only through
+        # the runner's cells; a driver without a runner would ignore them.
+        cellless = [spec.id for spec in specs if not spec.takes_runner]
+        for flag, value in (("--faults", fault_plan), ("--platform", platform)):
+            if value is not None and cellless:
+                print(
+                    f"{flag} has no effect on experiments without runner "
+                    f"cells: {', '.join(cellless)}",
+                    file=sys.stderr,
+                )
+                return 2
         telemetry = Telemetry() if (args.trace or args.metrics) else None
         scope = (
             telemetry_context(telemetry)
             if telemetry is not None
             else contextlib.nullcontext()
         )
-        ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
         with scope:
             for eid in ids:
                 runner = RunnerConfig.from_cli(
@@ -196,12 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                     platform=platform,
                     world_cache=not args.no_world_cache,
                 )
-                try:
-                    report = run_experiment(eid, scale=args.scale, runner=runner)
-                except KeyError as error:
-                    print(error.args[0], file=sys.stderr)
-                    return 2
-                print(report)
+                print(run_experiment(eid, scale=args.scale, runner=runner))
                 if fault_plan is not None:
                     # Counters are parent-side: exhaustive with --jobs 0; with
                     # workers, injections inside cells stay in the workers and

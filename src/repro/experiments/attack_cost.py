@@ -15,6 +15,8 @@ import numpy as np
 
 from repro.core.attack.strategies import optimized_launch
 from repro.experiments.base import default_env
+from repro.experiments.report import ComparisonRow, format_comparison
+from repro.experiments.spec import Band, FigureSpec
 
 PAPER_COST_USD = {"us-east1": 24.0, "us-central1": 23.0, "us-west1": 27.0}
 
@@ -87,3 +89,62 @@ def run_ablation(config: AblationConfig = AblationConfig()) -> dict[tuple[int, i
                 len(outcome.apparent_hosts),
             )
     return results
+
+
+def _render(result: AttackCostResult, config: AttackCostConfig) -> str:
+    return format_comparison(
+        "§5.2 — optimized attack cost",
+        [
+            ComparisonRow(
+                region, f"${PAPER_COST_USD[region]:.0f}",
+                f"${result.mean_cost_usd[region]:.2f}",
+            )
+            for region in result.mean_cost_usd
+        ],
+    )
+
+
+def _render_ablation(
+    results: dict[tuple[int, int], tuple[float, int]], config: AblationConfig
+) -> str:
+    return format_comparison(
+        "§5.2 ablation — (services, launches) -> cost / apparent hosts",
+        [
+            ComparisonRow(
+                f"services={s}, launches={l}",
+                "-",
+                f"${cost:.2f} / {hosts} hosts",
+            )
+            for (s, l), (cost, hosts) in sorted(results.items())
+        ],
+    )
+
+
+COST = FigureSpec(
+    id="cost", description="attack cost per region",
+    quick=AttackCostConfig(repetitions=1),
+    full=AttackCostConfig(repetitions=2),  # paper: 3
+    driver=run, render=_render,
+    bands=(
+        Band("within 2x of the paper, every region", "$24 / $23 / $27",
+             lambda r: all(PAPER_COST_USD[region] / 2 < cost < PAPER_COST_USD[region] * 2
+                           for region, cost in r.mean_cost_usd.items())),
+        Band("< $60 in every region", "tens of dollars",
+             lambda r: all(cost < 60 for cost in r.mean_cost_usd.values())),
+    ),
+)
+
+COST_ABLATION = FigureSpec(
+    id="cost_ablation", description="attack cost vs footprint over (services, launches)",
+    quick=AblationConfig(services_grid=(1, 6), launches_grid=(2, 6)),
+    full=AblationConfig(),
+    driver=run_ablation, render=_render_ablation,
+    bands=(
+        Band("6 services cover more hosts than 1", "footprint grows with services",
+             lambda r: r[(6, 6)][1] > r[(1, 6)][1]),
+        Band("6 launches cover more hosts than 2", "footprint grows with launches",
+             lambda r: r[(6, 6)][1] > r[(6, 2)][1]),
+        Band("6x6 costs > 4x the 1x2 attack", "cost ~ services x launches",
+             lambda r: r[(6, 6)][0] > 4 * r[(1, 2)][0]),
+    ),
+)

@@ -26,7 +26,10 @@ from repro.cloud.services import ServiceConfig
 from repro.cloud.traffic import TrafficConfig
 from repro.errors import NoCapacityError
 from repro.core.attack.strategies import optimized_launch
+from repro.analysis.asciichart import render_series
 from repro.experiments.base import default_env, host_coverage
+from repro.experiments.report import format_series, pct
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, EnvSpec, RunnerConfig, run_cells
 from repro.telemetry import current_telemetry
 
@@ -231,3 +234,44 @@ def run(
         cursor += config.repetitions
         summary.points.append(point)
     return summary
+
+
+def _render(summary: BackgroundLoadSummary, config: BackgroundLoadConfig) -> str:
+    table = format_series(
+        "Background load — attack coverage vs region utilization (extension)",
+        ("tenants", "utilization", "coverage", "attacker_hosts", "bg_instances", "blocked"),
+        [
+            (
+                p.n_tenants,
+                pct(p.mean_utilization),
+                pct(p.mean_coverage),
+                p.mean_attacker_hosts,
+                int(p.mean_background_instances),
+                p.attack_failures,
+            )
+            for p in summary.points
+        ],
+    )
+    chart = render_series(
+        [100 * p.mean_utilization for p in summary.points],
+        [100 * p.mean_coverage for p in summary.points],
+        title="coverage (%) vs pool utilization (%)",
+        x_label="utilization %",
+        y_label="coverage %",
+    )
+    return table + "\n\n" + chart
+
+
+BACKGROUND_LOAD = FigureSpec(
+    id="background_load", description="attack coverage vs background load (extension)",
+    quick=BackgroundLoadConfig(tenant_counts=(0, 900, 1100), repetitions=2),
+    full=BackgroundLoadConfig(tenant_counts=(0, 450, 900, 1000, 1100), repetitions=3),
+    driver=run, render=_render,
+    bands=(
+        Band("largest tenant count saturates the pool (> 85%)", "extension: a full region",
+             lambda s: s.points[-1].mean_utilization > 0.85),
+        Band("saturation costs >= 0.2 coverage vs a quiet region",
+             "extension: contended capacity blocks placement",
+             lambda s: s.points[0].mean_coverage - s.points[-1].mean_coverage >= 0.2),
+    ),
+)

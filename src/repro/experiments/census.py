@@ -18,6 +18,8 @@ from repro import units
 from repro.core.attack.census import CensusResult, estimate_cluster_size
 from repro.core.attack.strategies import optimized_launch
 from repro.experiments.base import VICTIM_ACCOUNTS, default_env
+from repro.experiments.report import ComparisonRow, format_comparison
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_CENSUS = {"us-east1": 474, "us-central1": 1702, "us-west1": 199}
@@ -127,3 +129,51 @@ def run(
     summary = CensusSummary()
     summary.regions.extend(cell.value for cell in run_cells(specs, runner))
     return summary
+
+
+def _render(summary: CensusSummary, config: CensusConfig) -> str:
+    rows = []
+    for region in summary.regions:
+        rows.append(
+            ComparisonRow(
+                f"{region.region}: census / attacker share",
+                f"{PAPER_CENSUS[region.region]} / "
+                f"{100 * PAPER_ATTACKER_SHARE[region.region]:.0f}%",
+                f"{region.total_hosts} / {100 * region.attacker_share:.0f}%",
+            )
+        )
+    return format_comparison("Figure 12 — datacenter census", rows)
+
+
+def _hosts(summary: CensusSummary, region: str) -> int:
+    return summary.by_region(region).total_hosts
+
+
+def _census_error(region: RegionCensus) -> float:
+    """Relative distance of a region's census from the paper's."""
+    paper = PAPER_CENSUS[region.region]
+    return abs(region.total_hosts - paper) / paper
+
+
+FIG12 = FigureSpec(
+    id="fig12", description="datacenter census",
+    quick=CensusConfig(regions=("us-west1",)),
+    full=CensusConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("us-central1 > 3x us-east1", "1702 vs 474",
+             lambda s: _hosts(s, "us-central1") > 3 * _hosts(s, "us-east1"), full_only=True),
+        Band("us-east1 > 1.5x us-west1", "474 vs 199",
+             lambda s: _hosts(s, "us-east1") > 1.5 * _hosts(s, "us-west1"), full_only=True),
+        Band("census within 25% of the paper, every region", "474 / 1702 / 199",
+             lambda s: all(_census_error(r) < 0.25 for r in s.regions)),
+        Band("growth flattens, every region", "flattening",
+             lambda s: all(r.growth_flattens for r in s.regions)),
+        Band("attacker share in (0.4, 1.1], every region", "59% / 53% / 82%",
+             lambda s: all(0.4 < r.attacker_share <= 1.1 for r in s.regions)),
+        Band("us-central1 hosts at once within 200 of the paper", f"{PAPER_MAX_HOSTS_AT_ONCE}",
+             lambda s: abs(s.by_region("us-central1").attacker_hosts_at_once
+                           - PAPER_MAX_HOSTS_AT_ONCE) < 200,
+             full_only=True),
+    ),
+)

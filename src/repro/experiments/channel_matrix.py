@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.asciichart import render_series
 from repro.analysis.metrics import pair_confusion
 from repro.cloud.platform import platform_profile
 from repro.cloud.services import ServiceConfig
@@ -40,6 +41,8 @@ from repro.core.fingerprint import (
 )
 from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.experiments.base import default_env
+from repro.experiments.report import format_series, pct
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, EnvSpec, RunnerConfig, run_cells
 from repro.telemetry import current_telemetry
 
@@ -244,3 +247,59 @@ def run(
             cursor += config.repetitions
             summary.points.append(point)
     return summary
+
+
+def _render(summary: MatrixSummary, config: MatrixConfig) -> str:
+    short = {"aws_lambda_like": "aws-lambda", "azure_functions_like": "azure-func"}
+    table = format_series(
+        "Channel x platform matrix — co-location accuracy and cost (extension)",
+        ("channel", "platform", "fmi", "precision", "recall", "tests", "busy_s"),
+        [
+            (
+                p.channel,
+                short.get(p.platform, p.platform),
+                f"{p.mean_fmi:.3f}",
+                pct(p.mean_precision),
+                pct(p.mean_recall),
+                f"{p.mean_tests:.1f}",
+                f"{p.mean_busy_seconds:.1f}",
+            )
+            for p in summary.points
+        ],
+    )
+    chart = render_series(
+        [p.mean_busy_seconds for p in summary.points],
+        [100.0 * p.mean_fmi for p in summary.points],
+        title="accuracy (FMI %) vs channel busy time (s), all matrix cells",
+        x_label="busy_s",
+        y_label="FMI %",
+    )
+    return table + "\n\n" + chart
+
+
+def _rng_is_cheapest(summary: MatrixSummary) -> bool:
+    platforms = dict.fromkeys(p.platform for p in summary.points)
+    return all(
+        summary.point("rng", platform).mean_busy_seconds
+        < min(
+            p.mean_busy_seconds
+            for p in summary.points
+            if p.platform == platform and p.channel != "rng"
+        )
+        for platform in platforms
+    )
+
+
+CHANNEL_MATRIX = FigureSpec(
+    id="channel_matrix", description="channel x platform accuracy/cost matrix (extension)",
+    quick=MatrixConfig(repetitions=1),
+    full=MatrixConfig(repetitions=3),
+    driver=run, render=_render,
+    bands=(
+        Band("every channel verifies co-location on the baseline platform (FMI >= 0.9)",
+             "RNG channel: reliable CTest (§4.3)",
+             lambda s: all(p.mean_fmi >= 0.9 for p in s.points if p.platform == "default")),
+        Band("RNG is the fastest channel on every platform",
+             "RNG chosen over the slower memory bus (§4.3)", _rng_is_cheapest),
+    ),
+)

@@ -28,7 +28,9 @@ import numpy as np
 from repro.cloud.services import CONTAINER_SIZES, SMALL, ContainerSize
 from repro.core.attack.campaign import ColocationCampaign
 from repro.core.attack.strategies import naive_launch, optimized_launch
-from repro.experiments.base import default_env
+from repro.experiments.base import VICTIM_ACCOUNTS, default_env
+from repro.experiments.report import format_series, pct
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_OPTIMIZED_GEN1 = {
@@ -277,3 +279,137 @@ def run_matrix(
         cursor += cell_config.repetitions
         cells[key] = _aggregate(cell_config, (r.value for r in chunk))
     return cells
+
+
+# ----------------------------------------------------------------------
+# Figure specs
+# ----------------------------------------------------------------------
+#: Paper table per (strategy, generation).
+PAPER_COVERAGE = {
+    ("optimized", "gen1"): PAPER_OPTIMIZED_GEN1,
+    ("naive", "gen1"): PAPER_NAIVE_GEN1,
+    ("optimized", "gen2"): PAPER_OPTIMIZED_GEN2,
+}
+
+
+def _render_matrix(cells: dict[tuple, CoverageCell], config: MatrixConfig) -> str:
+    """Coverage table with a column for each swept victim axis."""
+    paper = PAPER_COVERAGE[(config.strategy, config.generation)]
+    by_count = len(config.victim_counts) > 1
+    by_size = len(config.victim_sizes) > 1
+    columns = ("region", "account")
+    columns += ("victims",) * by_count + ("size",) * by_size + ("paper", "measured")
+    rows = [
+        (region, account)
+        + (n_victims,) * by_count
+        + (size,) * by_size
+        + (pct(paper[(region, account)]), pct(cell.mean))
+        for (region, account, n_victims, size), cell in sorted(cells.items())
+    ]
+    return format_series(
+        f"Victim coverage — {config.strategy} strategy, {config.generation}",
+        columns,
+        rows,
+    )
+
+
+def _within(paper: dict[tuple[str, str], float], tolerance: float, text: str) -> Band:
+    return Band(
+        f"every cell within {tolerance:g} of the paper", text,
+        lambda cells: all(abs(cell.mean - paper[(region, account)]) < tolerance
+                          for (region, account, _n, _s), cell in cells.items()),
+    )
+
+
+def _mean_at(cells: dict[tuple, CoverageCell], region: str, account: str) -> float:
+    """Coverage of the 100-instance Small victim cell."""
+    return cells[(region, account, 100, "Small")].mean
+
+
+def _region_mean(cells: dict[tuple, CoverageCell], region: str) -> float:
+    """Mean over victim accounts of the 100-instance Small cells."""
+    return float(np.mean([
+        cell.mean for (reg, _account, n_victims, size), cell in cells.items()
+        if (reg, n_victims, size) == (region, 100, "Small")
+    ]))
+
+
+def _max_spread(cells: dict[tuple, CoverageCell]) -> float:
+    """Largest coverage range across the victim axes of any region/account."""
+    groups: dict[tuple[str, str], list[float]] = {}
+    for (region, account, _n, _s), cell in cells.items():
+        groups.setdefault((region, account), []).append(cell.mean)
+    return max(float(np.ptp(means)) for means in groups.values())
+
+
+_GEN1_TEXT = "us-east1 97.7/99.7%, us-central1 61.3/90.0%, us-west1 100/100%"
+_SIZES = ("Pico", "Small", "Medium", "Large")
+
+FIG11A = FigureSpec(
+    id="fig11a", description="victim coverage, optimized strategy",
+    quick=MatrixConfig(repetitions=1, ground_truth="oracle"),
+    full=MatrixConfig(victim_counts=(20, 50, 100, 200), repetitions=2),  # paper: 3
+    driver=run_matrix, render=_render_matrix,
+    bands=(
+        _within(PAPER_OPTIMIZED_GEN1, 0.2, _GEN1_TEXT),
+        Band("victim count moves coverage < 0.25", "no significant influence",
+             lambda cells: _max_spread(cells) < 0.25, full_only=True),
+        Band("us-central1 trails us-east1", "61.3/90.0% vs 97.7/99.7%",
+             lambda c: _region_mean(c, "us-central1") < _region_mean(c, "us-east1") <= 1.0),
+        Band("us-central1 trails us-west1", "61.3/90.0% vs 100/100%",
+             lambda c: _region_mean(c, "us-central1") < _region_mean(c, "us-west1") <= 1.0),
+    ),
+)
+
+FIG11B = FigureSpec(
+    id="fig11b", description="victim coverage vs victim container size",
+    quick=MatrixConfig(
+        regions=("us-central1",), victim_sizes=_SIZES, repetitions=1, ground_truth="oracle"
+    ),
+    full=MatrixConfig(victim_sizes=_SIZES, repetitions=2),  # paper: 3
+    driver=run_matrix, render=_render_matrix,
+    bands=(
+        _within(PAPER_OPTIMIZED_GEN1, 0.2, _GEN1_TEXT),
+        Band("victim size moves coverage < 0.25", "no significant influence",
+             lambda cells: _max_spread(cells) < 0.25),
+    ),
+)
+
+NAIVE = FigureSpec(
+    id="naive", description="victim coverage, naive strategy",
+    quick=MatrixConfig(strategy="naive", repetitions=1, ground_truth="oracle"),
+    full=MatrixConfig(strategy="naive", repetitions=2),
+    driver=run_matrix, render=_render_matrix,
+    bands=(
+        _within(PAPER_NAIVE_GEN1, 0.15, "0% except us-central1/3 81%, us-west1/2 100%"),
+        Band("us-east1 account-2 uncovered", "0%",
+             lambda c: _mean_at(c, "us-east1", "account-2") == 0.0),
+        Band("us-east1 account-3 uncovered", "0%",
+             lambda c: _mean_at(c, "us-east1", "account-3") == 0.0),
+        Band("us-west1 account-3 uncovered", "0%",
+             lambda c: _mean_at(c, "us-west1", "account-3") == 0.0),
+        Band("us-west1 account-2 > 95%", "100% (shared base hosts)",
+             lambda c: _mean_at(c, "us-west1", "account-2") > 0.95),
+        Band("us-central1 account-3 > 60%", "81%",
+             lambda c: _mean_at(c, "us-central1", "account-3") > 0.6),
+        Band("us-central1 account-2 < 15%", "0%",
+             lambda c: _mean_at(c, "us-central1", "account-2") < 0.15),
+    ),
+)
+
+GEN2COV = FigureSpec(
+    id="gen2cov", description="victim coverage, Gen 2",
+    quick=MatrixConfig(generation="gen2", repetitions=1, ground_truth="oracle"),
+    full=MatrixConfig(generation="gen2", repetitions=2),  # paper: 3
+    driver=run_matrix, render=_render_matrix,
+    bands=(
+        Band("us-east1 > 70% for both accounts", "87.3/88.7%",
+             lambda c: all(_mean_at(c, "us-east1", a) > 0.7 for a in VICTIM_ACCOUNTS)),
+        Band("us-west1 > 85% for both accounts", "96.0/97.3%",
+             lambda c: all(_mean_at(c, "us-west1", a) > 0.85 for a in VICTIM_ACCOUNTS)),
+        Band("us-central1 trails us-east1", "40.7/75.3% vs 87.3/88.7%",
+             lambda c: _region_mean(c, "us-central1") < _region_mean(c, "us-east1")),
+        _within(PAPER_OPTIMIZED_GEN2, 0.35,
+                "us-east1 87.3/88.7%, us-central1 40.7/75.3%, us-west1 96.0/97.3%"),
+    ),
+)

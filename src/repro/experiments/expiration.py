@@ -16,9 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import units
+from repro.analysis.asciichart import render_cdf
 from repro.analysis.distributions import cdf_at
 from repro.core.attack.tracking import HostTracker
 from repro.experiments.base import default_env
+from repro.experiments.report import ComparisonRow, format_comparison, format_series
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_MIN_ABS_R = 0.9997
@@ -116,3 +119,47 @@ def run(
     result = ExpirationResult()
     result.regions.extend(cell.value for cell in run_cells(specs, runner))
     return result
+
+
+def _render(result: ExpirationResult, config: ExpirationConfig) -> str:
+    grid = (1.0, 2.0, 3.0, 5.0, 7.0)
+    rows = []
+    for region in result.regions:
+        rows.extend(
+            (region.region, d, f) for d, f in zip(grid, region.cdf(grid))
+        )
+    header = format_series(
+        "Figure 5 — CDF of fingerprint expiration time", ("region", "days", "expired"), rows
+    )
+    tail = format_comparison(
+        "Figure 5 — headline",
+        [
+            ComparisonRow("min |r|", ">= 0.9997", f"{result.min_abs_r:.5f}"),
+            ComparisonRow("days to 10% expired", "~2", f"{result.mean_days_to_10pct_expired:.2f}"),
+        ],
+    )
+    clipped = [
+        min(days, 14.0)
+        for region in result.regions
+        for days in region.expiration_days
+    ]
+    chart = render_cdf(clipped, title="expiration CDF (days, clipped at 14)")
+    return header + "\n\n" + tail + "\n\n" + chart
+
+
+FIG5 = FigureSpec(
+    id="fig5", description="fingerprint expiration CDF",
+    quick=ExpirationConfig(regions=("us-east1",), duration_days=3.0, cadence_hours=3.0),
+    full=ExpirationConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("drift is strongly linear: min |r| >= 0.999", f">= {PAPER_MIN_ABS_R}",
+             lambda r: r.min_abs_r >= 0.999),
+        Band("days to 10% expired in (0.5, 6)", f"~{PAPER_DAYS_TO_10PCT_EXPIRED:g} days",
+             lambda r: 0.5 < r.mean_days_to_10pct_expired < 6.0),
+        Band("under half expired by day 2, every region", "most last days",
+             lambda r: all(region.cdf((2.0,))[0] < 0.5 for region in r.regions)),
+        Band(">= 50 tracked hosts per region", "66-79 per region",
+             lambda r: all(region.n_histories >= 50 for region in r.regions)),
+    ),
+)

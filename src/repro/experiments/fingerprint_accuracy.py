@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.analysis.asciichart import render_series
 from repro.analysis.metrics import PairConfusion, pair_confusion
 from repro.cloud.services import ServiceConfig
 from repro.core import probes
 from repro.experiments.base import default_env
 from repro.experiments.ground_truth import truth_clusters
+from repro.experiments.report import format_series
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, EnvSpec, RunnerConfig, run_cells
 
 #: Paper's Fig. 4 sweet spot and headline number.
@@ -167,3 +170,41 @@ def run(
             )
         )
     return result
+
+
+def _render(result: AccuracyResult, config: AccuracyConfig) -> str:
+    table = format_series(
+        "Figure 4 — fingerprint accuracy vs p_boot",
+        ("p_boot_s", "FMI", "precision", "recall"),
+        [(p.p_boot, p.fmi_mean, p.precision_mean, p.recall_mean) for p in result.points],
+    )
+    chart = render_series(
+        [p.p_boot for p in result.points],
+        [p.fmi_mean for p in result.points],
+        log_x=True,
+        title="FMI vs p_boot (log x)",
+        x_label="p_boot (s)",
+        y_label="FMI",
+    )
+    return table + "\n\n" + chart
+
+
+FIG4 = FigureSpec(
+    id="fig4", description="Gen 1 fingerprint accuracy vs p_boot",
+    quick=AccuracyConfig(regions=("us-east1",), repetitions=1),
+    full=AccuracyConfig(repetitions=2),  # paper: 5 reps x 3 DCs
+    driver=run, render=_render,
+    bands=(
+        Band("sweet spot (0.1 s, 1 s) FMI > 0.995", "~0.9999",
+             lambda r: all(r.point(p).fmi_mean > 0.995 for p in PAPER_SWEET_SPOT)),
+        Band("1e-4 s recall < 0.6", "false negatives", lambda r: r.point(1e-4).recall_mean < 0.6),
+        Band("1e-4 s precision > 0.99", "no collisions",
+             lambda r: r.point(1e-4).precision_mean > 0.99),
+        Band("1e3 s precision < 0.99", "hosts collide",
+             lambda r: r.point(1e3).precision_mean < 0.99),
+        Band("1e3 s recall > 0.99", "no false negatives",
+             lambda r: r.point(1e3).recall_mean > 0.99),
+        Band("all but one run perfect at 1 s", "14 of 15 runs",
+             lambda r: r.perfect_runs_at_1s >= len(r.run_fmis_at_1s) - 1),
+    ),
+)

@@ -19,6 +19,8 @@ from repro.cloud.services import ServiceConfig
 from repro.core import probes
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.experiments.base import default_env
+from repro.experiments.report import ComparisonRow, format_comparison
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_PROBLEMATIC_FRACTION = 58 / 586
@@ -115,3 +117,35 @@ def run(
     for cell in run_cells(specs, runner):
         result.stds_hz.extend(cell.value)
     return result
+
+
+def _render(result: FrequencyNoiseResult, config: FrequencyNoiseConfig) -> str:
+    return format_comparison(
+        "§4.2 — measured-frequency noise",
+        [
+            ComparisonRow("hosts", "586", str(result.n_hosts)),
+            ComparisonRow(
+                "problematic fraction", "~10%", f"{100 * result.problematic_fraction:.0f}%"
+            ),
+            ComparisonRow("quiet fraction", "most", f"{100 * result.quiet_fraction:.0f}%"),
+        ],
+    )
+
+
+SEC42 = FigureSpec(
+    id="sec42", description="measured-frequency noise",
+    quick=FrequencyNoiseConfig(regions=("us-east1",)),
+    full=FrequencyNoiseConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("> 150 hosts evaluated", "586", lambda r: r.n_hosts > 150, full_only=True),
+        Band("problematic fraction in (5%, 18%)", "~10% (58/586)",
+             lambda r: 0.05 < r.problematic_fraction < 0.18),
+        Band("quiet fraction > 75%", f"most below {PAPER_QUIET_STD_HZ:g} Hz",
+             lambda r: r.quiet_fraction > 0.75),
+        Band("max std > 30 kHz", "10 kHz up to a few MHz",
+             lambda r: r.max_std_hz > 30 * units.KHZ),
+        Band("< 5% of hosts between 2 and 10 kHz", "two separated regimes",
+             lambda r: sum(1 for s in r.stds_hz if 2e3 < s < 1e4) < 0.05 * r.n_hosts),
+    ),
+)

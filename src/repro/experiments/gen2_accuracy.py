@@ -19,6 +19,8 @@ from repro.analysis.metrics import pair_confusion
 from repro.core.fingerprint import fingerprint_gen2_instances
 from repro.experiments.base import default_env
 from repro.experiments.ground_truth import truth_clusters
+from repro.experiments.report import ComparisonRow, format_comparison
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_FMI = 0.66
@@ -118,3 +120,35 @@ def run(
         hosts_per_fingerprint_mean=float(np.mean(host_ratios)),
         per_run_fmi=[float(f) for f in fmis],
     )
+
+
+def _render(result: Gen2AccuracyResult, config: Gen2AccuracyConfig) -> str:
+    return format_comparison(
+        "§4.5 — Gen 2 fingerprint accuracy",
+        [
+            ComparisonRow("FMI", "0.66", f"{result.fmi_mean:.2f}"),
+            ComparisonRow("precision", "0.48", f"{result.precision_mean:.2f}"),
+            ComparisonRow("recall", "1.00", f"{result.recall_mean:.2f}"),
+            ComparisonRow(
+                "hosts per fingerprint", "2.0",
+                f"{result.hosts_per_fingerprint_mean:.1f}",
+            ),
+        ],
+    )
+
+
+SEC45 = FigureSpec(
+    id="sec45", description="Gen 2 fingerprint accuracy",
+    quick=Gen2AccuracyConfig(regions=("us-east1",), repetitions=1, ground_truth="oracle"),
+    full=Gen2AccuracyConfig(repetitions=2),  # paper: 5 reps x 3 DCs
+    driver=run, render=_render,
+    bands=(
+        Band("recall == 1", "1.00 (no false negatives)", lambda r: r.recall_mean == 1.0),
+        Band("precision in (0.25, 0.75)", f"{PAPER_PRECISION:.2f}",
+             lambda r: 0.25 < r.precision_mean < 0.75),
+        Band("FMI in (0.45, 0.85)", f"{PAPER_FMI:.2f}", lambda r: 0.45 < r.fmi_mean < 0.85),
+        Band("hosts per fingerprint in (1.2, 3.0)", f"{PAPER_HOSTS_PER_FINGERPRINT:.1f}",
+             lambda r: 1.2 < r.hosts_per_fingerprint_mean < 3.0),
+        Band("FMI < 0.9", "below Gen 1's ~0.9999", lambda r: r.fmi_mean < 0.9),
+    ),
+)

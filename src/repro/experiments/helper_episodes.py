@@ -15,6 +15,8 @@ from repro import units
 from repro.cloud.services import ServiceConfig
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.experiments.base import default_env
+from repro.experiments.report import format_series
+from repro.experiments.spec import Band, FigureSpec
 
 
 @dataclass(frozen=True)
@@ -88,3 +90,34 @@ def run(config: EpisodesConfig = EpisodesConfig()) -> EpisodesResult:
         result.cumulative_helpers.append(len(cumulative))
         client.wait(config.cooldown)
     return result
+
+
+def _render(result: EpisodesResult, config: EpisodesConfig) -> str:
+    return format_series(
+        "Figure 10 — helper hosts per episode",
+        ("episode", "helpers", "cumulative"),
+        [
+            (i + 1, p, c)
+            for i, (p, c) in enumerate(
+                zip(result.per_episode_helpers, result.cumulative_helpers)
+            )
+        ],
+    )
+
+
+FIG10 = FigureSpec(
+    id="fig10", description="helper footprints across services",
+    quick=EpisodesConfig(episodes=3),
+    full=EpisodesConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("six episodes", "6 services", lambda r: len(r.per_episode_helpers) == 6,
+             full_only=True),
+        Band("every episode recruits > 100 helpers", "substantial helper sets",
+             lambda r: all(count > 100 for count in r.per_episode_helpers)),
+        Band("cumulative footprint grows every episode", "expands per episode",
+             lambda r: all(b > a for a, b in zip(r.cumulative_helpers, r.cumulative_helpers[1:]))),
+        Band("each episode adds fewer than its own helpers", "helper sets overlap",
+             lambda r: r.overlapping),
+    ),
+)

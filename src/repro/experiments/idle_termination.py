@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import units
+from repro.analysis.asciichart import render_series
 from repro.cloud.services import ServiceConfig
 from repro.experiments.base import default_env
+from repro.experiments.report import format_series
+from repro.experiments.spec import Band, FigureSpec
 
 PAPER_GRACE_MINUTES = 2.0
 PAPER_ALL_GONE_MINUTES = 12.0
@@ -81,3 +84,39 @@ def run(config: IdleTerminationConfig = IdleTerminationConfig()) -> IdleTerminat
         (when - disconnect_time) / units.MINUTE for when in terminations
     )
     return result
+
+
+def _render(result: IdleTerminationResult, config: IdleTerminationConfig) -> str:
+    table = format_series(
+        "Figure 6 — idle instances vs minutes since disconnect",
+        ("minutes", "idle"),
+        [(t, n) for t, n in result.series if t == int(t)],
+    )
+    chart = render_series(
+        [t for t, _n in result.series],
+        [n for _t, n in result.series],
+        title="idle instances vs minutes since disconnect",
+        x_label="minutes",
+        y_label="instances",
+    )
+    return table + "\n\n" + chart
+
+
+FIG6 = FigureSpec(
+    id="fig6", description="idle instance termination",
+    quick=IdleTerminationConfig(),
+    full=IdleTerminationConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("grace period: all alive at 1.9 min", f"~{PAPER_GRACE_MINUTES:g} min",
+             lambda r: r.remaining_after(1.9) == r.instances),
+        Band("termination is gradual: some alive at 7 min", "gradual",
+             lambda r: 0 < r.remaining_after(7.0) < r.instances),
+        Band("<= 1% alive at 12.5 min", f"~0 by {PAPER_ALL_GONE_MINUTES:g} min",
+             lambda r: r.remaining_after(12.5) <= 0.01 * r.instances),
+        Band("none alive at 15 min", "documented 15-min bound",
+             lambda r: r.remaining_after(15.0) == 0),
+        Band("decay is monotone", "monotone",
+             lambda r: all(a >= b for (_, a), (_, b) in zip(r.series, r.series[1:]))),
+    ),
+)

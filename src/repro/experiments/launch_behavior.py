@@ -22,6 +22,8 @@ from repro.cloud.services import ServiceConfig
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.experiments.base import default_env
 from repro.experiments.ground_truth import truth_clusters
+from repro.experiments.report import ComparisonRow, format_comparison, format_series
+from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 
 PAPER_EXP1_HOSTS = 75
@@ -258,3 +260,150 @@ def run_interval_sweep(
         minutes: cell.value
         for minutes, cell in zip(config.intervals_minutes, results)
     }
+
+
+# ----------------------------------------------------------------------
+# Figure specs
+# ----------------------------------------------------------------------
+def _render_distribution(result: DistributionResult, config: DistributionConfig) -> str:
+    return format_comparison(
+        "Experiment 1 — 800 instances of one service",
+        [
+            ComparisonRow("hosts", "75", str(result.n_hosts)),
+            ComparisonRow(
+                "instances per host", "10-11",
+                f"{result.min_per_host}-{result.max_per_host}",
+            ),
+        ],
+    )
+
+
+def _series_renderer(title: str):
+    def render(result: LaunchSeriesResult, config: LaunchSeriesConfig) -> str:
+        return format_series(
+            title,
+            ("launch", "hosts", "cumulative"),
+            [(i + 1, p, c) for i, (p, c) in enumerate(zip(result.per_launch, result.cumulative))],
+        )
+
+    return render
+
+
+def _render_accounts(result: LaunchSeriesResult, config: LaunchSeriesConfig) -> str:
+    return format_series(
+        "Figure 8 — three accounts, step pattern",
+        ("launch", "account", "hosts", "cumulative"),
+        [
+            (i + 1, a, p, c)
+            for i, (a, p, c) in enumerate(
+                zip(result.accounts, result.per_launch, result.cumulative)
+            )
+        ],
+    )
+
+
+def _render_sweep(
+    results: dict[float, LaunchSeriesResult], config: IntervalSweepConfig
+) -> str:
+    return format_series(
+        "Figure 9 companion — footprint growth vs launch interval",
+        ("interval_min", "growth_after_6_launches"),
+        [(minutes, results[minutes].growth) for minutes in sorted(results)],
+    )
+
+
+def _same_account_growth(result: LaunchSeriesResult) -> list[int]:
+    return [
+        result.cumulative[i] - result.cumulative[i - 1]
+        for i in range(1, len(result.cumulative))
+        if result.accounts[i] == result.accounts[i - 1]
+    ]
+
+
+_BASE_HOSTS_GROWTH = Band("cumulative growth <= 8 hosts", "minimal (base hosts)",
+                          lambda r: r.growth <= 8)
+
+EXP1 = FigureSpec(
+    id="exp1", description="instance distribution over hosts",
+    quick=DistributionConfig(ground_truth="oracle"),
+    full=DistributionConfig(),
+    driver=run_distribution, render=_render_distribution,
+    bands=(
+        Band("hosts within 5 of the paper", f"{PAPER_EXP1_HOSTS}",
+             lambda r: abs(r.n_hosts - PAPER_EXP1_HOSTS) <= 5),
+        Band(">= 9 instances on every host", "10-11", lambda r: r.min_per_host >= 9),
+        Band("<= 12 instances on every host", "10-11", lambda r: r.max_per_host <= 12),
+        Band("most hosts at the two modal counts", "majority", lambda r: r.modal_share > 0.5),
+    ),
+)
+
+FIG7 = FigureSpec(
+    id="fig7", description="cold launches: base hosts",
+    quick=LaunchSeriesConfig(),
+    full=LaunchSeriesConfig(),
+    driver=run_launch_series,
+    render=_series_renderer("Figure 7 — cold launches, 45-min interval"),
+    bands=(
+        Band("six launches", "6", lambda r: len(r.per_launch) == 6),
+        Band("per-launch footprint spread <= 5 hosts", "constant",
+             lambda r: max(r.per_launch) - min(r.per_launch) <= 5),
+        _BASE_HOSTS_GROWTH,
+    ),
+)
+
+FIG7_FRESH = FigureSpec(
+    id="fig7_fresh", description="cold launches, a fresh service (new image) per launch",
+    quick=LaunchSeriesConfig(fresh_service_per_launch=True, seed=511),
+    full=LaunchSeriesConfig(fresh_service_per_launch=True, seed=511),
+    driver=run_launch_series,
+    render=_series_renderer("Figure 7 variant — a fresh service (new image) per launch"),
+    bands=(_BASE_HOSTS_GROWTH,),
+)
+
+FIG8 = FigureSpec(
+    id="fig8", description="three accounts: step pattern",
+    quick=LaunchSeriesConfig(account_pattern=(1, 1, 2, 2, 3, 3)),
+    full=LaunchSeriesConfig(account_pattern=(1, 1, 2, 2, 3, 3), seed=512),
+    driver=run_launch_series, render=_render_accounts,
+    bands=(
+        Band("two account changes", "pattern 1,1,2,2,3,3",
+             lambda r: len(r.growth_at_account_changes()) == 2),
+        Band("every account change adds > 50 hosts", "a step per new account",
+             lambda r: all(jump > 50 for jump in r.growth_at_account_changes())),
+        Band("same-account launches add <= 8 hosts", "minimal growth",
+             lambda r: all(g <= 8 for g in _same_account_growth(r))),
+        Band("cumulative > 2.5x the first launch", "~3 disjoint base sets",
+             lambda r: r.cumulative[-1] > 2.5 * r.per_launch[0]),
+    ),
+)
+
+FIG9 = FigureSpec(
+    id="fig9", description="hot launches: helper hosts",
+    quick=LaunchSeriesConfig(interval=10 * units.MINUTE),
+    full=LaunchSeriesConfig(interval=10 * units.MINUTE, seed=513),
+    driver=run_launch_series,
+    render=_series_renderer("Figure 9 — hot launches, 10-min interval"),
+    bands=(
+        Band("cumulative hosts after 6 launches in [200, 330]",
+             f"~{PAPER_FIG9_CUMULATIVE_AFTER_6}", lambda r: 200 <= r.cumulative[-1] <= 330),
+        Band("growth vs launch 1 >= 120", "~+177", lambda r: r.growth >= 120),
+        Band("per-launch and cumulative curves within 40 hosts", "curves track each other",
+             lambda r: max(cum - per for per, cum in zip(r.per_launch, r.cumulative)) <= 40),
+    ),
+)
+
+FIG9_SWEEP = FigureSpec(
+    id="fig9_sweep", description="footprint growth vs launch interval",
+    quick=IntervalSweepConfig(),
+    full=IntervalSweepConfig(),
+    driver=run_interval_sweep, render=_render_sweep,
+    bands=(
+        Band("2-min interval grows <= 40 hosts", f"~+{PAPER_FIG9_EXTRA_AT_2MIN}",
+             lambda r: r[2.0].growth <= 40),
+        Band("10-min interval grows > 3x the 2-min interval", "sweet spot at 10 min",
+             lambda r: r[10.0].growth > 3 * max(r[2.0].growth, 1)),
+        Band("45-min interval grows <= 8 hosts", "like Figure 7", lambda r: r[45.0].growth <= 8),
+        Band("30-min interval grows no more than 10-min", ">= 30 min: no helpers",
+             lambda r: r[30.0].growth <= r[10.0].growth),
+    ),
+)

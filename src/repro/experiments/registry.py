@@ -1,4 +1,4 @@
-"""Registry mapping experiment ids to runnable report generators.
+"""Registry mapping experiment ids to their :class:`FigureSpec`.
 
 Used by the CLI (``python -m repro``) and handy in notebooks:
 
@@ -6,19 +6,21 @@ Used by the CLI (``python -m repro``) and handy in notebooks:
 >>> print(run_experiment("exp1", scale="quick"))    # doctest: +SKIP
 
 Each entry regenerates one table or figure of the paper and returns the
-formatted paper-vs-measured text.  ``scale="quick"`` shrinks repetition
-counts (not the 800-instance launches themselves) so every experiment
-finishes in seconds; ``scale="full"`` matches the benchmark harness.
+formatted paper-vs-measured text.  The specs live next to their drivers
+(see :mod:`repro.experiments.spec`); the fidelity benchmark
+(``benchmarks/test_bench_figures.py``) checks their bands on the same
+configs.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.experiments import (
     attack_cost,
+    background_load,
     census,
+    channel_matrix,
     coverage,
+    defenses,
     expiration,
     fingerprint_accuracy,
     frequency_noise,
@@ -26,486 +28,44 @@ from repro.experiments import (
     helper_episodes,
     idle_termination,
     launch_behavior,
+    surveillance,
     verification_cost,
     victim_locator,
 )
-from repro.experiments.base import default_env, host_coverage
-from repro.experiments.report import ComparisonRow, format_comparison, format_series, pct
+from repro.experiments.spec import FigureSpec
 from repro.runner import RunnerConfig
 from repro.telemetry import current_telemetry
 
-
-def _reps(scale: str, full: int, quick: int = 1) -> int:
-    return full if scale == "full" else quick
-
-
-def _fig4(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.analysis.asciichart import render_series
-
-    config = fingerprint_accuracy.AccuracyConfig(
-        regions=("us-east1", "us-central1", "us-west1") if scale == "full" else ("us-east1",),
-        repetitions=_reps(scale, 2),
+#: Experiment id -> spec.
+EXPERIMENTS: dict[str, FigureSpec] = {
+    spec.id: spec
+    for spec in (
+        fingerprint_accuracy.FIG4, expiration.FIG5, idle_termination.FIG6,
+        launch_behavior.EXP1, launch_behavior.FIG7, launch_behavior.FIG7_FRESH,
+        launch_behavior.FIG8, launch_behavior.FIG9, launch_behavior.FIG9_SWEEP,
+        helper_episodes.FIG10, coverage.FIG11A, coverage.FIG11B, census.FIG12,
+        frequency_noise.SEC42, verification_cost.SEC43, verification_cost.SEC43_SCALING,
+        gen2_accuracy.SEC45, coverage.NAIVE, coverage.GEN2COV,
+        attack_cost.COST, attack_cost.COST_ABLATION,
+        surveillance.SURVEILLANCE, victim_locator.VICTIM_LOCATOR,
+        background_load.BACKGROUND_LOAD, channel_matrix.CHANNEL_MATRIX, defenses.DEFENSES,
     )
-    result = fingerprint_accuracy.run(config, runner=runner)
-    table = format_series(
-        "Figure 4 — fingerprint accuracy vs p_boot",
-        ("p_boot_s", "FMI", "precision", "recall"),
-        [(p.p_boot, p.fmi_mean, p.precision_mean, p.recall_mean) for p in result.points],
-    )
-    chart = render_series(
-        [p.p_boot for p in result.points],
-        [p.fmi_mean for p in result.points],
-        log_x=True,
-        title="FMI vs p_boot (log x)",
-        x_label="p_boot (s)",
-        y_label="FMI",
-    )
-    return table + "\n\n" + chart
-
-
-def _fig5(scale: str, runner: RunnerConfig | None = None) -> str:
-    config = expiration.ExpirationConfig(
-        regions=("us-east1", "us-central1", "us-west1") if scale == "full" else ("us-east1",),
-        duration_days=7.0 if scale == "full" else 3.0,
-        cadence_hours=1.0 if scale == "full" else 3.0,
-    )
-    result = expiration.run(config, runner=runner)
-    grid = (1.0, 2.0, 3.0, 5.0, 7.0)
-    rows = []
-    for region in result.regions:
-        rows.extend(
-            (region.region, d, f) for d, f in zip(grid, region.cdf(grid))
-        )
-    header = format_series(
-        "Figure 5 — CDF of fingerprint expiration time", ("region", "days", "expired"), rows
-    )
-    tail = format_comparison(
-        "Figure 5 — headline",
-        [
-            ComparisonRow("min |r|", ">= 0.9997", f"{result.min_abs_r:.5f}"),
-            ComparisonRow("days to 10% expired", "~2", f"{result.mean_days_to_10pct_expired:.2f}"),
-        ],
-    )
-    from repro.analysis.asciichart import render_cdf
-
-    clipped = [
-        min(days, 14.0)
-        for region in result.regions
-        for days in region.expiration_days
-    ]
-    chart = render_cdf(clipped, title="expiration CDF (days, clipped at 14)")
-    return header + "\n\n" + tail + "\n\n" + chart
-
-
-def _fig6(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.analysis.asciichart import render_series
-
-    result = idle_termination.run(idle_termination.IdleTerminationConfig())
-    table = format_series(
-        "Figure 6 — idle instances vs minutes since disconnect",
-        ("minutes", "idle"),
-        [(t, n) for t, n in result.series if t == int(t)],
-    )
-    chart = render_series(
-        [t for t, _n in result.series],
-        [n for _t, n in result.series],
-        title="idle instances vs minutes since disconnect",
-        x_label="minutes",
-        y_label="instances",
-    )
-    return table + "\n\n" + chart
-
-
-def _exp1(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = launch_behavior.run_distribution(
-        launch_behavior.DistributionConfig(
-            ground_truth="covert" if scale == "full" else "oracle"
-        ),
-        runner=runner,
-    )
-    return format_comparison(
-        "Experiment 1 — 800 instances of one service",
-        [
-            ComparisonRow("hosts", "75", str(result.n_hosts)),
-            ComparisonRow(
-                "instances per host", "10-11",
-                f"{result.min_per_host}-{result.max_per_host}",
-            ),
-        ],
-    )
-
-
-def _fig7(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = launch_behavior.run_launch_series(
-        launch_behavior.LaunchSeriesConfig(), runner=runner
-    )
-    return format_series(
-        "Figure 7 — cold launches, 45-min interval",
-        ("launch", "hosts", "cumulative"),
-        [(i + 1, p, c) for i, (p, c) in enumerate(zip(result.per_launch, result.cumulative))],
-    )
-
-
-def _fig8(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = launch_behavior.run_launch_series(
-        launch_behavior.LaunchSeriesConfig(account_pattern=(1, 1, 2, 2, 3, 3)),
-        runner=runner,
-    )
-    return format_series(
-        "Figure 8 — three accounts, step pattern",
-        ("launch", "account", "hosts", "cumulative"),
-        [
-            (i + 1, a, p, c)
-            for i, (a, p, c) in enumerate(
-                zip(result.accounts, result.per_launch, result.cumulative)
-            )
-        ],
-    )
-
-
-def _fig9(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = launch_behavior.run_launch_series(
-        launch_behavior.LaunchSeriesConfig(interval=600.0), runner=runner
-    )
-    return format_series(
-        "Figure 9 — hot launches, 10-min interval",
-        ("launch", "hosts", "cumulative"),
-        [(i + 1, p, c) for i, (p, c) in enumerate(zip(result.per_launch, result.cumulative))],
-    )
-
-
-def _fig10(scale: str, runner: RunnerConfig | None = None) -> str:
-    episodes = 6 if scale == "full" else 3
-    result = helper_episodes.run(helper_episodes.EpisodesConfig(episodes=episodes))
-    return format_series(
-        "Figure 10 — helper hosts per episode",
-        ("episode", "helpers", "cumulative"),
-        [
-            (i + 1, p, c)
-            for i, (p, c) in enumerate(
-                zip(result.per_episode_helpers, result.cumulative_helpers)
-            )
-        ],
-    )
-
-
-def _coverage(
-    scale: str,
-    runner: RunnerConfig | None,
-    strategy: str,
-    generation: str,
-    paper: dict,
-) -> str:
-    config = coverage.MatrixConfig(
-        strategy=strategy,
-        generation=generation,
-        repetitions=_reps(scale, 2),
-        ground_truth="covert" if scale == "full" else "oracle",
-    )
-    cells = coverage.run_matrix(config, runner=runner)
-    rows = [
-        (region, account, pct(paper[(region, account)]), pct(cell.mean))
-        for (region, account, _n, _s), cell in sorted(cells.items())
-    ]
-    return format_series(
-        f"Victim coverage — {strategy} strategy, {generation}",
-        ("region", "account", "paper", "measured"),
-        rows,
-    )
-
-
-def _fig11a(scale: str, runner: RunnerConfig | None = None) -> str:
-    return _coverage(scale, runner, "optimized", "gen1", coverage.PAPER_OPTIMIZED_GEN1)
-
-
-def _naive(scale: str, runner: RunnerConfig | None = None) -> str:
-    return _coverage(scale, runner, "naive", "gen1", coverage.PAPER_NAIVE_GEN1)
-
-
-def _gen2cov(scale: str, runner: RunnerConfig | None = None) -> str:
-    return _coverage(scale, runner, "optimized", "gen2", coverage.PAPER_OPTIMIZED_GEN2)
-
-
-def _fig12(scale: str, runner: RunnerConfig | None = None) -> str:
-    regions = (
-        ("us-east1", "us-central1", "us-west1") if scale == "full" else ("us-west1",)
-    )
-    summary = census.run(census.CensusConfig(regions=regions), runner=runner)
-    rows = []
-    for region in summary.regions:
-        rows.append(
-            ComparisonRow(
-                f"{region.region}: census / attacker share",
-                f"{census.PAPER_CENSUS[region.region]} / "
-                f"{100 * census.PAPER_ATTACKER_SHARE[region.region]:.0f}%",
-                f"{region.total_hosts} / {100 * region.attacker_share:.0f}%",
-            )
-        )
-    return format_comparison("Figure 12 — datacenter census", rows)
-
-
-def _sec42(scale: str, runner: RunnerConfig | None = None) -> str:
-    regions = (
-        ("us-east1", "us-central1", "us-west1") if scale == "full" else ("us-east1",)
-    )
-    result = frequency_noise.run(
-        frequency_noise.FrequencyNoiseConfig(regions=regions), runner=runner
-    )
-    return format_comparison(
-        "§4.2 — measured-frequency noise",
-        [
-            ComparisonRow("hosts", "586", str(result.n_hosts)),
-            ComparisonRow(
-                "problematic fraction", "~10%", f"{100 * result.problematic_fraction:.0f}%"
-            ),
-            ComparisonRow("quiet fraction", "most", f"{100 * result.quiet_fraction:.0f}%"),
-        ],
-    )
-
-
-def _sec43(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = verification_cost.run(verification_cost.VerificationCostConfig())
-    return format_comparison(
-        "§4.3 — verification cost (800 instances)",
-        [
-            ComparisonRow("pairwise tests", "319,600", f"{result.pairwise_tests_modeled:,}"),
-            ComparisonRow("pairwise time / cost", "8.9 h / $645",
-                          f"{result.pairwise_seconds_modeled / 3600:.1f} h / "
-                          f"${result.pairwise_usd_modeled:.0f}"),
-            ComparisonRow("scalable tests", "-", str(result.scalable_tests)),
-            ComparisonRow("scalable time / cost", "1-2 min / $1-3",
-                          f"{result.scalable_seconds / 60:.1f} min / "
-                          f"${result.scalable_usd:.2f}"),
-            ComparisonRow("SIE eliminated", "0", str(result.sie_eliminated)),
-        ],
-    )
-
-
-def _sec45(scale: str, runner: RunnerConfig | None = None) -> str:
-    config = gen2_accuracy.Gen2AccuracyConfig(
-        regions=("us-east1", "us-central1", "us-west1") if scale == "full" else ("us-east1",),
-        repetitions=_reps(scale, 2),
-        ground_truth="covert" if scale == "full" else "oracle",
-    )
-    result = gen2_accuracy.run(config, runner=runner)
-    return format_comparison(
-        "§4.5 — Gen 2 fingerprint accuracy",
-        [
-            ComparisonRow("FMI", "0.66", f"{result.fmi_mean:.2f}"),
-            ComparisonRow("precision", "0.48", f"{result.precision_mean:.2f}"),
-            ComparisonRow("recall", "1.00", f"{result.recall_mean:.2f}"),
-            ComparisonRow(
-                "hosts per fingerprint", "2.0",
-                f"{result.hosts_per_fingerprint_mean:.1f}",
-            ),
-        ],
-    )
-
-
-def _surveillance(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.experiments import surveillance
-
-    config = surveillance.SurveillanceConfig(
-        duration_hours=24.0 if scale == "full" else 6.0
-    )
-    result = surveillance.run(config)
-    body = format_series(
-        "Surveillance — sustained coverage of an autoscaling victim",
-        ("hour", "victim_instances", "coverage"),
-        result.series,
-    )
-    tail = format_comparison(
-        "Surveillance — cost",
-        [
-            ComparisonRow("setup", "-", f"${result.setup_cost_usd:.2f}"),
-            ComparisonRow(
-                "maintenance",
-                "-",
-                f"${result.maintenance_cost_usd:.2f} over "
-                f"{config.duration_hours:.0f} h",
-            ),
-            ComparisonRow("minimum coverage", "-", pct(result.min_coverage)),
-        ],
-    )
-    return body + "\n\n" + tail
-
-
-def _defenses(scale: str, runner: RunnerConfig | None = None) -> str:
-    import dataclasses
-
-    from repro.cloud.topology import REGION_PROFILES
-    from repro.cloud.services import ServiceConfig
-    from repro.core.attack.strategies import optimized_launch
-    from repro.sandbox.base import TscPolicy
-
-    rows = []
-    for defense, policy in (
-        ("none", TscPolicy.NATIVE),
-        ("none", TscPolicy.EMULATED),
-        ("randomized_base", TscPolicy.NATIVE),
-        ("tenant_isolation", TscPolicy.NATIVE),
-    ):
-        profile = dataclasses.replace(REGION_PROFILES["us-east1"], defense=defense)
-        env = default_env(profile=profile, seed=990, tsc_policy=policy)
-        outcome = optimized_launch(env.attacker)
-        victim = env.victim("account-2")
-        victim_handles = victim.connect(
-            victim.deploy(ServiceConfig(name="victim")), 100
-        )
-        coverage, _ = host_coverage(env, outcome.handles, victim_handles)
-        label = defense if policy is TscPolicy.NATIVE else "tsc_emulation"
-        rows.append(ComparisonRow(label, "-", pct(coverage)))
-    return format_comparison("§6 — attack coverage under each defense", rows)
-
-
-def _victim_locator(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.analysis.asciichart import render_series
-
-    config = victim_locator.LocatorConfig(
-        fleet_sizes=(24, 30, 40, 60) if scale == "full" else (24, 30),
-        repetitions=_reps(scale, 4, 2),
-    )
-    summary = victim_locator.run(config, runner=runner)
-    table = format_series(
-        "Victim locator — localization cost vs fleet size",
-        ("hosts", "candidates", "rounds", "probes", "success"),
-        [
-            (
-                p.n_hosts,
-                p.mean_candidates,
-                p.mean_rounds,
-                p.mean_probes,
-                pct(p.success_rate),
-            )
-            for p in summary.points
-        ],
-    )
-    chart = render_series(
-        [p.n_hosts for p in summary.points],
-        [p.mean_probes for p in summary.points],
-        title="localization probes vs fleet size",
-        x_label="hosts",
-        y_label="probes",
-    )
-    tradeoff = victim_locator.run_tradeoff(config, runner=runner)
-    tail = format_series(
-        "Victim locator — coverage/latency tradeoff (probe noise 5%)",
-        ("probes/measure", "success", "probe_count", "locate_s"),
-        [
-            (probes, pct(p.success_rate), p.mean_probes, p.mean_locate_seconds)
-            for probes, p in tradeoff.items()
-        ],
-    )
-    return table + "\n\n" + chart + "\n\n" + tail
-
-
-def _background_load(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.analysis.asciichart import render_series
-    from repro.experiments import background_load
-
-    config = background_load.BackgroundLoadConfig(
-        tenant_counts=(
-            (0, 450, 900, 1000, 1100) if scale == "full" else (0, 900, 1100)
-        ),
-        repetitions=_reps(scale, 3, 2),
-    )
-    summary = background_load.run(config, runner=runner)
-    table = format_series(
-        "Background load — attack coverage vs region utilization (extension)",
-        ("tenants", "utilization", "coverage", "attacker_hosts", "bg_instances", "blocked"),
-        [
-            (
-                p.n_tenants,
-                pct(p.mean_utilization),
-                pct(p.mean_coverage),
-                p.mean_attacker_hosts,
-                int(p.mean_background_instances),
-                p.attack_failures,
-            )
-            for p in summary.points
-        ],
-    )
-    chart = render_series(
-        [100 * p.mean_utilization for p in summary.points],
-        [100 * p.mean_coverage for p in summary.points],
-        title="coverage (%) vs pool utilization (%)",
-        x_label="utilization %",
-        y_label="coverage %",
-    )
-    return table + "\n\n" + chart
-
-
-def _channel_matrix(scale: str, runner: RunnerConfig | None = None) -> str:
-    from repro.analysis.asciichart import render_series
-    from repro.experiments import channel_matrix
-
-    config = channel_matrix.MatrixConfig(repetitions=_reps(scale, 3, 1))
-    summary = channel_matrix.run(config, runner=runner)
-    short = {"aws_lambda_like": "aws-lambda", "azure_functions_like": "azure-func"}
-    table = format_series(
-        "Channel x platform matrix — co-location accuracy and cost (extension)",
-        ("channel", "platform", "fmi", "precision", "recall", "tests", "busy_s"),
-        [
-            (
-                p.channel,
-                short.get(p.platform, p.platform),
-                f"{p.mean_fmi:.3f}",
-                pct(p.mean_precision),
-                pct(p.mean_recall),
-                f"{p.mean_tests:.1f}",
-                f"{p.mean_busy_seconds:.1f}",
-            )
-            for p in summary.points
-        ],
-    )
-    chart = render_series(
-        [p.mean_busy_seconds for p in summary.points],
-        [100.0 * p.mean_fmi for p in summary.points],
-        title="accuracy (FMI %) vs channel busy time (s), all matrix cells",
-        x_label="busy_s",
-        y_label="FMI %",
-    )
-    return table + "\n\n" + chart
-
-
-def _cost(scale: str, runner: RunnerConfig | None = None) -> str:
-    result = attack_cost.run(attack_cost.AttackCostConfig(repetitions=_reps(scale, 2)))
-    return format_comparison(
-        "§5.2 — optimized attack cost",
-        [
-            ComparisonRow(
-                region, f"${attack_cost.PAPER_COST_USD[region]:.0f}",
-                f"${result.mean_cost_usd[region]:.2f}",
-            )
-            for region in result.mean_cost_usd
-        ],
-    )
-
-
-#: Experiment id -> (description, runner function).
-EXPERIMENTS: dict[str, tuple[str, Callable[..., str]]] = {
-    "fig4": ("Gen 1 fingerprint accuracy vs p_boot", _fig4),
-    "fig5": ("fingerprint expiration CDF", _fig5),
-    "fig6": ("idle instance termination", _fig6),
-    "exp1": ("instance distribution over hosts", _exp1),
-    "fig7": ("cold launches: base hosts", _fig7),
-    "fig8": ("three accounts: step pattern", _fig8),
-    "fig9": ("hot launches: helper hosts", _fig9),
-    "fig10": ("helper footprints across services", _fig10),
-    "fig11a": ("victim coverage, optimized strategy", _fig11a),
-    "fig12": ("datacenter census", _fig12),
-    "sec42": ("measured-frequency noise", _sec42),
-    "sec43": ("verification cost comparison", _sec43),
-    "sec45": ("Gen 2 fingerprint accuracy", _sec45),
-    "naive": ("victim coverage, naive strategy", _naive),
-    "gen2cov": ("victim coverage, Gen 2", _gen2cov),
-    "cost": ("attack cost per region", _cost),
-    "surveillance": ("all-day sustained co-location (extension)", _surveillance),
-    "victim_locator": ("uncontrolled-victim localization (extension)", _victim_locator),
-    "background_load": ("attack coverage vs background load (extension)", _background_load),
-    "channel_matrix": ("channel x platform accuracy/cost matrix (extension)", _channel_matrix),
-    "defenses": ("§6 defense evaluation (extension)", _defenses),
 }
+
+
+def get_spec(experiment_id: str) -> FigureSpec:
+    """Look up one experiment's spec.
+
+    Raises
+    ------
+    KeyError
+        For unknown experiment ids, listing the valid ones.
+    """
+    try:
+        return EXPERIMENTS[experiment_id]
+    except KeyError:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
 
 
 def run_experiment(
@@ -523,18 +83,14 @@ def run_experiment(
     ------
     KeyError
         For unknown experiment ids; ``EXPERIMENTS`` lists the valid ones.
+    ValueError
+        For a scale other than ``"quick"`` or ``"full"``.
     """
-    if scale not in ("quick", "full"):
-        raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
-    try:
-        _description, runner_fn = EXPERIMENTS[experiment_id]
-    except KeyError:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise KeyError(f"unknown experiment {experiment_id!r}; known: {known}") from None
+    spec = get_spec(experiment_id)
     with current_telemetry().span(
         "experiment", experiment=experiment_id, scale=scale
     ):
-        report = runner_fn(scale, runner)
+        report = spec.report(spec.run(scale, runner), scale)
     if runner is not None and runner.stats.cells:
         report += f"\n\n[runner] {runner.stats.summary()}"
     return report

@@ -19,6 +19,8 @@ from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import DiurnalLoad
 from repro.core.attack.strategies import optimized_launch
 from repro.experiments.base import default_env
+from repro.experiments.report import ComparisonRow, format_comparison, format_series, pct
+from repro.experiments.spec import Band, FigureSpec
 
 
 @dataclass(frozen=True)
@@ -118,3 +120,52 @@ def run(config: SurveillanceConfig = SurveillanceConfig()) -> SurveillanceResult
 
     result.maintenance_cost_usd = maintenance_cost
     return result
+
+
+def _render(result: SurveillanceResult, config: SurveillanceConfig) -> str:
+    body = format_series(
+        "Surveillance — sustained coverage of an autoscaling victim",
+        ("hour", "victim_instances", "coverage"),
+        result.series,
+    )
+    tail = format_comparison(
+        "Surveillance — cost",
+        [
+            ComparisonRow("setup", "-", f"${result.setup_cost_usd:.2f}"),
+            ComparisonRow(
+                "maintenance",
+                "-",
+                f"${result.maintenance_cost_usd:.2f} over "
+                f"{config.duration_hours:.0f} h",
+            ),
+            ComparisonRow("minimum coverage", "-", pct(result.min_coverage)),
+        ],
+    )
+    return body + "\n\n" + tail
+
+
+#: Staying connected to 4,800 Small instances for an hour (USD).
+_ALWAYS_ON_PER_HOUR = 4800 * 3600 * (0.000024 + 0.512 * 0.0000025)
+
+
+def _maintenance_per_hour(result: SurveillanceResult) -> float:
+    hours = result.series[-1][0]
+    return result.maintenance_cost_usd / hours
+
+
+SURVEILLANCE = FigureSpec(
+    id="surveillance", description="all-day sustained co-location (extension)",
+    quick=SurveillanceConfig(duration_hours=6.0),
+    full=SurveillanceConfig(duration_hours=12.0),
+    driver=run, render=_render,
+    bands=(
+        Band("minimum hourly coverage > 90%", "extension: coverage survives scaling",
+             lambda r: r.min_coverage > 0.9),
+        Band("mean coverage > 95%", "extension: coverage survives scaling",
+             lambda r: r.mean_coverage > 0.95),
+        Band("victim fleet peak >= 2x its trough", "diurnal victim",
+             lambda r: max(n for _h, n, _c in r.series) >= 2 * min(n for _h, n, _c in r.series)),
+        Band("keep-alive < 1/20 of staying connected", "idle time is free (§5.2)",
+             lambda r: _maintenance_per_hour(r) < _ALWAYS_ON_PER_HOUR / 20),
+    ),
+)

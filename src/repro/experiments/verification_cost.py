@@ -22,6 +22,8 @@ from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.core.pairwise import PairwiseVerifier
 from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.experiments.base import default_env
+from repro.experiments.report import ComparisonRow, format_comparison
+from repro.experiments.spec import Band, FigureSpec
 
 PAPER_PAIRWISE_TESTS_800 = 319_600
 PAPER_PAIRWISE_HOURS_800 = 8.9
@@ -121,3 +123,97 @@ def run(config: VerificationCostConfig = VerificationCostConfig()) -> Verificati
     result.pairwise_sample_tests = sample_report.n_tests
     result.sie_eliminated = sample_report.eliminated_by_sie
     return result
+
+
+@dataclass(frozen=True)
+class ScalingConfig:
+    """The cost comparison repeated over growing instance counts."""
+
+    instance_counts: tuple[int, ...] = (100, 200, 400, 800)
+    seed: int = 901
+
+
+def run_scaling(config: ScalingConfig = ScalingConfig()) -> dict[int, VerificationCostResult]:
+    """Pairwise cost grows quadratically; the scalable method's grows with
+    the number of *hosts*, which saturates at the base-set size."""
+    return {
+        n: run(VerificationCostConfig(instances=n, seed=config.seed))
+        for n in config.instance_counts
+    }
+
+
+def _render(result: VerificationCostResult, config: VerificationCostConfig) -> str:
+    return format_comparison(
+        "§4.3 — verification cost (800 instances)",
+        [
+            ComparisonRow("pairwise tests", "319,600", f"{result.pairwise_tests_modeled:,}"),
+            ComparisonRow("pairwise time / cost", "8.9 h / $645",
+                          f"{result.pairwise_seconds_modeled / 3600:.1f} h / "
+                          f"${result.pairwise_usd_modeled:.0f}"),
+            ComparisonRow("scalable tests", "-", str(result.scalable_tests)),
+            ComparisonRow("scalable time / cost", "1-2 min / $1-3",
+                          f"{result.scalable_seconds / 60:.1f} min / "
+                          f"${result.scalable_usd:.2f}"),
+            ComparisonRow("SIE eliminated", "0", str(result.sie_eliminated)),
+        ],
+    )
+
+
+def _render_scaling(
+    results: dict[int, VerificationCostResult], config: ScalingConfig
+) -> str:
+    return format_comparison(
+        "§4.3 — scaling of verification cost with N",
+        [
+            ComparisonRow(
+                f"N={n}: scalable vs pairwise tests",
+                f"{results[n].pairwise_tests_modeled:,}",
+                f"{results[n].scalable_tests:,}",
+            )
+            for n in sorted(results)
+        ],
+    )
+
+
+def _tests_ratio(results: dict[int, VerificationCostResult], attr: str) -> float:
+    """Tests at N=800 over tests at N=100."""
+    return getattr(results[800], attr) / getattr(results[100], attr)
+
+
+SEC43 = FigureSpec(
+    id="sec43", description="verification cost comparison",
+    quick=VerificationCostConfig(),
+    full=VerificationCostConfig(),
+    driver=run, render=_render,
+    bands=(
+        Band("pairwise tests match the paper", f"{PAPER_PAIRWISE_TESTS_800:,}",
+             lambda r: r.pairwise_tests_modeled == PAPER_PAIRWISE_TESTS_800),
+        Band("pairwise cost > $600", f"${PAPER_PAIRWISE_USD_800:.0f}",
+             lambda r: r.pairwise_usd_modeled > 600),
+        Band("scalable wall time < 4 min", "1-2 min", lambda r: r.scalable_seconds / 60 < 4.0),
+        Band("scalable cost in [$0.30, $4]", "$1-3",
+             lambda r: PAPER_SCALABLE_USD_800[0] * 0.3 <= r.scalable_usd <= 4.0),
+        Band("scalable tests < 1% of pairwise", "~#hosts (75) + overhead",
+             lambda r: r.scalable_tests < r.pairwise_tests_modeled / 100),
+        Band("SIE eliminates nothing", "0 (ineffective in FaaS)", lambda r: r.sie_eliminated == 0),
+        Band("70-80 hosts verified", "75", lambda r: r.scalable_hosts in range(70, 81)),
+        Band("speedup > 100x", f"{PAPER_PAIRWISE_HOURS_800} h vs 1-2 min",
+             lambda r: r.speedup > 100),
+    ),
+)
+
+SEC43_SCALING = FigureSpec(
+    id="sec43_scaling", description="verification cost vs instance count",
+    quick=ScalingConfig(),
+    full=ScalingConfig(),
+    driver=run_scaling, render=_render_scaling,
+    bands=(
+        Band("pairwise tests grow > 60x from N=100 to N=800", "quadratic (64x)",
+             lambda r: _tests_ratio(r, "pairwise_tests_modeled") > 60),
+        Band("scalable tests grow < half as fast as pairwise", "O(hosts)",
+             lambda r: _tests_ratio(r, "scalable_tests")
+             < _tests_ratio(r, "pairwise_tests_modeled") / 2),
+        Band("<= 800 scalable tests at N=800", "bounded by occupied hosts",
+             lambda r: r[800].scalable_tests <= 800),
+    ),
+)

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import units
+from repro.analysis.asciichart import render_series
 from repro.cloud.services import ServiceConfig
 from repro.cloud.topology import AccountPlacementPlan, RegionProfile
 from repro.core.attack.locator import TargetVictimLocator, probe_latency_threshold
@@ -35,6 +36,8 @@ from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.experiments.base import default_env
+from repro.experiments.report import format_series, pct
+from repro.experiments.spec import Band, FigureSpec
 from repro.faults import FaultPlan, FaultSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
 from repro.telemetry import current_telemetry
@@ -294,3 +297,73 @@ def run_tradeoff(
         cursor += config.repetitions
         tradeoff[probes] = point
     return tradeoff
+
+
+def run_with_tradeoff(
+    config: LocatorConfig = LocatorConfig(),
+    runner: RunnerConfig | None = None,
+) -> tuple[LocatorSummary, dict[int, LocatorPoint]]:
+    """The fleet-size sweep, then its coverage/latency tradeoff."""
+    return run(config, runner=runner), run_tradeoff(config, runner=runner)
+
+
+def _render(
+    results: tuple[LocatorSummary, dict[int, LocatorPoint]], config: LocatorConfig
+) -> str:
+    summary, tradeoff = results
+    table = format_series(
+        "Victim locator — localization cost vs fleet size",
+        ("hosts", "candidates", "rounds", "probes", "success"),
+        [
+            (
+                p.n_hosts,
+                p.mean_candidates,
+                p.mean_rounds,
+                p.mean_probes,
+                pct(p.success_rate),
+            )
+            for p in summary.points
+        ],
+    )
+    chart = render_series(
+        [p.n_hosts for p in summary.points],
+        [p.mean_probes for p in summary.points],
+        title="localization probes vs fleet size",
+        x_label="hosts",
+        y_label="probes",
+    )
+    tail = format_series(
+        "Victim locator — coverage/latency tradeoff (probe noise 5%)",
+        ("probes/measure", "success", "probe_count", "locate_s"),
+        [
+            (probes, pct(p.success_rate), p.mean_probes, p.mean_locate_seconds)
+            for probes, p in tradeoff.items()
+        ],
+    )
+    return table + "\n\n" + chart + "\n\n" + tail
+
+
+def _probes_sublinear(summary: LocatorSummary) -> bool:
+    first, last = summary.points[0], summary.points[-1]
+    return last.mean_probes / first.mean_probes < last.n_hosts / first.n_hosts
+
+
+VICTIM_LOCATOR = FigureSpec(
+    id="victim_locator", description="uncontrolled-victim localization (extension)",
+    quick=LocatorConfig(fleet_sizes=(24, 30), repetitions=2),
+    full=LocatorConfig(fleet_sizes=(24, 30, 40, 60), repetitions=4),
+    driver=run_with_tradeoff, render=_render,
+    bands=(
+        Band("locates the victim in >= 95% of co-resident runs",
+             "extension: co-location to a named instance",
+             lambda r: r[0].overall_success_rate >= 0.95),
+        Band("probes grow slower than the fleet", "O(log n) lock/probe rounds",
+             lambda r: _probes_sublinear(r[0])),
+        Band("5 probes/measure succeed at least as often as 1 under 5% noise",
+             "extension: median probing resists noise",
+             lambda r: r[1][5].success_rate >= r[1][1].success_rate),
+        Band("locate time grows with probes/measure", "extension: noise immunity costs time",
+             lambda r: r[1][1].mean_locate_seconds < r[1][3].mean_locate_seconds
+             < r[1][5].mean_locate_seconds),
+    ),
+)

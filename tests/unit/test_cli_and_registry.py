@@ -120,6 +120,20 @@ class TestCli:
         assert "Experiment 1" in out
         assert "0 cache hits" in out
 
+    def test_faults_rejected_for_experiment_without_cells(self, capsys):
+        assert main(["run", "sec43", "--faults", "launch=0.5,ctest=0.3,seed=3"]) == 2
+        captured = capsys.readouterr()
+        assert "--faults" in captured.err
+        assert "sec43" in captured.err
+        assert captured.out == ""  # rejected before running
+
+    def test_platform_rejected_for_experiment_without_cells(self, capsys):
+        assert main(["run", "fig6", "--platform", "aws_lambda_like"]) == 2
+        captured = capsys.readouterr()
+        assert "--platform" in captured.err
+        assert "fig6" in captured.err
+        assert captured.out == ""
+
     def test_default_platform_name_is_neutral(self, capsys):
         assert main(["run", "exp1"]) == 0  # populate the cache
         capsys.readouterr()
