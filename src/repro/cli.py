@@ -23,6 +23,9 @@ platform, background traffic) build it once and fork warm snapshots of it
 schedule (launch errors/slow launches, CTest noise and mid-test deaths,
 cell failures — see :mod:`repro.faults`); ``--max-retries`` bounds the
 per-cell retry budget.  Fault-injected runs never touch the cell cache.
+``--faults`` and ``--platform`` reach a simulation only through runner
+cells, so they exit 2 for experiments whose driver takes no runner — and
+therefore for ``run all``, which includes such experiments.
 
 ``--trace PATH`` records the run's telemetry spans (simulated-time phase
 tree: launches, CTest rounds, verification waves, campaign phases) to a

@@ -31,11 +31,14 @@ MITIGATIONS = {
 }
 
 
+#: The region every mitigation is evaluated in.
+REGION = "us-east1"
+
+
 @dataclass(frozen=True)
 class DefensesConfig:
     """Configuration for the defense matrix."""
 
-    region: str = "us-east1"
     seed: int = 980
 
 
@@ -54,7 +57,7 @@ def attack_under(
     defense: str, tsc_policy: TscPolicy, config: DefensesConfig = DefensesConfig()
 ) -> DefenseOutcome:
     """Run the optimized attack and a victim under one defense."""
-    profile = dataclasses.replace(REGION_PROFILES[config.region], defense=defense)
+    profile = dataclasses.replace(REGION_PROFILES[REGION], defense=defense)
     env = default_env(profile=profile, seed=config.seed, tsc_policy=tsc_policy)
     outcome = optimized_launch(env.attacker)
     orch = env.orchestrator
@@ -85,7 +88,7 @@ def run(config: DefensesConfig = DefensesConfig()) -> dict[str, DefenseOutcome]:
 
 def _render(results: dict[str, DefenseOutcome], config: DefensesConfig) -> str:
     return format_comparison(
-        f"§6 — the optimized attack vs each mitigation ({config.region})",
+        f"§6 — the optimized attack vs each mitigation ({REGION})",
         [
             ComparisonRow(
                 name,

@@ -154,7 +154,8 @@ def _maintenance_per_hour(result: SurveillanceResult) -> float:
 
 
 SURVEILLANCE = FigureSpec(
-    id="surveillance", description="all-day sustained co-location (extension)",
+    id="surveillance",
+    description="sustained co-location over one diurnal cycle (6 h quick, 12 h full; extension)",
     quick=SurveillanceConfig(duration_hours=6.0),
     full=SurveillanceConfig(duration_hours=12.0),
     driver=run, render=_render,

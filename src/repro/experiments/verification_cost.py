@@ -13,6 +13,7 @@ every instance shares its host with siblings, so nothing tests negative.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from repro.cloud.billing import TIER1_RATES, pairwise_test_cost
@@ -125,20 +126,20 @@ def run(config: VerificationCostConfig = VerificationCostConfig()) -> Verificati
     return result
 
 
-@dataclass(frozen=True)
-class ScalingConfig:
-    """The cost comparison repeated over growing instance counts."""
-
-    instance_counts: tuple[int, ...] = (100, 200, 400, 800)
-    seed: int = 901
+#: Instance counts of the scaling sweep.
+SCALING_INSTANCE_COUNTS = (100, 200, 400, 800)
 
 
-def run_scaling(config: ScalingConfig = ScalingConfig()) -> dict[int, VerificationCostResult]:
-    """Pairwise cost grows quadratically; the scalable method's grows with
+def run_scaling(
+    config: VerificationCostConfig = VerificationCostConfig(),
+) -> dict[int, VerificationCostResult]:
+    """The cost comparison at each of :data:`SCALING_INSTANCE_COUNTS`.
+
+    Pairwise cost grows quadratically; the scalable method's grows with
     the number of *hosts*, which saturates at the base-set size."""
     return {
-        n: run(VerificationCostConfig(instances=n, seed=config.seed))
-        for n in config.instance_counts
+        n: run(dataclasses.replace(config, instances=n))
+        for n in SCALING_INSTANCE_COUNTS
     }
 
 
@@ -160,7 +161,7 @@ def _render(result: VerificationCostResult, config: VerificationCostConfig) -> s
 
 
 def _render_scaling(
-    results: dict[int, VerificationCostResult], config: ScalingConfig
+    results: dict[int, VerificationCostResult], config: VerificationCostConfig
 ) -> str:
     return format_comparison(
         "§4.3 — scaling of verification cost with N",
@@ -204,8 +205,8 @@ SEC43 = FigureSpec(
 
 SEC43_SCALING = FigureSpec(
     id="sec43_scaling", description="verification cost vs instance count",
-    quick=ScalingConfig(),
-    full=ScalingConfig(),
+    quick=VerificationCostConfig(seed=901),
+    full=VerificationCostConfig(seed=901),
     driver=run_scaling, render=_render_scaling,
     bands=(
         Band("pairwise tests grow > 60x from N=100 to N=800", "quadratic (64x)",

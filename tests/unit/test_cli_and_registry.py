@@ -134,6 +134,16 @@ class TestCli:
         assert "fig6" in captured.err
         assert captured.out == ""
 
+    def test_run_all_rejects_faults(self, capsys):
+        # `all` includes experiments without runner cells, so it is
+        # rejected as a whole, naming them, before anything runs.
+        assert main(["run", "all", "--faults", "cell=0.1,seed=1"]) == 2
+        captured = capsys.readouterr()
+        assert "--faults" in captured.err
+        assert "sec43" in captured.err and "defenses" in captured.err
+        assert "exp1" not in captured.err
+        assert captured.out == ""
+
     def test_default_platform_name_is_neutral(self, capsys):
         assert main(["run", "exp1"]) == 0  # populate the cache
         capsys.readouterr()
