@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,24 @@ def fit_boot_time_drift(
         raise ValueError("wall_times and boot_times must have equal length")
     if len(wall_times) < 3:
         raise ValueError("need at least 3 points to fit a drift line")
-    result = stats.linregress(wall_times, boot_times)
-    r_value = float(result.rvalue) if not math.isnan(result.rvalue) else 1.0
+    x = np.asarray(wall_times)
+    y = np.asarray(boot_times)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a drift line: all wall times are identical")
+    # linregress's closed form, operation for operation and branch for
+    # branch, so the fit is bit-identical to it (pinned by
+    # tests/unit/test_analysis_drift.py).
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
     return DriftFit(
-        slope=float(result.slope),
-        intercept=float(result.intercept),
-        r_value=r_value,
+        slope=float(slope),
+        intercept=float(intercept),
+        r_value=1.0 if math.isnan(r) else float(r),
     )
 
 
