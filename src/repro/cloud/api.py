@@ -40,8 +40,12 @@ class InstanceHandle:
 
     @property
     def generation(self) -> str:
-        """Execution environment generation ("gen1"/"gen2")."""
-        return self._instance.sandbox.generation
+        """Execution environment generation ("gen1"/"gen2").
+
+        Answered from the sandbox class, so it boots no sandbox and still
+        answers after termination.
+        """
+        return self._instance.sandbox_class.generation
 
     @property
     def alive(self) -> bool:

@@ -4,17 +4,28 @@ The lifecycle mirrors the Cloud Run container contract (paper §2.2): an
 instance is created to serve requests, stays *active* while it has open
 connections, becomes *idle* when the last connection closes, and is sent
 SIGTERM and destroyed if it stays idle too long.
+
+An instance launched by the orchestrator boots its sandbox on first use
+and frees it at termination.  Most instances of a launch-heavy campaign
+are probed at most once and then idle out, so they never need one.  The
+launch records a :class:`SandboxBoot` with everything an eager boot would
+have read from the world at that moment, so the late sandbox is the one
+an eager boot would have built.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
+
+import numpy as np
 
 from repro.cloud.services import Service
 from repro.errors import InstanceGoneError
-from repro.sandbox.base import Sandbox
+from repro.hardware.host import PhysicalHost
+from repro.hardware.noise import SyscallNoiseModel
+from repro.sandbox.base import Sandbox, TscPolicy
+from repro.simtime.clock import SimClock
 
 T = TypeVar("T")
 
@@ -27,7 +38,25 @@ class InstanceState(enum.Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
+class SandboxBoot(NamedTuple):
+    """What a sandbox reads from the world at boot, captured at launch.
+
+    ``boot_wall_time`` is the clock at the launch commit: Gen 2 TSC
+    offsetting and the emulated TSC count from it.  ``offset_noise`` is the
+    host's syscall-noise model at that moment, which the constant clock
+    offset is drawn from.  ``seed`` seeds the sandbox's private Generator,
+    so the offset is that stream's first draw whenever the boot happens.
+    """
+
+    cls: type[Sandbox]
+    host: PhysicalHost
+    clock: SimClock
+    seed: int
+    tsc_policy: TscPolicy
+    boot_wall_time: float
+    offset_noise: SyscallNoiseModel
+
+
 class ContainerInstance:
     """One running container instance of a service.
 
@@ -40,8 +69,9 @@ class ContainerInstance:
     host_id:
         The physical host (simulator-side ground truth; never exposed to
         guests or to the attacker-facing API).
-    sandbox:
-        The sandboxed execution environment guest code runs in.
+    sandbox_class:
+        The sandbox generation's class; known without booting a sandbox
+        and kept after termination.
     created_at / last_active_at:
         Lifecycle timestamps (simulated wall clock).
     active_since:
@@ -50,23 +80,87 @@ class ContainerInstance:
         Callback invoked (with the current wall time) when the orchestrator
         sends SIGTERM before termination; the idle-termination experiment
         (Fig. 6) registers a reporter here.
+
+    Pass either a built ``sandbox`` or a ``boot`` spec; with ``boot`` the
+    sandbox is built on first use (:attr:`sandbox`, :meth:`run_probe`).
+    Either way :meth:`terminate` frees it.
     """
 
-    instance_id: str
-    service: Service
-    host_id: str
-    sandbox: Sandbox
-    created_at: float
-    state: InstanceState = InstanceState.ACTIVE
-    active_since: float | None = None
-    last_active_at: float = 0.0
-    active_seconds_total: float = 0.0
-    on_sigterm: Callable[[float], None] | None = None
+    __slots__ = (
+        "instance_id",
+        "service",
+        "host_id",
+        "sandbox_class",
+        "created_at",
+        "state",
+        "active_since",
+        "last_active_at",
+        "active_seconds_total",
+        "on_sigterm",
+        "_sandbox",
+        "_boot",
+    )
 
-    def __post_init__(self) -> None:
-        if self.active_since is None:
-            self.active_since = self.created_at
-        self.last_active_at = self.created_at
+    def __init__(
+        self,
+        instance_id: str,
+        service: Service,
+        host_id: str,
+        sandbox: Sandbox | None,
+        created_at: float,
+        *,
+        boot: SandboxBoot | None = None,
+    ) -> None:
+        if (sandbox is None) == (boot is None):
+            raise TypeError("pass exactly one of sandbox and boot")
+        self.instance_id = instance_id
+        self.service = service
+        self.host_id = host_id
+        self.sandbox_class = type(sandbox) if boot is None else boot.cls
+        self.created_at = created_at
+        self.state = InstanceState.ACTIVE
+        self.active_since: float | None = created_at
+        self.last_active_at = created_at
+        self.active_seconds_total = 0.0
+        self.on_sigterm: Callable[[float], None] | None = None
+        self._sandbox = sandbox
+        self._boot = boot
+
+    def __repr__(self) -> str:
+        return (
+            f"ContainerInstance(instance_id={self.instance_id!r}, "
+            f"host_id={self.host_id!r}, state={self.state}, "
+            f"created_at={self.created_at!r}, "
+            f"booted={self._sandbox is not None})"
+        )
+
+    @property
+    def sandbox(self) -> Sandbox:
+        """The sandboxed execution environment, booted on first access.
+
+        Raises
+        ------
+        InstanceGoneError
+            If the instance has been terminated (its sandbox is freed).
+        """
+        sandbox = self._sandbox
+        return sandbox if sandbox is not None else self._boot_sandbox()
+
+    def _boot_sandbox(self) -> Sandbox:
+        self.require_alive()
+        spec = self._boot
+        sandbox = spec.cls(
+            spec.host,
+            spec.clock,
+            np.random.default_rng(spec.seed),
+            self.instance_id,
+            spec.tsc_policy,
+            boot_wall_time=spec.boot_wall_time,
+            offset_noise=spec.offset_noise,
+        )
+        self._sandbox = sandbox
+        self._boot = None
+        return sandbox
 
     @property
     def alive(self) -> bool:
@@ -75,7 +169,7 @@ class ContainerInstance:
 
     def require_alive(self) -> None:
         """Raise :class:`InstanceGoneError` if the instance is terminated."""
-        if not self.alive:
+        if self.state is InstanceState.TERMINATED:
             raise InstanceGoneError(f"instance {self.instance_id!r} was terminated")
 
     def run_probe(self, probe: Callable[[Sandbox], T]) -> T:
@@ -88,7 +182,8 @@ class ContainerInstance:
         :class:`InstanceGoneError` identically under either engine.
         """
         self.require_alive()
-        return probe(self.sandbox)
+        sandbox = self._sandbox
+        return probe(sandbox if sandbox is not None else self._boot_sandbox())
 
     def go_idle(self, now: float) -> None:
         """Transition ACTIVE -> IDLE, accumulating billable active time."""
@@ -107,7 +202,7 @@ class ContainerInstance:
         self.state = InstanceState.ACTIVE
 
     def terminate(self, now: float) -> None:
-        """Send SIGTERM and destroy the instance."""
+        """Send SIGTERM and destroy the instance, freeing its sandbox."""
         if not self.alive:
             return
         if self.state is InstanceState.ACTIVE and self.active_since is not None:
@@ -116,3 +211,5 @@ class ContainerInstance:
         if self.on_sigterm is not None:
             self.on_sigterm(now)
         self.state = InstanceState.TERMINATED
+        self._sandbox = None
+        self._boot = None

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.cloud.accounts import Account
 from repro.cloud.datacenter import DataCenter
-from repro.cloud.instance import ContainerInstance, InstanceState
+from repro.cloud.instance import ContainerInstance, InstanceState, SandboxBoot
 from repro.cloud.loadbalancer import DemandTracker, HelperHostRecruiter
 from repro.cloud.placement import PlacementPolicy, PlacementRequest
 from repro.cloud.platform import PlatformProfile
@@ -574,6 +574,12 @@ class Orchestrator:
         byte-identical to launching instance by instance (pinned by the
         twin-world launch tests).  Without a fault plan the whole batch is
         one segment.
+
+        No sandbox is built here: each instance records a
+        :class:`~repro.cloud.instance.SandboxBoot` holding its seed and what
+        an eager boot would read now — the clock at the segment commit
+        (retry backoff may have moved it since ``created_at``) and the
+        host's syscall-noise model — and boots on its first probe.
         """
         chosen = self._place_batch(service, account, count)
         qualified = service.qualified_name
@@ -584,6 +590,7 @@ class Orchestrator:
         service_list = self._service_instances.setdefault(qualified, [])
         host_of = self.datacenter.host
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+        clock, tsc_policy = self.clock, self.tsc_policy
         plan = self.fault_plan
         hosts = chosen.tolist()
         created: list[ContainerInstance] = []
@@ -602,26 +609,20 @@ class Orchestrator:
                 segment_ids.append(instance_id)
             stop = start + len(segment_ids)
             segment = chosen[start:stop]
-            seeds = self._rng.integers(2**63, size=segment.size)
+            seeds = self._rng.integers(2**63, size=segment.size).tolist()
             counts.add_at(segment)
             self._svc_state.on_created(state_index, count=len(segment_ids))
+            boot_time = clock.now()
             for host_index, seed, instance_id in zip(
                 hosts[start:stop], seeds, segment_ids
             ):
                 host_id = ids[host_index]
-                sandbox = cls(
-                    host_of(host_id),
-                    self.clock,
-                    np.random.default_rng(seed),
-                    instance_id,
-                    tsc_policy=self.tsc_policy,
+                host = host_of(host_id)
+                boot = SandboxBoot(
+                    cls, host, clock, seed, tsc_policy, boot_time, host.syscall_noise
                 )
                 instance = ContainerInstance(
-                    instance_id=instance_id,
-                    service=service,
-                    host_id=host_id,
-                    sandbox=sandbox,
-                    created_at=now,
+                    instance_id, service, host_id, None, now, boot=boot
                 )
                 self.instances[instance_id] = instance
                 self._billed_seconds[instance_id] = 0.0

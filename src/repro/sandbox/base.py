@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.hardware.host import PhysicalHost
+from repro.hardware.noise import SyscallNoiseModel
 from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.syscalls import SyscallLayer
 from repro.simtime.clock import SimClock
@@ -70,6 +71,14 @@ class Sandbox(abc.ABC):
         Identifier used to register RNG pressure on the host.
     tsc_policy:
         Whether the TSC is exposed natively or emulated (mitigation).
+    boot_wall_time:
+        Wall time the sandbox booted at; defaults to now.  A sandbox built
+        after its instance launched passes the launch time, which is what
+        Gen 2 TSC offsetting and the emulated TSC count from.
+    offset_noise:
+        Noise model the syscall layer draws its constant offset from;
+        defaults to the host's current one (see
+        :class:`~repro.sandbox.syscalls.SyscallLayer`).
     """
 
     #: Human-readable generation tag ("gen1" / "gen2").
@@ -82,14 +91,17 @@ class Sandbox(abc.ABC):
         rng: np.random.Generator,
         sandbox_id: str,
         tsc_policy: TscPolicy = TscPolicy.NATIVE,
+        *,
+        boot_wall_time: float | None = None,
+        offset_noise: SyscallNoiseModel | None = None,
     ) -> None:
         self._host = host
         self._clock = clock
         self._rng = rng
         self.sandbox_id = sandbox_id
         self.tsc_policy = tsc_policy
-        self.boot_wall_time = clock.now()
-        self.syscalls = SyscallLayer(host, clock, rng)
+        self.boot_wall_time = clock.now() if boot_wall_time is None else boot_wall_time
+        self.syscalls = SyscallLayer(host, clock, rng, offset_noise)
 
     # ------------------------------------------------------------------
     # Instruction-level surface

@@ -4,6 +4,10 @@ The FaaS orchestrator uses this to schedule deferred work such as idle
 instance termination: events registered for time ``t`` fire as soon as the
 clock advances to or past ``t``, in timestamp order.
 
+The heap holds ``(when, sequence, event)`` tuples, so sifts compare floats
+and ints in C; ``sequence`` is unique, so the event itself is never
+compared.
+
 Cancelled events are compacted lazily: a cancelled entry is dropped when it
 reaches the top of the heap, and when more than half the heap is dead the
 whole queue is rebuilt.  Long campaigns cancel thousands of keep-alive and
@@ -58,12 +62,12 @@ class SequenceCounter:
         return f"SequenceCounter({self.value})"
 
 
-@dataclass(order=True)
+@dataclass
 class ScheduledEvent:
     """An event queued for execution at a future simulated time.
 
-    Events are ordered by ``(when, sequence)`` so that events scheduled for
-    the same instant fire in registration order.
+    Events fire in ``(when, sequence)`` order, so events scheduled for the
+    same instant fire in registration order.
     """
 
     when: float
@@ -104,7 +108,7 @@ class EventScheduler:
 
     def __init__(self, clock: SimClock) -> None:
         self._clock = clock
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._counter = SequenceCounter()
         self._dead = 0
         clock.add_tick_hook(self._on_tick)
@@ -121,7 +125,7 @@ class EventScheduler:
             action=action,
             _owner=self,
         )
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.when, event.sequence, event))
         return event
 
     def call_after(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
@@ -141,15 +145,17 @@ class EventScheduler:
 
     def _compact(self) -> None:
         """Rebuild the heap without cancelled entries."""
-        self._queue = [event for event in self._queue if not event.cancelled]
+        self._queue = [entry for entry in self._queue if not entry[2].cancelled]
         heapq.heapify(self._queue)
         self._dead = 0
         current_telemetry().count("simtime.compactions")
 
     def _on_tick(self, now: float) -> None:
         fired = 0
-        while self._queue and self._queue[0].when <= now:
-            event = heapq.heappop(self._queue)
+        # Re-read ``self._queue`` on every pass: an action that cancels
+        # enough events triggers :meth:`_compact`, which rebinds it.
+        while self._queue and self._queue[0][0] <= now:
+            event = heapq.heappop(self._queue)[2]
             if event.cancelled:
                 self._dead -= 1
                 continue

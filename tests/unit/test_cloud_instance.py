@@ -91,3 +91,16 @@ class TestLifecycle:
             instance.go_active(clock.now())
         with pytest.raises(InstanceGoneError):
             instance.require_alive()
+
+    def test_terminate_frees_an_eager_sandbox(self):
+        instance, clock = make_instance()
+        sandbox = instance.sandbox
+        assert instance.run_probe(lambda s: s) is sandbox
+        instance.terminate(clock.now())
+        with pytest.raises(InstanceGoneError):
+            instance.sandbox
+        assert instance.sandbox_class is GVisorSandbox
+
+    def test_needs_exactly_one_of_sandbox_and_boot(self):
+        with pytest.raises(TypeError):
+            ContainerInstance("i-2", None, "h", None, 0.0)

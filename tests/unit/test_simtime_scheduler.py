@@ -193,3 +193,40 @@ class TestSchedulerStress:
             event.cancel()
         clock.sleep(30.0)
         assert sorted(fired) == list(range(1, 20, 2))
+
+    def test_compaction_mid_drain_keeps_fire_order(self, clock):
+        """An action that cancels enough events to compact the heap while
+        it is being drained leaves the remaining due events firing in
+        ``(when, sequence)`` order."""
+        sched = EventScheduler(clock)
+        compactions = []
+        compact = sched._compact
+
+        def counting_compact():
+            compactions.append(len(sched._queue))
+            compact()
+
+        sched._compact = counting_compact
+        t0 = clock.now()
+        fired = []
+        # Half the doomed events are due in this drain, half are not.
+        doomed = [
+            sched.call_at(t0 + 1.5 + i * 0.1, lambda: fired.append("doomed"))
+            for i in range(100)
+        ]
+
+        def cancel_doomed():
+            fired.append("cancel")
+            for event in doomed:
+                event.cancel()
+
+        sched.call_at(t0 + 1.0, cancel_doomed)
+        for label, when in (("a", 2.0), ("b", 1.0), ("c", 3.0), ("d", 2.0), ("e", 1.0)):
+            sched.call_at(t0 + when, lambda label=label: fired.append(label))
+        clock.sleep(6.0)
+        assert compactions, "the cancelling action never triggered a compaction"
+        assert fired == ["cancel", "b", "e", "a", "d", "c"]
+        assert sched.pending() == 0
+        sched.call_after(1.0, lambda: fired.append("later"))
+        clock.sleep(1.0)
+        assert fired[-1] == "later"
