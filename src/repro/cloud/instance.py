@@ -23,7 +23,6 @@ import numpy as np
 from repro.cloud.services import Service
 from repro.errors import InstanceGoneError
 from repro.hardware.host import PhysicalHost
-from repro.hardware.noise import SyscallNoiseModel
 from repro.sandbox.base import Sandbox, TscPolicy
 from repro.simtime.clock import SimClock
 
@@ -42,10 +41,9 @@ class SandboxBoot(NamedTuple):
     """What a sandbox reads from the world at boot, captured at launch.
 
     ``boot_wall_time`` is the clock at the launch commit: Gen 2 TSC
-    offsetting and the emulated TSC count from it.  ``offset_noise`` is the
-    host's syscall-noise model at that moment, which the constant clock
-    offset is drawn from.  ``seed`` seeds the sandbox's private Generator,
-    so the offset is that stream's first draw whenever the boot happens.
+    offsetting and the emulated TSC count from it.  ``seed`` seeds the
+    sandbox's private Generator, so the syscall layer's constant clock
+    offset is that stream's first draw whenever the boot happens.
     """
 
     cls: type[Sandbox]
@@ -54,7 +52,6 @@ class SandboxBoot(NamedTuple):
     seed: int
     tsc_policy: TscPolicy
     boot_wall_time: float
-    offset_noise: SyscallNoiseModel
 
 
 class ContainerInstance:
@@ -156,7 +153,6 @@ class ContainerInstance:
             self.instance_id,
             spec.tsc_policy,
             boot_wall_time=spec.boot_wall_time,
-            offset_noise=spec.offset_noise,
         )
         self._sandbox = sandbox
         self._boot = None
@@ -169,7 +165,7 @@ class ContainerInstance:
 
     def require_alive(self) -> None:
         """Raise :class:`InstanceGoneError` if the instance is terminated."""
-        if self.state is InstanceState.TERMINATED:
+        if not self.alive:
             raise InstanceGoneError(f"instance {self.instance_id!r} was terminated")
 
     def run_probe(self, probe: Callable[[Sandbox], T]) -> T:
@@ -182,8 +178,7 @@ class ContainerInstance:
         :class:`InstanceGoneError` identically under either engine.
         """
         self.require_alive()
-        sandbox = self._sandbox
-        return probe(sandbox if sandbox is not None else self._boot_sandbox())
+        return probe(self.sandbox)
 
     def go_idle(self, now: float) -> None:
         """Transition ACTIVE -> IDLE, accumulating billable active time."""

@@ -578,8 +578,8 @@ class Orchestrator:
         No sandbox is built here: each instance records a
         :class:`~repro.cloud.instance.SandboxBoot` holding its seed and what
         an eager boot would read now — the clock at the segment commit
-        (retry backoff may have moved it since ``created_at``) and the
-        host's syscall-noise model — and boots on its first probe.
+        (retry backoff may have moved it since ``created_at``) — and boots
+        on its first probe.
         """
         chosen = self._place_batch(service, account, count)
         qualified = service.qualified_name
@@ -617,9 +617,8 @@ class Orchestrator:
                 hosts[start:stop], seeds, segment_ids
             ):
                 host_id = ids[host_index]
-                host = host_of(host_id)
                 boot = SandboxBoot(
-                    cls, host, clock, seed, tsc_policy, boot_time, host.syscall_noise
+                    cls, host_of(host_id), clock, seed, tsc_policy, boot_time
                 )
                 instance = ContainerInstance(
                     instance_id, service, host_id, None, now, boot=boot

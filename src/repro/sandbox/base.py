@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.hardware.host import PhysicalHost
-from repro.hardware.noise import SyscallNoiseModel
 from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.syscalls import SyscallLayer
 from repro.simtime.clock import SimClock
@@ -75,10 +74,6 @@ class Sandbox(abc.ABC):
         Wall time the sandbox booted at; defaults to now.  A sandbox built
         after its instance launched passes the launch time, which is what
         Gen 2 TSC offsetting and the emulated TSC count from.
-    offset_noise:
-        Noise model the syscall layer draws its constant offset from;
-        defaults to the host's current one (see
-        :class:`~repro.sandbox.syscalls.SyscallLayer`).
     """
 
     #: Human-readable generation tag ("gen1" / "gen2").
@@ -93,7 +88,6 @@ class Sandbox(abc.ABC):
         tsc_policy: TscPolicy = TscPolicy.NATIVE,
         *,
         boot_wall_time: float | None = None,
-        offset_noise: SyscallNoiseModel | None = None,
     ) -> None:
         self._host = host
         self._clock = clock
@@ -101,7 +95,7 @@ class Sandbox(abc.ABC):
         self.sandbox_id = sandbox_id
         self.tsc_policy = tsc_policy
         self.boot_wall_time = clock.now() if boot_wall_time is None else boot_wall_time
-        self.syscalls = SyscallLayer(host, clock, rng, offset_noise)
+        self.syscalls = SyscallLayer(host, clock, rng)
 
     # ------------------------------------------------------------------
     # Instruction-level surface

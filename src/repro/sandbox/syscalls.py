@@ -15,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hardware.host import PhysicalHost
-from repro.hardware.noise import SyscallNoiseModel
 from repro.simtime.clock import SimClock
 
 
@@ -30,24 +29,15 @@ class SyscallLayer:
         The shared simulated wall clock.
     rng:
         Randomness source for jitter, owned by the sandbox instance.
-    offset_noise:
-        Noise model the constant sandbox offset is drawn from; defaults to
-        the host's current one.  A sandbox booted after its launch passes
-        the model its host had at launch.
     """
 
     def __init__(
-        self,
-        host: PhysicalHost,
-        clock: SimClock,
-        rng: np.random.Generator,
-        offset_noise: SyscallNoiseModel | None = None,
+        self, host: PhysicalHost, clock: SimClock, rng: np.random.Generator
     ) -> None:
         self._host = host
         self._clock = clock
         self._rng = rng
-        noise = host.syscall_noise if offset_noise is None else offset_noise
-        self._sandbox_offset = noise.sample_sandbox_offset(rng)
+        self._sandbox_offset = host.syscall_noise.sample_sandbox_offset(rng)
         self.call_count = 0
 
     @property

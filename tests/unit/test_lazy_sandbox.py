@@ -8,8 +8,7 @@ tests here launch one world through the eager per-instance oracle
 through the orchestrator, then pin every boot-time observable equal: boot
 wall time, syscall offset, Gen 2 TSC offset, first ``rdtsc`` readings and
 the sandbox RNG state.  The matrix covers both generations under both TSC
-policies, launch-retry backoff that moves the clock inside a batch, and a
-host noise model reassigned between launch and first probe.
+policies and launch-retry backoff that moves the clock inside a batch.
 """
 
 from __future__ import annotations
@@ -24,17 +23,10 @@ from repro.cloud.services import ServiceConfig
 from repro.errors import InstanceGoneError
 from repro.experiments.base import default_env
 from repro.faults import FaultPlan, FaultSpec
-from repro.hardware.noise import SyscallNoiseModel
 from repro.sandbox.base import Sandbox, TscPolicy
 from repro.sandbox.microvm import MicroVMSandbox
 from tests.conftest import tiny_profile
 from tests.oracles.launch import bind_scalar_launch
-
-#: A noise model whose offset draw differs from every default host's, so a
-#: sandbox that drew its offset from the reassigned model would show it.
-LOUD_OFFSETS = SyscallNoiseModel(
-    sandbox_offset_sigma_s=5e-3, sandbox_offset_outlier_probability=0.5
-)
 
 
 class FirstAttemptFails(FaultPlan):
@@ -75,10 +67,6 @@ def launch_world(eager: bool, generation: str, tsc_policy: TscPolicy, faulted: b
     )
     instances = orch.scale_to(service, 10)
     booted_at_launch = [i._sandbox is not None for i in instances]
-    # Tests reassign host noise models after launch; a late boot must still
-    # draw its offset from the model the host had at launch.
-    for instance in instances:
-        env.datacenter.host(instance.host_id).syscall_noise = LOUD_OFFSETS
     orch.clock.sleep(42.0)
     observed = [boot_observables(i.sandbox) for i in instances]
     return booted_at_launch, observed
