@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.cloud.api import InstanceHandle
-from repro.cloud.instance import ContainerInstance
 from repro.core.covert import RngCovertChannel
+from repro.fleet import InstanceStore
 from repro.hardware.cpu import cpu_catalog
 from repro.hardware.host import PhysicalHost
 from repro.hardware.tsc import TimestampCounter
@@ -60,8 +60,9 @@ LOOP_BASELINE_MAX_FACTOR = 64  # the scalar loop is minutes-slow at 256x
 
 
 def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
-    """A synthetic placed fleet: real hosts, sandboxes, and handles, built
-    directly (no orchestrator) so the benchmark times only the engines.
+    """A synthetic placed fleet: real hosts and handles on an instance
+    store, built directly (no orchestrator) so the benchmark times only
+    the engines.  Sandboxes boot on the engine's first probe.
 
     Sequential slicing into fixed-size groups deliberately straddles host
     boundaries, so each batch mixes fully co-located groups with split
@@ -69,10 +70,9 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
     """
     clock = SimClock()
     cpu = cpu_catalog()[0]
-    handles: list[InstanceHandle] = []
     n_hosts = -(-n_instances // INSTANCES_PER_HOST)
-    for host_index in range(n_hosts):
-        host = PhysicalHost(
+    hosts = [
+        PhysicalHost(
             host_id=f"bench-{host_index:05d}",
             cpu=cpu,
             tsc=TimestampCounter(
@@ -80,26 +80,20 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
                 actual_frequency_hz=cpu.reported_tsc_frequency_hz,
             ),
         )
-        on_host = min(
-            INSTANCES_PER_HOST, n_instances - host_index * INSTANCES_PER_HOST
-        )
-        for slot in range(on_host):
-            serial = host_index * INSTANCES_PER_HOST + slot
-            instance_id = f"i{serial:06d}"
-            sandbox = GVisorSandbox(
-                host=host,
-                clock=clock,
-                rng=np.random.default_rng(seed * 1_000_003 + serial),
-                sandbox_id=instance_id,
-            )
-            instance = ContainerInstance(
-                instance_id=instance_id,
-                service=None,
-                host_id=host.host_id,
-                sandbox=sandbox,
-                created_at=clock.now(),
-            )
-            handles.append(InstanceHandle(instance))
+        for host_index in range(n_hosts)
+    ]
+    store = InstanceStore(clock, hosts)
+    serials = np.arange(n_instances)
+    instances = store.launch(
+        store.service_index("bench"),
+        serials // INSTANCES_PER_HOST,
+        [f"i{serial:06d}" for serial in range(n_instances)],
+        seed * 1_000_003 + serials,
+        clock.now(),
+        clock.now(),
+        GVisorSandbox,
+    )
+    handles = [InstanceHandle(instance) for instance in instances]
     return [
         handles[i : i + GROUP_SIZE] for i in range(0, len(handles), GROUP_SIZE)
     ]

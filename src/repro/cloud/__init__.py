@@ -19,7 +19,6 @@ from repro.cloud.api import FaaSClient, InstanceHandle
 from repro.cloud.autoscaler import Autoscaler, AutoscaleTrace
 from repro.cloud.billing import BillingMeter, PricingRates
 from repro.cloud.datacenter import DataCenter
-from repro.cloud.instance import ContainerInstance, InstanceState
 from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.platform import (
     PLATFORM_PROFILES,
@@ -43,6 +42,7 @@ from repro.cloud.workloads import (
     PoissonLoad,
     RequestPattern,
 )
+from repro.fleet import ContainerInstance, InstanceState
 
 __all__ = [
     "AbuseMonitor",

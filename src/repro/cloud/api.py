@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
-from repro.cloud.instance import ContainerInstance
 from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import RetryPolicy
+from repro.fleet import ContainerInstance
 from repro.sandbox.base import Sandbox
 
 T = TypeVar("T")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class PricingRates:
@@ -61,6 +63,24 @@ class BillingMeter:
             raise ValueError(f"active_seconds must be >= 0, got {active_seconds!r}")
         self.vcpu_seconds += vcpus * active_seconds
         self.gb_seconds += memory_gb * active_seconds
+
+    def charge_active_many(
+        self,
+        vcpus: float | np.ndarray,
+        memory_gb: float | np.ndarray,
+        active_seconds: np.ndarray,
+    ) -> None:
+        """One :meth:`charge_active` per entry, in order.
+
+        The running sums add one term at a time, left to right, so the
+        meter ends bit-identical to the per-entry loop.
+        """
+        if min(active_seconds.tolist(), default=0.0) < 0:
+            raise ValueError("active_seconds must be >= 0")
+        for term in (vcpus * active_seconds).tolist():
+            self.vcpu_seconds += term
+        for term in (memory_gb * active_seconds).tolist():
+            self.gb_seconds += term
 
     @property
     def total_usd(self) -> float:

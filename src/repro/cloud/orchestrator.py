@@ -23,18 +23,17 @@ import numpy as np
 
 from repro.cloud.accounts import Account
 from repro.cloud.datacenter import DataCenter
-from repro.cloud.instance import ContainerInstance, InstanceState, SandboxBoot
 from repro.cloud.loadbalancer import DemandTracker, HelperHostRecruiter
 from repro.cloud.placement import PlacementPolicy, PlacementRequest
 from repro.cloud.platform import PlatformProfile
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import DEFAULT_LAUNCH_RETRY, FaultPlan, RetryPolicy
-from repro.fleet import ServiceStateStore
+from repro.fleet import ContainerInstance, InstanceStore, ServiceStateStore
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
-from repro.simtime.scheduler import EventScheduler, ScheduledEvent, SequenceCounter
+from repro.simtime.scheduler import EventBatch, EventScheduler, SequenceCounter
 from repro.telemetry import current_telemetry
 
 
@@ -84,10 +83,13 @@ class Orchestrator:
         self._placement = PlacementPolicy(self._rng, platform=self.platform)
         self._demand = DemandTracker(datacenter.profile)
         self._recruiter = HelperHostRecruiter(datacenter.profile, self._rng)
-        self._billed_seconds: dict[str, float] = {}
-        self._idle_reaps: dict[str, ScheduledEvent] = {}
-        self._service_instances: dict[str, list[ContainerInstance]] = {}
-        self._svc_state = ServiceStateStore()
+        self._instances = InstanceStore(self.clock, datacenter.hosts, tsc_policy)
+        # Per service index: (vcpus, memory_gb, slots) and the owning account.
+        self._service_sizes = np.empty((0, 3), dtype=np.float64)
+        self._service_owner: list[str] = []
+        # Pending idle reaps (deadline, sequence, row), fired by _IdleReap.
+        self._reaps = EventBatch(self.scheduler)
+        self._stale_reaps = 0
         self._idle_streams: dict[str, Callable[[str], float]] = {}
         # qualified name -> (helper count, allowed host-index array).  Base
         # shards are pinned per account and helper sets are append-only, so
@@ -126,7 +128,7 @@ class Orchestrator:
         if key in self.services:
             raise CloudError(f"service {key!r} already deployed")
         self.services[key] = service
-        self._svc_state.ensure(key)
+        self._service_index(service)
         return service
 
     def rebuild_image(self, service: Service) -> None:
@@ -198,27 +200,26 @@ class Orchestrator:
 
         now = self.clock.now()
         self.datacenter.serving_pool()  # triggers serving-pool rotation
-        state = self._svc_state
-        index = state.ensure(service.qualified_name)
+        store = self._instances
+        state = store.counts
+        index = self._service_index(service)
         active_n = state.active_count(index)
 
         if target < active_n:
-            # Scale in: idle out the most recently created extras.  The
-            # per-service instance lists are append-only and pruning keeps
-            # order, so the ACTIVE sublist is creation-ordered (pinned by
-            # a property test).
+            # Scale in: idle out the most recently created extras.  A
+            # service's rows are append-only, so its ACTIVE rows are in
+            # creation order (pinned by a property test).
             with telemetry.span(
                 "orchestrator.scale_in",
                 service=service.qualified_name,
                 target=target,
             ) as span:
-                active = self._active_list(service)
-                for instance in active[target:]:
-                    self._idle_out(instance, now)
+                active = self._active_rows(index)
+                self._idle_out(index, active[target:], now)
                 span.set(idled=active_n - target)
                 telemetry.count("orchestrator.scale_ins")
                 self._demand.record_demand(service, now, target)
-            return active[:target] if want_list else target
+            return store.handles_of(active[:target]) if want_list else target
 
         with telemetry.span(
             "orchestrator.launch",
@@ -228,15 +229,11 @@ class Orchestrator:
             need = target - active_n
             idle_n = state.idle_count(index)
             new_needed = max(0, need - idle_n)
-            if want_list or (need > 0 and idle_n > 0):
-                alive = self.alive_instances(service)
-                active = [i for i in alive if i.state is InstanceState.ACTIVE]
+            if need > 0 and idle_n > 0:
                 # Scale out: reuse just enough idle instances, create the rest.
-                idle = [i for i in alive if i.state is InstanceState.IDLE]
-                for instance in idle[:need]:
-                    instance.go_active(now)
-                    self._cancel_idle_reap(instance.instance_id)
-                    state.on_activated(index)
+                reused = store.idle_rows(index)[:need]
+                store.activate(index, reused, now)
+                self._cancel_reaps(reused)
 
             # Hotness is judged on *past* demand, before this launch.
             hot = self._demand.is_hot(service, now)
@@ -286,12 +283,8 @@ class Orchestrator:
 
             if not want_list:
                 return state.active_count(index)
-            active = [
-                i
-                for i in self.alive_instances(service)
-                if i.state is InstanceState.ACTIVE
-            ]
-        return active[:target] if len(active) > target else active
+            active = self._active_rows(index)
+        return store.handles_of(active[:target])
 
     def disconnect(self, service: Service) -> None:
         """Close all connections: instances idle out and are later reaped.
@@ -300,34 +293,44 @@ class Orchestrator:
         between ``idle_grace`` and ``idle_deadline`` after disconnecting,
         reproducing the gradual decay of Fig. 6.
         """
-        now = self.clock.now()
-        for instance in self.alive_instances(service):
-            if instance.state is InstanceState.ACTIVE:
-                self._idle_out(instance, now)
+        index = self._service_index(service)
+        self._idle_out(index, self._active_rows(index), self.clock.now())
 
-    def _idle_out(self, instance: ContainerInstance, now: float) -> None:
-        """Idle one instance and schedule its eventual termination."""
+    def _idle_out(self, index: int, rows: np.ndarray, now: float) -> None:
+        """Idle ACTIVE ``rows`` of one service and schedule their reaps.
+
+        One masked update and one vector deadline draw: ``uniform(size=k)``
+        consumes the shared stream exactly as ``k`` scalar draws in row
+        order would, and the reaps take one block of ``k`` sequence
+        numbers, so each keeps the ``(when, sequence)`` key a per-instance
+        ``call_at`` would have given it.
+        """
+        if not rows.size:
+            return
+        store = self._instances
+        store.idle(index, rows, now)
+        self._settle_billing(rows, index)
         profile = self.datacenter.profile
-        instance.go_idle(now)
-        self._svc_state.on_idled(
-            self._svc_state.ensure(instance.service.qualified_name)
-        )
-        self._settle_billing(instance)
         idle_grace, idle_deadline = profile.idle_grace, profile.idle_deadline
         if self.platform is not None:
             idle_grace, idle_deadline = self.platform.idle_window(
                 idle_grace, idle_deadline
             )
-        stream = self._idle_streams.get(instance.service.qualified_name)
+        stream = self._idle_streams.get(store.counts.key_of(index))
         if stream is None:
-            deadline = now + self._rng.uniform(idle_grace, idle_deadline)
+            deadlines = (
+                now + self._rng.uniform(idle_grace, idle_deadline, size=rows.size)
+            ).tolist()
         else:
             # Hashed per-instance draw: order-independent, and consumes
             # nothing from the shared RNG, so interleaved background
             # tenants cannot perturb foreground draw sequences.
             span_s = idle_deadline - idle_grace
-            deadline = now + idle_grace + stream(instance.instance_id) * span_s
-        self._schedule_idle_reap(instance, idle_epoch=instance.last_active_at, when=deadline)
+            deadlines = [
+                now + idle_grace + stream(handle.instance_id) * span_s
+                for handle in store.handles_of(rows)
+            ]
+        self._schedule_reaps(rows, deadlines)
 
     def set_idle_deadline_stream(
         self, service: Service, stream: Callable[[str], float] | None
@@ -359,9 +362,8 @@ class Orchestrator:
 
     def kill_service(self, service: Service) -> None:
         """Immediately terminate every instance of a service."""
-        now = self.clock.now()
-        for instance in self.alive_instances(service):
-            self._terminate(instance, now)
+        index = self._service_index(service)
+        self._terminate(self._instances.alive_rows(index), self.clock.now())
 
     def route_request(self, service: Service, processing_seconds: float) -> None:
         """Deliver one request to the service (its public interface).
@@ -371,16 +373,7 @@ class Orchestrator:
         by co-located instances.  A service with no active instance scales
         out by one first (scale-from-zero).
         """
-        active = [
-            i for i in self.alive_instances(service)
-            if i.state is InstanceState.ACTIVE
-        ]
-        if not active:
-            active = self.scale_to(service, 1)
-        counter = self._route_counters.get(service.qualified_name, 0)
-        instance = active[counter % len(active)]
-        self._route_counters[service.qualified_name] = counter + 1
-        instance.sandbox.run_busy(processing_seconds)
+        self._next_active(service).sandbox.run_busy(processing_seconds)
 
     def probe_service(
         self, qualified_name: str, processing_seconds: float = 0.05
@@ -402,16 +395,9 @@ class Orchestrator:
             service = self.services[qualified_name]
         except KeyError:
             raise CloudError(f"no service at {qualified_name!r}") from None
-        active = [
-            i for i in self.alive_instances(service)
-            if i.state is InstanceState.ACTIVE
-        ]
-        if not active:
-            active = self.scale_to(service, 1)
-        counter = self._route_counters.get(qualified_name, 0)
-        instance = active[counter % len(active)]
-        self._route_counters[qualified_name] = counter + 1
-        latency = instance.sandbox.serve_request(processing_seconds)
+        latency = self._next_active(service).sandbox.serve_request(
+            processing_seconds
+        )
         seq = self._probe_counters.get(qualified_name, 0)
         self._probe_counters[qualified_name] = seq + 1
         if self.fault_plan is not None:
@@ -427,42 +413,36 @@ class Orchestrator:
     # and the attacker-facing client API never see host ids)
     # ------------------------------------------------------------------
     def alive_instances(self, service: Service) -> list[ContainerInstance]:
-        """All non-terminated instances of a service."""
-        kept = self._service_instances.get(service.qualified_name, [])
-        alive = [instance for instance in kept if instance.alive]
-        # Prune terminated instances so repeated launches stay O(alive).
-        if len(alive) != len(kept):
-            self._service_instances[service.qualified_name] = alive
-        return list(alive)
-
-    def _active_list(self, service: Service) -> list[ContainerInstance]:
-        return [
-            i for i in self.alive_instances(service)
-            if i.state is InstanceState.ACTIVE
-        ]
+        """All non-terminated instances of a service, in creation order."""
+        store = self._instances
+        index = self._service_index(service)
+        return store.handles_of(store.alive_rows(index))
 
     def active_count(self, service: Service) -> int:
         """ACTIVE instance count from the columnar state (no list build)."""
-        return self._svc_state.active_count(
-            self._svc_state.ensure(service.qualified_name)
-        )
+        return self.service_state.active_count(self._service_index(service))
 
     def idle_count(self, service: Service) -> int:
         """IDLE instance count from the columnar state (no list build)."""
-        return self._svc_state.idle_count(
-            self._svc_state.ensure(service.qualified_name)
-        )
+        return self.service_state.idle_count(self._service_index(service))
 
     def alive_count(self, service: Service) -> int:
         """Non-terminated instance count from the columnar state."""
-        return self._svc_state.alive_count(
-            self._svc_state.ensure(service.qualified_name)
-        )
+        return self.service_state.alive_count(self._service_index(service))
+
+    def pending_reaps(self) -> int:
+        """Idle reaps still waiting to fire: one per idle instance."""
+        return len(self._reaps) - self._stale_reaps
 
     @property
     def service_state(self) -> ServiceStateStore:
         """The columnar per-service counts (read-only for callers)."""
-        return self._svc_state
+        return self._instances.counts
+
+    @property
+    def instance_store(self) -> InstanceStore:
+        """The columnar instance table (read-only for callers)."""
+        return self._instances
 
     def true_host_of(self, instance_id: str) -> str:
         """Ground-truth host of an instance (validation only)."""
@@ -473,26 +453,31 @@ class Orchestrator:
         return self.datacenter.host_handle(host_id).load_slots
 
     def account_cost_usd(self, account_id: str) -> float:
-        """Account bill including accrued-but-unsettled active time."""
+        """Account bill including accrued-but-unsettled active time.
+
+        The unsettled costs of the account's ACTIVE rows are added in row
+        (creation) order, one at a time, as a per-instance loop would.
+        """
         account = self._account(account_id)
-        now = self.clock.now()
+        store = self._instances
+        owned = [
+            self._active_rows(self._service_index(service))
+            for service in self.services.values()
+            if service.account_id == account_id
+        ]
+        rows = np.sort(np.concatenate([np.empty(0, np.int64), *owned]))
+        vcpus, memory_gb, _slots = self._sizes(store.service[rows])
+        unsettled = (
+            store.active_total[rows]
+            + (self.clock.now() - store.active_since[rows])
+            - store.billed[rows]
+        )
+        costs = account.billing.rates.active_cost(
+            vcpus, memory_gb, np.where(unsettled > 0.0, unsettled, 0.0)
+        )
         pending = 0.0
-        rates = account.billing.rates
-        for instance in self.instances.values():
-            if (
-                instance.service.account_id != account_id
-                or not instance.alive
-                or instance.state is not InstanceState.ACTIVE
-                or instance.active_since is None
-            ):
-                continue
-            size = instance.service.config.size
-            unsettled = (
-                instance.active_seconds_total
-                + (now - instance.active_since)
-                - self._billed_seconds[instance.instance_id]
-            )
-            pending += rates.active_cost(size.vcpus, size.memory_gb, max(0.0, unsettled))
+        for cost in costs.tolist():
+            pending += cost
         return account.billing.total_usd + pending
 
     # ------------------------------------------------------------------
@@ -503,6 +488,43 @@ class Orchestrator:
             return self.accounts[account_id]
         except KeyError:
             raise CloudError(f"account {account_id!r} is not registered") from None
+
+    def _service_index(self, service: Service) -> int:
+        """The service's dense index in the instance store, registering it
+        (and its size and owner) on first use."""
+        index = self._instances.service_index(service.qualified_name, service)
+        if index == len(self._service_owner):
+            size = service.config.size
+            self._service_sizes = np.vstack(
+                [self._service_sizes, (size.vcpus, size.memory_gb, size.slots)]
+            )
+            self._service_owner.append(service.account_id)
+        return index
+
+    def _active_rows(self, index: int) -> np.ndarray:
+        """A service's ACTIVE rows in creation order: the routing targets,
+        the scale-in candidates and what a disconnect idles out."""
+        return self._instances.active_rows(index)
+
+    def _next_active(self, service: Service) -> ContainerInstance:
+        """The round-robin pick among the service's ACTIVE instances,
+        scaling from zero to one first if it has none."""
+        index = self._service_index(service)
+        active = self._active_rows(index)
+        if not active.size:
+            self.scale_to(service, 1)
+            active = self._active_rows(index)[:1]
+        key = service.qualified_name
+        counter = self._route_counters.get(key, 0)
+        self._route_counters[key] = counter + 1
+        return self._instances.handles[active[counter % active.size]]
+
+    def _sizes(
+        self, services: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-entry ``(vcpus, memory_gb, slots)`` of service indices."""
+        vcpus, memory_gb, slots = self._service_sizes.take(services, axis=0).T
+        return vcpus, memory_gb, slots
 
     def _base_hosts(self, account: Account) -> tuple[str, ...]:
         profile = self.datacenter.profile
@@ -575,33 +597,28 @@ class Orchestrator:
         twin-world launch tests).  Without a fault plan the whole batch is
         one segment.
 
-        No sandbox is built here: each instance records a
-        :class:`~repro.cloud.instance.SandboxBoot` holding its seed and what
-        an eager boot would read now — the clock at the segment commit
-        (retry backoff may have moved it since ``created_at``) — and boots
-        on its first probe.
+        No sandbox is built here: each row records its seed and what an
+        eager boot would read now — the clock at the segment commit (retry
+        backoff may have moved it since ``created_at``) — and boots on its
+        first probe.
         """
         chosen = self._place_batch(service, account, count)
         qualified = service.qualified_name
         now = self.clock.now()
-        state_index = self._svc_state.ensure(qualified)
-        ids = self.fleet.ids
+        store = self._instances
+        index = self._service_index(service)
         counts = self.fleet.service_counts(qualified)
-        service_list = self._service_instances.setdefault(qualified, [])
-        host_of = self.datacenter.host
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
-        clock, tsc_policy = self.clock, self.tsc_policy
         plan = self.fault_plan
-        hosts = chosen.tolist()
         created: list[ContainerInstance] = []
         pending: str | None = None
         start = 0
-        while start < len(hosts):
+        while start < chosen.size:
             head = pending or f"{qualified}#{next(self._instance_counter):07d}"
             self._attempt_launch(head)
             segment_ids = [head]
             pending = None
-            while start + len(segment_ids) < len(hosts):
+            while start + len(segment_ids) < chosen.size:
                 instance_id = f"{qualified}#{next(self._instance_counter):07d}"
                 if plan is not None and plan.launch_would_fail(instance_id, 0):
                     pending = instance_id
@@ -609,24 +626,13 @@ class Orchestrator:
                 segment_ids.append(instance_id)
             stop = start + len(segment_ids)
             segment = chosen[start:stop]
-            seeds = self._rng.integers(2**63, size=segment.size).tolist()
+            seeds = self._rng.integers(2**63, size=segment.size)
             counts.add_at(segment)
-            self._svc_state.on_created(state_index, count=len(segment_ids))
-            boot_time = clock.now()
-            for host_index, seed, instance_id in zip(
-                hosts[start:stop], seeds, segment_ids
-            ):
-                host_id = ids[host_index]
-                boot = SandboxBoot(
-                    cls, host_of(host_id), clock, seed, tsc_policy, boot_time
-                )
-                instance = ContainerInstance(
-                    instance_id, service, host_id, None, now, boot=boot
-                )
-                self.instances[instance_id] = instance
-                self._billed_seconds[instance_id] = 0.0
-                service_list.append(instance)
-                created.append(instance)
+            launched = store.launch(
+                index, segment, segment_ids, seeds, now, self.clock.now(), cls
+            )
+            self.instances.update(zip(segment_ids, launched))
+            created.extend(launched)
             start = stop
         return created
 
@@ -721,92 +727,120 @@ class Orchestrator:
             seconds *= self.GEN2_STARTUP_FACTOR
         return seconds
 
-    def _schedule_idle_reap(
-        self, instance: ContainerInstance, idle_epoch: float, when: float
-    ) -> None:
-        # Cancel any reap left from an earlier idle period: stale timers
-        # would otherwise pile up in the scheduler for the whole campaign.
-        self._cancel_idle_reap(instance.instance_id)
-        reap = _IdleReap(self, instance, idle_epoch)
-        reap.event = self.scheduler.call_at(when, reap)
-        self._idle_reaps[instance.instance_id] = reap.event
+    def _terminate(self, rows: np.ndarray, now: float) -> None:
+        """Terminate the alive ones of ``rows``, in order.
 
-    def _cancel_idle_reap(self, instance_id: str) -> None:
-        event = self._idle_reaps.pop(instance_id, None)
-        if event is not None:
-            event.cancel()
-
-    def _terminate(self, instance: ContainerInstance, now: float) -> None:
-        if not instance.alive:
+        Batched equal of the per-instance teardown: cancel any pending
+        reap, SIGTERM, settle billing, then release hardware pressure,
+        load slots and per-host service counts.
+        """
+        store = self._instances
+        rows, booted = store.terminate(np.asarray(rows, dtype=np.int64), now)
+        if not rows.size:
             return
-        current_telemetry().count("orchestrator.terminations")
-        self._cancel_idle_reap(instance.instance_id)
-        self._svc_state.on_terminated(
-            self._svc_state.ensure(instance.service.qualified_name),
-            was_active=instance.state is InstanceState.ACTIVE,
-        )
-        instance.terminate(now)
-        self._settle_billing(instance)
+        current_telemetry().count("orchestrator.terminations", rows.size)
+        self._cancel_reaps(rows)
+        self._settle_billing(rows)
         # A destroyed container's guest loops stop executing, so any
         # hardware pressure it still held (an attacker killed mid-lock)
         # is released with it — otherwise a dead locker would pin its
-        # host's contention level forever.  ``release_pressure`` covers
-        # every channel domain the host has instantiated, not just the
-        # two eager ones.
-        host = self.datacenter.host(instance.host_id)
-        host.release_pressure(instance.instance_id)
-        handle = self.datacenter.host_handle(instance.host_id)
-        handle.release_load(instance.service.config.size.slots)
-        handle.dec_service(instance.service.qualified_name)
+        # host's contention level forever.  Pressure starts only inside a
+        # booted sandbox, so unbooted rows hold none.
+        for instance in booted:
+            self.datacenter.host(instance.host_id).release_pressure(
+                instance.instance_id
+            )
+        hosts, services = store.host[rows], store.service[rows]
+        self.fleet.release_load_at(hosts, self._service_sizes[services, 2])
+        indices = dict.fromkeys(services.tolist())
+        for index in indices:
+            counts = self.fleet.peek_service_counts(store.counts.key_of(index))
+            if counts is not None:
+                counts.sub_at(hosts if len(indices) == 1 else hosts[services == index])
 
-    def _settle_billing(self, instance: ContainerInstance) -> None:
-        account = self._account(instance.service.account_id)
-        owed = instance.active_seconds_total - self._billed_seconds[instance.instance_id]
-        if owed > 0:
-            size = instance.service.config.size
-            account.billing.charge_active(size.vcpus, size.memory_gb, owed)
-            self._billed_seconds[instance.instance_id] += owed
+    def _settle_billing(self, rows: np.ndarray, index: int | None = None) -> None:
+        """Charge each row's unbilled active seconds to its account, in
+        row order per account.  ``index`` names the service when every
+        row belongs to it."""
+        store = self._instances
+        owed = store.active_total[rows] - store.billed[rows]
+        due = owed > 0
+        n_due = np.count_nonzero(due)
+        if not n_due:
+            return
+        if n_due < due.size:
+            rows, owed = rows[due], owed[due]
+        store.billed[rows] += owed
+        if index is not None:
+            vcpus, memory_gb, _slots = self._service_sizes[index].tolist()
+            self._account(self._service_owner[index]).billing.charge_active_many(
+                vcpus, memory_gb, owed
+            )
+            return
+        services = store.service[rows]
+        vcpus, memory_gb, _slots = self._sizes(services)
+        owners = [self._service_owner[i] for i in services.tolist()]
+        for account_id in dict.fromkeys(owners):
+            mine = np.array([owner == account_id for owner in owners])
+            self._account(account_id).billing.charge_active_many(
+                vcpus[mine], memory_gb[mine], owed[mine]
+            )
+
+    #: Stale reaps tolerated before a bulk drop is considered.
+    _COMPACT_MIN_STALE_REAPS = 64
+
+    def _schedule_reaps(self, rows: np.ndarray, deadlines: list[float]) -> None:
+        """Queue one idle reap per row, under one block of sequence numbers.
+
+        An idle row's reap is an entry ``(deadline, sequence, row)``, and
+        its ``reap_seq`` column holds the sequence while the reap is live.
+        """
+        first = self._reaps.push(deadlines, rows.tolist(), _IdleReap(self))
+        self._instances.reap_seq[rows] = np.arange(first, first + rows.size)
+
+    def _cancel_reaps(self, rows: np.ndarray) -> None:
+        """Make the pending reaps of ``rows`` (if any) stale.
+
+        Stale entries are skipped when they come due, and dropped in bulk
+        once they are the majority, so churn cannot grow the queue.
+        """
+        reap_seq = self._instances.reap_seq
+        live = int(np.count_nonzero(reap_seq[rows] >= 0))
+        if not live:
+            return
+        reap_seq[rows] = -1
+        self._stale_reaps += live
+        if (
+            self._stale_reaps >= self._COMPACT_MIN_STALE_REAPS
+            and 2 * self._stale_reaps > len(self._reaps)
+        ):
+            self._reaps.retain(lambda entry: reap_seq[entry[2]] == entry[1])
+            self._stale_reaps = 0
 
 
 class _IdleReap:
-    """The scheduled idle-termination action for one instance.
+    """The scheduler action that fires an orchestrator's due idle reaps.
 
-    A plain callable object rather than a closure so the scheduler queue
-    stays picklable — world snapshots (:mod:`repro.runner.worldcache`)
-    serialize pending events, and a restored reap must keep pointing at
-    the restored orchestrator/instance pair.  ``event`` is backfilled
-    right after scheduling so the identity check below survives the
-    round-trip too.
+    One call terminates, as one batch in ``(when, sequence)`` order, every
+    live reap due before the scheduler's next other event — exactly the
+    reaps that per-instance events would have fired next.  A plain
+    callable object rather than a closure so the scheduler queue stays
+    picklable: world snapshots (:mod:`repro.runner.worldcache`) serialize
+    pending events.
     """
 
-    __slots__ = ("orchestrator", "instance", "idle_epoch", "event")
+    __slots__ = ("orchestrator",)
 
-    def __init__(
-        self,
-        orchestrator: Orchestrator,
-        instance: ContainerInstance,
-        idle_epoch: float,
-    ) -> None:
+    def __init__(self, orchestrator: Orchestrator) -> None:
         self.orchestrator = orchestrator
-        self.instance = instance
-        self.idle_epoch = idle_epoch
-        self.event: ScheduledEvent | None = None
-
-    def __getstate__(self):
-        return (self.orchestrator, self.instance, self.idle_epoch, self.event)
-
-    def __setstate__(self, state) -> None:
-        self.orchestrator, self.instance, self.idle_epoch, self.event = state
 
     def __call__(self) -> None:
         orch = self.orchestrator
-        instance = self.instance
-        if orch._idle_reaps.get(instance.instance_id) is self.event:
-            del orch._idle_reaps[instance.instance_id]
-        still_idle = (
-            instance.alive
-            and instance.state is InstanceState.IDLE
-            and instance.last_active_at == self.idle_epoch
-        )
-        if still_idle:
-            orch._terminate(instance, orch.clock.now())
+        due = orch._reaps.take_due(self)
+        reap_seq = orch._instances.reap_seq
+        live = [row for _when, sequence, row in due if reap_seq[row] == sequence]
+        orch._stale_reaps -= len(due) - len(live)
+        if live:
+            rows = np.array(live, dtype=np.int64)
+            reap_seq[rows] = -1
+            orch._terminate(rows, orch.clock.now())

@@ -15,17 +15,25 @@ fleet-wide mutations through the store's narrow method surface.  The
 representation is an implementation detail; identical seeds reproduce the
 pre-columnar placement sequences byte-for-byte (see the golden-trace
 regression tests).
+
+:class:`InstanceStore` does the same for container instances: one row per
+instance, with a :class:`ContainerInstance` handle per row for the client
+API.
 """
 
+from repro.fleet.instances import ContainerInstance, InstanceState, InstanceStore
 from repro.fleet.service_state import ServiceStateStore
 from repro.fleet.store import FleetSnapshot, FleetStore, SparseServiceCounts
 from repro.fleet.view import FleetView, HostHandle
 
 __all__ = [
+    "ContainerInstance",
     "FleetSnapshot",
     "FleetStore",
     "FleetView",
     "HostHandle",
+    "InstanceState",
+    "InstanceStore",
     "ServiceStateStore",
     "SparseServiceCounts",
 ]

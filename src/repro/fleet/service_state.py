@@ -9,11 +9,11 @@ ACTIVE/IDLE counts as dense NumPy columns indexed by a stable
 service-key <-> index mapping, mirroring :class:`~repro.fleet.store.FleetStore`
 for hosts.
 
-The :class:`~repro.cloud.orchestrator.Orchestrator` is the sole mutator
-(every instance state transition — create, idle-out, reactivate,
-terminate — routes through it); everyone else reads.  Counts are pure
-bookkeeping: they never feed an RNG draw, so they cannot perturb the
-byte-identity contract.
+The :class:`~repro.fleet.instances.InstanceStore` that owns it is the
+sole mutator (every instance state transition — create, idle-out,
+reactivate, terminate — routes through it); everyone else reads.
+Counts are pure bookkeeping: they never feed an RNG draw, so they cannot
+perturb the byte-identity contract.
 """
 
 from __future__ import annotations
@@ -102,25 +102,25 @@ class ServiceStateStore:
         return int(self._active[:n].sum()), int(self._idle[:n].sum())
 
     # ------------------------------------------------------------------
-    # Transitions (orchestrator only)
+    # Transitions (instance store only)
     # ------------------------------------------------------------------
     def on_created(self, index: int, count: int = 1) -> None:
         """``count`` new instances launched straight into ACTIVE."""
         self._active[index] += count
 
-    def on_idled(self, index: int) -> None:
-        """One ACTIVE instance went IDLE."""
-        self._active[index] -= 1
-        self._idle[index] += 1
+    def on_idled(self, index: int, count: int = 1) -> None:
+        """``count`` ACTIVE instances went IDLE."""
+        self._active[index] -= count
+        self._idle[index] += count
 
-    def on_activated(self, index: int) -> None:
-        """One IDLE instance was reused back into ACTIVE."""
-        self._idle[index] -= 1
-        self._active[index] += 1
+    def on_activated(self, index: int, count: int = 1) -> None:
+        """``count`` IDLE instances were reused back into ACTIVE."""
+        self._idle[index] -= count
+        self._active[index] += count
 
-    def on_terminated(self, index: int, was_active: bool) -> None:
-        """One instance left ACTIVE (or IDLE) for TERMINATED."""
+    def on_terminated(self, index: int, was_active: bool, count: int = 1) -> None:
+        """``count`` instances left ACTIVE (or IDLE) for TERMINATED."""
         if was_active:
-            self._active[index] -= 1
+            self._active[index] -= count
         else:
-            self._idle[index] -= 1
+            self._idle[index] -= count

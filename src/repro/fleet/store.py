@@ -168,6 +168,19 @@ class SparseServiceCounts:
         if pos < self._idx.size and self._idx[pos] == index and self._cnt[pos] > 0:
             self._cnt[pos] -= 1
 
+    def sub_at(self, indices: IndexArray) -> None:
+        """Batched decrement — one :meth:`dec` per entry.
+
+        Decrements only go down, so flooring once at zero after all of
+        them gives what flooring after each one does.
+        """
+        if self._idx.size == 0:
+            return
+        pos = self._idx.searchsorted(indices)
+        pos = pos[self._idx.take(pos, mode="clip") == indices]
+        np.subtract.at(self._cnt, pos, 1)
+        self._cnt[pos] = np.maximum(self._cnt[pos], 0)
+
     def set_dense(self, values: IntColumn) -> None:
         """Replace all entries from a dense length-``n_hosts`` column.
 
@@ -456,6 +469,16 @@ class FleetStore:
         """Release capacity slots on one host, clamping at zero."""
         remaining = self.load_slots[index] - slots
         self.load_slots[index] = remaining if remaining > 0.0 else 0.0
+
+    def release_load_at(self, indices: IndexArray, slots: FloatColumn) -> None:
+        """One :meth:`release_load` per entry, in order.
+
+        Releases are non-negative, so clamping once after the in-order
+        subtractions gives what clamping after each one does.
+        """
+        np.subtract.at(self.load_slots, indices, slots)
+        remaining = self.load_slots[indices]
+        self.load_slots[indices] = np.where(remaining > 0.0, remaining, 0.0)
 
     # ------------------------------------------------------------------
     # Per-service instance counts

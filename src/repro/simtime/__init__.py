@@ -6,6 +6,6 @@ expiration study of Figure 5) run in milliseconds and are fully reproducible.
 """
 
 from repro.simtime.clock import SIM_EPOCH, SimClock
-from repro.simtime.scheduler import EventScheduler, ScheduledEvent
+from repro.simtime.scheduler import EventBatch, EventScheduler, ScheduledEvent
 
-__all__ = ["SIM_EPOCH", "SimClock", "EventScheduler", "ScheduledEvent"]
+__all__ = ["SIM_EPOCH", "SimClock", "EventBatch", "EventScheduler", "ScheduledEvent"]

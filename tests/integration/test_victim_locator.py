@@ -151,7 +151,7 @@ class TestStructuredFailures:
         clusters = _oracle_clusters(env, outcome.handles)
         for cluster in clusters:
             for handle in cluster:
-                env.orchestrator._terminate(handle._instance, env.clock.now())
+                env.orchestrator._terminate([handle._instance.row], env.clock.now())
         result = _locator(env).locate_clusters(clusters)
         assert not result.converged
         assert result.failure == "candidates_died"
@@ -172,7 +172,7 @@ class TestStructuredFailures:
                     for handle in cluster:
                         if handle.alive:
                             env.orchestrator._terminate(
-                                handle._instance, env.clock.now()
+                                [handle._instance.row], env.clock.now()
                             )
             return env.attacker.probe(VICTIM_URL, PROCESSING)
 
@@ -206,7 +206,7 @@ class TestFaultTolerance:
             if calls["n"] == 8:  # mid first descent round
                 for handle in innocent:
                     if handle.alive:
-                        env.orchestrator._terminate(handle._instance, env.clock.now())
+                        env.orchestrator._terminate([handle._instance.row], env.clock.now())
             return env.attacker.probe(VICTIM_URL, PROCESSING)
 
         locator = TargetVictimLocator(

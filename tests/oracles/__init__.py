@@ -7,6 +7,9 @@ columns and verdicts.  Nothing in this package is collected as a test.
 
 * :mod:`tests.oracles.launch` — the per-instance launch loop, bound onto
   an orchestrator's ``_create_instances``;
+* :mod:`tests.oracles.lifecycle` — per-instance idle-out, reap events and
+  teardown, bound onto an orchestrator's ``_idle_out``, ``_cancel_reaps``
+  and ``_terminate``;
 * :mod:`tests.oracles.ctest` — the per-round CTest loop, as channel
   subclasses overriding the single window method;
 * :mod:`tests.oracles.census` — the set-algebra census reduction.

@@ -14,20 +14,23 @@ import types
 
 import numpy as np
 
-from repro.cloud.instance import ContainerInstance
 from repro.cloud.orchestrator import Orchestrator
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 
 
 def create_instances_scalar(self: Orchestrator, service, account, count):
-    """``Orchestrator._create_instances``, one instance per iteration."""
+    """``Orchestrator._create_instances``, one instance per iteration.
+
+    Each row goes in through the store's ``launch`` alone, and its
+    sandbox is built eagerly from the world as it is at that moment.
+    """
     chosen = self._place_batch(service, account, count)
     qualified = service.qualified_name
     now = self.clock.now()
-    state_index = self._svc_state.ensure(qualified)
+    store = self.instance_store
+    index = self._service_index(service)
     counts = self.fleet.service_counts(qualified)
-    service_list = self._service_instances.setdefault(qualified, [])
     cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
     created = []
     for host_index in chosen.tolist():
@@ -35,24 +38,18 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
         instance_id = f"{qualified}#{next(self._instance_counter):07d}"
         self._attempt_launch(instance_id)
         counts.inc(host_index)
-        sandbox = cls(
+        seed = self._rng.integers(2**63)
+        (instance,) = store.launch(
+            index, [host_index], [instance_id], [seed], now, self.clock.now(), cls
+        )
+        instance._sandbox = cls(
             self.datacenter.host(host_id),
             self.clock,
-            np.random.default_rng(self._rng.integers(2**63)),
+            np.random.default_rng(seed),
             instance_id,
             tsc_policy=self.tsc_policy,
         )
-        instance = ContainerInstance(
-            instance_id=instance_id,
-            service=service,
-            host_id=host_id,
-            sandbox=sandbox,
-            created_at=now,
-        )
         self.instances[instance_id] = instance
-        self._billed_seconds[instance_id] = 0.0
-        service_list.append(instance)
-        self._svc_state.on_created(state_index)
         created.append(instance)
     return created
 

@@ -1,5 +1,6 @@
 """Property-based tests for the billing model."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,6 +24,22 @@ def test_meter_is_additive(charges):
         part.charge_active(vcpus, mem, seconds)
         total_by_parts += part.total_usd
     assert whole.total_usd == pytest.approx(total_by_parts, rel=1e-9, abs=1e-12)
+
+
+@given(st.lists(st.tuples(sizes, positive_floats), max_size=30))
+def test_batched_charge_is_the_per_entry_loop(charges):
+    loop, batched = BillingMeter(), BillingMeter()
+    for (vcpus, mem), seconds in charges:
+        loop.charge_active(vcpus, mem, seconds)
+    batched.charge_active_many(
+        np.array([vcpus for (vcpus, _mem), _s in charges]),
+        np.array([mem for (_vcpus, mem), _s in charges]),
+        np.array([seconds for _size, seconds in charges]),
+    )
+    assert (batched.vcpu_seconds, batched.gb_seconds) == (
+        loop.vcpu_seconds,
+        loop.gb_seconds,
+    )
 
 
 @given(sizes, positive_floats, positive_floats)

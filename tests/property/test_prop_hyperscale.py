@@ -159,7 +159,7 @@ def test_host_coverage_matches_scalar_loop(seed, n_attacker, n_victim, kills, ro
         if everyone:
             inst = everyone[k % len(everyone)]._instance
             if inst.alive:
-                inst.terminate(now)
+                env.orchestrator.instance_store.terminate(np.array([inst.row]), now)
     if rotate:
         # Rotated-out hosts keep serving existing instances; coverage
         # math must be independent of pool membership.

@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.cloud.accounts import Account
-from repro.cloud.instance import InstanceState
+from repro.fleet import InstanceState
 from repro.cloud.services import ServiceConfig
 from repro.errors import CloudError, QuotaExceededError
 

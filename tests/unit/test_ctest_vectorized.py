@@ -11,6 +11,7 @@ indistinguishable from the loop.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cloud.api import InstanceHandle
@@ -86,7 +87,9 @@ def run_twin_worlds(
         env = tiny_env_factory(seed=seed)
         handles = launch(env, n_instances)
         if kill_first:
-            handles[0]._instance.terminate(env.orchestrator.clock.now())
+            env.orchestrator.instance_store.terminate(
+                np.array([handles[0]._instance.row]), env.orchestrator.clock.now()
+            )
         groups = [
             handles[i : i + group_size]
             for i in range(0, len(handles), group_size)
@@ -211,7 +214,9 @@ class TestEdgeCases:
             for handle in handles:
                 handle.run(channel._start)
             victim = handles[0]
-            victim._instance.terminate(env.orchestrator.clock.now())
+            env.orchestrator.instance_store.terminate(
+                np.array([victim._instance.row]), env.orchestrator.clock.now()
+            )
             dead: set[str] = set()
             hits = channel._observe_window(
                 handles,
@@ -325,7 +330,9 @@ class TestRunBatch:
 
     def test_dead_handle_rejected_before_any_probe(self, tiny_env):
         handles = launch(tiny_env, 4)
-        handles[2]._instance.terminate(tiny_env.orchestrator.clock.now())
+        tiny_env.orchestrator.instance_store.terminate(
+            np.array([handles[2]._instance.row]), tiny_env.orchestrator.clock.now()
+        )
         probed: list[str] = []
 
         def probe(sandboxes):

@@ -18,7 +18,7 @@ def _deploy(env, client, name, n):
 
 
 def _kill(env, handle):
-    env.orchestrator._terminate(handle._instance, env.clock.now())
+    env.orchestrator._terminate([handle._instance.row], env.clock.now())
 
 
 def _legacy_host_coverage(env, attacker_handles, victim_handles):

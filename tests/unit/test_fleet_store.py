@@ -115,6 +115,27 @@ class TestLoadAndServiceCounts:
         store.release_load(0, 5.0)
         assert store.load_slots[0] == 0.0
 
+    def test_batched_release_and_decrement_match_per_entry_calls(self):
+        hosts = np.array([2, 0, 2, 2, 1])
+        slots = np.array([0.7, 5.0, 0.1, 0.3, 0.2])
+        batched, scalar = make_store(3), make_store(3)
+        for store in (batched, scalar):
+            store.load_slots[:] = [0.9, 4.0, 1.0]
+            store.service_counts("svc").add_at(np.array([0, 2, 2]))
+        batched.release_load_at(hosts, slots)
+        batched.service_counts("svc").sub_at(hosts)
+        for host, slot in zip(hosts.tolist(), slots.tolist()):
+            scalar.release_load(host, slot)
+            scalar.service_counts("svc").dec(host)
+        # Host 0 clamps at zero, host 2 runs out of counts mid-batch.
+        assert batched.load_slots.tolist() == scalar.load_slots.tolist()
+        assert batched.load_slots[0] == 0.0
+        assert (
+            batched.service_counts("svc").tolist()
+            == scalar.service_counts("svc").tolist()
+            == [0, 0, 0]
+        )
+
     def test_service_counts_lazy(self):
         store = make_store(3)
         assert store.peek_service_counts("svc") is None

@@ -66,7 +66,9 @@ def run_campaign(
         )
         if kill_mid and launch_round == 0:
             victim = handles[0]
-            victim._instance.terminate(orch.clock.now())
+            orch.instance_store.terminate(
+                np.array([victim._instance.row]), orch.clock.now()
+            )
             with pytest.raises(InstanceGoneError):
                 victim.run(lambda sandbox: None)
             gone_raised += 1

@@ -1,8 +1,8 @@
 """Sandboxes boot on first use and are freed at termination.
 
 The orchestrator launches instances without building their sandboxes; an
-instance boots its sandbox on the first probe from the
-:class:`~repro.cloud.instance.SandboxBoot` recorded at launch.  The twin
+instance boots its sandbox on the first probe from the seed and boot time
+its :class:`~repro.fleet.InstanceStore` row recorded at launch.  The twin
 tests here launch one world through the eager per-instance oracle
 (:mod:`tests.oracles.launch`, which builds every sandbox at launch) and one
 through the orchestrator, then pin every boot-time observable equal: boot
@@ -128,7 +128,7 @@ class TestLifecycle:
         client.kill(name)
         gc.collect()
         assert ref() is None
-        assert handle._instance._boot is None
+        assert handle._instance._sandbox is None
 
     def test_terminated_instance_sandbox_raises_gone(self, tiny_env):
         client, name = deploy(tiny_env, generation="gen2")

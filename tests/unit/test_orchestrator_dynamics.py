@@ -130,17 +130,22 @@ class TestServiceBookkeeping:
 
 
 class TestIdleReapLifecycle:
-    """Stale idle-reap events must be cancelled, not left to no-op: a long
-    campaign of connect/disconnect cycles would otherwise pile dead events
-    into the scheduler queue forever."""
+    """Every idle instance has exactly one pending reap, and reuse or kill
+    cancels it.  Pending reaps share one scheduler entry, and stale ones
+    are dropped in bulk: a long campaign of connect/disconnect cycles
+    must not pile dead reaps up forever."""
 
     def test_disconnect_schedules_one_reap_per_idle_instance(self, tiny_env):
         client, name, handles = deploy_and_connect(tiny_env, 10)
         orch = tiny_env.orchestrator
+        assert orch.pending_reaps() == 0
         assert orch.scheduler.pending() == 0
         client.disconnect(name)
-        assert orch.scheduler.pending() == 10
-        assert len(orch._idle_reaps) == 10
+        service = client._service(name)
+        assert orch.idle_count(service) == 10
+        assert orch.pending_reaps() == 10
+        # All ten reaps wait behind a single scheduler entry.
+        assert orch.scheduler.pending() == 1
 
     def test_reconnect_cancels_reaps_of_reused_instances(self, tiny_env):
         client, name, handles = deploy_and_connect(tiny_env, 10)
@@ -148,25 +153,34 @@ class TestIdleReapLifecycle:
         client.disconnect(name)
         client.connect(name, 10)  # reuses the still-warm idle instances
         reused = sum(1 for h in handles if h.alive)
-        assert orch.scheduler.pending() == 10 - reused
-        assert len(orch._idle_reaps) == 10 - reused
+        assert reused > 0
+        service = client._service(name)
+        assert orch.pending_reaps() == orch.idle_count(service) == 10 - reused
 
     def test_kill_cancels_pending_reaps(self, tiny_env):
         client, name, _handles = deploy_and_connect(tiny_env, 10)
         orch = tiny_env.orchestrator
         client.disconnect(name)
         client.kill(name)
+        assert orch.pending_reaps() == 0
+        # The woken reaper finds only cancelled reaps and terminates nothing.
+        terminated = []
+        for handle in _handles:
+            handle.on_sigterm(terminated.append)
+        client.wait(tiny_env.datacenter.profile.idle_deadline + 1.0)
+        assert terminated == []
         assert orch.scheduler.pending() == 0
-        assert orch._idle_reaps == {}
 
     def test_fired_reaps_clear_their_registry_entries(self, tiny_env):
-        client, name, _handles = deploy_and_connect(tiny_env, 10)
+        client, name, handles = deploy_and_connect(tiny_env, 10)
         orch = tiny_env.orchestrator
         client.disconnect(name)
         profile = tiny_env.datacenter.profile
         client.wait(profile.idle_deadline + 1.0)
+        assert not any(h.alive for h in handles)
+        assert orch.pending_reaps() == 0
         assert orch.scheduler.pending() == 0
-        assert orch._idle_reaps == {}
+        assert (orch.instance_store.reap_seq[: orch.instance_store.n_rows] == -1).all()
 
     def test_churn_does_not_grow_scheduler_queue(self, tiny_env):
         client, name, _handles = deploy_and_connect(tiny_env, 8)
@@ -175,6 +189,7 @@ class TestIdleReapLifecycle:
             client.disconnect(name)
             client.connect(name, 8)
         # Cancelled reaps from every cycle must not accumulate: the queue
-        # holds at most the live reaps plus a bounded dead remainder.
+        # holds at most the live reaps plus a bounded stale remainder.
+        assert orch.pending_reaps() <= 8
+        assert len(orch._reaps) <= 8 + 64
         assert orch.scheduler.pending() <= 8
-        assert len(orch.scheduler._queue) <= 8 + 64

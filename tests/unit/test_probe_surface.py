@@ -115,7 +115,7 @@ class TestDeadLockerCleanup:
         handle.run(lambda sb: sb.start_channel_pressure("rng"))
         assert host.memory_bus.pressurer_count == 1
         assert host.rng_resource.pressurer_count == 1
-        tiny_env.orchestrator._terminate(handle._instance, tiny_env.clock.now())
+        tiny_env.orchestrator._terminate([handle._instance.row], tiny_env.clock.now())
         assert not handle.alive
         assert host.memory_bus.pressurer_count == 0
         assert host.rng_resource.pressurer_count == 0

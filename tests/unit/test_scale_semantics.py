@@ -17,7 +17,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.autoscaler import Autoscaler
-from repro.cloud.instance import InstanceState
+from repro.fleet import InstanceState
 from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import ConstantLoad
 from repro.experiments.base import default_env

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.cloud.instance import InstanceState
+from repro.fleet import InstanceState
 from repro.cloud.services import ServiceConfig
 from repro.fleet import ServiceStateStore
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.cloud.instance import InstanceState
+from repro.fleet import InstanceState
 from repro.cloud.traffic import (
     PATTERN_KINDS,
     BackgroundDriver,
