@@ -40,6 +40,7 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 IndexArray = NDArray[np.int64]
+FloatColumn = NDArray[np.float64]
 
 #: State codes of the ``state`` column.
 ACTIVE, IDLE, TERMINATED = 0, 1, 2
@@ -90,12 +91,12 @@ class ContainerInstance:
         self._rows = rows
         self._sandbox: Sandbox | None = None
 
-    def __getstate__(self) -> tuple:
+    def __getstate__(self) -> tuple[Any, ...]:
         # A tuple, not the default slot dict: world snapshots pickle
         # every handle ever launched.
         return tuple(getattr(self, name) for name in self.__slots__)
 
-    def __setstate__(self, state: tuple) -> None:
+    def __setstate__(self, state: tuple[Any, ...]) -> None:
         for name, value in zip(self.__slots__, state):
             setattr(self, name, value)
 
@@ -178,7 +179,23 @@ class ContainerInstance:
         return probe(self.sandbox)
 
 
-class _Rows:
+class _Columns:
+    """The instance columns, declared once for type checkers."""
+
+    state: NDArray[np.int8]
+    host: IndexArray
+    service: IndexArray
+    created_at: FloatColumn
+    last_active_at: FloatColumn
+    active_since: FloatColumn
+    active_total: FloatColumn
+    billed: FloatColumn
+    seed: IndexArray
+    boot_time: FloatColumn
+    reap_seq: IndexArray
+
+
+class _Rows(_Columns):
     """The columns, per-service tables, and what a sandbox boots against.
 
     Handles point here rather than at their store: the store lists its
@@ -208,9 +225,10 @@ class _Rows:
         self.clock = clock
         self.hosts = hosts
         self.tsc_policy = tsc_policy
-        #: Per service index: the service and its sandbox class.
+        #: Per service index: the service, and its sandbox class once
+        #: it has launched.
         self.services: list[Any] = []
-        self.classes: list[type[Sandbox] | None] = []
+        self.classes: dict[int, type[Sandbox]] = {}
         #: Row -> SIGTERM callback, for the rows that registered one.
         self.sigterm: dict[int, Callable[[float], None]] = {}
         self.n_rows = 0
@@ -228,7 +246,7 @@ class _Rows:
             grown[: self.n_rows] = getattr(self, name)[: self.n_rows]
             setattr(self, name, grown)
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> dict[str, Any]:
         # Snapshots carry the used rows only, not the spare capacity.
         state = self.__dict__.copy()
         for name, _dtype, _fill in self.COLUMNS:
@@ -236,7 +254,7 @@ class _Rows:
         return state
 
 
-def _column(dtype: Any, fill: Any, size: int) -> np.ndarray:
+def _column(dtype: Any, fill: Any, size: int) -> NDArray[Any]:
     column = np.empty(size, dtype=dtype)
     if fill is not None:
         column.fill(fill)
@@ -246,7 +264,7 @@ def _column(dtype: Any, fill: Any, size: int) -> np.ndarray:
 _COLUMN_NAMES = frozenset(name for name, _dtype, _fill in _Rows.COLUMNS)
 
 
-class InstanceStore:
+class InstanceStore(_Columns):
     """One row per instance, as NumPy columns, plus a handle per row.
 
     Columns (index = row, in launch order): ``state`` (:data:`ACTIVE`,
@@ -285,7 +303,7 @@ class InstanceStore:
         self._rows_of: list[IndexArray] = []
         self._n_of: list[int] = []
 
-    def __getstate__(self) -> dict:
+    def __getstate__(self) -> dict[str, Any]:
         # Columns pickle with their table (trimmed to the used rows) and
         # are re-bound on load; per-service arrays drop their spare room.
         state = {
@@ -298,7 +316,7 @@ class InstanceStore:
         ]
         return state
 
-    def __setstate__(self, state: dict) -> None:
+    def __setstate__(self, state: dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._bind_columns()
 
@@ -315,7 +333,6 @@ class InstanceStore:
         index = self.counts.ensure(key)
         if index == len(self._rows.services):
             self._rows.services.append(service)
-            self._rows.classes.append(None)
             self._rows_of.append(np.empty(_MIN_CAPACITY, dtype=np.int64))
             self._n_of.append(0)
         return index
@@ -327,17 +344,20 @@ class InstanceStore:
     def active_rows(self, index: int) -> IndexArray:
         """The service's ACTIVE rows, in launch order."""
         rows = self.rows_of(index)
-        return rows[self.state[rows] == ACTIVE]
+        active: IndexArray = rows[self.state[rows] == ACTIVE]
+        return active
 
     def idle_rows(self, index: int) -> IndexArray:
         """The service's IDLE rows, in launch order."""
         rows = self.rows_of(index)
-        return rows[self.state[rows] == IDLE]
+        idle: IndexArray = rows[self.state[rows] == IDLE]
+        return idle
 
     def alive_rows(self, index: int) -> IndexArray:
         """The service's non-terminated rows, in launch order."""
         rows = self.rows_of(index)
-        return rows[self.state[rows] != TERMINATED]
+        alive: IndexArray = rows[self.state[rows] != TERMINATED]
+        return alive
 
     def handles_of(self, rows: IndexArray) -> list[ContainerInstance]:
         """The handles of ``rows``, in the same order."""
@@ -425,7 +445,7 @@ class InstanceStore:
         for (index, flag), count in transitions.items():
             self.counts.on_terminated(index, was_active=flag, count=count)
         self.state[rows] = TERMINATED
-        booted = []
+        booted: list[ContainerInstance] = []
         handles, sigterm = self.handles, self._rows.sigterm
         for row in rows.tolist():
             handle = handles[row]

@@ -44,6 +44,10 @@ class _ScalarReap:
             orch._terminate([self.row], orch.clock.now())
 
 
+def pending_reaps_scalar(self: Orchestrator) -> int:
+    return len(self._reap_events)
+
+
 def cancel_reaps_scalar(self: Orchestrator, rows) -> None:
     for row in np.asarray(rows).tolist():
         event = self._reap_events.pop(row, None)
@@ -108,7 +112,7 @@ def bind_scalar_lifecycle(orchestrator: Orchestrator) -> None:
     """Route one orchestrator's idle-outs, reaps and teardowns through the
     per-instance loop."""
     orchestrator._reap_events = {}
-    orchestrator.pending_reaps = lambda: len(orchestrator._reap_events)
+    orchestrator.pending_reaps = types.MethodType(pending_reaps_scalar, orchestrator)
     orchestrator._cancel_reaps = types.MethodType(cancel_reaps_scalar, orchestrator)
     orchestrator._idle_out = types.MethodType(idle_out_scalar, orchestrator)
     orchestrator._terminate = types.MethodType(terminate_scalar, orchestrator)
