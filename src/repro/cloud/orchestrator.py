@@ -29,7 +29,7 @@ from repro.cloud.platform import PlatformProfile
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import DEFAULT_LAUNCH_RETRY, FaultPlan, RetryPolicy
-from repro.fleet import ContainerInstance, InstanceStore, ServiceStateStore
+from repro.fleet import ContainerInstance, InstanceStore
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
@@ -175,7 +175,7 @@ class Orchestrator:
 
         The hot path for :class:`~repro.cloud.traffic.BackgroundDriver`: a
         steady-state evaluation reads the columnar
-        :class:`~repro.fleet.ServiceStateStore` counts instead of
+        :class:`~repro.fleet.InstanceStore` per-service counts instead of
         rebuilding per-instance Python lists, so thousands of tenant
         evaluations per tick stay cheap.
         """
@@ -201,9 +201,8 @@ class Orchestrator:
         now = self.clock.now()
         self.datacenter.serving_pool()  # triggers serving-pool rotation
         store = self._instances
-        state = store.counts
         index = self._service_index(service)
-        active_n = state.active_count(index)
+        active_n = store.active_count(index)
 
         if target < active_n:
             # Scale in: idle out the most recently created extras.  A
@@ -227,7 +226,7 @@ class Orchestrator:
             target=target,
         ) as span:
             need = target - active_n
-            idle_n = state.idle_count(index)
+            idle_n = store.idle_count(index)
             new_needed = max(0, need - idle_n)
             if need > 0 and idle_n > 0:
                 # Scale out: reuse just enough idle instances, create the rest.
@@ -282,7 +281,7 @@ class Orchestrator:
                     self.clock.sleep(startup)
 
             if not want_list:
-                return state.active_count(index)
+                return store.active_count(index)
             active = self._active_rows(index)
         return store.handles_of(active[:target])
 
@@ -316,7 +315,7 @@ class Orchestrator:
             idle_grace, idle_deadline = self.platform.idle_window(
                 idle_grace, idle_deadline
             )
-        stream = self._idle_streams.get(store.counts.key_of(index))
+        stream = self._idle_streams.get(store.key_of(index))
         if stream is None:
             deadlines = (
                 now + self._rng.uniform(idle_grace, idle_deadline, size=rows.size)
@@ -420,24 +419,19 @@ class Orchestrator:
 
     def active_count(self, service: Service) -> int:
         """ACTIVE instance count from the columnar state (no list build)."""
-        return self.service_state.active_count(self._service_index(service))
+        return self._instances.active_count(self._service_index(service))
 
     def idle_count(self, service: Service) -> int:
         """IDLE instance count from the columnar state (no list build)."""
-        return self.service_state.idle_count(self._service_index(service))
+        return self._instances.idle_count(self._service_index(service))
 
     def alive_count(self, service: Service) -> int:
         """Non-terminated instance count from the columnar state."""
-        return self.service_state.alive_count(self._service_index(service))
+        return self._instances.alive_count(self._service_index(service))
 
     def pending_reaps(self) -> int:
         """Idle reaps still waiting to fire: one per idle instance."""
         return len(self._reaps) - self._stale_reaps
-
-    @property
-    def service_state(self) -> ServiceStateStore:
-        """The columnar per-service counts (read-only for callers)."""
-        return self._instances.counts
 
     @property
     def instance_store(self) -> InstanceStore:
@@ -754,7 +748,7 @@ class Orchestrator:
         self.fleet.release_load_at(hosts, self._service_sizes[services, 2])
         indices = dict.fromkeys(services.tolist())
         for index in indices:
-            counts = self.fleet.peek_service_counts(store.counts.key_of(index))
+            counts = self.fleet.peek_service_counts(store.key_of(index))
             if counts is not None:
                 counts.sub_at(hosts if len(indices) == 1 else hosts[services == index])
 

@@ -16,17 +16,10 @@ scatters off the allowed set onto arbitrary fleet hosts; see
 
 Placement runs against the columnar :class:`~repro.fleet.FleetStore`:
 requests carry host *index* arrays, and load/capacity reads and writes are
-column operations.  Two equivalent execution paths exist:
-
-* the **heap path** — a min-heap over ``(service count, random tiebreak,
-  host index)``, byte-for-byte identical to the historical dict-based
-  implementation (same RNG draw order, same float accumulation);
-* a **vectorized fast path** for scatter-free requests where no host can
-  fill during the batch — the common fleet-scale case.  The pick sequence
-  of the heap is exactly the sorted multiset ``{(c, tiebreak_h) : c >=
-  c0_h}``, so the fast path materializes per-host levels and lexsorts.  A
-  draw-order-identity test pins both paths to the same host sequence and
-  the same RNG end state.
+column operations.  One loop places every batch, least-used host first by
+``(service count, random tiebreak, host index)``: the pop order of the
+historical dict-based min-heap, byte-for-byte (same RNG draw order, same
+float accumulation).
 """
 
 from __future__ import annotations
@@ -43,11 +36,6 @@ from repro.fleet import FleetStore, SparseServiceCounts
 
 if TYPE_CHECKING:  # import cycle: platform -> ... only at type-check time
     from repro.cloud.platform import PlatformProfile
-
-#: Scatter-free batches up to this size take the repeated-argmin path;
-#: larger ones amortize better through the lexsort fast path.
-_SMALL_BATCH = 32
-
 
 @dataclass
 class PlacementRequest:
@@ -89,7 +77,7 @@ class PlacementPolicy:
     An optional :class:`~repro.cloud.platform.PlatformProfile` scales the
     per-request scatter probability (its ``placement_spread`` knob); the
     neutral profile (and ``None``) leaves every request untouched, so the
-    heap/lexsort draw-order contract is unaffected.
+    heap's draw-order contract is unaffected.
     """
 
     def __init__(
@@ -142,42 +130,35 @@ class PlacementPolicy:
             )
             else None
         )
-        if scatter is None and request.count <= _SMALL_BATCH:
-            return self._place_small(request, store, allowed, counts0, tiebreaks)
-        if scatter is None and self._no_host_can_fill(request, store, allowed):
-            return self._place_vectorized(request, store, allowed, counts0, tiebreaks)
-        return self._place_heap(request, store, allowed, counts0, tiebreaks, scatter)
-
-    # ------------------------------------------------------------------
-    # Heap path (reference semantics)
-    # ------------------------------------------------------------------
-    def _place_heap(
-        self,
-        request: PlacementRequest,
-        store: FleetStore,
-        allowed: np.ndarray,
-        counts0: np.ndarray,
-        tiebreaks: np.ndarray,
-        scatter: np.ndarray | None,
-    ) -> np.ndarray:
         load = store.load_slots
         capacity = store.capacity_slots
         slots = request.slots_per_instance
-        # Min-heap over (service instance count, random tiebreak, host index).
-        # Counts only grow during a batch, so hosts popped as full stay full.
-        heap: list[tuple[int, float, int]] = [
-            (int(counts0[i]), float(tiebreaks[i]), int(allowed[i]))
-            for i in range(allowed.size)
-        ]
-        heapq.heapify(heap)
+        # Least-used host first, by (service instance count, random tiebreak,
+        # host index).  Unpicked hosts wait in that order; a picked host goes
+        # on the ``picked`` min-heap one count up.  Taking the smaller of the
+        # two heads pops one heap over every host without building it, so a
+        # small batch on a wide allowed set only touches the hosts it picks.
+        # Counts only grow during a batch, so a host popped as full stays full.
+        order = np.lexsort((allowed, tiebreaks, counts0)).tolist()
+        unpicked = ((counts0.item(i), tiebreaks.item(i), allowed.item(i)) for i in order)
+        head = next(unpicked, None)
+        picked: list[tuple[int, float, int]] = []
 
         chosen = np.empty(request.count, dtype=np.int64)
         for k in range(request.count):
             host = -1
             if scatter is not None and self._rng.random() < request.scatter_probability:
                 host = self._pick_scatter_host(scatter, slots, load, capacity)
-            if host < 0:
-                host = self._pop_least_used(heap, slots, load, capacity)
+            while host < 0 and (head is not None or picked):
+                if head is not None and (not picked or head < picked[0]):
+                    count, tiebreak, host = head
+                    head = next(unpicked, None)
+                else:
+                    count, tiebreak, host = heapq.heappop(picked)
+                if load[host] + slots > capacity[host]:
+                    host = -1  # full for the rest of the batch
+                else:
+                    heapq.heappush(picked, (count + 1, tiebreak, host))
             if host < 0:
                 raise NoCapacityError(
                     f"no host among {allowed.size} allowed and "
@@ -187,21 +168,6 @@ class PlacementPolicy:
             load[host] += slots
             chosen[k] = host
         return chosen
-
-    def _pop_least_used(
-        self,
-        heap: list[tuple[int, float, int]],
-        slots: float,
-        load: np.ndarray,
-        capacity: np.ndarray,
-    ) -> int:
-        while heap:
-            count, tiebreak, host = heapq.heappop(heap)
-            if load[host] + slots > capacity[host]:
-                continue  # permanently full for this batch
-            heapq.heappush(heap, (count + 1, tiebreak, host))
-            return host
-        return -1
 
     def _pick_scatter_host(
         self,
@@ -216,128 +182,3 @@ class PlacementPolicy:
             if load[host] + slots <= capacity[host]:
                 return host
         return -1
-
-    # ------------------------------------------------------------------
-    # Vectorized fast paths
-    # ------------------------------------------------------------------
-    def _place_small(
-        self,
-        request: PlacementRequest,
-        store: FleetStore,
-        allowed: np.ndarray,
-        counts0: np.ndarray,
-        tiebreaks: np.ndarray,
-    ) -> np.ndarray:
-        """Scatter-free small batch (the common background-autoscale delta).
-
-        Simulates the heap directly with repeated argmins over a dense key
-        array: the heap pops the ``(count, tiebreak)`` minimum, skips full
-        hosts permanently (``inf``), and reinserts picks one level up
-        (``+= 1.0``).  With tiebreaks in ``[0, 1)``, ordering by ``count +
-        tiebreak`` matches the lexicographic order, so each argmin is the
-        heap's next pop.  Load accumulates per pick exactly as the heap
-        path's repeated scalar additions.
-        """
-        count = request.count
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = request.slots_per_instance
-        load = store.load_slots
-        capacity = store.capacity_slots
-        key = counts0 + tiebreaks
-        chosen = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            while True:
-                i = int(key.argmin())
-                if key[i] == np.inf:
-                    raise NoCapacityError(
-                        f"no host among {allowed.size} allowed and 0 scatter "
-                        f"candidates has {slots} free slots"
-                    )
-                host = int(allowed[i])
-                if load[host] + slots > capacity[host]:
-                    key[i] = np.inf  # permanently full for this batch
-                    continue
-                load[host] += slots
-                chosen[k] = host
-                key[i] += 1.0
-                break
-        return chosen
-
-    def _no_host_can_fill(
-        self, request: PlacementRequest, store: FleetStore, allowed: np.ndarray
-    ) -> bool:
-        """True when no allowed host can reach capacity during this batch.
-
-        The margin of one extra instance absorbs any difference between
-        repeated float addition and the closed-form bound, so the heap
-        path's feasibility check provably never fires when this holds.
-        """
-        slots = request.slots_per_instance
-        budget = (request.count + 1) * slots
-        feasible = store.load_slots[allowed] + budget <= store.capacity_slots[allowed]
-        return bool(feasible.all())
-
-    def _place_vectorized(
-        self,
-        request: PlacementRequest,
-        store: FleetStore,
-        allowed: np.ndarray,
-        counts0: np.ndarray,
-        tiebreaks: np.ndarray,
-    ) -> np.ndarray:
-        """Batch equivalent of the heap path for the scatter-free case.
-
-        With no scatter draws and no capacity rejections, the heap pops
-        exactly the ``count`` smallest elements of the infinite multiset
-        ``{(c, tiebreak_h) : c >= c0_h}`` in sorted order.  Materialize
-        just enough levels per host and lexsort.
-        """
-        count = request.count
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
-        c0 = counts0.astype(np.int64)
-        n = allowed.size
-
-        # Smallest level bound L with sum(max(0, L - c0)) >= count; every
-        # pick then sits strictly below level L.  With sorted counts and
-        # prefix sums, sum(max(0, L - c0)) == L*k - prefix[k] for
-        # k = #{c0 < L}, so each probe is one scalar searchsorted.
-        c_sorted = np.sort(c0)
-        prefix = c_sorted.cumsum()
-        lo, hi = int(c_sorted[0]) + 1, int(c_sorted[0]) + count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            k = int(c_sorted.searchsorted(mid))
-            below = int(prefix[k - 1]) if k else 0
-            if mid * k - below >= count:
-                hi = mid
-            else:
-                lo = mid + 1
-        levels_per_host = np.maximum(0, lo - c0)
-
-        host_rep = np.arange(n, dtype=np.int64).repeat(levels_per_host)
-        offsets = levels_per_host.cumsum() - levels_per_host
-        level = (
-            np.arange(host_rep.size, dtype=np.int64)
-            - offsets.repeat(levels_per_host)
-            + c0.repeat(levels_per_host)
-        )
-        order = np.lexsort((tiebreaks.repeat(levels_per_host), level))[:count]
-        chosen_local = host_rep[order]
-
-        # Apply loads with the heap path's exact float semantics: each
-        # chosen host accumulates `slots` by repeated addition, once per
-        # instance it received.
-        slots = request.slots_per_instance
-        picks = np.bincount(chosen_local, minlength=n)
-        live = np.flatnonzero(picks)
-        hosts_live = allowed[live]
-        remaining = picks[live]
-        while hosts_live.size:
-            store.load_slots[hosts_live] += slots
-            remaining -= 1
-            keep = remaining > 0
-            hosts_live = hosts_live[keep]
-            remaining = remaining[keep]
-        return allowed[chosen_local]

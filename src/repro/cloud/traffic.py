@@ -20,7 +20,7 @@ busy).  This module adds that background world:
   :class:`~repro.simtime.clock.SimClock`.  Tenants sharing an evaluation
   phase are batched: one event reads their targets as a fancy-indexed
   slice of the precomputed schedule matrix, compares against the columnar
-  :class:`~repro.fleet.ServiceStateStore` ACTIVE counts, and only
+  :class:`~repro.fleet.InstanceStore` per-service ACTIVE counts, and only
   tenants whose target actually changed pay for an orchestrator call.
 
 Determinism contract
@@ -392,7 +392,7 @@ class BackgroundDriver:
                 ),
             )
             orch.set_idle_deadline_stream(service, idle_stream)
-            self._state_idx[spec.index] = orch.service_state.index_of(
+            self._state_idx[spec.index] = orch.instance_store.index_of(
                 service.qualified_name
             )
             self._services.append(service)
@@ -444,7 +444,7 @@ class BackgroundDriver:
 
         targets = self.population.targets[tenants, slot]
         demand = self.population.demand[tenants, slot]
-        active = self.orchestrator.service_state.active_for(
+        active = self.orchestrator.instance_store.active_for(
             self._state_idx[tenants]
         )
         requested = int(demand.sum())
@@ -500,8 +500,8 @@ class BackgroundDriver:
 
     def background_instances(self) -> int:
         """Alive background instances across the whole population."""
-        state = self.orchestrator.service_state
+        store = self.orchestrator.instance_store
         return sum(
-            state.alive_count(int(idx))
+            store.alive_count(int(idx))
             for idx in self._state_idx[: len(self._services)]
         )

@@ -22,7 +22,6 @@ API.
 """
 
 from repro.fleet.instances import ContainerInstance, InstanceState, InstanceStore
-from repro.fleet.service_state import ServiceStateStore
 from repro.fleet.store import FleetSnapshot, FleetStore, SparseServiceCounts
 from repro.fleet.view import FleetView, HostHandle
 
@@ -34,6 +33,5 @@ __all__ = [
     "HostHandle",
     "InstanceState",
     "InstanceStore",
-    "ServiceStateStore",
     "SparseServiceCounts",
 ]

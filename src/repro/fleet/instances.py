@@ -9,8 +9,11 @@ SIGTERM and destroyed if it stays idle too long.
 orchestrator idles out a whole disconnect or terminates a tick's worth of
 reaps with a few masked updates.  Each service also has an append-only
 array of its rows, so per-service lookups cost O(that service's rows),
-never O(all rows).  :class:`ContainerInstance` is the per-row handle the
-client API holds.
+never O(all rows).  The store also owns the service-key <-> dense-index
+mapping and per-service ACTIVE/IDLE count columns, so the
+background-traffic hot path reads a service's counts without touching its
+rows.  :class:`ContainerInstance` is the per-row handle the client API
+holds.
 
 A row boots its sandbox on first use and frees it at termination.  Most
 instances of a launch-heavy campaign are probed at most once and then idle
@@ -31,7 +34,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.errors import InstanceGoneError
-from repro.fleet.service_state import ServiceStateStore
 from repro.sandbox.base import Sandbox, TscPolicy
 
 if TYPE_CHECKING:
@@ -41,6 +43,7 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 IndexArray = NDArray[np.int64]
 FloatColumn = NDArray[np.float64]
+IntColumn = NDArray[np.int64]
 
 #: State codes of the ``state`` column.
 ACTIVE, IDLE, TERMINATED = 0, 1, 2
@@ -276,9 +279,11 @@ class InstanceStore(_Columns):
     commit) and ``reap_seq`` (sequence number of the row's pending idle
     reap, -1 when none; its owner is the orchestrator's reaper).
 
-    ``counts`` holds the per-service ACTIVE/IDLE counts; every transition
-    here keeps it in step.  Transitions take row arrays and apply in row
-    order, the order the per-instance loops they replace walked.
+    Per service (index = dense service index, in registration order) the
+    store keeps the key and ACTIVE/IDLE instance counts; transitions update
+    the counts with the rows.  Counts are pure bookkeeping and never feed
+    an RNG draw.  Transitions take row arrays and apply in row order, the
+    order the per-instance loops they replace walked.
 
     Parameters
     ----------
@@ -296,7 +301,10 @@ class InstanceStore(_Columns):
         hosts: Sequence[PhysicalHost],
         tsc_policy: TscPolicy = TscPolicy.NATIVE,
     ) -> None:
-        self.counts = ServiceStateStore()
+        self._index: dict[str, int] = {}
+        self._keys: list[str] = []
+        self._active: IntColumn = np.zeros(_MIN_CAPACITY, dtype=np.int64)
+        self._idle: IntColumn = np.zeros(_MIN_CAPACITY, dtype=np.int64)
         self.handles: list[ContainerInstance] = []
         self._rows = _Rows(clock, hosts, tsc_policy)
         self._bind_columns()
@@ -330,12 +338,32 @@ class InstanceStore(_Columns):
     # ------------------------------------------------------------------
     def service_index(self, key: str, service: Any = None) -> int:
         """Dense index of a service key, registering it on first use."""
-        index = self.counts.ensure(key)
-        if index == len(self._rows.services):
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self._keys)
+            self._keys.append(key)
             self._rows.services.append(service)
             self._rows_of.append(np.empty(_MIN_CAPACITY, dtype=np.int64))
             self._n_of.append(0)
+            if index == self._active.shape[0]:
+                zeros = np.zeros(index, dtype=np.int64)
+                self._active = np.concatenate([self._active, zeros])
+                self._idle = np.concatenate([self._idle, zeros])
         return index
+
+    def index_of(self, key: str) -> int:
+        """Dense index of a registered service key.
+
+        Raises
+        ------
+        KeyError
+            If the service was never registered.
+        """
+        return self._index[key]
+
+    def key_of(self, index: int) -> str:
+        """Service key at a dense index."""
+        return self._keys[index]
 
     def rows_of(self, index: int) -> IndexArray:
         """Every row of one service, in launch order (a view)."""
@@ -363,6 +391,31 @@ class InstanceStore(_Columns):
         """The handles of ``rows``, in the same order."""
         handles = self.handles
         return [handles[row] for row in rows.tolist()]
+
+    # ------------------------------------------------------------------
+    # Per-service counts
+    # ------------------------------------------------------------------
+    def active_count(self, index: int) -> int:
+        """ACTIVE instances of the service at ``index``."""
+        return int(self._active[index])
+
+    def idle_count(self, index: int) -> int:
+        """IDLE (alive, disconnected) instances of the service."""
+        return int(self._idle[index])
+
+    def alive_count(self, index: int) -> int:
+        """All non-terminated instances of the service."""
+        return int(self._active[index] + self._idle[index])
+
+    def active_for(self, indices: IndexArray) -> IntColumn:
+        """Batched ACTIVE counts for an index array (one fancy-index op)."""
+        active: IntColumn = self._active[indices]
+        return active
+
+    def totals(self) -> tuple[int, int]:
+        """``(active, idle)`` instance totals across every service."""
+        n = len(self._keys)
+        return int(self._active[:n].sum()), int(self._idle[:n].sum())
 
     # ------------------------------------------------------------------
     # Transitions
@@ -404,7 +457,7 @@ class InstanceStore(_Columns):
         ]
         self.handles.extend(handles)
         table.n_rows = stop
-        self.counts.on_created(index, count)
+        self._active[index] += count
         return handles
 
     def idle(self, index: int, rows: IndexArray, now: float) -> None:
@@ -414,13 +467,15 @@ class InstanceStore(_Columns):
         self.active_since[rows] = np.nan
         self.state[rows] = IDLE
         self.last_active_at[rows] = now
-        self.counts.on_idled(index, rows.size)
+        self._active[index] -= rows.size
+        self._idle[index] += rows.size
 
     def activate(self, index: int, rows: IndexArray, now: float) -> None:
         """IDLE -> ACTIVE for ``rows`` of service ``index`` (reuse)."""
         self.active_since[rows] = now
         self.state[rows] = ACTIVE
-        self.counts.on_activated(index, rows.size)
+        self._idle[index] -= rows.size
+        self._active[index] += rows.size
 
     def terminate(
         self, rows: IndexArray, now: float
@@ -443,7 +498,7 @@ class InstanceStore(_Columns):
             self.active_since[active] = np.nan
         transitions = Counter(zip(self.service[rows].tolist(), was_active.tolist()))
         for (index, flag), count in transitions.items():
-            self.counts.on_terminated(index, was_active=flag, count=count)
+            (self._active if flag else self._idle)[index] -= count
         self.state[rows] = TERMINATED
         booted: list[ContainerInstance] = []
         handles, sigterm = self.handles, self._rows.sigterm

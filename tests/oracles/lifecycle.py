@@ -67,7 +67,7 @@ def idle_out_scalar(self: Orchestrator, index, rows, now) -> None:
             idle_grace, idle_deadline = self.platform.idle_window(
                 idle_grace, idle_deadline
             )
-        stream = self._idle_streams.get(store.counts.key_of(index))
+        stream = self._idle_streams.get(store.key_of(index))
         if stream is None:
             deadline = now + self._rng.uniform(idle_grace, idle_deadline)
         else:

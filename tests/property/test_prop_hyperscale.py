@@ -8,9 +8,7 @@ scalar reference on arbitrary inputs:
 * :class:`FootprintAccumulator` == per-launch set algebra on arbitrary
   fingerprint streams;
 * ``host_coverage`` (index-mask math) == the per-handle set loop on
-  arbitrary fleets with dead and rotated-out instances;
-* the placement fast path == the heap path at degenerate capacities
-  (hosts already full, loads exactly at the capacity-margin boundary).
+  arbitrary fleets with dead and rotated-out instances.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.aggregation import FootprintAccumulator
-from repro.cloud.placement import PlacementPolicy, PlacementRequest
 from repro.cloud.services import ServiceConfig
 from repro.experiments.base import default_env, host_coverage
-from repro.fleet import FleetStore, SparseServiceCounts
+from repro.fleet import SparseServiceCounts
 
 from tests.conftest import tiny_profile
 from tests.oracles.census import census_reduce_scalar
@@ -170,66 +167,3 @@ def test_host_coverage_matches_scalar_loop(seed, n_attacker, n_victim, kills, ro
     assert abs(fast[0] - slow[0]) < 1e-12
 
 
-# ----------------------------------------------------------------------
-# Placement fast path == heap path at degenerate capacities
-# ----------------------------------------------------------------------
-
-
-def run_placement(seed, capacities, loads, count, slots, force_heap):
-    store = FleetStore(
-        [f"h{i:03d}" for i in range(len(capacities))],
-        capacity_slots=np.asarray(capacities, dtype=np.float64),
-    )
-    store.load_slots[:] = np.asarray(loads, dtype=np.float64)
-    policy = PlacementPolicy(np.random.default_rng(seed))
-    if force_heap:
-        policy._no_host_can_fill = lambda *_a, **_k: False
-    request = PlacementRequest(
-        count=count,
-        slots_per_instance=slots,
-        allowed=np.arange(len(capacities), dtype=np.int64),
-        service_counts=store.service_counts("svc"),
-    )
-    try:
-        chosen = policy.place(request, store)
-    except Exception as exc:  # NoCapacityError parity matters too
-        return ("raise", type(exc).__name__, store.load_slots.tolist())
-    return ("ok", chosen.tolist(), store.load_slots.tolist())
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    n_hosts=st.integers(1, 6),
-    count=st.integers(33, 64),  # above _SMALL_BATCH so the lexsort path runs
-    slots=st.sampled_from([0.5, 1.0, 2.0]),
-    data=st.data(),
-)
-def test_fast_path_matches_heap_at_degenerate_capacities(
-    seed, n_hosts, count, slots, data
-):
-    """Full hosts, zero-capacity hosts, and loads landing exactly on the
-    ``(count + 1) * slots`` margin boundary: wherever the fast path
-    accepts, it must equal the heap byte-for-byte; where capacity bites,
-    both paths raise the same error with the same committed loads."""
-    margin = (count + 1) * slots
-    capacities = data.draw(
-        st.lists(
-            st.sampled_from([0.0, slots, margin - slots, margin, margin + slots, 1e6]),
-            min_size=n_hosts,
-            max_size=n_hosts,
-        )
-    )
-    loads = [
-        data.draw(st.sampled_from([0.0, cap / 2, max(0.0, cap - margin), cap]))
-        for cap in capacities
-    ]
-    fast = run_placement(seed, capacities, loads, count, slots, force_heap=False)
-    heap = run_placement(seed, capacities, loads, count, slots, force_heap=True)
-    if fast[0] == "ok" and heap[0] == "ok":
-        assert fast == heap
-    else:
-        # Capacity shortfalls must agree on the outcome type; committed
-        # loads may differ only if one path never started placing.
-        assert fast[0] == heap[0] == "raise"
-        assert fast[1] == heap[1]

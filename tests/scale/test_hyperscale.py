@@ -23,8 +23,7 @@ from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
 from repro.experiments.base import default_env
-from repro.fleet import FleetStore
-from repro.fleet.service_state import ServiceStateStore
+from repro.fleet import FleetStore, InstanceStore
 from repro.simtime.clock import SimClock
 from repro.simtime.scheduler import _COMPACT_MIN_DEAD, EventScheduler
 
@@ -155,12 +154,12 @@ def test_service_count_memory_stays_linear_in_touched_hosts():
 
     tracemalloc.start()
     store = FleetStore(host_ids, capacity_slots=160.0)
-    state = ServiceStateStore()
+    instances = InstanceStore(SimClock(), hosts=[])
     baseline, _ = tracemalloc.get_traced_memory()
     for s in range(n_services):
         key = f"account-{s % 7}/svc-{s:04d}"
         store.service_counts(key).add_at(placements[s])
-        state.on_created(state.ensure(key), count=touched_per_service)
+        instances.service_index(key)
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
@@ -172,8 +171,10 @@ def test_service_count_memory_stays_linear_in_touched_hosts():
 
     # Sparse entries exist only for hosts a service actually touched.
     assert store.service_counts_touched() <= n_services * touched_per_service
-    # And the dense state columns are O(services), independent of hosts.
-    assert state.n_services == n_services
+    # And the dense per-service count columns are O(services),
+    # independent of hosts.
+    assert instances.index_of(key) == n_services - 1
+    assert instances.active_for(np.arange(n_services)).shape == (n_services,)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ class TestLifecycle:
         instance, store, _clock = make_instance()
         assert instance.state is InstanceState.ACTIVE
         assert instance.alive
-        assert store.counts.active_count(0) == 1
+        assert store.active_count(0) == 1
 
     def test_go_idle_accumulates_active_time(self):
         instance, store, clock = make_instance()
@@ -40,7 +40,7 @@ class TestLifecycle:
         assert store.active_total[0] == pytest.approx(30.0)
         assert np.isnan(store.active_since[0])
         assert store.last_active_at[0] == clock.now()
-        assert store.counts.idle_count(0) == 1
+        assert store.idle_count(0) == 1
 
     def test_idle_then_active_again(self):
         instance, store, clock = make_instance()
@@ -60,7 +60,7 @@ class TestLifecycle:
         assert not instance.alive
         assert instance.state is InstanceState.TERMINATED
         assert store.active_total[0] == pytest.approx(20.0)
-        assert store.counts.alive_count(0) == 0
+        assert store.alive_count(0) == 0
 
     def test_terminate_idempotent(self):
         instance, store, clock = make_instance()
@@ -69,7 +69,7 @@ class TestLifecycle:
         rows, _booted = store.terminate(ROW, clock.now())
         assert rows.size == 0
         assert not instance.alive
-        assert store.counts.alive_count(0) == 0
+        assert store.alive_count(0) == 0
 
     def test_sigterm_callback_receives_time(self):
         instance, store, clock = make_instance()

@@ -130,65 +130,3 @@ class TestPlacement:
         store.restore(baseline)
         b = place_ids(make_policy(seed=3), store, simple_request(store, 20))
         assert a == b
-
-
-def force_heap(monkeypatch):
-    """Disable the vectorized fast path so place() runs the heap."""
-    monkeypatch.setattr(
-        PlacementPolicy, "_no_host_can_fill", lambda self, *args: False
-    )
-
-
-class TestFastPathIdentity:
-    """The vectorized scatter-free fast path must replicate the heap path
-    exactly: same host sequence, same load columns, same RNG end state."""
-
-    @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize(
-        "count,n_hosts,slots",
-        [(1, 5, 1.0), (23, 7, 1.0), (105, 10, 2.5), (800, 75, 1.0)],
-    )
-    def test_sequence_and_state_match_heap(self, seed, count, n_hosts, slots):
-        ids = [f"h{i:05d}" for i in range(n_hosts)]
-
-        def run(heap_only):
-            store = make_store(ids, capacity=1e6)
-            counts = store.service_counts("svc")
-            # Uneven starting counts exercise the level-merge logic.
-            counts.set_dense(np.arange(n_hosts) % 3)
-            rng = np.random.default_rng(seed)
-            policy = PlacementPolicy(rng)
-            if heap_only:
-                with pytest.MonkeyPatch.context() as mp:
-                    force_heap(mp)
-                    chosen = policy.place(
-                        simple_request(
-                            store, count, slots=slots, service_counts=counts
-                        ),
-                        store,
-                    )
-            else:
-                chosen = policy.place(
-                    simple_request(store, count, slots=slots, service_counts=counts),
-                    store,
-                )
-            return list(chosen), store.load_slots.copy(), rng.random(4).tolist()
-
-        heap_seq, heap_load, heap_tail = run(heap_only=True)
-        fast_seq, fast_load, fast_tail = run(heap_only=False)
-        assert fast_seq == heap_seq
-        assert np.array_equal(fast_load, heap_load)
-        # Identical trailing draws == identical RNG stream consumption.
-        assert fast_tail == heap_tail
-
-    def test_fast_path_declines_when_a_host_may_fill(self):
-        store = make_store(["a", "b"], capacity=10.0)
-        policy = make_policy()
-        request = simple_request(store, 12)
-        assert not policy._no_host_can_fill(request, store, request.allowed)
-
-    def test_fast_path_taken_when_roomy(self):
-        store = make_store(["a", "b"], capacity=1000.0)
-        policy = make_policy()
-        request = simple_request(store, 12)
-        assert policy._no_host_can_fill(request, store, request.allowed)

@@ -233,8 +233,8 @@ def test_mid_batch_launch_error_commits_oracle_prefix(tiny_env_factory):
         qualified = service.qualified_name
         with pytest.raises(LaunchError):
             orch.scale_to(service, 10)
-        state = orch.service_state
-        index = state.ensure(qualified)
+        state = orch.instance_store
+        index = state.index_of(qualified)
         worlds[label] = {
             "orch_rng": orch_rng_state(env),
             "instances": list(orch.instances),

@@ -107,7 +107,7 @@ def churn(scalar: bool, seed: int, faulted: bool) -> dict:
     victim.kill(hashed)
 
     fleet = orch.fleet
-    state = orch.service_state
+    store = orch.instance_store
     keys = [orch.services[key].qualified_name for key in orch.services]
     return {
         "now": orch.clock.now(),
@@ -115,7 +115,7 @@ def churn(scalar: bool, seed: int, faulted: bool) -> dict:
         "load_slots": fleet.load_slots.tolist(),
         "service_counts": {key: fleet.service_counts(key).nonzero_items() for key in keys},
         "service_state": [
-            (key, state.active_count(state.index_of(key)), state.idle_count(state.index_of(key)))
+            (key, store.active_count(store.index_of(key)), store.idle_count(store.index_of(key)))
             for key in keys
         ],
         "meters": {

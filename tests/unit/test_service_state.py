@@ -1,10 +1,11 @@
 """Unit tests for the columnar per-service state counts.
 
-Covers the :class:`~repro.fleet.ServiceStateStore` in isolation and its
-consistency with the orchestrator's per-instance lists: the store is the
-hot-path read the background-traffic engine trusts instead of rebuilding
-Python lists, so every instance lifecycle transition must keep the two
-views equal.
+Covers the service-key index and ACTIVE/IDLE count columns of
+:class:`~repro.fleet.InstanceStore` in isolation, and their consistency
+with the orchestrator's per-instance lists: the counts are the hot-path
+read the background-traffic engine trusts instead of rebuilding Python
+lists, so every instance lifecycle transition must keep the two views
+equal.
 """
 
 from __future__ import annotations
@@ -13,66 +14,82 @@ import numpy as np
 import pytest
 
 from repro import units
-from repro.fleet import InstanceState
 from repro.cloud.services import ServiceConfig
-from repro.fleet import ServiceStateStore
+from repro.fleet import InstanceState, InstanceStore
+from repro.sandbox.gvisor import GVisorSandbox
+from repro.simtime.clock import SimClock
+
+from tests.conftest import make_host
+
+
+def make_store():
+    return InstanceStore(SimClock(), [make_host()])
+
+
+def launch(store, key, count):
+    """Launch ``count`` ACTIVE rows for ``key``; returns (index, rows)."""
+    index = store.service_index(key)
+    start = store.n_rows
+    zeros = np.zeros(count, dtype=np.int64)
+    ids = [f"i-{row}" for row in range(start, start + count)]
+    store.launch(index, zeros, ids, zeros, 0.0, 0.0, GVisorSandbox)
+    return index, np.arange(start, start + count)
 
 
 class TestServiceStateStore:
+    """The per-service counts kept by the instance store."""
+
     def test_ensure_registers_once(self):
-        store = ServiceStateStore()
-        index = store.ensure("a/svc")
-        assert store.ensure("a/svc") == index
-        assert store.n_services == 1
+        store = make_store()
+        index = store.service_index("a/svc")
+        assert store.service_index("a/svc") == index
         assert store.index_of("a/svc") == index
         assert store.key_of(index) == "a/svc"
 
     def test_index_of_unknown_key_raises(self):
         with pytest.raises(KeyError):
-            ServiceStateStore().index_of("nobody/svc")
+            make_store().index_of("nobody/svc")
 
     def test_columns_grow_past_initial_capacity(self):
-        store = ServiceStateStore()
+        store = make_store()
         for i in range(200):
-            store.on_created(store.ensure(f"acct-{i}/svc"), count=i)
-        assert store.n_services == 200
+            launch(store, f"acct-{i}/svc", i)
+        assert store.key_of(199) == "acct-199/svc"
         assert store.active_count(store.index_of("acct-150/svc")) == 150
+        assert store.totals() == (sum(range(200)), 0)
 
     def test_transition_arithmetic(self):
-        store = ServiceStateStore()
-        index = store.ensure("a/svc")
-        store.on_created(index, count=3)
+        store = make_store()
+        index, rows = launch(store, "a/svc", 3)
         assert (store.active_count(index), store.idle_count(index)) == (3, 0)
-        store.on_idled(index)
-        store.on_idled(index)
+        store.idle(index, rows[:1], 1.0)
+        store.idle(index, rows[1:2], 1.0)
         assert (store.active_count(index), store.idle_count(index)) == (1, 2)
-        store.on_activated(index)
+        store.activate(index, rows[1:2], 2.0)
         assert (store.active_count(index), store.idle_count(index)) == (2, 1)
-        store.on_terminated(index, was_active=True)
-        store.on_terminated(index, was_active=False)
+        # One ACTIVE and one IDLE row in a single batch.
+        store.terminate(rows[[2, 0]], 3.0)
         assert (store.active_count(index), store.idle_count(index)) == (1, 0)
         assert store.alive_count(index) == 1
 
     def test_active_for_is_a_fancy_index(self):
-        store = ServiceStateStore()
+        store = make_store()
         for i, count in enumerate((4, 0, 9)):
-            store.on_created(store.ensure(f"acct-{i}/svc"), count=count)
+            launch(store, f"acct-{i}/svc", count)
         out = store.active_for(np.asarray([2, 0], dtype=np.int64))
         assert out.tolist() == [9, 4]
 
     def test_totals_span_all_services(self):
-        store = ServiceStateStore()
-        a = store.ensure("a/svc")
-        b = store.ensure("b/svc")
-        store.on_created(a, count=2)
-        store.on_created(b, count=3)
-        store.on_idled(b)
+        store = make_store()
+        launch(store, "a/svc", 2)
+        b, rows = launch(store, "b/svc", 3)
+        store.idle(b, rows[:1], 1.0)
         assert store.totals() == (4, 1)
 
 
 def assert_counts_match(orch, service):
     """The columnar counts must equal a brute-force instance-list scan."""
-    state = orch.service_state
+    state = orch.instance_store
     index = state.index_of(service.qualified_name)
     alive = orch.alive_instances(service)
     active = sum(1 for i in alive if i.state is InstanceState.ACTIVE)
@@ -105,9 +122,8 @@ class TestOrchestratorConsistency:
         # Let the idle reaper terminate everything.
         tiny_env.clock.sleep(2 * units.HOUR)
         assert_counts_match(orch, service)
-        assert orch.service_state.alive_count(
-            orch.service_state.index_of(service.qualified_name)
-        ) == 0
+        store = orch.instance_store
+        assert store.alive_count(store.index_of(service.qualified_name)) == 0
 
     def test_counts_after_kill_service(self, tiny_env):
         orch = tiny_env.orchestrator

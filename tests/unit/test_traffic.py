@@ -158,7 +158,7 @@ class TestBackgroundDriver:
         period = config.evaluation_period_s
         elapsed = 6 * period + period / 2
         tiny_env.clock.sleep(elapsed)
-        state = tiny_env.orchestrator.service_state
+        state = tiny_env.orchestrator.instance_store
         for spec in driver.population.specs:
             index = state.index_of(f"{spec.account_id}/{spec.service_name}")
             slot = int((elapsed - spec.phase_s) // period)
@@ -213,7 +213,7 @@ class TestBackgroundDriver:
             )
             driver.start()
             env.clock.sleep(config.duration_s + config.evaluation_period_s)
-            state = env.orchestrator.service_state
+            state = env.orchestrator.instance_store
             counts = [
                 state.active_count(state.index_of(f"{s.account_id}/svc"))
                 for s in driver.population.specs
