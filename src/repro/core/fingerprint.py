@@ -104,11 +104,13 @@ def fingerprint_gen1_instances(
 ) -> list[tuple[InstanceHandle, Gen1Fingerprint]]:
     """Collect Gen 1 fingerprints from a batch of container instances.
 
-    Instances whose probes fail (e.g. the host masks the TSC, or the model
-    name carries no frequency) are skipped.
+    Instances whose model name carries no frequency (the probe raises
+    :class:`FingerprintError`) are skipped.  A terminated instance raises
+    :class:`~repro.errors.InstanceGoneError` from its probe.
     """
     from repro.core import probes  # deferred: probes constructs Gen1Sample
 
+    InstanceHandle.boot_batch(handles)
     tagged: list[tuple[InstanceHandle, Gen1Fingerprint]] = []
     for handle in handles:
         try:
@@ -125,6 +127,7 @@ def fingerprint_gen2_instances(
     """Collect Gen 2 fingerprints from a batch of container instances."""
     from repro.core import probes  # deferred: avoids a circular import
 
+    InstanceHandle.boot_batch(handles)
     tagged: list[tuple[InstanceHandle, Gen2Fingerprint]] = []
     for handle in handles:
         khz = handle.run(probes.gen2_fingerprint_probe)

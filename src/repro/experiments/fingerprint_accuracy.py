@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.analysis.asciichart import render_series
 from repro.analysis.metrics import PairConfusion, pair_confusion
+from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
 from repro.core import probes
 from repro.experiments.base import default_env
@@ -95,6 +96,7 @@ def _accuracy_cell(
         ServiceConfig(name="accuracy", max_instances=max(100, instances))
     )
     handles = client.connect(service, instances)
+    InstanceHandle.boot_batch(handles)
     raw = [(h, h.run(probes.gen1_fingerprint_probe)) for h in handles]
     samples = [
         (h.instance_id, (s.cpu_model, s.boot_time())) for h, s in raw

@@ -18,10 +18,16 @@ regression tests).
 
 :class:`InstanceStore` does the same for container instances: one row per
 instance, with a :class:`ContainerInstance` handle per row for the client
-API.
+API; :func:`boot_sandboxes` boots a batch of rows' sandboxes with one
+vectorized seeding step (:mod:`repro.fleet.seeding`).
 """
 
-from repro.fleet.instances import ContainerInstance, InstanceState, InstanceStore
+from repro.fleet.instances import (
+    ContainerInstance,
+    InstanceState,
+    InstanceStore,
+    boot_sandboxes,
+)
 from repro.fleet.store import FleetSnapshot, FleetStore, SparseServiceCounts
 from repro.fleet.view import FleetView, HostHandle
 
@@ -34,4 +40,5 @@ __all__ = [
     "InstanceState",
     "InstanceStore",
     "SparseServiceCounts",
+    "boot_sandboxes",
 ]

@@ -20,14 +20,16 @@ instances of a launch-heavy campaign are probed at most once and then idle
 out, so they never need one.  The row keeps the sandbox seed and the clock
 at the launch commit, which is everything an eager boot would have read
 from the world then, so a late sandbox is the one an eager boot would
-have built.
+have built.  A fingerprint batch boots its instances together
+(:func:`boot_sandboxes`): their generators are seeded in one vectorized
+step, into the states ``np.random.default_rng`` gives each seed.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import numpy as np
@@ -142,21 +144,27 @@ class ContainerInstance:
     def sandbox(self) -> Sandbox:
         """The sandboxed execution environment, booted on first access.
 
+        A single boot seeds with ``np.random.default_rng``: for one row
+        that costs less than :func:`boot_sandboxes`' fixed vector cost.
+
         Raises
         ------
         InstanceGoneError
             If the instance has been terminated (its sandbox is freed).
         """
         sandbox = self._sandbox
-        return sandbox if sandbox is not None else self._boot_sandbox()
+        if sandbox is None:
+            self.require_alive()
+            seed = int(self._rows.seed[self.row])
+            sandbox = self._boot_sandbox(np.random.default_rng(seed))
+        return sandbox
 
-    def _boot_sandbox(self) -> Sandbox:
-        self.require_alive()
+    def _boot_sandbox(self, rng: np.random.Generator) -> Sandbox:
         rows, row = self._rows, self.row
         sandbox = rows.classes[rows.service[row]](
             rows.hosts[rows.host[row]],
             rows.clock,
-            np.random.default_rng(int(rows.seed[row])),
+            rng,
             self.instance_id,
             rows.tsc_policy,
             boot_wall_time=float(rows.boot_time[row]),
@@ -180,6 +188,23 @@ class ContainerInstance:
         """
         self.require_alive()
         return probe(self.sandbox)
+
+
+def boot_sandboxes(instances: Iterable[ContainerInstance]) -> None:
+    """Boot the sandbox of every alive, unbooted one of ``instances``.
+
+    Each table's pending rows are seeded in one vectorized step
+    (:func:`~repro.fleet.seeding.generators`), so every sandbox gets the
+    generator ``np.random.default_rng`` would have built from its seed,
+    and the sandbox a first probe would boot.  Terminated and booted
+    instances are skipped, so this never raises.
+    """
+    pending: dict[int, list[ContainerInstance]] = {}
+    for instance in instances:
+        if instance.alive and instance._sandbox is None:
+            pending.setdefault(id(instance._rows), []).append(instance)
+    for batch in pending.values():
+        batch[0]._rows.boot(batch)
 
 
 class _Columns:
@@ -248,6 +273,17 @@ class _Rows(_Columns):
             grown = _column(dtype, fill, capacity)
             grown[: self.n_rows] = getattr(self, name)[: self.n_rows]
             setattr(self, name, grown)
+
+    def boot(self, instances: list[ContainerInstance]) -> None:
+        """Boot the unbooted ones of ``instances``, rows of this table."""
+        # Deferred: seeding loads numpy.random, which importing the
+        # package does not; the first batch boot pays for it instead.
+        from repro.fleet.seeding import generators
+
+        seeds = self.seed[[instance.row for instance in instances]]
+        for instance, rng in zip(instances, generators(seeds)):
+            if instance._sandbox is None:  # a handle listed twice boots once
+                instance._boot_sandbox(rng)
 
     def __getstate__(self) -> dict[str, Any]:
         # Snapshots carry the used rows only, not the spare capacity.
