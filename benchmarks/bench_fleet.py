@@ -17,7 +17,8 @@ rotation, set-based census); it exists only for comparison and is not
 used by the simulator.  Its list-rebuild rotation is quadratic in fleet
 size, so the baselines are timed once (not best-of-3) at 64x and skipped
 entirely at 256x, where the tier instead reports columnar timings plus a
-tracemalloc memory ceiling for 5,000 sparse per-service count columns.
+tracemalloc memory ceiling for registering 5,000 services in the instance
+table.
 
 Run::
 
@@ -25,7 +26,7 @@ Run::
 
 Exit status is non-zero if the columnar store regresses at 1x scale,
 fails the 3x placement+census speedup floor at 16x or 64x, or the 256x
-service-count memory ceiling is breached.
+per-service memory ceiling is breached.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ import tracemalloc
 import numpy as np
 
 from repro.cloud.placement import PlacementPolicy, PlacementRequest
-from repro.fleet import FleetStore
+from repro.fleet import FleetStore, InstanceStore
+from repro.simtime.clock import SimClock
 
 PAPER_FLEET_HOSTS = 520  # us-east1
 PAPER_ACTIVE_FRACTION = 300 / 520
@@ -57,11 +59,12 @@ REPEATS = 3
 FAST_REPEAT_MAX_FACTOR = 16  # best-of-3 below, single timing above
 DICT_BASELINE_MAX_FACTOR = 64  # the dict rotation is quadratic; cap it
 
-# 256x memory-ceiling tier: sparse per-service counts must stay O(hosts
-# touched), never O(hosts x services).
+# 256x memory-ceiling tier: per-service state must stay O(services), never
+# O(hosts x services).  Nothing is keyed by (host, service): where a service
+# runs is its instance rows, so registering a service touches no host.
 MEMORY_GATE_FACTOR = 256
 MEMORY_SERVICES = 5_000
-MEMORY_TOUCHED_PER_SERVICE = 24
+MEMORY_TOUCHED_PER_SERVICE = 0
 MEMORY_BUDGET_BYTES = 64 * 1024 * 1024
 
 
@@ -161,7 +164,7 @@ def dict_census_workload(n_hosts, seed=0):
 def columnar_placement_workload(n_hosts, seed=0):
     store = FleetStore([f"h{i:06d}" for i in range(n_hosts)], capacity_slots=1e9)
     allowed = np.arange(ALLOWED_SIZE, dtype=np.int64)
-    counts = store.service_counts("svc")
+    counts = np.zeros(n_hosts, dtype=np.int64)
     policy = PlacementPolicy(np.random.default_rng(seed))
     for _ in range(PLACEMENT_CALLS):
         placed = policy.place(
@@ -169,11 +172,11 @@ def columnar_placement_workload(n_hosts, seed=0):
                 count=PLACEMENT_COUNT,
                 slots_per_instance=1.0,
                 allowed=allowed,
-                service_counts=counts,
+                allowed_counts=counts[allowed],
             ),
             store,
         )
-        counts.add_at(placed)
+        np.add.at(counts, placed, 1)
 
 
 def columnar_rotation_workload(n_hosts, seed=0):
@@ -205,22 +208,18 @@ def columnar_census_workload(n_hosts, seed=0):
     return uniques, coverage
 
 
-def service_memory_workload(n_hosts, seed=0):
-    """Tracemalloc growth of sparse per-service count columns.
+def service_memory_workload(n_hosts):
+    """Tracemalloc growth of registering services in the instance table.
 
     Returns the measured growth next to the dense-equivalent cost (one
-    int64 column per service) that the pre-PR-8 layout would have paid —
-    ~5.3 GB at 256x, versus single-digit megabytes sparse.
+    int64 host column per service) — ~5.3 GB at 256x, versus single-digit
+    megabytes for the per-service state the instance table keeps.
     """
-    rng = np.random.default_rng(seed)
-    placements = rng.integers(
-        n_hosts, size=(MEMORY_SERVICES, MEMORY_TOUCHED_PER_SERVICE)
-    )
     tracemalloc.start()
-    store = FleetStore([f"h{i:06d}" for i in range(n_hosts)])
+    instances = InstanceStore(SimClock(), hosts=[])
     baseline, _ = tracemalloc.get_traced_memory()
     for s in range(MEMORY_SERVICES):
-        store.service_counts(f"svc-{s:05d}").add_at(placements[s])
+        instances.service_index(f"svc-{s:05d}")
     grown, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {
@@ -319,13 +318,13 @@ def check(results: dict) -> list[str]:
     mem = results["scales"]["256x"]["service_memory"]
     if mem["grown_bytes"] >= mem["budget_bytes"]:
         failures.append(
-            f"256x service-count memory {mem['grown_bytes']} bytes breaches "
+            f"256x per-service memory {mem['grown_bytes']} bytes breaches "
             f"the {mem['budget_bytes']}-byte ceiling"
         )
     if mem["grown_bytes"] * 20 >= mem["dense_equivalent_bytes"]:
         failures.append(
-            "256x service-count memory is within 20x of the dense layout — "
-            "sparse storage has regressed to O(hosts x services)"
+            "256x per-service memory is within 20x of the dense layout — "
+            "per-service storage has regressed to O(hosts x services)"
         )
     return failures
 

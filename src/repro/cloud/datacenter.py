@@ -25,7 +25,7 @@ import numpy as np
 from repro.cloud.platform import PlatformProfile
 from repro.cloud.topology import RegionProfile
 from repro.errors import CloudError
-from repro.fleet import FleetStore, FleetView, HostHandle
+from repro.fleet import FleetStore
 from repro.hardware.host import HostFleetConfig, PhysicalHost, build_fleet
 from repro.simtime.clock import SimClock
 
@@ -76,7 +76,9 @@ class DataCenter:
             capacity_slots=[host.capacity_slots for host in self.hosts],
             problematic_timing=[host.problematic_timing for host in self.hosts],
         )
-        self.fleet_view = FleetView(self.fleet)
+        self._pool_ids: tuple[str, ...] = ()
+        self._pool_ids_version = -1
+        self._shard_ids: dict[int, tuple[str, ...]] = {}
 
         pool_idx = self._rng.choice(
             profile.n_hosts, size=profile.active_hosts, replace=False
@@ -97,7 +99,11 @@ class DataCenter:
         are O(1).
         """
         self._maybe_rotate()
-        return self.fleet_view.serving_pool_ids()
+        fleet = self.fleet
+        if self._pool_ids_version != fleet.pool_version:
+            self._pool_ids = fleet.ids_of(fleet.pool_order)
+            self._pool_ids_version = fleet.pool_version
+        return self._pool_ids
 
     def serving_pool_indices(self) -> np.ndarray:
         """Current serving-pool host indices in pool order (read-only)."""
@@ -130,12 +136,20 @@ class DataCenter:
     # Shards and base-host assignment
     # ------------------------------------------------------------------
     def shard_hosts(self, shard_index: int) -> tuple[str, ...]:
-        """Host ids of one placement shard (cached immutable tuple)."""
+        """Host ids of one placement shard (cached immutable tuple).
+
+        Shards are pinned at the initial pool assignment, so the cache
+        never invalidates.
+        """
         if not 0 <= shard_index < self.fleet.n_shards:
             raise CloudError(
                 f"shard {shard_index} out of range (region has {self.fleet.n_shards})"
             )
-        return self.fleet_view.shard_ids(shard_index)
+        cached = self._shard_ids.get(shard_index)
+        if cached is None:
+            cached = self.fleet.ids_of(self.fleet.shard_members(shard_index))
+            self._shard_ids[shard_index] = cached
+        return cached
 
     def shard_for_account(self, account_id: str) -> int:
         """Map an account to its placement shard.
@@ -168,10 +182,6 @@ class DataCenter:
             return self.hosts_by_id[host_id]
         except KeyError:
             raise CloudError(f"unknown host {host_id!r}") from None
-
-    def host_handle(self, host_id: str) -> HostHandle:
-        """A per-host scalar-state cursor into the fleet store."""
-        return HostHandle(self.fleet, self.fleet.index_of(host_id))
 
     @property
     def rng(self) -> np.random.Generator:

@@ -444,7 +444,7 @@ class Orchestrator:
 
     def host_load_slots(self, host_id: str) -> float:
         """Current committed capacity slots on a host."""
-        return self.datacenter.host_handle(host_id).load_slots
+        return float(self.fleet.load_slots[self.fleet.index_of(host_id)])
 
     def account_cost_usd(self, account_id: str) -> float:
         """Account bill including accrued-but-unsettled active time.
@@ -584,10 +584,9 @@ class Orchestrator:
         segment then absorbs each following id whose first attempt
         succeeds — fault decisions are pure hashes of the id, so the
         look-ahead has no side effects — and commits them with one vector
-        seed draw, one ``add_at`` and one ``on_created``.  A vector draw of
-        size k consumes the same stream as k scalar ``integers(2**63)``
-        draws, and count bookkeeping never feeds the RNG, so the commit is
-        byte-identical to launching instance by instance (pinned by the
+        seed draw and one ``on_created``.  A vector draw of size k consumes
+        the same stream as k scalar ``integers(2**63)`` draws, so the commit
+        is byte-identical to launching instance by instance (pinned by the
         twin-world launch tests).  Without a fault plan the whole batch is
         one segment.
 
@@ -601,7 +600,6 @@ class Orchestrator:
         now = self.clock.now()
         store = self._instances
         index = self._service_index(service)
-        counts = self.fleet.service_counts(qualified)
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
         plan = self.fault_plan
         created: list[ContainerInstance] = []
@@ -621,7 +619,6 @@ class Orchestrator:
             stop = start + len(segment_ids)
             segment = chosen[start:stop]
             seeds = self._rng.integers(2**63, size=segment.size)
-            counts.add_at(segment)
             launched = store.launch(
                 index, segment, segment_ids, seeds, now, self.clock.now(), cls
             )
@@ -667,7 +664,9 @@ class Orchestrator:
             count=count,
             slots_per_instance=service.config.size.slots,
             allowed=allowed,
-            service_counts=fleet.service_counts(qualified),
+            allowed_counts=self._instances.host_counts(
+                self._service_index(service), allowed
+            ),
             scatter_probability=(
                 0.0 if isolated
                 else self.datacenter.dynamism_for_account(account.account_id)
@@ -725,8 +724,8 @@ class Orchestrator:
         """Terminate the alive ones of ``rows``, in order.
 
         Batched equal of the per-instance teardown: cancel any pending
-        reap, SIGTERM, settle billing, then release hardware pressure,
-        load slots and per-host service counts.
+        reap, SIGTERM, settle billing, then release hardware pressure and
+        load slots.
         """
         store = self._instances
         rows, booted = store.terminate(np.asarray(rows, dtype=np.int64), now)
@@ -744,13 +743,8 @@ class Orchestrator:
             self.datacenter.host(instance.host_id).release_pressure(
                 instance.instance_id
             )
-        hosts, services = store.host[rows], store.service[rows]
-        self.fleet.release_load_at(hosts, self._service_sizes[services, 2])
-        indices = dict.fromkeys(services.tolist())
-        for index in indices:
-            counts = self.fleet.peek_service_counts(store.key_of(index))
-            if counts is not None:
-                counts.sub_at(hosts if len(indices) == 1 else hosts[services == index])
+        slots = self._service_sizes[store.service[rows], 2]
+        self.fleet.release_load_at(store.host[rows], slots)
 
     def _settle_billing(self, rows: np.ndarray, index: int | None = None) -> None:
         """Charge each row's unbilled active seconds to its account, in

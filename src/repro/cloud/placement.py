@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import NoCapacityError
-from repro.fleet import FleetStore, SparseServiceCounts
+from repro.fleet import FleetStore
 
 if TYPE_CHECKING:  # import cycle: platform -> ... only at type-check time
     from repro.cloud.platform import PlatformProfile
@@ -51,10 +51,11 @@ class PlacementRequest:
     allowed:
         Index array of the service's preferred hosts (base plus recruited
         helpers), in preference order — tiebreaks are drawn in this order.
-    service_counts:
-        Per-host instance counts for the launching service, sparse over
-        the fleet (``None`` reads as all-zero).  A dense column is also
-        accepted — both support the ``counts[index_array]`` gather.
+    allowed_counts:
+        The launching service's alive instances on each ``allowed`` host,
+        an int64 array aligned with ``allowed`` (``None`` reads as zeros);
+        the orchestrator derives it from its instance table
+        (:meth:`~repro.fleet.InstanceStore.host_counts`).
     scatter_probability:
         Per-instance chance of being scattered onto a random fleet host
         instead of the allowed set (0 outside dynamic regions).
@@ -66,7 +67,7 @@ class PlacementRequest:
     count: int
     slots_per_instance: float
     allowed: np.ndarray
-    service_counts: SparseServiceCounts | np.ndarray | None = None
+    allowed_counts: np.ndarray | None = None
     scatter_probability: float = 0.0
     scatter_candidates: np.ndarray | None = None
 
@@ -112,8 +113,8 @@ class PlacementPolicy:
         if allowed.size == 0:
             raise NoCapacityError("placement request has no allowed hosts")
 
-        if request.service_counts is not None:
-            counts0 = request.service_counts[allowed]
+        if request.allowed_counts is not None:
+            counts0 = np.asarray(request.allowed_counts, dtype=np.int64)
         else:
             counts0 = np.zeros(allowed.size, dtype=np.int64)
         # One tiebreak per allowed host, drawn in allowed order.  A single

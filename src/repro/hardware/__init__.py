@@ -23,7 +23,7 @@ from repro.hardware.noise import (
     problematic_noise_model,
     quiet_noise_model,
 )
-from repro.hardware.rng_resource import ContentionResource, RngContentionResource
+from repro.hardware.rng_resource import ContentionResource
 from repro.hardware.tsc import TimestampCounter
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "problematic_noise_model",
     "quiet_noise_model",
     "ContentionResource",
-    "RngContentionResource",
     "LlcOccupancyResource",
     "DvfsFrequencyResource",
     "TimestampCounter",

@@ -30,7 +30,7 @@ from repro.hardware.noise import (
     quiet_noise_model,
 )
 from repro.hardware.cpu_activity import CpuActivityMeter
-from repro.hardware.rng_resource import ContentionResource, RngContentionResource
+from repro.hardware.rng_resource import ContentionResource
 from repro.hardware.tsc import TimestampCounter
 
 
@@ -74,9 +74,9 @@ class PhysicalHost:
     host_id: str
     cpu: CPUModel
     tsc: TimestampCounter
-    rng_resource: ContentionResource = field(default_factory=RngContentionResource)
+    rng_resource: ContentionResource = field(default_factory=ContentionResource)
     memory_bus: ContentionResource = field(
-        default_factory=lambda: RngContentionResource(
+        default_factory=lambda: ContentionResource(
             background_rate=0.18, drop_rate=0.05
         )
     )

@@ -222,9 +222,3 @@ class ContentionResource:
                 stream = np.minimum(stream, self.saturation)
             levels.append(stream)
         return levels
-
-
-#: Historical name of :class:`ContentionResource`, kept as an alias (not a
-#: subclass, so the channel registry's no-override contract holds for it by
-#: construction).
-RngContentionResource = ContentionResource

@@ -1,11 +1,10 @@
 """Per-instance launch loop (reference for the segmented batched commit).
 
-Each instance takes its id, survives its launch faults, bumps its host's
-service count and draws its own sandbox seed, one at a time.  The
-orchestrator's segmented commit must leave every RNG stream, count column
-and table exactly as this loop does — including when a mid-batch
-``LaunchError`` aborts it, or when retry backoff sleeps fire clock hooks
-that launch or reap in between.
+Each instance takes its id, survives its launch faults and draws its own
+sandbox seed, one at a time.  The orchestrator's segmented commit must
+leave every RNG stream and table exactly as this loop does — including
+when a mid-batch ``LaunchError`` aborts it, or when retry backoff sleeps
+fire clock hooks that launch or reap in between.
 """
 
 from __future__ import annotations
@@ -30,14 +29,12 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
     now = self.clock.now()
     store = self.instance_store
     index = self._service_index(service)
-    counts = self.fleet.service_counts(qualified)
     cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
     created = []
     for host_index in chosen.tolist():
         host_id = self.fleet.ids[host_index]
         instance_id = f"{qualified}#{next(self._instance_counter):07d}"
         self._attempt_launch(instance_id)
-        counts.inc(host_index)
         seed = self._rng.integers(2**63)
         (instance,) = store.launch(
             index, [host_index], [instance_id], [seed], now, self.clock.now(), cls

@@ -4,10 +4,9 @@ lifecycle).
 Each idled instance settles its own bill, draws its own deadline with a
 scalar ``uniform`` and gets its own scheduler event; each reap event
 checks that its instance is still in the idle period it was scheduled
-for, and each termination releases one host's load slot and service count
-at a time.  The orchestrator's batched lifecycle must leave every RNG
-stream, column, meter and the termination order exactly as this loop
-does.
+for, and each termination releases one host's load slot at a time.
+The orchestrator's batched lifecycle must leave every RNG stream, column,
+meter and the termination order exactly as this loop does.
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ def terminate_scalar(self: Orchestrator, rows, now) -> None:
         store.terminate(np.array([row]), now)
         settle_billing_scalar(self, row)
         self.datacenter.host(instance.host_id).release_pressure(instance.instance_id)
-        handle = self.datacenter.host_handle(instance.host_id)
-        handle.release_load(instance.service.config.size.slots)
-        handle.dec_service(instance.service.qualified_name)
+        self.fleet.release_load(
+            self.fleet.index_of(instance.host_id), instance.service.config.size.slots
+        )
 
 
 def settle_billing_scalar(self: Orchestrator, row: int) -> None:

@@ -24,8 +24,8 @@ def place_heap(
     allowed = np.asarray(request.allowed, dtype=np.int64)
     if allowed.size == 0:
         raise NoCapacityError("placement request has no allowed hosts")
-    if request.service_counts is not None:
-        counts0 = request.service_counts[allowed]
+    if request.allowed_counts is not None:
+        counts0 = np.asarray(request.allowed_counts, dtype=np.int64)
     else:
         counts0 = np.zeros(allowed.size, dtype=np.int64)
     tiebreaks = rng.random(allowed.size)

@@ -3,8 +3,6 @@
 Every path PR 8 batched gets a Hypothesis property pinning it to its
 scalar reference on arbitrary inputs:
 
-* sparse service counts == a dense int64 column under any interleaving of
-  scalar increments/decrements/batched ``add_at`` and any gather;
 * :class:`FootprintAccumulator` == per-launch set algebra on arbitrary
   fingerprint streams;
 * ``host_coverage`` (index-mask math) == the per-handle set loop on
@@ -19,80 +17,9 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.services import ServiceConfig
 from repro.experiments.base import default_env, host_coverage
-from repro.fleet import SparseServiceCounts
 
 from tests.conftest import tiny_profile
 from tests.oracles.census import census_reduce_scalar
-
-# ----------------------------------------------------------------------
-# SparseServiceCounts == dense column
-# ----------------------------------------------------------------------
-
-N_HOSTS = 24
-
-sparse_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("inc"), st.integers(0, N_HOSTS - 1)),
-        st.tuples(st.just("dec"), st.integers(0, N_HOSTS - 1)),
-        st.tuples(st.just("set"), st.integers(0, N_HOSTS - 1)),
-        st.tuples(
-            st.just("add_at"),
-            st.lists(st.integers(0, N_HOSTS - 1), max_size=40),
-        ),
-    ),
-    max_size=30,
-)
-
-
-@given(ops=sparse_ops, gather=st.lists(st.integers(0, N_HOSTS - 1), max_size=30))
-def test_sparse_counts_match_dense_column(ops, gather):
-    sparse = SparseServiceCounts(N_HOSTS)
-    dense = np.zeros(N_HOSTS, dtype=np.int64)
-    for op, arg in ops:
-        if op == "inc":
-            sparse.inc(arg)
-            dense[arg] += 1
-        elif op == "dec":
-            sparse.dec(arg)
-            if dense[arg] > 0:
-                dense[arg] -= 1
-        elif op == "set":
-            sparse[arg] = 7
-            dense[arg] = 7
-        else:
-            idx = np.asarray(arg, dtype=np.int64)
-            sparse.add_at(idx)
-            np.add.at(dense, idx, 1)
-    assert sparse.tolist() == dense.tolist()
-    assert sparse.sum() == int(dense.sum())
-    wanted = np.asarray(gather, dtype=np.int64)
-    assert sparse[wanted].tolist() == dense[wanted].tolist()
-    for i in range(N_HOSTS):
-        assert sparse[i] == int(dense[i])
-    # The memory contract: entries only for hosts ever touched.
-    assert sparse.touched <= N_HOSTS
-
-
-@given(ops=sparse_ops)
-def test_sparse_counts_copy_and_restore_round_trip(ops):
-    sparse = SparseServiceCounts(N_HOSTS)
-    for op, arg in ops:
-        if op == "add_at":
-            sparse.add_at(np.asarray(arg, dtype=np.int64))
-        elif op == "inc":
-            sparse.inc(arg)
-        elif op == "dec":
-            sparse.dec(arg)
-        else:
-            sparse[arg] = 7
-    frozen = sparse.copy()
-    baseline = sparse.tolist()
-    sparse.inc(0)
-    sparse.add_at(np.arange(N_HOSTS, dtype=np.int64))
-    assert frozen.tolist() == baseline  # copies are isolated
-    sparse.restore_from(frozen)
-    assert sparse.tolist() == baseline
-
 
 # ----------------------------------------------------------------------
 # FootprintAccumulator == set algebra

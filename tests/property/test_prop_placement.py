@@ -66,11 +66,9 @@ def test_spread_is_near_uniform(case):
 @settings(max_examples=40)
 def test_deterministic_in_seed(case, seed2):
     n_hosts, capacity, slots, count, seed = case
-    store, allowed = build(n_hosts, capacity)
-    baseline = store.snapshot()
 
     def run(s):
-        store.restore(baseline)
+        store, allowed = build(n_hosts, capacity)
         policy = PlacementPolicy(np.random.default_rng(s))
         return policy.place(
             PlacementRequest(count=count, slots_per_instance=slots, allowed=allowed),
@@ -117,13 +115,11 @@ def test_degenerate_capacities(seed, n_hosts, count, slots, data):
         capacity_slots=np.asarray(capacities, dtype=np.float64),
     )
     store.load_slots[:] = loads
-    counts = store.service_counts("svc")
-    counts.set_dense(np.asarray(start_counts, dtype=np.int64))
     request = PlacementRequest(
         count=count,
         slots_per_instance=slots,
         allowed=store.all_indices.copy(),
-        service_counts=counts,
+        allowed_counts=np.asarray(start_counts, dtype=np.int64),
     )
     rng = np.random.default_rng(seed)
     free = sum(int((cap - load) // slots) for cap, load in zip(capacities, loads))
@@ -174,13 +170,11 @@ def test_matches_whole_heap(seed, n_hosts, count, slots, scatter, data):
             [f"h{i:03d}" for i in range(n_hosts)],
             capacity_slots=np.asarray(capacities, dtype=np.float64),
         )
-        counts = store.service_counts("svc")
-        counts.set_dense(np.asarray(start_counts, dtype=np.int64))
         request = PlacementRequest(
             count=count,
             slots_per_instance=slots,
             allowed=allowed,
-            service_counts=counts,
+            allowed_counts=np.asarray(start_counts, dtype=np.int64)[allowed],
             scatter_probability=scatter,
             scatter_candidates=store.all_indices,
         )

@@ -3,8 +3,8 @@
 These are the `scale`-marked companions to the tier-1 identity suites:
 the same twin-world contracts, run at region scale instead of toy scale,
 plus the two resource-ceiling regressions the hyperscale tiers depend on
-(sparse service-count memory stays O(hosts), the event heap stays bounded
-under schedule/cancel churn).
+(per-service memory stays O(services), the event heap stays bounded under
+schedule/cancel churn).
 
 Excluded from tier-1 by the default ``-m 'not scale'`` addopts; run with::
 
@@ -132,7 +132,7 @@ def test_census_identity_at_million_observations():
 
 
 # ----------------------------------------------------------------------
-# Memory ceiling: service counts stay O(hosts), not O(hosts x services)
+# Memory ceiling: per-service state stays O(services), not O(hosts x services)
 # ----------------------------------------------------------------------
 
 
@@ -140,17 +140,17 @@ def test_service_count_memory_stays_linear_in_touched_hosts():
     """5,000 services on a 64x fleet must cost megabytes, not the
     ~1.3 GB a dense per-service host column each would cost.
 
-    The budget is deliberately loose (interpreter/allocator noise) but
-    more than an order of magnitude under the dense equivalent, so any
-    return to O(hosts x services) storage trips it immediately.
+    Nothing is keyed by (host, service): where a service runs is its
+    instance rows, so the per-service state is what registering a service
+    in the instance table allocates.  The budget is deliberately loose
+    (interpreter/allocator noise) but more than an order of magnitude
+    under the dense equivalent, so any return to O(hosts x services)
+    storage trips it immediately.
     """
     n_hosts = PAPER_FLEET_HOSTS * HYPERSCALE_FACTOR  # 33,280
     n_services = 5_000
-    touched_per_service = 24
 
     host_ids = [f"h{i:06d}" for i in range(n_hosts)]
-    rng = np.random.default_rng(3)
-    placements = rng.integers(n_hosts, size=(n_services, touched_per_service))
 
     tracemalloc.start()
     store = FleetStore(host_ids, capacity_slots=160.0)
@@ -158,7 +158,6 @@ def test_service_count_memory_stays_linear_in_touched_hosts():
     baseline, _ = tracemalloc.get_traced_memory()
     for s in range(n_services):
         key = f"account-{s % 7}/svc-{s:04d}"
-        store.service_counts(key).add_at(placements[s])
         instances.service_index(key)
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -169,12 +168,11 @@ def test_service_count_memory_stays_linear_in_touched_hosts():
     assert growth < dense_equivalent / 20
     assert growth < 48 * 1024 * 1024
 
-    # Sparse entries exist only for hosts a service actually touched.
-    assert store.service_counts_touched() <= n_services * touched_per_service
-    # And the dense per-service count columns are O(services),
-    # independent of hosts.
+    # The per-service count columns are O(services), independent of
+    # hosts, and a service with no rows counts zero on every host.
     assert instances.index_of(key) == n_services - 1
     assert instances.active_for(np.arange(n_services)).shape == (n_services,)
+    assert not instances.host_counts(n_services - 1, store.all_indices).any()
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.hardware.channels import (
     registered_channel_kinds,
     unregister_channel_kind,
 )
-from repro.hardware.rng_resource import ContentionResource, RngContentionResource
+from repro.hardware.rng_resource import ContentionResource
 from tests.conftest import make_host
 
 
@@ -97,9 +97,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match=f"overrides ContentionResource.{method}"):
             register_channel_kind(kind)
         assert "test-custom-model" not in registered_channel_kinds()
-
-    def test_legacy_alias_still_importable(self):
-        assert RngContentionResource is ContentionResource
 
 
 class TestBuildResource:

@@ -100,3 +100,21 @@ class TestRotation:
         clock.sleep(dc.profile.rotation_period * 10)
         dc.serving_pool()
         assert dc.shard_hosts(0) == shard0_before
+
+    def test_pool_ids_cached_until_rotation(self):
+        dc, clock = make_dc(rotation_fraction=0.2)
+        first = dc.serving_pool()
+        assert first == dc.fleet.ids_of(dc.fleet.pool_order)
+        assert dc.serving_pool() is first  # cache hit, same tuple
+        clock.sleep(dc.profile.rotation_period)
+        rotated = dc.serving_pool()
+        assert rotated is not first and rotated != first
+        assert rotated == dc.fleet.ids_of(dc.fleet.pool_order)
+
+    def test_shard_ids_cached(self):
+        dc, clock = make_dc(rotation_fraction=0.2)
+        shard = dc.shard_hosts(1)
+        assert shard == dc.fleet.ids_of(dc.fleet.shard_members(1))
+        clock.sleep(dc.profile.rotation_period)
+        dc.serving_pool()
+        assert dc.shard_hosts(1) is shard

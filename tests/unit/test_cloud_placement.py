@@ -68,9 +68,7 @@ class TestPlacement:
 
     def test_prefers_hosts_with_fewer_service_instances(self):
         store = make_store(["crowded", "empty"], capacity=100.0)
-        counts = store.service_counts("svc")
-        counts[store.index_of("crowded")] = 5
-        request = simple_request(store, 1, service_counts=counts)
+        request = simple_request(store, 1, allowed_counts=np.array([5, 0]))
         assert place_ids(make_policy(), store, request) == ["empty"]
 
     def test_ignores_other_services_load(self):
@@ -124,9 +122,8 @@ class TestPlacement:
         assert set(place_ids(make_policy(), store, request)) == {"base"}
 
     def test_deterministic_given_seed(self):
-        store = make_store([f"h{i}" for i in range(7)], capacity=100.0)
-        baseline = store.snapshot()
-        a = place_ids(make_policy(seed=3), store, simple_request(store, 20))
-        store.restore(baseline)
-        b = place_ids(make_policy(seed=3), store, simple_request(store, 20))
-        assert a == b
+        def run():
+            store = make_store([f"h{i}" for i in range(7)], capacity=100.0)
+            return place_ids(make_policy(seed=3), store, simple_request(store, 20))
+
+        assert run() == run()

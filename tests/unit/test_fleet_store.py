@@ -1,10 +1,10 @@
-"""Unit tests for the columnar fleet store, view, and host handles."""
+"""Unit tests for the columnar fleet store."""
 
 import numpy as np
 import pytest
 
 from repro.errors import CloudError
-from repro.fleet import FleetStore, FleetView, HostHandle
+from repro.fleet import FleetStore
 
 
 def make_store(n=10, capacity=160.0, **kwargs):
@@ -115,134 +115,15 @@ class TestLoadAndServiceCounts:
         store.release_load(0, 5.0)
         assert store.load_slots[0] == 0.0
 
-    def test_batched_release_and_decrement_match_per_entry_calls(self):
+    def test_batched_release_matches_per_entry_calls(self):
         hosts = np.array([2, 0, 2, 2, 1])
         slots = np.array([0.7, 5.0, 0.1, 0.3, 0.2])
         batched, scalar = make_store(3), make_store(3)
         for store in (batched, scalar):
             store.load_slots[:] = [0.9, 4.0, 1.0]
-            store.service_counts("svc").add_at(np.array([0, 2, 2]))
         batched.release_load_at(hosts, slots)
-        batched.service_counts("svc").sub_at(hosts)
         for host, slot in zip(hosts.tolist(), slots.tolist()):
             scalar.release_load(host, slot)
-            scalar.service_counts("svc").dec(host)
-        # Host 0 clamps at zero, host 2 runs out of counts mid-batch.
+        # Host 0 clamps at zero.
         assert batched.load_slots.tolist() == scalar.load_slots.tolist()
         assert batched.load_slots[0] == 0.0
-        assert (
-            batched.service_counts("svc").tolist()
-            == scalar.service_counts("svc").tolist()
-            == [0, 0, 0]
-        )
-
-    def test_service_counts_lazy(self):
-        store = make_store(3)
-        assert store.peek_service_counts("svc") is None
-        counts = store.service_counts("svc")
-        assert counts.tolist() == [0, 0, 0]
-        assert store.peek_service_counts("svc") is counts
-
-
-class TestSnapshotRestore:
-    def test_round_trips_every_column(self):
-        store = make_store(6)
-        store.set_pool(np.array([4, 1, 5]))
-        store.assign_shards(shard_size=1, n_shards=2)
-        store.add_load(4, 7.5)
-        store.service_counts("svc")[4] = 3
-        snap = store.snapshot()
-
-        store.rotate(np.array([0]), np.array([0]))
-        store.add_load(0, 2.0)
-        store.release_load(4, 7.5)
-        store.capacity_slots[2] = 9.0
-        store.service_counts("svc")[4] = 0
-        store.service_counts("other")[1] = 1
-
-        store.restore(snap)
-        assert store.pool_order.tolist() == [4, 1, 5]
-        assert store.rotated_order.tolist() == [0, 2, 3]
-        assert store.in_pool.tolist() == [False, True, False, False, True, True]
-        assert store.load_slots.tolist() == [0, 0, 0, 0, 7.5, 0]
-        assert store.capacity_slots[2] == 160.0
-        assert store.service_counts("svc").tolist() == [0, 0, 0, 0, 3, 0]
-        # Columns created after the snapshot are dropped.
-        assert store.peek_service_counts("other") is None
-
-    def test_restore_keeps_array_references_valid(self):
-        store = make_store(3)
-        load_ref = store.load_slots
-        counts_ref = store.service_counts("svc")
-        snap = store.snapshot()
-        store.add_load(0, 1.0)
-        counts_ref[2] = 5
-        store.restore(snap)
-        assert store.load_slots is load_ref
-        assert store.service_counts("svc") is counts_ref
-        assert load_ref[0] == 0.0 and counts_ref[2] == 0
-
-    def test_snapshot_is_isolated_from_later_mutation(self):
-        store = make_store(2)
-        snap = store.snapshot()
-        store.add_load(0, 9.0)
-        assert snap.load_slots[0] == 0.0
-
-
-class TestHostHandle:
-    def test_scalar_reads(self):
-        store = make_store(3, capacity=10.0)
-        store.set_pool(np.array([1]))
-        store.add_load(1, 4.0)
-        handle = HostHandle(store, 1)
-        assert handle.host_id == "h1"
-        assert handle.load_slots == 4.0
-        assert handle.capacity_slots == 10.0
-        assert handle.free_slots == 6.0
-        assert handle.in_pool
-        assert handle.shard == -1
-
-    def test_service_count_mutation(self):
-        store = make_store(2)
-        handle = HostHandle(store, 0)
-        handle.inc_service("svc")
-        handle.inc_service("svc")
-        handle.dec_service("svc")
-        assert handle.service_count("svc") == 1
-        handle.dec_service("svc")
-        handle.dec_service("svc")  # never goes negative
-        assert store.service_counts("svc")[0] == 0
-
-    def test_dec_on_unknown_service_is_noop(self):
-        store = make_store(1)
-        HostHandle(store, 0).dec_service("never-seen")
-        assert store.peek_service_counts("never-seen") is None
-
-
-class TestFleetView:
-    def test_pool_ids_cached_until_rotation(self):
-        store = make_store(6)
-        view = FleetView(store)
-        store.set_pool(np.array([4, 1, 5]))
-        first = view.serving_pool_ids()
-        assert first == ("h4", "h1", "h5")
-        assert view.serving_pool_ids() is first  # cache hit, same tuple
-        store.rotate(np.array([0]), np.array([0]))
-        assert view.serving_pool_ids() == ("h1", "h5", "h0")
-
-    def test_shard_ids_cached(self):
-        store = make_store(4)
-        view = FleetView(store)
-        store.set_pool(np.array([3, 0, 2, 1]))
-        store.assign_shards(shard_size=2, n_shards=2)
-        assert view.shard_ids(0) == ("h3", "h0")
-        assert view.shard_ids(1) is view.shard_ids(1)
-
-    def test_load_of_and_masks(self):
-        store = make_store(3)
-        view = FleetView(store)
-        store.add_load(2, 1.5)
-        assert view.load_of("h2") == 1.5
-        assert view.mask_for_ids(["h0"]).tolist() == [True, False, False]
-        store.set_pool(np.array([1]))
-        assert view.pool_mask().tolist() == [False, True, False]

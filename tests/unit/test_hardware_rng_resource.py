@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.hardware.rng_resource import RngContentionResource
+from repro.hardware.rng_resource import ContentionResource
 
 
-def noiseless() -> RngContentionResource:
-    return RngContentionResource(background_rate=0.0, drop_rate=0.0)
+def noiseless() -> ContentionResource:
+    return ContentionResource(background_rate=0.0, drop_rate=0.0)
 
 
 class TestRngContentionResource:
@@ -52,33 +52,33 @@ class TestRngContentionResource:
 
     def test_background_rate_bounds_validated(self):
         with pytest.raises(ValueError):
-            RngContentionResource(background_rate=1.5)
+            ContentionResource(background_rate=1.5)
         with pytest.raises(ValueError):
-            RngContentionResource(drop_rate=-0.1)
+            ContentionResource(drop_rate=-0.1)
 
     def test_background_contention_is_rare(self, rng):
         """Paper: the chance of background RNG contention is under 1%."""
-        res = RngContentionResource()
+        res = ContentionResource()
         res.start_pressure("solo")
         observations = [res.observe("solo", rng) for _ in range(5000)]
         elevated = sum(1 for level in observations if level >= 2)
         assert elevated / len(observations) < 0.02
 
     def test_drops_occasionally_hide_partners(self, rng):
-        res = RngContentionResource(background_rate=0.0, drop_rate=0.5)
+        res = ContentionResource(background_rate=0.0, drop_rate=0.5)
         res.start_pressure("a")
         res.start_pressure("b")
         observations = [res.observe("a", rng) for _ in range(500)]
         assert min(observations) == 1 and max(observations) == 2
 
 
-def noisy() -> RngContentionResource:
+def noisy() -> ContentionResource:
     """Nonzero noise on both axes so stream identity is actually exercised."""
-    return RngContentionResource(background_rate=0.3, drop_rate=0.25)
+    return ContentionResource(background_rate=0.3, drop_rate=0.25)
 
 
 def scalar_window(
-    res: RngContentionResource,
+    res: ContentionResource,
     observers: list[str],
     n_rounds: int,
     death_round: dict[str, int],

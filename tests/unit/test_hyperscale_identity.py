@@ -92,7 +92,9 @@ def run_campaign(
             if h.alive
         },
         "orch_rng": orch_rng_state(env),
-        "service_counts": orch.fleet.service_counts(qualified).tolist(),
+        "service_counts": orch.instance_store.host_counts(
+            orch.instance_store.index_of(qualified), orch.fleet.all_indices
+        ).tolist(),
         "load": orch.fleet.load_slots.tolist(),
         "instances": list(orch.instances),
         "clock": orch.clock.now(),
@@ -239,7 +241,7 @@ def test_mid_batch_launch_error_commits_oracle_prefix(tiny_env_factory):
             "orch_rng": orch_rng_state(env),
             "instances": list(orch.instances),
             "next_instance": orch._instance_counter.value,
-            "service_counts": orch.fleet.service_counts(qualified).tolist(),
+            "service_counts": state.host_counts(index, orch.fleet.all_indices).tolist(),
             "load": orch.fleet.load_slots.tolist(),
             "state": (state.active_count(index), state.idle_count(index)),
             "sandbox_states": {

@@ -113,7 +113,10 @@ def churn(scalar: bool, seed: int, faulted: bool) -> dict:
         "now": orch.clock.now(),
         "rng": str(orch._rng.bit_generator.state),
         "load_slots": fleet.load_slots.tolist(),
-        "service_counts": {key: fleet.service_counts(key).nonzero_items() for key in keys},
+        "service_counts": {
+            key: store.host_counts(store.index_of(key), fleet.all_indices).tolist()
+            for key in keys
+        },
         "service_state": [
             (key, store.active_count(store.index_of(key)), store.idle_count(store.index_of(key)))
             for key in keys

@@ -97,11 +97,14 @@ class TestServiceBookkeeping:
     def test_host_counts_decrease_on_termination(self, tiny_env):
         client, name, handles = deploy_and_connect(tiny_env, 20)
         orch = tiny_env.orchestrator
-        service = client._service(name)
-        counts = orch.fleet.service_counts(service.qualified_name)
-        assert counts.sum() == 20
+        index = orch.instance_store.index_of(client._service(name).qualified_name)
+
+        def placed():
+            return int(orch.instance_store.host_counts(index, orch.fleet.all_indices).sum())
+
+        assert placed() == 20
         client.kill(name)
-        assert counts.sum() == 0
+        assert placed() == 0
 
     def test_load_slots_released_on_termination(self, tiny_env):
         client, name, handles = deploy_and_connect(tiny_env, 20)

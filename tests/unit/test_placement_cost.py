@@ -18,7 +18,7 @@ from repro.fleet import FleetStore
 def place_many(n_hosts, rounds=300, allowed_size=10, count=8):
     store = FleetStore([f"h{i:06d}" for i in range(n_hosts)], capacity_slots=1e12)
     allowed = np.arange(allowed_size, dtype=np.int64)
-    counts = store.service_counts("svc")
+    counts = np.zeros(allowed_size, dtype=np.int64)
     policy = PlacementPolicy(np.random.default_rng(0))
     start = time.perf_counter()
     for _ in range(rounds):
@@ -27,7 +27,7 @@ def place_many(n_hosts, rounds=300, allowed_size=10, count=8):
                 count=count,
                 slots_per_instance=1.0,
                 allowed=allowed,
-                service_counts=counts,
+                allowed_counts=counts,
             ),
             store,
         )

@@ -1,14 +1,16 @@
 """Unit tests for the columnar per-service state counts.
 
-Covers the service-key index and ACTIVE/IDLE count columns of
-:class:`~repro.fleet.InstanceStore` in isolation, and their consistency
-with the orchestrator's per-instance lists: the counts are the hot-path
-read the background-traffic engine trusts instead of rebuilding Python
-lists, so every instance lifecycle transition must keep the two views
-equal.
+Covers the service-key index, ACTIVE/IDLE count columns and per-host
+counts of :class:`~repro.fleet.InstanceStore` in isolation, and their
+consistency with the orchestrator's per-instance lists: the counts are
+the hot-path reads the background-traffic engine and placement trust
+instead of rebuilding Python lists, so every instance lifecycle
+transition must keep the two views equal.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,6 +88,21 @@ class TestServiceStateStore:
         store.idle(b, rows[:1], 1.0)
         assert store.totals() == (4, 1)
 
+    def test_host_counts_edge_cases(self):
+        store = InstanceStore(SimClock(), [make_host(f"h{i}") for i in range(4)])
+        index = store.service_index("a/svc")
+        empty = store.service_index("b/svc")
+        hosts = np.array([2, 0, 2, 2], dtype=np.int64)
+        ids = [f"i-{row}" for row in range(hosts.size)]
+        seeds = np.zeros(hosts.size, dtype=np.int64)
+        store.launch(index, hosts, ids, seeds, 0.0, 0.0, GVisorSandbox)
+        query = np.array([2, 3, 0, 2, 1], dtype=np.int64)  # host 2 asked twice
+        assert store.host_counts(index, query).tolist() == [3, 0, 1, 3, 0]
+        assert store.host_counts(empty, query).tolist() == [0, 0, 0, 0, 0]
+        store.terminate(np.array([0, 1]), 1.0)
+        assert store.host_counts(index, query).tolist() == [2, 0, 0, 2, 0]
+        assert store.host_counts(index, query[:0]).tolist() == []
+
 
 def assert_counts_match(orch, service):
     """The columnar counts must equal a brute-force instance-list scan."""
@@ -97,6 +114,10 @@ def assert_counts_match(orch, service):
     assert state.active_count(index) == active
     assert state.idle_count(index) == idle
     assert state.alive_count(index) == len(alive)
+    fleet = orch.fleet
+    placed = Counter(fleet.index_of(i.host_id) for i in alive)
+    counts = state.host_counts(index, fleet.all_indices)
+    assert counts.tolist() == [placed[host] for host in range(fleet.n_hosts)]
 
 
 class TestOrchestratorConsistency:
