@@ -17,7 +17,7 @@ from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import RetryPolicy
-from repro.fleet import ContainerInstance, boot_sandboxes
+from repro.fleet import ContainerInstance
 from repro.sandbox.base import Sandbox
 
 T = TypeVar("T")
@@ -98,19 +98,6 @@ class InstanceHandle:
             (members, probe([h._instance.sandbox for h in members]))
             for members in groups.values()
         ]
-
-    @staticmethod
-    def boot_batch(handles: Sequence["InstanceHandle"]) -> None:
-        """Boot the sandboxes of a batch of instances in one seeding step.
-
-        Engine-side plumbing, like :meth:`run_batch`: a batch about to be
-        probed one by one boots together, each sandbox exactly as its
-        first :meth:`run` would boot it.  Terminated and already-booted
-        instances are skipped, so this never raises: a terminated
-        instance still raises :class:`InstanceGoneError` from its own
-        :meth:`run`, after the probes before it.
-        """
-        boot_sandboxes([handle._instance for handle in handles])
 
     def on_sigterm(self, callback: Callable[[float], None]) -> None:
         """Register a callback for the orchestrator's SIGTERM signal.

@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+from numpy.typing import NDArray
+
 from repro.cloud.api import InstanceHandle
 from repro.errors import FingerprintError
 
@@ -67,8 +70,7 @@ class Gen1Fingerprint:
         cls, cpu_model: str, boot_time: float, p_boot: float
     ) -> "Gen1Fingerprint":
         """Build a fingerprint from an unrounded boot time."""
-        if p_boot <= 0:
-            raise FingerprintError(f"p_boot must be positive, got {p_boot!r}")
+        _check_precision(p_boot)
         return cls(cpu_model=cpu_model, boot_bucket=round(boot_time / p_boot), p_boot=p_boot)
 
     @property
@@ -99,40 +101,105 @@ class Gen2Fingerprint:
         return f"tsc={self.tsc_khz}kHz"
 
 
+def _check_precision(p_boot: float) -> None:
+    if p_boot <= 0:
+        raise FingerprintError(f"p_boot must be positive, got {p_boot!r}")
+
+
+def _gen1_columns(
+    handles: Sequence[InstanceHandle],
+) -> tuple[list[InstanceHandle], NDArray[np.int64], list[str], NDArray[np.float64]]:
+    """Probe a batch for Gen 1 samples: the fingerprinted handles in batch
+    order, each one's model (as an index into the model list) and its
+    unrounded boot time.
+
+    Unbooted instances are probed as columns (:mod:`repro.fleet.probe`);
+    the rest run :func:`~repro.core.probes.gen1_fingerprint_probe` in
+    their sandbox.  Either way each instance's sandbox stream moves as one
+    probe moves it, so the result and every later draw equal the
+    per-probe loop's.
+    """
+    from repro.core import probes  # deferred: probes constructs Gen1Sample
+    from repro.fleet.probe import probe_gen1  # deferred: loads the port on first use
+
+    batch = probe_gen1([handle._instance for handle in handles])
+    positions, codes, names, boot_times = batch[:4]
+    if batch.per_probe:
+        code_of = {name: code for code, name in enumerate(names)}
+        probed = []
+        for position in batch.per_probe:
+            try:
+                sample = handles[position].run(probes.gen1_fingerprint_probe)
+            except FingerprintError:
+                continue
+            code = code_of.setdefault(sample.cpu_model, len(code_of))
+            probed.append((position, code, sample.boot_time()))
+        names = list(code_of)
+        if probed:
+            positions, codes, boot_times = (
+                np.concatenate([column, np.array(more)])
+                for column, more in zip((positions, codes, boot_times), zip(*probed))
+            )
+            order = np.argsort(positions)
+            positions, codes, boot_times = positions[order], codes[order], boot_times[order]
+    if batch.stop < len(handles):
+        handles[batch.stop]._instance.require_alive()
+    return list(map(handles.__getitem__, positions.tolist())), codes, names, boot_times
+
+
+def gen1_boot_times(
+    handles: Sequence[InstanceHandle],
+) -> list[tuple[InstanceHandle, str, float]]:
+    """Unrounded Gen 1 samples of a batch: ``(handle, CPU model, T_boot)``.
+
+    The same probe as :func:`fingerprint_gen1_instances`, before rounding,
+    for callers that round one batch at several precisions.
+    """
+    kept, codes, names, boot_times = _gen1_columns(handles)
+    return [
+        (handle, names[code], boot_time)
+        for handle, code, boot_time in zip(kept, codes.tolist(), boot_times.tolist())
+    ]
+
+
 def fingerprint_gen1_instances(
     handles: Sequence[InstanceHandle], p_boot: float = 1.0
 ) -> list[tuple[InstanceHandle, Gen1Fingerprint]]:
     """Collect Gen 1 fingerprints from a batch of container instances.
 
-    Instances whose model name carries no frequency (the probe raises
-    :class:`FingerprintError`) are skipped.  A terminated instance raises
-    :class:`~repro.errors.InstanceGoneError` from its probe.
+    Instances whose model name carries no frequency are skipped.  The
+    batch is probed in order up to its first terminated instance, which
+    then raises :class:`~repro.errors.InstanceGoneError`.  Instances that
+    share a model and a boot-time bucket share one fingerprint object.
     """
-    from repro.core import probes  # deferred: probes constructs Gen1Sample
-
-    InstanceHandle.boot_batch(handles)
-    tagged: list[tuple[InstanceHandle, Gen1Fingerprint]] = []
-    for handle in handles:
-        try:
-            sample = handle.run(probes.gen1_fingerprint_probe)
-        except FingerprintError:
-            continue
-        tagged.append((handle, sample.fingerprint(p_boot)))
-    return tagged
+    _check_precision(p_boot)
+    kept, codes, names, boot_times = _gen1_columns(handles)
+    # One key per (bucket, model) as a complex number; rint rounds half to
+    # even, as round() does.
+    keys = np.rint(boot_times / p_boot) + 1j * codes
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    fingerprints = [
+        Gen1Fingerprint(names[int(code)], int(bucket), p_boot)
+        for bucket, code in zip(distinct.real.tolist(), distinct.imag.tolist())
+    ]
+    return list(zip(kept, map(fingerprints.__getitem__, inverse.reshape(-1).tolist())))
 
 
 def fingerprint_gen2_instances(
     handles: Sequence[InstanceHandle],
 ) -> list[tuple[InstanceHandle, Gen2Fingerprint]]:
-    """Collect Gen 2 fingerprints from a batch of container instances."""
-    from repro.core import probes  # deferred: avoids a circular import
+    """Collect Gen 2 fingerprints from a batch of container instances.
 
-    InstanceHandle.boot_batch(handles)
-    tagged: list[tuple[InstanceHandle, Gen2Fingerprint]] = []
-    for handle in handles:
-        khz = handle.run(probes.gen2_fingerprint_probe)
-        tagged.append((handle, Gen2Fingerprint.from_khz(khz)))
-    return tagged
+    Each instance's refined frequency is read from its host, as its
+    kernel would report it (:meth:`~repro.fleet.ContainerInstance.kernel_tsc_khz`),
+    so the batch boots no sandbox and draws nothing.  A terminated
+    instance raises :class:`~repro.errors.InstanceGoneError`, a Gen 1 one
+    :class:`~repro.errors.PrivilegeError`, after the instances before it.
+    """
+    return [
+        (handle, Gen2Fingerprint.from_khz(handle._instance.kernel_tsc_khz()))
+        for handle in handles
+    ]
 
 
 def group_by_fingerprint(

@@ -19,9 +19,8 @@ import numpy as np
 
 from repro.analysis.asciichart import render_series
 from repro.analysis.metrics import PairConfusion, pair_confusion
-from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
-from repro.core import probes
+from repro.core.fingerprint import Gen1Fingerprint, gen1_boot_times
 from repro.experiments.base import default_env
 from repro.experiments.ground_truth import truth_clusters
 from repro.experiments.report import format_series
@@ -95,13 +94,11 @@ def _accuracy_cell(
     service = client.deploy(
         ServiceConfig(name="accuracy", max_instances=max(100, instances))
     )
-    handles = client.connect(service, instances)
-    InstanceHandle.boot_batch(handles)
-    raw = [(h, h.run(probes.gen1_fingerprint_probe)) for h in handles]
-    samples = [
-        (h.instance_id, (s.cpu_model, s.boot_time())) for h, s in raw
+    raw = gen1_boot_times(client.connect(service, instances))
+    samples = [(h.instance_id, (model, boot)) for h, model, boot in raw]
+    tagged_pairs = [
+        (h, Gen1Fingerprint.from_boot_time(model, boot, 1.0)) for h, model, boot in raw
     ]
-    tagged_pairs = [(h, s.fingerprint(1.0)) for h, s in raw]
     truth = truth_clusters(params["ground_truth"], env.orchestrator, tagged_pairs)
     truth = {iid: str(label) for iid, label in truth.items()}
     return samples, truth

@@ -19,16 +19,15 @@ regression tests).
 instance, with a :class:`ContainerInstance` handle per row for the client
 API.  Its rows are the one record of where a service's instances run:
 placement reads a service's per-host counts from them
-(:meth:`InstanceStore.host_counts`).  :func:`boot_sandboxes` boots a batch
-of rows' sandboxes with one vectorized seeding step
-(:mod:`repro.fleet.seeding`).
+(:meth:`InstanceStore.host_counts`).  :mod:`repro.fleet.probe` takes a
+batch's Gen 1 fingerprint samples from its unbooted rows as array draws
+(:mod:`repro.fleet.seeding`), booting no sandbox.
 """
 
 from repro.fleet.instances import (
     ContainerInstance,
     InstanceState,
     InstanceStore,
-    boot_sandboxes,
 )
 from repro.fleet.store import FleetStore
 
@@ -37,5 +36,4 @@ __all__ = [
     "FleetStore",
     "InstanceState",
     "InstanceStore",
-    "boot_sandboxes",
 ]

@@ -20,16 +20,17 @@ instances of a launch-heavy campaign are probed at most once and then idle
 out, so they never need one.  The row keeps the sandbox seed and the clock
 at the launch commit, which is everything an eager boot would have read
 from the world then, so a late sandbox is the one an eager boot would
-have built.  A fingerprint batch boots its instances together
-(:func:`boot_sandboxes`): their generators are seeded in one vectorized
-step, into the states ``np.random.default_rng`` gives each seed.
+have built.  A fingerprint batch probes unbooted rows without a sandbox
+(:mod:`repro.fleet.probe`) and records in two columns how far each
+row's stream and clock-read count moved; a later boot fast-forwards its
+fresh sandbox by exactly that much.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import numpy as np
@@ -144,8 +145,10 @@ class ContainerInstance:
     def sandbox(self) -> Sandbox:
         """The sandboxed execution environment, booted on first access.
 
-        A single boot seeds with ``np.random.default_rng``: for one row
-        that costs less than :func:`boot_sandboxes`' fixed vector cost.
+        The sandbox boots from ``np.random.default_rng(seed)``'s stream, drawing
+        its offset as an eager boot would, then skips the words and
+        counts the clock reads that columnar probes of the row
+        (:mod:`repro.fleet.probe`) already took.
 
         Raises
         ------
@@ -155,22 +158,38 @@ class ContainerInstance:
         sandbox = self._sandbox
         if sandbox is None:
             self.require_alive()
-            seed = int(self._rows.seed[self.row])
-            sandbox = self._boot_sandbox(np.random.default_rng(seed))
+            rows, row = self._rows, self.row
+            bit_generator = np.random.PCG64(int(rows.seed[row]))  # as default_rng(seed)
+            sandbox = rows.classes[rows.service[row]](
+                rows.hosts[rows.host[row]],
+                rows.clock,
+                np.random.Generator(bit_generator),
+                self.instance_id,
+                rows.tsc_policy,
+                boot_wall_time=float(rows.boot_time[row]),
+            )
+            words = int(rows.probe_words[row])
+            if words:
+                bit_generator.advance(words)
+            sandbox.syscalls.call_count = int(rows.clock_reads[row])
+            self._sandbox = sandbox
         return sandbox
 
-    def _boot_sandbox(self, rng: np.random.Generator) -> Sandbox:
-        rows, row = self._rows, self.row
-        sandbox = rows.classes[rows.service[row]](
-            rows.hosts[rows.host[row]],
-            rows.clock,
-            rng,
-            self.instance_id,
-            rows.tsc_policy,
-            boot_wall_time=float(rows.boot_time[row]),
-        )
-        self._sandbox = sandbox
-        return sandbox
+    def kernel_tsc_khz(self) -> float:
+        """What :meth:`Sandbox.kernel_tsc_khz` would read in this instance,
+        answered from its host without booting the sandbox.
+
+        Raises
+        ------
+        InstanceGoneError
+            If the instance has been terminated.
+        PrivilegeError
+            If its sandbox generation cannot reach a kernel (Gen 1).
+        """
+        self.require_alive()
+        rows = self._rows
+        host = rows.hosts[rows.host[self.row]]
+        return self.sandbox_class.host_kernel_tsc_khz(host, rows.tsc_policy)
 
     def require_alive(self) -> None:
         """Raise :class:`InstanceGoneError` if the instance is terminated."""
@@ -190,23 +209,6 @@ class ContainerInstance:
         return probe(self.sandbox)
 
 
-def boot_sandboxes(instances: Iterable[ContainerInstance]) -> None:
-    """Boot the sandbox of every alive, unbooted one of ``instances``.
-
-    Each table's pending rows are seeded in one vectorized step
-    (:func:`~repro.fleet.seeding.generators`), so every sandbox gets the
-    generator ``np.random.default_rng`` would have built from its seed,
-    and the sandbox a first probe would boot.  Terminated and booted
-    instances are skipped, so this never raises.
-    """
-    pending: dict[int, list[ContainerInstance]] = {}
-    for instance in instances:
-        if instance.alive and instance._sandbox is None:
-            pending.setdefault(id(instance._rows), []).append(instance)
-    for batch in pending.values():
-        batch[0]._rows.boot(batch)
-
-
 class _Columns:
     """The instance columns, declared once for type checkers."""
 
@@ -221,6 +223,8 @@ class _Columns:
     seed: IndexArray
     boot_time: FloatColumn
     reap_seq: IndexArray
+    probe_words: NDArray[np.int16]
+    clock_reads: NDArray[np.int8]
 
 
 class _Rows(_Columns):
@@ -245,6 +249,8 @@ class _Rows(_Columns):
         ("seed", np.int64, None),
         ("boot_time", np.float64, None),
         ("reap_seq", np.int64, -1),
+        ("probe_words", np.int16, 0),
+        ("clock_reads", np.int8, 0),
     )
 
     def __init__(
@@ -274,17 +280,6 @@ class _Rows(_Columns):
             grown[: self.n_rows] = getattr(self, name)[: self.n_rows]
             setattr(self, name, grown)
 
-    def boot(self, instances: list[ContainerInstance]) -> None:
-        """Boot the unbooted ones of ``instances``, rows of this table."""
-        # Deferred: seeding loads numpy.random, which importing the
-        # package does not; the first batch boot pays for it instead.
-        from repro.fleet.seeding import generators
-
-        seeds = self.seed[[instance.row for instance in instances]]
-        for instance, rng in zip(instances, generators(seeds)):
-            if instance._sandbox is None:  # a handle listed twice boots once
-                instance._boot_sandbox(rng)
-
     def __getstate__(self) -> dict[str, Any]:
         # Snapshots carry the used rows only, not the spare capacity.
         state = self.__dict__.copy()
@@ -312,8 +307,11 @@ class InstanceStore(_Columns):
     ``active_since`` (NaN while not active), ``active_total`` (seconds of
     closed active periods), ``billed`` (active seconds already charged),
     ``seed`` (the sandbox seed), ``boot_time`` (the clock at the launch
-    commit) and ``reap_seq`` (sequence number of the row's pending idle
-    reap, -1 when none; its owner is the orchestrator's reaper).
+    commit), ``reap_seq`` (sequence number of the row's pending idle
+    reap, -1 when none; its owner is the orchestrator's reaper), and, for
+    rows probed before their sandbox booted, ``probe_words`` (raw words
+    the probes drew after the boot draws) and ``clock_reads`` (the clock
+    reads they made); their owner is :mod:`repro.fleet.probe`.
 
     Per service (index = dense service index, in registration order) the
     store keeps the key and ACTIVE/IDLE instance counts; transitions update

@@ -128,7 +128,6 @@ class Sandbox(abc.ABC):
         """Sleep for ``duration`` seconds of wall time (plus jitter)."""
         self.syscalls.nanosleep(duration)
 
-    @abc.abstractmethod
     def kernel_tsc_khz(self) -> float:
         """Read the kernel's refined TSC frequency, in kHz.
 
@@ -138,6 +137,16 @@ class Sandbox(abc.ABC):
         ------
         PrivilegeError
             In environments where the guest cannot reach a real kernel.
+        """
+        return self.host_kernel_tsc_khz(self._host, self.tsc_policy)
+
+    @classmethod
+    @abc.abstractmethod
+    def host_kernel_tsc_khz(cls, host: PhysicalHost, tsc_policy: TscPolicy) -> float:
+        """What :meth:`kernel_tsc_khz` reads in this generation on ``host``.
+
+        The read depends on the host and the TSC policy alone and draws
+        nothing, so an instance can answer it without booting a sandbox.
         """
 
     @abc.abstractmethod

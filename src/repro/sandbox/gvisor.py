@@ -11,6 +11,7 @@ exploits (§4.1).
 from __future__ import annotations
 
 from repro.errors import PrivilegeError
+from repro.hardware.host import PhysicalHost
 from repro.sandbox.base import Sandbox, TscPolicy
 
 
@@ -41,7 +42,8 @@ class GVisorSandbox(Sandbox):
         """``cpuid`` reaches host hardware: returns the real model string."""
         return self._host.cpu.name
 
-    def kernel_tsc_khz(self) -> float:
+    @classmethod
+    def host_kernel_tsc_khz(cls, host: PhysicalHost, tsc_policy: TscPolicy) -> float:
         """Unavailable: the container only talks to gVisor, not a kernel.
 
         gVisor's userspace kernel does not expose the host's refined TSC

@@ -14,6 +14,7 @@ trivial — and it becomes the Gen 2 host fingerprint.
 from __future__ import annotations
 
 from repro import units
+from repro.hardware.host import PhysicalHost
 from repro.sandbox.base import Sandbox, TscPolicy
 
 #: Precision to which Linux refines the TSC frequency at boot (paper §4.5).
@@ -57,7 +58,8 @@ class MicroVMSandbox(Sandbox):
         """``cpuid`` is trapped: the guest sees a fabricated model string."""
         return self.VIRTUALIZED_MODEL
 
-    def kernel_tsc_khz(self) -> float:
+    @classmethod
+    def host_kernel_tsc_khz(cls, host: PhysicalHost, tsc_policy: TscPolicy) -> float:
         """Read the refined host TSC frequency exported by KVM, in kHz.
 
         The attacker has root in the guest, so this is a plain kernel read
@@ -68,9 +70,9 @@ class MicroVMSandbox(Sandbox):
         Under the ``EMULATED`` mitigation the hypervisor advertises the
         reported frequency instead, masking the per-host deviation.
         """
-        if self.tsc_policy is TscPolicy.EMULATED:
-            return self._host.cpu.reported_tsc_frequency_hz / units.KHZ
-        refined = self._host.tsc.refined_frequency_hz(KERNEL_REFINEMENT_PRECISION_HZ)
+        if tsc_policy is TscPolicy.EMULATED:
+            return host.cpu.reported_tsc_frequency_hz / units.KHZ
+        refined = host.tsc.refined_frequency_hz(KERNEL_REFINEMENT_PRECISION_HZ)
         return refined / units.KHZ
 
     def proc_uptime(self) -> float:

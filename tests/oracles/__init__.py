@@ -12,5 +12,7 @@ columns and verdicts.  Nothing in this package is collected as a test.
   and ``_terminate``;
 * :mod:`tests.oracles.ctest` — the per-round CTest loop, as channel
   subclasses overriding the single window method;
-* :mod:`tests.oracles.census` — the set-algebra census reduction.
+* :mod:`tests.oracles.census` — the set-algebra census reduction;
+* :mod:`tests.oracles.fingerprint` — the per-probe Gen 1 and Gen 2
+  fingerprint loops, one guest probe per booted sandbox.
 """

@@ -1,19 +1,16 @@
 """The vectorized PCG64 seeding equals NumPy's ``SeedSequence`` exactly.
 
 :func:`repro.fleet.seeding.pcg64_words` ports ``SeedSequence``'s hash to
-array operations, and :class:`~repro.fleet.seeding.SeedWords` hands one
-row to ``np.random.PCG64``.  Batch-booted sandboxes are byte-identical to
-lazily booted ones only if both match NumPy for every seed a launch can
-draw, ``[0, 2**63)``; the edges cover one- and two-word entropy.
+array operations, and :class:`~repro.fleet.seeding.Pcg64Streams` seeds
+PCG64 states from its rows.  Columnar probes are byte-identical to
+sandbox draws only if both match NumPy for every seed a launch can draw,
+``[0, 2**63)``; the edges cover one- and two-word entropy.
 """
 
-import pickle
-
 import numpy as np
-import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.fleet.seeding import SeedWords, generators, pcg64_words
+from repro.fleet.seeding import Pcg64Streams, pcg64_words
 
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
@@ -34,39 +31,12 @@ def test_words_match_seed_sequence_row_by_row(batch):
         np.testing.assert_array_equal(row, numpy_words(seed))
 
 
-def assert_same_stream(generator: np.random.Generator, seed: int) -> None:
-    reference = np.random.default_rng(seed)
-    assert generator.bit_generator.state == reference.bit_generator.state
-    assert generator.integers(2**63, size=3).tolist() == reference.integers(
-        2**63, size=3
-    ).tolist()
-    assert generator.normal(size=2).tolist() == reference.normal(size=2).tolist()
-
-
-@given(seeds)
-@example(EDGES[0])
-@example(EDGES[1])
-@example(EDGES[2])
-@example(EDGES[3])
-@example(EDGES[4])
-def test_adapter_seeds_like_default_rng(seed):
-    (words,) = pcg64_words(np.array([seed], dtype=np.int64))
-    generator = np.random.Generator(np.random.PCG64(SeedWords(words)))
-    restored = pickle.loads(pickle.dumps(generator))
-    assert_same_stream(generator, seed)
-    assert_same_stream(restored, seed)
-
-
 @given(st.lists(seeds, max_size=10))
+@example(EDGES)
 def test_generators_match_default_rng(batch):
-    built = generators(np.array(batch, dtype=np.int64))
-    assert len(built) == len(batch)
-    for generator, seed in zip(built, batch):
-        assert_same_stream(generator, seed)
-
-
-@pytest.mark.parametrize("request_", [(4, np.uint32), (2, np.uint64), (8, np.uint64)])
-def test_adapter_answers_only_pcg64s_request(request_):
-    (words,) = pcg64_words(np.array([5], dtype=np.int64))
-    with pytest.raises(ValueError):
-        SeedWords(words).generate_state(*request_)
+    streams = Pcg64Streams(np.array(batch, dtype=np.int64))
+    assert streams.hi.shape == (len(batch),)
+    for i, seed in enumerate(batch):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert int(streams.hi[i]) << 64 | int(streams.lo[i]) == state["state"]
+        assert int(streams.inc_hi[i]) << 64 | int(streams.inc_lo[i]) == state["inc"]
