@@ -32,10 +32,10 @@ import json
 import math
 import sys
 import time
+from dataclasses import dataclass, field
 
 from repro import units
 from repro.cloud.accounts import Account
-from repro.cloud.autoscaler import AutoscalePoint, AutoscaleTrace
 from repro.cloud.datacenter import DataCenter
 from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import CONTAINER_SIZES, ServiceConfig
@@ -76,8 +76,40 @@ def traffic_config(n_tenants: int) -> TrafficConfig:
 
 # ----------------------------------------------------------------------
 # Frozen scalar reference (pre-engine idiom: Autoscaler.drive per tenant,
-# collapsed to one interleaved tick loop so tenants share the clock)
+# collapsed to one interleaved tick loop so tenants share the clock).
+# The record types are the retired autoscaler's, kept verbatim so the
+# baseline pays for the same per-evaluation allocations.
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class AutoscalePoint:
+    """One autoscaler evaluation."""
+
+    elapsed_s: float
+    demanded_concurrency: int
+    target_instances: int
+    active_instances: int
+    alive_instances: int
+
+
+@dataclass
+class AutoscaleTrace:
+    """The instance-count history of one driven service."""
+
+    points: list[AutoscalePoint] = field(default_factory=list)
+
+    @property
+    def peak_instances(self) -> int:
+        return max((p.active_instances for p in self.points), default=0)
+
+    @property
+    def trough_instances(self) -> int:
+        return min((p.active_instances for p in self.points), default=0)
+
+    def active_series(self) -> list[tuple[float, int]]:
+        """``(elapsed_s, active_instances)`` pairs for plotting."""
+        return [(p.elapsed_s, p.active_instances) for p in self.points]
+
+
 def scalar_drive(factor: int, population: TenantPopulation) -> float:
     """Per-tick scalar driving; returns the timed driving seconds.
 

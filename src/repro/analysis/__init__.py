@@ -1,5 +1,5 @@
 """Attacker-side analysis: clustering metrics, drift fitting, distributions,
-policy inference, and terminal chart rendering."""
+and terminal chart rendering."""
 
 from repro.analysis.aggregation import FootprintAccumulator
 from repro.analysis.asciichart import render_cdf, render_series
@@ -10,13 +10,6 @@ from repro.analysis.metrics import (
     fowlkes_mallows_index,
     pair_confusion,
     victim_instance_coverage,
-)
-from repro.analysis.policy_inference import (
-    IdlePolicyEstimate,
-    estimate_base_set_size,
-    estimate_hot_window,
-    estimate_recruit_rate,
-    fit_idle_policy,
 )
 
 __all__ = [
@@ -33,9 +26,4 @@ __all__ = [
     "fowlkes_mallows_index",
     "pair_confusion",
     "victim_instance_coverage",
-    "IdlePolicyEstimate",
-    "estimate_base_set_size",
-    "estimate_hot_window",
-    "estimate_recruit_rate",
-    "fit_idle_policy",
 ]

@@ -13,10 +13,8 @@ through :class:`~repro.cloud.api.FaaSClient`, preserving the paper's threat
 model.
 """
 
-from repro.cloud.abuse import AbuseMonitor
 from repro.cloud.accounts import Account
 from repro.cloud.api import FaaSClient, InstanceHandle
-from repro.cloud.autoscaler import Autoscaler, AutoscaleTrace
 from repro.cloud.billing import BillingMeter, PricingRates
 from repro.cloud.datacenter import DataCenter
 from repro.cloud.orchestrator import Orchestrator
@@ -45,12 +43,9 @@ from repro.cloud.workloads import (
 from repro.fleet import ContainerInstance, InstanceState
 
 __all__ = [
-    "AbuseMonitor",
     "Account",
     "FaaSClient",
     "InstanceHandle",
-    "Autoscaler",
-    "AutoscaleTrace",
     "BurstLoad",
     "ConstantLoad",
     "DiurnalLoad",

@@ -209,17 +209,6 @@ class FaaSClient:
         """Force-terminate all instances of the service immediately."""
         self._orchestrator.kill_service(self._service(service_name))
 
-    def invoke(self, service_name: str, processing_seconds: float = 0.05) -> None:
-        """Send one request to the service's public interface.
-
-        The platform routes it to an instance, which executes for
-        ``processing_seconds``.  The caller learns nothing about placement
-        — but a co-located attacker instance can observe the activity.
-        """
-        self._orchestrator.route_request(
-            self._service(service_name), processing_seconds
-        )
-
     def probe(self, qualified_name: str, processing_seconds: float = 0.05) -> float:
         """Time one request to *any* service's public URL.
 

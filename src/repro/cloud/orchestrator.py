@@ -364,27 +364,18 @@ class Orchestrator:
         index = self._service_index(service)
         self._terminate(self._instances.alive_rows(index), self.clock.now())
 
-    def route_request(self, service: Service, processing_seconds: float) -> None:
-        """Deliver one request to the service (its public interface).
-
-        The request is routed round-robin to an active instance, which
-        executes for ``processing_seconds`` — observable as CPU contention
-        by co-located instances.  A service with no active instance scales
-        out by one first (scale-from-zero).
-        """
-        self._next_active(service).sandbox.run_busy(processing_seconds)
-
     def probe_service(
         self, qualified_name: str, processing_seconds: float = 0.05
     ) -> float:
         """Time one request to a service's public URL; returns the latency.
 
-        Unlike :meth:`route_request` callers, the prober needs no ownership
-        of the service — anyone who knows the qualified name (the public
-        URL) can send a request and time the response, which is the whole
-        attacker-side surface of the Target Victim Locator.  The request is
-        routed round-robin like any other; the serving sandbox's response
-        time stretches under co-resident memory-bus locking
+        The prober needs no ownership of the service — anyone who knows
+        the qualified name (the public URL) can send a request and time the
+        response, which is the whole attacker-side surface of the Target
+        Victim Locator.  The request is routed round-robin among the
+        active instances (a service with none scales out by one first);
+        the serving sandbox's response time stretches under co-resident
+        memory-bus locking
         (:meth:`~repro.sandbox.base.Sandbox.serve_request`).  Under an
         active fault plan, individual responses may additionally carry an
         injected platform-noise delay; the fault token carries a

@@ -7,6 +7,7 @@ defines four container sizes used throughout the evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import CloudError
@@ -78,6 +79,10 @@ class ServiceConfig:
             )
         if self.concurrency < 1:
             raise CloudError(f"concurrency must be >= 1, got {self.concurrency!r}")
+
+    def target_for(self, concurrency: int) -> int:
+        """Instances needed for ``concurrency`` concurrent requests."""
+        return min(math.ceil(concurrency / self.concurrency), self.max_instances)
 
 
 @dataclass

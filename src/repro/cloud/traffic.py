@@ -13,10 +13,10 @@ busy).  This module adds that background world:
   :meth:`~repro.cloud.workloads.RequestPattern.concurrency_series` call —
   no per-tick Python in the simulation loop.
 * :class:`BackgroundDriver` — an event-driven autoscale driver.  Instead
-  of the blocking :meth:`~repro.cloud.autoscaler.Autoscaler.drive` loop
-  (one tenant owns the clock), evaluation events are registered on the
-  orchestrator's :class:`~repro.simtime.scheduler.EventScheduler`, so
-  thousands of tenants and the attack interleave on one
+  of a blocking loop in which one tenant owns the clock, evaluation events
+  are registered on the orchestrator's
+  :class:`~repro.simtime.scheduler.EventScheduler`, so thousands of
+  tenants and the attack interleave on one
   :class:`~repro.simtime.clock.SimClock`.  Tenants sharing an evaluation
   phase are batched: one event reads their targets as a fancy-indexed
   slice of the precomputed schedule matrix, compares against the columnar
@@ -99,7 +99,7 @@ class TrafficConfig:
     duration_s:
         How long evaluation events keep firing after :meth:`start`.
     evaluation_period_s:
-        Per-tenant autoscale cadence (matches the foreground autoscaler).
+        Per-tenant autoscale cadence.
     mean_concurrency:
         Mean *instance-level* demand per tenant; individual tenants draw a
         mean in ``[0.5, 1.5]`` of this.
@@ -177,7 +177,7 @@ class TenantPopulation:
     evaluation slot (nominal time ``phase_s + k * evaluation_period_s``)
     and ``targets[i, k]`` the resulting instance target,
     ``ceil(demand / concurrency)`` clamped to ``max_instances`` — the same
-    arithmetic as :meth:`~repro.cloud.autoscaler.Autoscaler.target_for`.
+    arithmetic as :meth:`~repro.cloud.services.ServiceConfig.target_for`.
     Both are ``(n_tenants, n_slots)`` int64 matrices, built by one
     vectorized ``concurrency_series`` call per tenant at generation time.
     """

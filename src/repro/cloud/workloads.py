@@ -3,8 +3,9 @@
 FaaS victims are web services whose instance counts follow their traffic
 (paper §2.2): the orchestrator scales out on request surges and scales in
 when demand declines.  These patterns generate the *desired concurrent
-requests* over time; :class:`~repro.cloud.autoscaler.Autoscaler` turns them
-into instance counts.
+requests* over time;
+:meth:`~repro.cloud.services.ServiceConfig.target_for` turns a demand into
+an instance count.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ class TraceLoad(RequestPattern):
         # Hold-last lookup: the last sample at or before ``elapsed_s``
         # (clamped to the first sample before trace start).  ``bisect``
         # makes every query O(log n) where the old linear scan was O(n)
-        # per call — and the autoscaler queries once per tick.
+        # per call — and a driver queries once per tick.
         index = max(0, bisect.bisect_right(self.times_s, elapsed_s) - 1)
         return self.concurrency[index]
 

@@ -7,13 +7,6 @@ from repro.core.attack.locator import (
     TargetVictimLocator,
     probe_latency_threshold,
 )
-from repro.core.attack.planner import (
-    AttackPlanner,
-    LaunchSchedule,
-    PolicyModel,
-    SchedulePrediction,
-)
-from repro.core.attack.residency import ResidencyMaintainer, ResidencyReport
 from repro.core.attack.strategies import (
     LaunchOutcome,
     naive_launch,
@@ -30,12 +23,6 @@ __all__ = [
     "LocatorResult",
     "TargetVictimLocator",
     "probe_latency_threshold",
-    "AttackPlanner",
-    "LaunchSchedule",
-    "PolicyModel",
-    "SchedulePrediction",
-    "ResidencyMaintainer",
-    "ResidencyReport",
     "LaunchOutcome",
     "naive_launch",
     "optimized_launch",

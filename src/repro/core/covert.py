@@ -315,8 +315,7 @@ class RngCovertChannel(CovertChannel):
             hits = self._observe_window(flat, dead, death_round, threshold_of)
             self._last_hits = hits
             # The test window occupies wall time *while* the pressure is
-            # on — which is exactly what a platform-side abuse monitor
-            # gets to observe.
+            # on.
             for handle in flat:
                 if handle.instance_id in dead:
                     continue
@@ -484,10 +483,8 @@ class LlcOccupancyChannel(RngCovertChannel):
 class DvfsFingerprintChannel(RngCovertChannel):
     """CTest over DVFS frequency-step contention (Dipta et al.).
 
-    Pressure here is *sustained CPU load*: ``_start`` registers a busy
-    period on the host's activity meter (visible to co-located probes like
-    any other work; consumes no sandbox randomness) before joining the
-    frequency-step contention domain.  What the guest physically records
+    Pressure here is *sustained CPU load* in the frequency-step contention
+    domain.  What the guest physically records
     is its own spin-loop frequency — the sustained-load frequency *trace*
     exposed by :meth:`frequency_trace_hz` — but the level-to-frequency map
     is strictly monotone decreasing
@@ -512,13 +509,6 @@ class DvfsFingerprintChannel(RngCovertChannel):
             seconds_per_test=seconds_per_test,
             fault_plan=fault_plan,
         )
-
-    def _start(self, sandbox) -> None:
-        # The pressurer *is* a sustained load: register the busy period
-        # first so co-located activity probes see it for the whole window,
-        # then join the frequency-step contention domain.
-        sandbox.run_busy(self.seconds_per_test)
-        sandbox.start_channel_pressure(self.kind)
 
     def _frequency_resource(self, sandbox: Sandbox) -> DvfsFrequencyResource:
         resource = sandbox.channel_port(self.kind).resource

@@ -3,7 +3,8 @@
 The paper's evaluation measures co-location at a single instant.  Real
 victims breathe with their traffic and the platform reaps idle attacker
 instances within ~12 minutes, so monitoring a victim for a whole day needs
-the keep-alive loop of :mod:`repro.core.attack.residency`.  This experiment
+a keep-alive loop: the attacker reconnects its released fleet for a
+one-second blip every refresh period, inside the idle grace.  This experiment
 primes the attacker once, then tracks victim-instance coverage hour by hour
 while the victim's diurnal traffic scales its fleet up and down — and
 accounts the full-day bill.
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import units
-from repro.cloud.autoscaler import Autoscaler
 from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import DiurnalLoad
 from repro.core.attack.strategies import optimized_launch
@@ -74,7 +74,6 @@ def run(config: SurveillanceConfig = SurveillanceConfig()) -> SurveillanceResult
         "account-2",
         ServiceConfig(name="victim-diurnal", max_instances=2 * config.victim_peak),
     )
-    scaler = Autoscaler(orchestrator, victim_service)
     load = DiurnalLoad(
         trough=config.victim_trough,
         peak=config.victim_peak,
@@ -96,7 +95,9 @@ def run(config: SurveillanceConfig = SurveillanceConfig()) -> SurveillanceResult
         # refresh cadence.
         while attacker.now() < window_end:
             tick_start = attacker.now()
-            target = scaler.target_for(load.concurrency_at(tick_start - start))
+            target = victim_service.config.target_for(
+                load.concurrency_at(tick_start - start)
+            )
             orchestrator.scale_to(victim_service, target)
             cost_before = attacker.cost_usd
             for name in outcome.service_names:

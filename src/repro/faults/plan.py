@@ -2,11 +2,11 @@
 
 Real co-location campaigns run against a noisy platform: launches fail or
 stall, covert-channel tests flip verdicts under background contention, an
-abuse monitor kills an instance mid-test, a worker process dies on one
-experiment cell.  The simulator needs to *inject* those failures — and the
-attack/experiment stack needs to *survive* them — without giving up the
-reproducibility guarantees the runner depends on (serial vs. pooled runs
-must stay byte-identical).
+instance dies mid-test, a worker process dies on one experiment cell.  The
+simulator needs to *inject* those failures — and the attack/experiment
+stack needs to *survive* them — without giving up the reproducibility
+guarantees the runner depends on (serial vs. pooled runs must stay
+byte-identical).
 
 The core trick is that a :class:`FaultPlan` is **stateless**: every
 decision is a pure function of ``(seed, site, token)`` hashed through
@@ -70,7 +70,7 @@ class FaultSpec:
         (transient channel noise / background contention).
     ctest_death_rate:
         Probability that one instance dies mid-test (stops pressuring and
-        reports nothing), as an abuse monitor or platform reap would cause.
+        reports nothing), as a platform reap racing the test would cause.
     probe_noise_rate / probe_noise_seconds:
         Probability that one victim-latency probe response is delayed by
         ``probe_noise_seconds`` of unrelated platform noise (a routing

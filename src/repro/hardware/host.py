@@ -29,7 +29,6 @@ from repro.hardware.noise import (
     problematic_noise_model,
     quiet_noise_model,
 )
-from repro.hardware.cpu_activity import CpuActivityMeter
 from repro.hardware.rng_resource import ContentionResource
 from repro.hardware.tsc import TimestampCounter
 
@@ -80,7 +79,6 @@ class PhysicalHost:
             background_rate=0.18, drop_rate=0.05
         )
     )
-    cpu_activity: CpuActivityMeter = field(default_factory=CpuActivityMeter)
     syscall_noise: SyscallNoiseModel = field(default_factory=quiet_noise_model)
     problematic_timing: bool = False
     capacity_slots: float = 160.0

@@ -208,9 +208,6 @@ class Sandbox(abc.ABC):
         one locker's slowdown, which is what lets the Target Victim
         Locator separate locked from unlocked with an *absolute* latency
         threshold instead of a differential one.
-
-        The busy period is registered on the host like any request
-        (:meth:`run_busy`), so co-located probes still see the activity.
         """
         lockers = self._host.memory_bus.pressurer_count
         latency = (
@@ -218,27 +215,7 @@ class Sandbox(abc.ABC):
             * (1.0 + self.BUS_LOCK_SLOWDOWN * lockers)
             * (1.0 + self._rng.uniform(0.0, self.SERVE_JITTER))
         )
-        self.run_busy(latency)
         return latency
-
-    # ------------------------------------------------------------------
-    # CPU execution and contention (victim-activity detection)
-    # ------------------------------------------------------------------
-    def run_busy(self, duration: float) -> None:
-        """Execute CPU-bound work for ``duration`` seconds (non-blocking
-        from the simulation's point of view: the busy period is registered
-        on the host and observed as contention by co-located probes)."""
-        self._host.cpu_activity.mark_busy(self.sandbox_id, self._clock.now(), duration)
-
-    def observe_cpu_contention(self) -> int:
-        """Count currently-executing co-located siblings (noisy).
-
-        Physically: time a calibrated probe loop and infer contention from
-        the slowdown.  The observer's own work is excluded.
-        """
-        return self._host.cpu_activity.observe(
-            self.sandbox_id, self._clock.now(), self._rng
-        )
 
     # ------------------------------------------------------------------
     # Helpers shared by concrete sandboxes

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,32 @@ def tiny_env_factory():
         )
 
     return build
+
+
+class ScalePoint(NamedTuple):
+    """One evaluation of :func:`follow_pattern`."""
+
+    elapsed_s: float
+    demand: int
+    active: int
+    alive: int
+
+
+def follow_pattern(orchestrator, service, pattern, duration_s, period_s=15.0):
+    """Scale ``service`` to ``pattern``'s demand every ``period_s``.
+
+    Each evaluation samples the pattern at its nominal slot time and calls
+    ``scale_to`` with :meth:`ServiceConfig.target_for` of that demand.
+    """
+    clock = orchestrator.clock
+    start = clock.now()
+    points = []
+    for slot in range(int(duration_s // period_s) + 1):
+        elapsed = slot * period_s
+        clock.sleep(max(0.0, start + elapsed - clock.now()))
+        demand = pattern.concurrency_at(elapsed)
+        active = orchestrator.scale_to(service, service.config.target_for(demand))
+        points.append(
+            ScalePoint(elapsed, demand, len(active), orchestrator.alive_count(service))
+        )
+    return points

@@ -2,11 +2,11 @@
 
 
 from repro import units
-from repro.cloud.autoscaler import Autoscaler
 from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import BurstLoad
-from repro.core.attack.residency import ResidencyMaintainer
 from repro.core.attack.strategies import optimized_launch
+
+from tests.conftest import follow_pattern
 
 
 def prime_attacker(env):
@@ -30,11 +30,10 @@ class TestWorkloadDrivenVictim:
         service = tiny_env.orchestrator.deploy_service(
             "account-2", ServiceConfig(name="bursty", max_instances=40)
         )
-        scaler = Autoscaler(tiny_env.orchestrator, service)
         pattern = BurstLoad(
             base=4, burst=30, burst_start_s=120.0, burst_duration_s=240.0
         )
-        scaler.drive(pattern, duration_s=300.0)
+        follow_pattern(tiny_env.orchestrator, service, pattern, 300.0)
         victims = tiny_env.orchestrator.alive_instances(service)
         assert len(victims) >= 30  # mid-burst fleet
         covered = sum(1 for i in victims if i.host_id in attacker_hosts)
@@ -58,24 +57,32 @@ class TestWorkloadDrivenVictim:
     def test_residency_plus_victim_churn(self, tiny_env):
         """Attacker holds residency with keep-alive blips while the victim
         churns through two full scale cycles."""
+        attacker = tiny_env.attacker
         attacker_hosts, outcome = prime_attacker(tiny_env)
         for name in outcome.service_names:
-            tiny_env.attacker.disconnect(name)
-        maintainer = ResidencyMaintainer(
-            tiny_env.attacker,
-            outcome.service_names,
-            instances_per_service=16,
-            refresh_period_s=90.0,
-        )
+            attacker.disconnect(name)
+
+        def keep_alive(duration_s, refresh_period_s=90.0):
+            # Reconnect the released fleet for a 1 s blip every refresh,
+            # well inside the idle grace, then release it again.
+            end = attacker.now() + duration_s
+            while attacker.now() < end:
+                tick = attacker.now()
+                for name in outcome.service_names:
+                    attacker.connect(name, 16)
+                    attacker.wait(1.0)
+                    attacker.disconnect(name)
+                attacker.wait(max(0.0, tick + refresh_period_s - attacker.now()))
+
         orch = tiny_env.orchestrator
         service = orch.deploy_service(
             "account-2", ServiceConfig(name="cycler", max_instances=40)
         )
         for _cycle in range(2):
             orch.scale_to(service, 30)
-            maintainer.maintain(duration_s=10 * units.MINUTE)
+            keep_alive(10 * units.MINUTE)
             orch.scale_to(service, 3)
-            maintainer.maintain(duration_s=10 * units.MINUTE)
+            keep_alive(10 * units.MINUTE)
         victims = orch.alive_instances(service)
         attacker_now = {
             instance.host_id

@@ -1,14 +1,13 @@
-"""Property-based tests for request patterns and the autoscaler."""
+"""Property-based tests for request patterns and request-driven scaling."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro import units
-from repro.cloud.autoscaler import Autoscaler
 from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import BurstLoad, DiurnalLoad, TraceLoad
 from repro.experiments.base import default_env
 
-from tests.conftest import tiny_profile
+from tests.conftest import follow_pattern, tiny_profile
 
 
 @given(
@@ -89,11 +88,8 @@ def test_autoscaler_tracks_any_demand_sequence(case):
     service = env.orchestrator.deploy_service(
         "account-1", ServiceConfig(name="prop-auto", max_instances=20)
     )
-    scaler = Autoscaler(env.orchestrator, service)
-    trace = TraceLoad(
-        [i * scaler.evaluation_period_s for i in range(len(demands))], demands
-    )
-    result = scaler.drive(trace, duration_s=len(demands) * scaler.evaluation_period_s)
-    for point in result.points:
-        assert point.active_instances == min(point.demanded_concurrency, 20)
-        assert point.alive_instances >= point.active_instances
+    trace = TraceLoad([i * 15.0 for i in range(len(demands))], demands)
+    points = follow_pattern(env.orchestrator, service, trace, len(demands) * 15.0)
+    for point in points:
+        assert point.active == min(point.demand, 20)
+        assert point.alive >= point.active

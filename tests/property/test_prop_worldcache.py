@@ -25,7 +25,7 @@ ops = st.lists(
     st.one_of(
         st.tuples(st.just("launch"), st.integers(min_value=1, max_value=3)),
         st.tuples(st.just("sleep"), st.floats(min_value=0.1, max_value=300.0)),
-        st.tuples(st.just("invoke"), st.just(0)),
+        st.tuples(st.just("probe"), st.just(0)),
         st.tuples(st.just("disconnect"), st.just(0)),
         st.tuples(st.just("rotate"), st.just(0)),
     ),
@@ -44,8 +44,8 @@ def _apply(env: SimulationEnv, stream) -> list:
                 log.append(sorted(h.instance_id for h in handles))
             elif kind == "sleep":
                 env.clock.sleep(arg)
-            elif kind == "invoke":
-                client.invoke("svc")
+            elif kind == "probe":
+                client.probe(f"{client.account_id}/svc")
             elif kind == "disconnect":
                 client.disconnect("svc")
             elif kind == "rotate":

@@ -1,10 +1,9 @@
-"""Unit tests for request workload patterns and the autoscaler."""
+"""Unit tests for request workload patterns and request-driven scaling."""
 
 import numpy as np
 import pytest
 
 from repro import units
-from repro.cloud.autoscaler import Autoscaler
 from repro.cloud.services import ServiceConfig
 from repro.cloud.workloads import (
     BurstLoad,
@@ -13,6 +12,8 @@ from repro.cloud.workloads import (
     PoissonLoad,
     TraceLoad,
 )
+
+from tests.conftest import follow_pattern
 
 
 class TestPatterns:
@@ -87,40 +88,34 @@ class TestPatterns:
 
 
 class TestAutoscaler:
-    def make(self, env, concurrency=1, max_instances=100):
-        service = env.orchestrator.deploy_service(
-            "account-1",
-            ServiceConfig(name="auto", concurrency=concurrency, max_instances=max_instances),
-        )
-        return Autoscaler(env.orchestrator, service, evaluation_period_s=15.0), service
+    def make(self, env):
+        return env.orchestrator.deploy_service("account-1", ServiceConfig(name="auto"))
 
     def test_follows_constant_load(self, tiny_env):
-        scaler, _service = self.make(tiny_env)
-        trace = scaler.drive(ConstantLoad(12), duration_s=60.0)
-        assert all(p.active_instances == 12 for p in trace.points[1:])
+        service = self.make(tiny_env)
+        points = follow_pattern(tiny_env.orchestrator, service, ConstantLoad(12), 60.0)
+        assert all(p.active == 12 for p in points[1:])
 
-    def test_target_respects_per_instance_concurrency(self, tiny_env):
-        scaler, _service = self.make(tiny_env, concurrency=10)
-        assert scaler.target_for(95) == 10
-        assert scaler.target_for(100) == 10
-        assert scaler.target_for(101) == 11
+    def test_target_respects_per_instance_concurrency(self):
+        config = ServiceConfig(name="auto", concurrency=10)
+        assert config.target_for(95) == 10
+        assert config.target_for(100) == 10
+        assert config.target_for(101) == 11
 
-    def test_target_clamped_to_max_instances(self, tiny_env):
-        scaler, _service = self.make(tiny_env, max_instances=20)
-        assert scaler.target_for(10_000) == 20
+    def test_target_clamped_to_max_instances(self):
+        assert ServiceConfig(name="auto", max_instances=20).target_for(10_000) == 20
 
     def test_scale_out_and_in_on_burst(self, tiny_env):
-        scaler, service = self.make(tiny_env)
+        service = self.make(tiny_env)
         pattern = BurstLoad(base=4, burst=20, burst_start_s=60.0, burst_duration_s=120.0)
-        trace = scaler.drive(pattern, duration_s=300.0)
-        assert trace.peak_instances == 20
-        active_after = [p.active_instances for p in trace.points if p.elapsed_s > 200]
-        assert all(a == 4 for a in active_after)
+        points = follow_pattern(tiny_env.orchestrator, service, pattern, 300.0)
+        assert max(p.active for p in points) == 20
+        assert all(p.active == 4 for p in points if p.elapsed_s > 200)
 
     def test_scaled_in_instances_idle_then_die(self, tiny_env):
-        scaler, service = self.make(tiny_env)
-        scaler.drive(ConstantLoad(15), duration_s=30.0)
+        service = self.make(tiny_env)
         orch = tiny_env.orchestrator
+        follow_pattern(orch, service, ConstantLoad(15), 30.0)
         orch.scale_to(service, 5)
         alive = orch.alive_instances(service)
         assert len(alive) == 15  # extras idle, not dead
@@ -128,13 +123,8 @@ class TestAutoscaler:
         assert len(orch.alive_instances(service)) == 5
 
     def test_diurnal_trace_shape(self, tiny_env):
-        scaler, _service = self.make(tiny_env)
+        service = self.make(tiny_env)
         pattern = DiurnalLoad(trough=2, peak=16, period_s=20 * units.MINUTE)
-        trace = scaler.drive(pattern, duration_s=20 * units.MINUTE)
-        assert trace.peak_instances >= 15
-        assert trace.trough_instances <= 3
-
-    def test_invalid_period_rejected(self, tiny_env):
-        _scaler, service = self.make(tiny_env)
-        with pytest.raises(ValueError):
-            Autoscaler(tiny_env.orchestrator, service, evaluation_period_s=0)
+        points = follow_pattern(tiny_env.orchestrator, service, pattern, 20 * units.MINUTE)
+        assert max(p.active for p in points) >= 15
+        assert min(p.active for p in points) <= 3

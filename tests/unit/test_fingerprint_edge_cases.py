@@ -1,10 +1,13 @@
 """Edge cases around fingerprint collection and placement stability."""
 
 
+from collections import Counter
+
 from repro import units
 from repro.cloud.services import ServiceConfig
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.hardware.cpu import CPUModel
+from repro.sandbox.base import Sandbox
 
 
 class TestCollectionRobustness:
@@ -50,21 +53,25 @@ class TestCollectionRobustness:
 class TestScaleFromZero:
     def test_invoke_scales_cold_service(self, tiny_env):
         client = tiny_env.attacker
-        name = client.deploy(ServiceConfig(name="cold"))
-        client.invoke(name, processing_seconds=0.1)
+        client.deploy(ServiceConfig(name="cold"))
+        client.probe("account-1/cold", processing_seconds=0.1)
         service = tiny_env.orchestrator.services["account-1/cold"]
         assert len(tiny_env.orchestrator.alive_instances(service)) == 1
 
-    def test_invocations_spread_round_robin(self, tiny_env):
+    def test_invocations_spread_round_robin(self, tiny_env, monkeypatch):
+        served = Counter()
+        serve_request = Sandbox.serve_request
+
+        def counting(sandbox, processing_seconds):
+            served[sandbox.sandbox_id] += 1
+            return serve_request(sandbox, processing_seconds)
+
+        monkeypatch.setattr(Sandbox, "serve_request", counting)
         client = tiny_env.attacker
         name = client.deploy(ServiceConfig(name="rr"))
         handles = client.connect(name, 4)
         for _ in range(8):
-            client.invoke(name, processing_seconds=100.0)
-        # All four instances should be busy (2 requests each, queued).
-        orch = tiny_env.orchestrator
-        service = orch.services["account-1/rr"]
-        now = tiny_env.clock.now()
-        for instance in orch.alive_instances(service):
-            host = tiny_env.datacenter.host(instance.host_id)
-            assert host.cpu_activity.busy_count(now) >= 1
+            client.probe("account-1/rr", processing_seconds=0.1)
+        # Each of the four instances served two of the eight requests.
+        assert sorted(served) == sorted(h.instance_id for h in handles)
+        assert set(served.values()) == {2}

@@ -6,22 +6,16 @@ Pins the semantics the background-traffic engine leans on:
   ACTIVE set is a creation-ordered prefix of the alive list;
 * ``orchestrator.scale_in`` emits a telemetry span with the idled count;
 * ``connect`` packs connections at the service's configured per-instance
-  concurrency instead of assuming one connection per instance;
-* ``Autoscaler.drive`` samples demand on the nominal slot grid and
-  accounts for evaluations skipped by cold-start overruns instead of
-  silently drifting its cadence.
+  concurrency instead of assuming one connection per instance.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cloud.autoscaler import Autoscaler
 from repro.fleet import InstanceState
 from repro.cloud.services import ServiceConfig
-from repro.cloud.workloads import ConstantLoad
 from repro.experiments.base import default_env
-from repro.faults import FaultPlan, FaultSpec
 from repro.telemetry import Telemetry, telemetry_context
 
 from tests.conftest import tiny_profile
@@ -107,28 +101,3 @@ class TestConnectConcurrency:
         service = deploy(tiny_env, concurrency=4)
         assert len(tiny_env.orchestrator.connect(service, 16)) == 4
 
-
-class TestAutoscalerCadence:
-    def test_points_sit_on_the_nominal_slot_grid(self, tiny_env):
-        service = deploy(tiny_env)
-        autoscaler = Autoscaler(tiny_env.orchestrator, service, evaluation_period_s=15.0)
-        trace = autoscaler.drive(ConstantLoad(3), duration_s=60.0)
-        assert [p.elapsed_s for p in trace.points] == [0.0, 15.0, 30.0, 45.0, 60.0]
-
-    def test_overruns_count_missed_evaluations(self, tiny_env_factory):
-        # Every launch pays a 45 s penalty; the first evaluation creates
-        # 20 instances, so it overruns the 15 s cadence by dozens of
-        # slots.  Those slots must be accounted, not silently resampled.
-        plan = FaultPlan(FaultSpec(slow_launch_rate=1.0, slow_launch_seconds=45.0))
-        telemetry = Telemetry()
-        with telemetry_context(telemetry):
-            env = tiny_env_factory(fault_plan=plan)
-            service = deploy(env)
-            autoscaler = Autoscaler(env.orchestrator, service, evaluation_period_s=15.0)
-            trace = autoscaler.drive(ConstantLoad(20), duration_s=300.0)
-        missed = telemetry.metrics.counter("autoscaler.missed_evaluations")
-        assert missed > 0
-        # Every recorded point still sits on the nominal grid, and the
-        # recorded plus missed evaluations cover the whole schedule.
-        assert all(p.elapsed_s % 15.0 == 0.0 for p in trace.points)
-        assert len(trace.points) + missed == 300.0 / 15.0 + 1

@@ -36,7 +36,7 @@ def _drive(env) -> dict:
     name = env.attacker.deploy(ServiceConfig(name="drv"))
     handles = env.attacker.connect(name, 3)
     env.clock.sleep(45.0)
-    env.attacker.invoke(name)
+    env.attacker.probe(f"account-1/{name}")
     draws = env.orchestrator._rng.integers(0, 2**31, size=4).tolist()
     return {
         "now": env.clock.now(),
