@@ -5,8 +5,9 @@ rounds, pressure stop, verdicts — over synthetic fleets at
 1x/4x/16x/64x/256x of an 800-instance campaign wave with the paper's
 60-round test window, comparing the per-round loop (one probe round-trip
 per instance per round; the reference kept in ``tests/oracles/ctest.py``)
-against the batched ``observe_rounds`` engine (one observation call per
-host per window) that ``RngCovertChannel`` always runs.
+against the batch-wide ``window_hits`` engine (one call per batch, in
+array passes of at most ``PASS_DRAWS`` draws) that ``RngCovertChannel``
+always runs.
 
 The two are byte-identical by contract (see the identity suites in
 ``tests/unit/test_ctest_vectorized.py`` and ``tests/scale``); this

@@ -11,7 +11,7 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import Service, ServiceConfig
@@ -61,43 +61,6 @@ class InstanceHandle:
             If the instance has been terminated.
         """
         return self._instance.run_probe(probe)
-
-    @staticmethod
-    def run_batch(
-        handles: Sequence["InstanceHandle"],
-        probe: Callable[[list[Sandbox]], T],
-    ) -> list[tuple[list["InstanceHandle"], T]]:
-        """Run ``probe`` once per physical host over that host's sandboxes.
-
-        Engine-side plumbing for batched covert-channel physics: handles
-        are grouped by their (hidden) placement, preserving input order
-        within each group, and ``probe`` receives each group's sandbox
-        list in one call — which is what lets the CTest round engine
-        issue one observation call per *host* per test window instead of
-        one per instance per round.  Returns ``(handles, result)`` pairs
-        in first-appearance order of the hosts.
-
-        The grouping key is exactly the co-location ground truth the
-        attack exists to infer, so results must only feed simulator-side
-        shared-hardware physics (the covert channel), never attacker
-        logic.  Every handle's liveness is checked — in input order,
-        before any probe runs — with the same gate as :meth:`run`, so a
-        terminated instance raises :class:`InstanceGoneError` before any
-        host observes anything.
-
-        Raises
-        ------
-        InstanceGoneError
-            If any instance has been terminated.
-        """
-        groups: dict[str, list[InstanceHandle]] = {}
-        for handle in handles:
-            handle._instance.require_alive()
-            groups.setdefault(handle._instance.host_id, []).append(handle)
-        return [
-            (members, probe([h._instance.sandbox for h in members]))
-            for members in groups.values()
-        ]
 
     def on_sigterm(self, callback: Callable[[float], None]) -> None:
         """Register a callback for the orchestrator's SIGTERM signal.

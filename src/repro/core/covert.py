@@ -26,6 +26,7 @@ from repro.cloud.api import InstanceHandle
 from repro.errors import InstanceGoneError, VerificationError
 from repro.faults import FaultPlan, current_fault_plan
 from repro.hardware.channels import DvfsFrequencyResource
+from repro.hardware.rng_resource import window_hits
 from repro.sandbox.base import ChannelPort, Sandbox
 from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
 
@@ -179,9 +180,10 @@ class RngCovertChannel(CovertChannel):
     sandbox channel surface does the per-kind routing.
 
     Each test window runs on one round engine: a single
-    :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
-    call per host, byte-identical to probing every instance once per round
-    (that per-round reference is a test oracle in ``tests/oracles``).
+    :func:`~repro.hardware.rng_resource.window_hits` call over every
+    started instance of the batch, byte-identical to probing every
+    instance once per round (that per-round reference is a test oracle in
+    ``tests/oracles``).
 
     Parameters
     ----------
@@ -226,15 +228,15 @@ class RngCovertChannel(CovertChannel):
         self._last_hits: dict[str, int] = {}
 
     # Resource hooks, routed through the generic sandbox channel surface
-    # by declared kind.
-    def _start(self, sandbox) -> None:
+    # by declared kind.  Starting pressure also hands back the port the
+    # window engine observes through, so a batch resolves each sandbox
+    # once for both.
+    def _start(self, sandbox) -> ChannelPort:
         sandbox.start_channel_pressure(self.kind)
+        return sandbox.channel_port(self.kind)
 
     def _stop(self, sandbox) -> None:
         sandbox.stop_channel_pressure(self.kind)
-
-    def _port(self, sandbox) -> ChannelPort:
-        return sandbox.channel_port(self.kind)
 
     def ctest_batch(
         self,
@@ -304,19 +306,19 @@ class RngCovertChannel(CovertChannel):
         # platform reap racing the test) stop pressuring and report no
         # further rounds; the attacker reads silence as a negative.
         dead: set[str] = set()
-        started: list[InstanceHandle] = []
+        started: list[tuple[InstanceHandle, ChannelPort]] = []
         for handle in flat:
             try:
-                handle.run(self._start)
-                started.append(handle)
+                started.append((handle, handle.run(self._start)))
             except InstanceGoneError:
                 dead.add(handle.instance_id)
         try:
-            hits = self._observe_window(flat, dead, death_round, threshold_of)
+            hits = {handle.instance_id: 0 for handle in flat}
+            hits.update(self._observe_window(started, dead, death_round, threshold_of))
             self._last_hits = hits
             # The test window occupies wall time *while* the pressure is
             # on.
-            for handle in flat:
+            for handle, _port in started:
                 if handle.instance_id in dead:
                     continue
                 try:
@@ -326,7 +328,7 @@ class RngCovertChannel(CovertChannel):
                     continue
                 break
         finally:
-            for handle in started:
+            for handle, _port in started:
                 if handle.instance_id in dead:
                     continue
                 try:
@@ -356,69 +358,38 @@ class RngCovertChannel(CovertChannel):
 
     def _observe_window(
         self,
-        flat: Sequence[InstanceHandle],
+        started: Sequence[tuple[InstanceHandle, ChannelPort]],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
-        """Contention-hit counts of one test window, per instance.
+        """Contention-hit counts of one test window, per started instance.
 
-        One ``observe_rounds`` call per host per window, byte-identical to
-        probing every live instance once per round in flat order.
+        One :func:`~repro.hardware.rng_resource.window_hits` call over the
+        whole batch, byte-identical to probing every started instance once
+        per round in flat order.  No sim time passes between starting the
+        pressure and the window, so every started instance is still alive
+        here.
         """
-        hits = {handle.instance_id: 0 for handle in flat}
-        live: list[InstanceHandle] = []
-        ports: dict[str, ChannelPort] = {}
-        for handle in flat:
-            if handle.instance_id in dead:
-                continue
-            try:
-                port = handle.run(self._port)
-            except InstanceGoneError:
-                # A per-round probe would discover this at the instance's
-                # round-0 observe: no observations, no stop call (its
-                # stale pressure keeps counting for co-residents, which
-                # ``observe_rounds`` models as external pressure).
-                dead.add(handle.instance_id)
-                continue
-            ports[handle.instance_id] = port
-            live.append(handle)
-        if not live:
-            return hits
-
-        total_rounds = self.total_rounds
-
-        def window(sandboxes: list[Sandbox]) -> list[np.ndarray]:
-            ids = [sandbox.sandbox_id for sandbox in sandboxes]
-            resource = ports[ids[0]].resource
-            return resource.observe_rounds(
-                [(instance_id, ports[instance_id].rng) for instance_id in ids],
-                total_rounds,
-                stop_rounds=[death_round.get(instance_id) for instance_id in ids],
-            )
-
-        # One observation call per host; ``run_batch`` preserves the flat
-        # (schedule) order within each host, which is what the death-slot
-        # semantics of ``observe_rounds`` key on.
-        for members, levels in InstanceHandle.run_batch(live, window):
-            for handle, level_stream in zip(members, levels):
-                instance_id = handle.instance_id
-                hits[instance_id] = int(
-                    np.count_nonzero(level_stream >= threshold_of[instance_id])
-                )
-        # Mid-window fault deaths: ``observe_rounds`` already truncated
-        # the dying instance's observations and pressure contribution at
-        # its death slot, so only the state transition (dead + unregister)
+        ids = [handle.instance_id for handle, _port in started]
+        hits = window_hits(
+            [port for _handle, port in started],
+            self.total_rounds,
+            [threshold_of[instance_id] for instance_id in ids],
+            stop_rounds=[death_round.get(instance_id) for instance_id in ids],
+        )
+        # Mid-window fault deaths: ``window_hits`` already truncated the
+        # dying instance's observations and pressure contribution at its
+        # death slot, so only the state transition (dead + unregister)
         # remains.
-        for handle in live:
-            instance_id = handle.instance_id
-            if death_round.get(instance_id) is not None:
-                dead.add(instance_id)
+        for handle, _port in started:
+            if handle.instance_id in death_round:
+                dead.add(handle.instance_id)
                 try:
                     handle.run(self._stop)
                 except InstanceGoneError:
                     pass
-        return hits
+        return dict(zip(ids, hits.tolist()))
 
 
 class MemoryBusCovertChannel(RngCovertChannel):
@@ -458,7 +429,7 @@ class LlcOccupancyChannel(RngCovertChannel):
     ``saturation`` clamp) — and ordinary tenant working sets keep the
     background-contention floor an order of magnitude above the RNG
     channel's, so the default window integrates as long as the RNG test
-    but accepts a laxer hit quota.  Everything else (``observe_rounds``
+    but accepts a laxer hit quota.  Everything else (``window_hits``
     batching, fault-death semantics, verdict noise) is the shared engine,
     unchanged.
     """

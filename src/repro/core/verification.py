@@ -117,7 +117,9 @@ class _GroupTask:
         self.fallback_units: list[list[InstanceHandle]] = []
         self.fallback_ds: DisjointSet | None = None
         self.fallback_pairs: deque[tuple[int, int]] = deque()
-        self.fallback_negatives: set[frozenset] = set()
+        #: Negative verdicts between fallback clusters, keyed by cluster
+        #: root: ``root -> roots known to be on other hosts`` (symmetric).
+        self.fallback_negatives: dict[int, set[int]] = {}
         self.phase = "chunking"
 
     def done(self) -> bool:
@@ -141,33 +143,38 @@ class _GroupTask:
         self.fallback_pairs = deque(
             (i, j) for i in range(n) for j in range(i + 1, n)
         )
-        self.fallback_negatives = set()
+        self.fallback_negatives = {}
 
     def record_fallback_negative(self, i: int, j: int) -> None:
         """Remember that the units' current clusters are on different hosts."""
         assert self.fallback_ds is not None
-        self.fallback_negatives.add(
-            frozenset((self.fallback_ds.find(i), self.fallback_ds.find(j)))
-        )
+        root_i, root_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
+        if root_i != root_j:
+            self.fallback_negatives.setdefault(root_i, set()).add(root_j)
+            self.fallback_negatives.setdefault(root_j, set()).add(root_i)
 
     def merge_fallback_units(self, i: int, j: int) -> None:
         """Union two units, migrating negative knowledge to the new root.
 
         Host identity is an equivalence relation, so a cluster's negative
-        verdicts extend to everything merged into it.
+        verdicts extend to everything merged into it.  Only the two old
+        roots' neighbours move; a negative between the two merged clusters
+        contradicts the merge and is dropped.
         """
         assert self.fallback_ds is not None
         old_i, old_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
         self.fallback_ds.union(i, j)
         new_root = self.fallback_ds.find(i)
-        migrated = set()
-        for pair in self.fallback_negatives:
-            others = pair - {old_i, old_j}
-            if len(others) == len(pair):
-                migrated.add(pair)
-            elif others:
-                migrated.add(frozenset((new_root, next(iter(others)))))
-        self.fallback_negatives = migrated
+        negatives = self.fallback_negatives
+        moved = negatives.pop(old_i, set()) | negatives.pop(old_j, set())
+        moved -= {old_i, old_j}
+        for other in moved:
+            neighbours = negatives[other]
+            neighbours.discard(old_i)
+            neighbours.discard(old_j)
+            neighbours.add(new_root)
+        if moved:
+            negatives[new_root] = moved
 
     def next_fallback_pair(self) -> list[InstanceHandle] | None:
         """Next unit pair not settled by transitivity or negative memory."""
@@ -176,7 +183,7 @@ class _GroupTask:
             i, j = self.fallback_pairs[0]
             root_i, root_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
             settled = root_i == root_j or (
-                frozenset((root_i, root_j)) in self.fallback_negatives
+                root_j in self.fallback_negatives.get(root_i, ())
             )
             if settled:
                 self.fallback_pairs.popleft()

@@ -199,11 +199,8 @@ class ContainerInstance:
     def run_probe(self, probe: Callable[[Sandbox], T]) -> T:
         """Execute ``probe(sandbox)`` inside this instance if it is alive.
 
-        The single execution gate shared by
-        :meth:`repro.cloud.api.InstanceHandle.run` and the batched
-        :meth:`repro.cloud.api.InstanceHandle.run_batch` engine hook: both
-        paths check liveness the same way, so a terminated instance raises
-        :class:`InstanceGoneError` identically under either engine.
+        The execution gate behind :meth:`repro.cloud.api.InstanceHandle.run`:
+        a terminated instance raises :class:`InstanceGoneError`.
         """
         self.require_alive()
         return probe(self.sandbox)

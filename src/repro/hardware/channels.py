@@ -9,12 +9,12 @@ string branches, so adding a channel is one :func:`register_channel_kind`
 call plus a resource/verdict model — nothing in the host, sandbox, or
 engine layers changes.
 
-Extension contract (what keeps a new kind on the one batched
-``observe_rounds`` CTest engine):
+Extension contract (what keeps a new kind on the one batch-wide
+:func:`~repro.hardware.rng_resource.window_hits` CTest engine):
 
 * the resource class must not override
-  :meth:`~repro.hardware.rng_resource.ContentionResource.observe` or
-  :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
+  :meth:`~repro.hardware.rng_resource.ContentionResource.observe`, the
+  scalar model ``window_hits`` reproduces in arrays
   (:func:`register_channel_kind` rejects a class that does);
 * channel physics beyond background/drop rates must be expressed as pure
   post-draw transforms (``saturation`` clamping, the DVFS level-to-frequency
@@ -143,7 +143,7 @@ class ChannelKind:
     resource_cls:
         Class instantiated per host (a
         :class:`~repro.hardware.rng_resource.ContentionResource` or a
-        subclass that keeps ``observe``/``observe_rounds`` untouched).
+        subclass that keeps ``observe`` untouched).
     """
 
     name: str
@@ -182,17 +182,18 @@ def register_channel_kind(kind: ChannelKind) -> ChannelKind:
     Registration is metadata-only: no resource is built until a host first
     serves the kind, so registering can never perturb existing kinds' RNG
     draw order.  A ``resource_cls`` that overrides the contention model's
-    ``observe`` or ``observe_rounds`` is rejected: the CTest engine draws
-    every window through the base ``observe_rounds``.
+    ``observe`` is rejected: the CTest engine draws every window through
+    :func:`~repro.hardware.rng_resource.window_hits`, which reproduces the
+    base ``observe`` and would silently ignore an override.
     """
     if kind.name in _CHANNEL_KINDS:
         raise ValueError(f"covert-channel kind {kind.name!r} already registered")
-    for method in ("observe", "observe_rounds"):
-        if getattr(kind.resource_cls, method) is not getattr(ContentionResource, method):
-            raise ValueError(
-                f"covert-channel kind {kind.name!r}: resource class "
-                f"{kind.resource_cls.__name__} overrides ContentionResource.{method}"
-            )
+    if kind.resource_cls.observe is not ContentionResource.observe:
+        raise ValueError(
+            f"covert-channel kind {kind.name!r}: resource class "
+            f"{kind.resource_cls.__name__} overrides ContentionResource.observe, "
+            f"which window_hits reproduces"
+        )
     _CHANNEL_KINDS[kind.name] = kind
     return kind
 

@@ -23,13 +23,14 @@ from repro.simtime.clock import SimClock
 class ChannelPort(NamedTuple):
     """Engine-side ingredients for batched covert-channel observation.
 
-    A port bundles what :meth:`~repro.hardware.rng_resource.ContentionResource.observe_rounds`
+    A port bundles what :func:`~repro.hardware.rng_resource.window_hits`
     needs to reproduce one sandbox's scalar observation stream: the host's
     shared contention domain, the pressure-registration id, and the
     sandbox's private randomness source.  It is simulator plumbing — the
-    CTest round engine uses it to issue one observation call per
-    *host* per test window — and must never leak into attacker logic,
-    which only ever sees the scalar observe results.
+    CTest round engine uses it to draw a whole batch's test window in one
+    call, grouping observers by their (hidden) host resource — and must
+    never leak into attacker logic, which only ever sees the scalar
+    observe results.
     """
 
     resource: ContentionResource

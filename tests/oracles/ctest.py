@@ -1,9 +1,10 @@
-"""Per-round CTest loop (reference for the batched ``observe_rounds`` engine).
+"""Per-round CTest loop (reference for the batch-wide ``window_hits`` engine).
 
-One probe round-trip per live instance per round, visiting instances in
-flat order within each round.  :func:`loop_reference` derives, from any
-registered channel class, a subclass that runs its windows this way, so
-every kind's batched engine is pinned against the same loop.
+One probe round-trip per started instance per round, visiting instances
+in flat order within each round; the ports the batched engine observes
+through are ignored.  :func:`loop_reference` derives, from any registered
+channel class, a subclass that runs its windows this way, so every kind's
+batched engine is pinned against the same loop.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Sequence
 from repro.cloud.api import InstanceHandle
 from repro.core.covert import RngCovertChannel
 from repro.errors import InstanceGoneError
+from repro.sandbox.base import ChannelPort
 
 
 class LoopWindow:
@@ -20,12 +22,13 @@ class LoopWindow:
 
     def _observe_window(
         self,
-        flat: Sequence[InstanceHandle],
+        started: Sequence[tuple[InstanceHandle, ChannelPort]],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
         kind = self.kind
+        flat = [handle for handle, _port in started]
         hits = {handle.instance_id: 0 for handle in flat}
         for round_index in range(self.total_rounds):
             for handle in flat:

@@ -134,4 +134,3 @@ def test_llc_resource_is_contention_resource_with_saturation():
     resource = LlcOccupancyResource()
     assert isinstance(resource, ContentionResource)
     assert type(resource).observe is ContentionResource.observe
-    assert type(resource).observe_rounds is ContentionResource.observe_rounds

@@ -119,3 +119,80 @@ def test_accurate_fingerprints_cost_linear_in_hosts(scenario):
     n = len(host_of)
     # O(M)-ish: chunk tests + merge tests + the step-3 sweep.
     assert report.n_tests <= 2 * (n // 2 + n_hosts) + 1
+
+
+# ----------------------------------------------------------------------
+# Fallback negative memory: root-keyed adjacency == set of root pairs
+# ----------------------------------------------------------------------
+def _fallback_twins(n_units: int):
+    from repro.core.verification import _GroupTask
+    from tests.oracles.verification import PairSetGroupTask
+
+    twins = []
+    for cls in (_GroupTask, PairSetGroupTask):
+        task = cls([FakeHandle(f"i{k}") for k in range(n_units)], None)
+        task.clusters = [[FakeHandle(f"i{k}")] for k in range(n_units)]
+        task.enter_fallback()
+        twins.append(task)
+    return twins
+
+
+@st.composite
+def fallback_scripts(draw):
+    n_units = draw(st.integers(2, 14))
+    unit = st.integers(0, n_units - 1)
+    step = st.one_of(
+        # Test the next unsettled pair and record its verdict.
+        st.tuples(st.just("next"), st.booleans()),
+        # Apply a verdict to an arbitrary pair, as a retry or the
+        # false-negative hunt could.
+        st.tuples(st.just("merge"), unit, unit),
+        st.tuples(st.just("negative"), unit, unit),
+    )
+    return n_units, draw(st.lists(step, max_size=80))
+
+
+@given(fallback_scripts())
+@settings(max_examples=200, deadline=None)
+def test_fallback_negatives_match_pair_set_oracle(script):
+    """Random negatives and merges give the same ``next_fallback_pair``
+    sequence and the same final clusters in both negative memories."""
+    n_units, steps = script
+    task, oracle = _fallback_twins(n_units)
+
+    def next_pair(t):
+        pair = t.next_fallback_pair()
+        return None if pair is None else [h.instance_id for h in pair]
+
+    for step in steps:
+        got = next_pair(task)
+        assert got == next_pair(oracle)
+        if step[0] == "next":
+            if got is None:
+                continue
+            for t in (task, oracle):
+                i, j = t.fallback_pairs.popleft()
+                if step[1]:
+                    t.merge_fallback_units(i, j)
+                else:
+                    t.record_fallback_negative(i, j)
+        else:
+            _op, i, j = step
+            for t in (task, oracle):
+                if step[0] == "merge":
+                    t.merge_fallback_units(i, j)
+                else:
+                    t.record_fallback_negative(i, j)
+    while True:
+        got = next_pair(task)
+        assert got == next_pair(oracle)
+        if got is None:
+            break
+        for t in (task, oracle):
+            i, j = t.fallback_pairs.popleft()
+            t.record_fallback_negative(i, j)
+    for t in (task, oracle):
+        t.finish_fallback()
+    assert [[h.instance_id for h in c] for c in task.clusters] == [
+        [h.instance_id for h in c] for c in oracle.clusters
+    ]

@@ -2,8 +2,8 @@
 
 Two guarantees per kind:
 
-* **engine identity** — the per-round loop oracle and the batched
-  ``observe_rounds`` engine produce identical verdicts, hits, RNG end
+* **engine identity** — the per-round loop oracle and the batch-wide
+  ``window_hits`` engine produce identical verdicts, hits, RNG end
   states, and pressurer sets for every registered kind (the per-kind
   generalization of the RNG twin-world suite);
 * **refactor identity** — the kind-routed hooks (``channel_port(kind)`` /
@@ -28,32 +28,26 @@ class LegacyRngChannel(RngCovertChannel):
     """The pre-registry hook wiring: the host's ``rng_resource`` field."""
 
     @staticmethod
-    def _start(sandbox) -> None:
+    def _start(sandbox) -> ChannelPort:
         sandbox._host.rng_resource.start_pressure(sandbox.sandbox_id)
+        return ChannelPort(sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng)
 
     @staticmethod
     def _stop(sandbox) -> None:
         sandbox._host.rng_resource.stop_pressure(sandbox.sandbox_id)
-
-    @staticmethod
-    def _port(sandbox) -> ChannelPort:
-        return ChannelPort(sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng)
 
 
 class LegacyBusChannel(MemoryBusCovertChannel):
     """The pre-registry hook wiring: the host's ``memory_bus`` field."""
 
     @staticmethod
-    def _start(sandbox) -> None:
+    def _start(sandbox) -> ChannelPort:
         sandbox._host.memory_bus.start_pressure(sandbox.sandbox_id)
+        return ChannelPort(sandbox._host.memory_bus, sandbox.sandbox_id, sandbox._rng)
 
     @staticmethod
     def _stop(sandbox) -> None:
         sandbox._host.memory_bus.stop_pressure(sandbox.sandbox_id)
-
-    @staticmethod
-    def _port(sandbox) -> ChannelPort:
-        return ChannelPort(sandbox._host.memory_bus, sandbox.sandbox_id, sandbox._rng)
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))

@@ -78,10 +78,11 @@ class TestRegistry:
             unregister_channel_kind("test-scratch")
         assert "test-scratch" not in registered_channel_kinds()
 
-    @pytest.mark.parametrize("method", ["observe", "observe_rounds"])
+    @pytest.mark.parametrize("method", ["observe"])
     def test_resource_overriding_contention_model_rejected(self, method):
-        """The one CTest engine draws through the base contention model,
-        so a kind whose resource replaces it is refused at registration."""
+        """The one CTest engine, ``window_hits``, reproduces the base
+        contention model, so a kind whose resource replaces it is refused
+        at registration."""
 
         def override(self, *args, **kwargs):  # pragma: no cover - never called
             raise AssertionError

@@ -2,7 +2,7 @@
 
 Every test builds two byte-identical simulated worlds from the same seed,
 runs the per-round loop oracle (:mod:`tests.oracles.ctest`) in one and the
-batched ``observe_rounds`` engine in the other, and asserts that verdicts,
+batch-wide ``window_hits`` engine in the other, and asserts that verdicts,
 per-instance hit counts, sandbox RNG end states, and host pressurer sets
 all match exactly.  This is the engine-level counterpart of the
 golden-trace byte-identity guarantee: the engine must be
@@ -11,16 +11,29 @@ indistinguishable from the loop.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
-from repro.core.covert import MemoryBusCovertChannel, RngCovertChannel
+from repro.core.covert import (
+    LlcOccupancyChannel,
+    MemoryBusCovertChannel,
+    RngCovertChannel,
+)
 from repro.core.verification import ScalableVerifier, TaggedInstance
-from repro.errors import InstanceGoneError
 from repro.faults import FaultPlan, FaultSpec
+from repro.fleet import InstanceStore
+from repro.hardware import rng_resource
+from repro.hardware.cpu import cpu_catalog
+from repro.hardware.host import PhysicalHost
+from repro.hardware.rng_resource import PASS_DRAWS, ContentionResource, window_hits
+from repro.hardware.tsc import TimestampCounter
 from repro.sandbox.base import ChannelPort
+from repro.sandbox.gvisor import GVisorSandbox
+from repro.simtime.clock import SimClock
 from tests.oracles.ctest import LoopRngCovertChannel, loop_reference
 
 
@@ -202,42 +215,40 @@ class TestEdgeCases:
         )
 
     def test_stale_pressure_from_real_instance_gone(self, tiny_env_factory):
-        """An instance terminated between pressure start and the window
-        raises a real ``InstanceGoneError``; the loop never stops its
-        pressure, and the batched engine must model that stale pressure
-        as external contention."""
+        """An instance terminated while pressuring leaves its pressure
+        registered on its host (nothing ever stops it); a later batch over
+        its co-residents must count that stale pressure as external
+        contention on both engines."""
         worlds = {}
         for label, cls in (("loop", LoopRngCovertChannel), ("batched", RngCovertChannel)):
             env = tiny_env_factory(seed=7)
             handles = launch(env, 6)
             channel = cls()
-            for handle in handles:
-                handle.run(channel._start)
             victim = handles[0]
+            victim.run(channel._start)
             env.orchestrator.instance_store.terminate(
                 np.array([victim._instance.row]), env.orchestrator.clock.now()
             )
-            dead: set[str] = set()
-            hits = channel._observe_window(
-                handles,
-                dead,
-                {},
-                {h.instance_id: 2 for h in handles},
-            )
+            results = channel.ctest_batch([handles[1:4], handles[4:]], 2)
             worlds[label] = {
-                "hits": hits,
-                "dead": set(dead),
+                "positives": [r.positive for r in results],
+                "hits": dict(channel._last_hits),
                 "states": {
                     h.instance_id: rng_state(h) for h in handles[1:]
                 },
                 "pressurers": pressurer_sets(env, handles),
             }
         assert worlds["loop"] == worlds["batched"]
-        # The victim's stale pressure is still registered on its host.
-        victim_id = next(iter(worlds["loop"]["dead"]))
+        # The victim's stale pressure is still registered on its host...
         assert any(
-            victim_id in members
+            victim.instance_id in members
             for members in worlds["loop"]["pressurers"].values()
+        )
+        # ...and a co-resident of it was tested, so it actually counted.
+        orch = env.orchestrator
+        victim_host = orch.true_host_of(victim.instance_id)
+        assert any(
+            orch.true_host_of(h.instance_id) == victim_host for h in handles[1:]
         )
 
     def test_verifier_with_singleton_adjacent_chunks(self, tiny_env_factory):
@@ -305,42 +316,218 @@ class TestEngineGuards:
             handle._instance.sandbox._host.channel_resource("cache")
 
 
+def quiet_ports(handles):
+    """Start rng pressure on every handle and silence the hosts' noise,
+    so each observed level is exactly the host's pressurer count."""
+    channel = RngCovertChannel()
+    ports = [h.run(channel._start) for h in handles]
+    for port in ports:
+        port.resource.background_rate = 0.0
+        port.resource.drop_rate = 0.0
+    return ports
+
+
 class TestRunBatch:
+    """How one batch-wide window groups its observers: by the (hidden)
+    host resource, in schedule order within each host."""
+
     def test_groups_match_ground_truth_placement(self, tiny_env):
         handles = launch(tiny_env, 12)
         orch = tiny_env.orchestrator
-        groups = InstanceHandle.run_batch(
-            handles, lambda sandboxes: [s.sandbox_id for s in sandboxes]
+        ports = quiet_ports(handles)
+        co_resident = {
+            h.instance_id: sum(
+                orch.true_host_of(o.instance_id) == orch.true_host_of(h.instance_id)
+                for o in handles
+            )
+            for h in handles
+        }
+        assert len(set(co_resident.values())) > 1, "placement too uniform to test"
+        exact = [co_resident[h.instance_id] for h in handles]
+        assert list(window_hits(ports, 5, exact)) == [5] * len(handles)
+        above = [count + 1 for count in exact]
+        assert list(window_hits(ports, 5, above)) == [0] * len(handles)
+
+    def test_preserves_input_order_within_host(self):
+        """Only the order among a host's own observers matters: it decides
+        who still sees a dying co-resident in its death round."""
+        host, other = ContentionResource(0.0, 0.0), ContentionResource(0.0, 0.0)
+        for instance_id in ("a", "b", "c"):
+            host.start_pressure(instance_id)
+        other.start_pressure("x")
+        rng = np.random.default_rng
+        a, b, c, x = (
+            (host, "a", rng(1)),
+            (host, "b", rng(2)),
+            (host, "c", rng(3)),
+            (other, "x", rng(4)),
         )
-        for members, ids in groups:
-            assert [h.instance_id for h in members] == ids
-            hosts = {orch.true_host_of(h.instance_id) for h in members}
-            assert len(hosts) == 1
-        flat = [h.instance_id for members, _ids in groups for h in members]
-        assert sorted(flat) == sorted(h.instance_id for h in handles)
+        stops = {"a": None, "b": 1, "c": None, "x": None}
 
-    def test_preserves_input_order_within_host(self, tiny_env):
-        handles = launch(tiny_env, 12)
-        order = {h.instance_id: i for i, h in enumerate(handles)}
-        for members, _ in InstanceHandle.run_batch(
-            handles, lambda sandboxes: None
-        ):
-            indices = [order[h.instance_id] for h in members]
-            assert indices == sorted(indices)
+        def hits(order):
+            return dict(
+                zip(
+                    [o[1] for o in order],
+                    window_hits(order, 2, [3] * 4, [stops[o[1]] for o in order]),
+                )
+            )
 
-    def test_dead_handle_rejected_before_any_probe(self, tiny_env):
-        handles = launch(tiny_env, 4)
-        tiny_env.orchestrator.instance_store.terminate(
-            np.array([handles[2]._instance.row]), tiny_env.orchestrator.clock.now()
-        )
-        probed: list[str] = []
+        schedule = hits([a, b, c, x])
+        assert schedule == {"a": 2, "b": 1, "c": 1, "x": 0}
+        assert hits([x, a, b, c]) == schedule
+        assert hits([a, x, b, c]) == schedule
+        # Moving c ahead of the dying b lets it see b's last round.
+        assert hits([c, a, b, x])["c"] == 2
 
-        def probe(sandboxes):
-            probed.extend(s.sandbox_id for s in sandboxes)
-
-        with pytest.raises(InstanceGoneError):
-            InstanceHandle.run_batch(handles, probe)
-        assert probed == []
+    def test_dead_handle_rejected_before_any_probe(self):
+        """An observer that does not pressure is refused before any
+        observer's generator moves."""
+        res = ContentionResource()
+        res.start_pressure("a")
+        rng_a = np.random.default_rng(9)
+        before = str(rng_a.bit_generator.state)
+        with pytest.raises(ValueError, match="ghost"):
+            window_hits(
+                [(res, "a", rng_a), (res, "ghost", np.random.default_rng(2))],
+                60,
+                [2, 2],
+            )
+        assert str(rng_a.bit_generator.state) == before
 
     def test_empty_input(self):
-        assert InstanceHandle.run_batch([], lambda sandboxes: None) == []
+        hits = window_hits([], 60, [])
+        assert hits.dtype == np.int64 and hits.size == 0
+
+
+def store_handles(per_host, seed, services=1):
+    """Handles on a hand-built instance store: ``per_host[h]`` instances of
+    each service on host ``h``, no orchestrator.  Returns one handle list
+    per service, in host order."""
+    clock = SimClock()
+    cpu = cpu_catalog()[0]
+    hosts = [
+        PhysicalHost(
+            host_id=f"cap-{index:04d}",
+            cpu=cpu,
+            tsc=TimestampCounter(
+                boot_time=0.0, actual_frequency_hz=cpu.reported_tsc_frequency_hz
+            ),
+        )
+        for index in range(len(per_host))
+    ]
+    store = InstanceStore(clock, hosts)
+    out = []
+    for service in range(services):
+        host_index = np.repeat(np.arange(len(per_host)), per_host)
+        serials = np.arange(host_index.size) + service * 100_000
+        instances = store.launch(
+            store.service_index(f"svc{service}"),
+            host_index,
+            [f"s{service}-i{serial:06d}" for serial in serials],
+            seed * 1_000_003 + serials,
+            clock.now(),
+            clock.now(),
+            GVisorSandbox,
+        )
+        out.append([InstanceHandle(instance) for instance in instances])
+    return out
+
+
+class TestPassCap:
+    """A batch whose draws exceed :data:`PASS_DRAWS` runs as several array
+    passes cut at host boundaries, and still equals the loop oracle."""
+
+    #: A big host of 9 observers, then 2 per host.  The big group's
+    #: threshold (9) is above LLC saturation, and its odd size makes a
+    #: later pass's positions differ from the batch's.
+    LAYOUT = [9] + [2] * 80
+
+    def _world(self, cls, plan):
+        observers, externals = store_handles(self.LAYOUT, seed=31, services=2)
+        # Every third host carries one pressurer outside the batch.
+        for host_index in range(0, len(self.LAYOUT), 3):
+            first = sum(self.LAYOUT[:host_index])
+            externals[first].run(lambda sandbox: sandbox.start_channel_pressure("llc"))
+        groups, thresholds, cursor = [], [], 0
+        for size in self.LAYOUT:
+            groups.append(observers[cursor : cursor + size])
+            thresholds.append(9 if size == 9 else 2)
+            cursor += size
+        # One group straddling two hosts, so negatives stay exercised.
+        groups[1], groups[2] = [groups[1][0], groups[2][0]], [groups[1][1], groups[2][1]]
+        channel = cls(fault_plan=plan)
+        results = channel.ctest_batch(groups, thresholds)
+        return {
+            "positives": [r.positive for r in results],
+            "hits": dict(channel._last_hits),
+            "states": {h.instance_id: rng_state(h) for h in observers},
+            "faults": channel.stats.faults_injected,
+        }
+
+    def _passes(self, monkeypatch, plan):
+        """Host indices of each pass the batched engine ran.
+
+        The engine orders observers host-major; here that is host order,
+        so a pass's observer span maps back to hosts through ``LAYOUT``.
+        """
+        spans = []
+        real = rng_resource._Window.hits
+
+        def spy(window, lo, hi):
+            spans.append((lo, hi))
+            return real(window, lo, hi)
+
+        monkeypatch.setattr(rng_resource._Window, "hits", spy)
+        self._world(LlcOccupancyChannel, plan)
+        monkeypatch.undo()
+        starts = list(np.cumsum([0] + self.LAYOUT))
+        return [list(range(starts.index(lo), starts.index(hi))) for lo, hi in spans]
+
+    def _observer(self, host, k):
+        return f"s0-i{sum(self.LAYOUT[:host]) + k:06d}"
+
+    def test_capped_passes_match_loop_oracle(self, monkeypatch):
+        layout = self._passes(monkeypatch, None)
+        assert len(layout) >= 3, "batch fits one pass; the cap is not exercised"
+        first_pass, second_pass = layout[0], layout[1]
+        assert len(first_pass) >= 2
+        # Deaths on the first and last host of two passes; the late ones
+        # keep the cuts where they are.
+        deaths = {
+            self._observer(first_pass[0], 0): 58,
+            self._observer(first_pass[-1], 1): 59,
+            self._observer(second_pass[0], 0): 0,
+            self._observer(second_pass[-1], 1): 50,
+        }
+        assert self._passes(monkeypatch, ScriptedPlan(deaths)) == layout
+
+        loop = self._world(loop_reference(LlcOccupancyChannel), ScriptedPlan(deaths))
+        batched = self._world(LlcOccupancyChannel, ScriptedPlan(deaths))
+        assert loop == batched
+        assert batched["faults"] == len(deaths)
+        assert all(batched["hits"][victim] < 60 for victim in deaths)
+        # The big host's threshold sits above LLC saturation: never hit.
+        big = next(p for p in batched["positives"] if len(p) == 9)
+        assert not any(big)
+        assert any(any(p) for p in batched["positives"])
+
+
+def test_batch_peak_memory_is_bounded_by_the_pass_cap():
+    """One ctest_batch over ~1,000 observers on ~330 hosts allocates at
+    most a small multiple of one capped pass at its peak: the batch must
+    not draw its whole window into one buffer."""
+    (handles,) = store_handles([3] * 334, seed=5)
+    for handle in handles:  # boot every sandbox outside the measurement
+        handle.run(lambda sandbox: None)
+    groups = [handles[i : i + 3] for i in range(0, len(handles), 3)]
+    channel = RngCovertChannel()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        channel.ctest_batch(groups, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    one_pass = PASS_DRAWS * 8  # bytes of the float64 draw buffer
+    assert peak - base < 16 * one_pass

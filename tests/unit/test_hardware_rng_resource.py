@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hardware.rng_resource import ContentionResource
+from repro.hardware.rng_resource import ContentionResource, window_hits
 
 
 def noiseless() -> ContentionResource:
@@ -104,38 +104,56 @@ def scalar_window(
     return levels
 
 
+def batch_hits(observers, rngs, n_rounds, threshold, death_round, resource):
+    """``window_hits`` over one resource at one threshold for every observer."""
+    return list(
+        window_hits(
+            [(resource, o, rngs[o]) for o in observers],
+            n_rounds,
+            [threshold] * len(observers),
+            stop_rounds=[death_round.get(o) for o in observers],
+        )
+    )
+
+
 class TestObserveRounds:
-    """Pins the draw-order contract: ``observe_rounds`` is byte-identical
-    to the scalar loop — same levels, same generator end states."""
+    """Pins the draw-order contract: ``window_hits`` is byte-identical to
+    the scalar loop — the same hit count at every threshold (so the same
+    level histogram per observer) and the same generator end states."""
 
     def _twin_worlds(self, observers, externals=()):
         scalar_res, batch_res = noisy(), noisy()
         for res in (scalar_res, batch_res):
             for instance_id in list(observers) + list(externals):
                 res.start_pressure(instance_id)
-        scalar_rngs = {o: np.random.default_rng(100 + i) for i, o in enumerate(observers)}
-        batch_rngs = {o: np.random.default_rng(100 + i) for i, o in enumerate(observers)}
-        return scalar_res, batch_res, scalar_rngs, batch_rngs
+        return scalar_res, batch_res
+
+    @staticmethod
+    def _rngs(observers):
+        return {o: np.random.default_rng(100 + i) for i, o in enumerate(observers)}
 
     def assert_identical(self, observers, n_rounds, death_round, externals=()):
-        scalar_res, batch_res, scalar_rngs, batch_rngs = self._twin_worlds(
-            observers, externals
-        )
+        scalar_res, batch_res = self._twin_worlds(observers, externals)
+        scalar_rngs = self._rngs(observers)
         expected = scalar_window(
             scalar_res, observers, n_rounds, death_round, scalar_rngs
         )
-        got = batch_res.observe_rounds(
-            [(o, batch_rngs[o]) for o in observers],
-            n_rounds,
-            stop_rounds=[death_round.get(o) for o in observers],
-        )
-        for instance_id, levels in zip(observers, got):
-            assert list(levels) == expected[instance_id], instance_id
-        for instance_id in observers:
-            assert (
-                str(batch_rngs[instance_id].bit_generator.state)
-                == str(scalar_rngs[instance_id].bit_generator.state)
-            ), f"generator end state diverged for {instance_id}"
+        # Levels run from 1 to every pressurer plus background; one fresh
+        # twin per threshold recovers each observer's level histogram.
+        for threshold in range(1, len(observers) + len(externals) + 3):
+            batch_rngs = self._rngs(observers)
+            got = batch_hits(
+                observers, batch_rngs, n_rounds, threshold, death_round, batch_res
+            )
+            want = [
+                sum(level >= threshold for level in expected[o]) for o in observers
+            ]
+            assert got == want, f"threshold {threshold}"
+            for instance_id in observers:
+                assert (
+                    str(batch_rngs[instance_id].bit_generator.state)
+                    == str(scalar_rngs[instance_id].bit_generator.state)
+                ), f"generator end state diverged for {instance_id}"
 
     def test_contract_pin_no_deaths(self):
         self.assert_identical(["a", "b", "c"], n_rounds=40, death_round={})
@@ -167,24 +185,27 @@ class TestObserveRounds:
         """In the death round itself, observers scheduled *before* the dying
         instance still see its pressure; observers after it do not."""
         res = noiseless()
-        for instance_id in ("early", "dying", "late"):
+        observers = ("early", "dying", "late")
+        for instance_id in observers:
             res.start_pressure(instance_id)
-        rngs = {o: np.random.default_rng(0) for o in ("early", "dying", "late")}
-        early, dying, late = res.observe_rounds(
-            [(o, rngs[o]) for o in ("early", "dying", "late")],
-            n_rounds=2,
-            stop_rounds=[None, 1, None],
-        )
-        assert list(early) == [3, 3]  # sees the dying pressurer both rounds
-        assert list(dying) == [3]  # observes only round 0
-        assert list(late) == [3, 2]  # dying already gone at late's slot
+
+        def hits_at(threshold):
+            rngs = {o: np.random.default_rng(0) for o in observers}
+            return batch_hits(observers, rngs, 2, threshold, {"dying": 1}, res)
+
+        # Levels: early [3, 3] (sees the dying pressurer both rounds),
+        # dying [3] (observes only round 0), late [3, 2] (dying already
+        # gone at late's slot).
+        assert hits_at(3) == [2, 1, 1]
+        assert hits_at(2) == [2, 1, 2]
+        assert hits_at(4) == [0, 0, 0]
 
     def test_does_not_mutate_pressurer_set(self):
         res = noiseless()
         res.start_pressure("a")
         res.start_pressure("b")
-        rng_a, rng_b = np.random.default_rng(1), np.random.default_rng(2)
-        res.observe_rounds([("a", rng_a), ("b", rng_b)], 5, stop_rounds=[2, None])
+        rngs = {"a": np.random.default_rng(1), "b": np.random.default_rng(2)}
+        batch_hits(["a", "b"], rngs, 5, 2, {"a": 2}, res)
         assert res.current_pressurers() == {"a", "b"}
 
     def test_zero_rounds_consumes_no_state(self):
@@ -192,48 +213,133 @@ class TestObserveRounds:
         res.start_pressure("a")
         rng_a = np.random.default_rng(7)
         before = str(rng_a.bit_generator.state)
-        (levels,) = res.observe_rounds([("a", rng_a)], 0)
-        assert levels.size == 0
+        hits = window_hits([(res, "a", rng_a)], 0, [1])
+        assert list(hits) == [0]
         assert str(rng_a.bit_generator.state) == before
 
     def test_stop_rounds_clamped_to_window(self):
         res = noiseless()
         res.start_pressure("a")
-        (levels,) = res.observe_rounds(
-            [("a", np.random.default_rng(7))], 4, stop_rounds=[99]
-        )
-        assert list(levels) == [1, 1, 1, 1]
+        rng_a = np.random.default_rng(7)
+        hits = window_hits([(res, "a", rng_a)], 4, [1], stop_rounds=[99])
+        assert list(hits) == [4]
+        twin = np.random.default_rng(7)
+        twin.random(4)
+        assert str(rng_a.bit_generator.state) == str(twin.bit_generator.state)
 
     def test_duplicate_observers_rejected(self):
         res = noiseless()
         res.start_pressure("a")
         rngs = (np.random.default_rng(1), np.random.default_rng(2))
         with pytest.raises(ValueError, match="distinct"):
-            res.observe_rounds([("a", rngs[0]), ("a", rngs[1])], 3)
+            window_hits([(res, "a", rngs[0]), (res, "a", rngs[1])], 3, [2, 2])
 
     def test_non_pressuring_observer_rejected(self):
         res = noiseless()
         res.start_pressure("a")
         with pytest.raises(ValueError, match="ghost"):
-            res.observe_rounds(
-                [("a", np.random.default_rng(1)), ("ghost", np.random.default_rng(2))],
+            window_hits(
+                [
+                    (res, "a", np.random.default_rng(1)),
+                    (res, "ghost", np.random.default_rng(2)),
+                ],
                 3,
+                [2, 2],
             )
 
     def test_stop_rounds_length_mismatch_rejected(self):
         res = noiseless()
         res.start_pressure("a")
         with pytest.raises(ValueError, match="stop_rounds"):
-            res.observe_rounds([("a", np.random.default_rng(1))], 3, stop_rounds=[1, 2])
+            window_hits(
+                [(res, "a", np.random.default_rng(1))], 3, [2], stop_rounds=[1, 2]
+            )
+
+    def test_thresholds_length_mismatch_rejected(self):
+        res = noiseless()
+        res.start_pressure("a")
+        with pytest.raises(ValueError, match="thresholds"):
+            window_hits([(res, "a", np.random.default_rng(1))], 3, [2, 2])
 
     def test_negative_stop_round_rejected(self):
         res = noiseless()
         res.start_pressure("a")
         with pytest.raises(ValueError, match="stop_rounds"):
-            res.observe_rounds([("a", np.random.default_rng(1))], 3, stop_rounds=[-1])
+            window_hits(
+                [(res, "a", np.random.default_rng(1))], 3, [2], stop_rounds=[-1]
+            )
 
     def test_negative_n_rounds_rejected(self):
         res = noiseless()
         res.start_pressure("a")
         with pytest.raises(ValueError, match="n_rounds"):
-            res.observe_rounds([("a", np.random.default_rng(1))], -1)
+            window_hits([(res, "a", np.random.default_rng(1))], -1, [2])
+
+    def test_saturation_caps_reachable_threshold(self):
+        """A threshold above the resource's saturation is never hit, and
+        the clamp consumes no extra draws."""
+        res = ContentionResource(background_rate=0.0, drop_rate=0.0, saturation=2)
+        for instance_id in ("a", "b", "c"):
+            res.start_pressure(instance_id)
+        rngs = {o: np.random.default_rng(5) for o in ("a", "b", "c")}
+        assert batch_hits(["a", "b", "c"], rngs, 6, 2, {}, res) == [6, 6, 6]
+        assert batch_hits(["a", "b", "c"], rngs, 6, 3, {}, res) == [0, 0, 0]
+
+    def test_hosts_interleaved_in_schedule_order(self):
+        """Observers of several resources may interleave in the input; each
+        resource's window sees only its own pressurers, and hit counts come
+        back in input order."""
+        left, right = noiseless(), noiseless()
+        for instance_id in ("a", "b"):
+            left.start_pressure(instance_id)
+        for instance_id in ("x", "y", "z"):
+            right.start_pressure(instance_id)
+        rng = np.random.default_rng
+        observers = [
+            (left, "a", rng(1)),
+            (right, "x", rng(2)),
+            (left, "b", rng(3)),
+            (right, "y", rng(4)),
+            (right, "z", rng(5)),
+        ]
+        assert list(window_hits(observers, 5, [2, 3, 2, 3, 3])) == [5] * 5
+        assert list(window_hits(observers, 5, [3, 4, 3, 4, 4])) == [0] * 5
+
+    def test_contract_pin_hosts_with_different_rates(self):
+        """Resources with their own drop and background rates, observers
+        interleaved across them, one with a death: each host's window
+        still equals its own scalar loop."""
+
+        def world():
+            left = ContentionResource(background_rate=0.3, drop_rate=0.25)
+            right = ContentionResource(background_rate=0.1, drop_rate=0.5)
+            for instance_id in ("a", "b", "c"):
+                left.start_pressure(instance_id)
+            for instance_id in ("x", "y"):
+                right.start_pressure(instance_id)
+            return left, right
+
+        schedule = ["a", "x", "b", "y", "c"]
+        death_round = {"b": 6}
+        scalar_left, scalar_right = world()
+        scalar_rngs = self._rngs(schedule)
+        expected = scalar_window(
+            scalar_left, ["a", "b", "c"], 20, death_round, scalar_rngs
+        )
+        expected.update(scalar_window(scalar_right, ["x", "y"], 20, {}, scalar_rngs))
+        for threshold in range(1, 6):
+            left, right = world()
+            rngs = self._rngs(schedule)
+            resource_of = {"a": left, "b": left, "c": left, "x": right, "y": right}
+            got = window_hits(
+                [(resource_of[o], o, rngs[o]) for o in schedule],
+                20,
+                [threshold] * len(schedule),
+                stop_rounds=[death_round.get(o) for o in schedule],
+            )
+            want = [sum(level >= threshold for level in expected[o]) for o in schedule]
+            assert list(got) == want, f"threshold {threshold}"
+            for o in schedule:
+                assert str(rngs[o].bit_generator.state) == str(
+                    scalar_rngs[o].bit_generator.state
+                ), o

@@ -27,6 +27,7 @@ import pytest
 
 from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
+from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import (
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
@@ -468,12 +469,9 @@ class TestLifecycle:
         assert first._sandbox is None and second._sandbox is None
 
     def test_run_batch_boots_grouped_sandboxes(self, tiny_env):
+        """A CTest batch boots the sandbox of every instance it tests."""
         client, name = deploy(tiny_env)
         handles = client.connect(name, 5)
-        groups = InstanceHandle.run_batch(
-            handles, lambda sandboxes: [s.sandbox_id for s in sandboxes]
-        )
-        assert sorted(sid for _, ids in groups for sid in ids) == sorted(
-            h.instance_id for h in handles
-        )
+        assert all(h._instance._sandbox is None for h in handles)
+        RngCovertChannel().ctest_batch([handles[:3], handles[3:]], 2)
         assert all(h._instance._sandbox is not None for h in handles)
