@@ -63,7 +63,8 @@ LOOP_BASELINE_MAX_FACTOR = 64  # the scalar loop is minutes-slow at 256x
 def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
     """A synthetic placed fleet: real hosts and handles on an instance
     store, built directly (no orchestrator) so the benchmark times only
-    the engines.  Sandboxes boot on the engine's first probe.
+    the engines.  The loop boots each sandbox on its first probe; the
+    batched engine boots none.
 
     Sequential slicing into fixed-size groups deliberately straddles host
     boundaries, so each batch mixes fully co-located groups with split

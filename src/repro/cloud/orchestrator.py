@@ -728,7 +728,8 @@ class Orchestrator:
         # A destroyed container's guest loops stop executing, so any
         # hardware pressure it still held (an attacker killed mid-lock)
         # is released with it — otherwise a dead locker would pin its
-        # host's contention level forever.  Pressure starts only inside a
+        # host's contention level forever.  Outside a CTest batch, which
+        # stops every pressure it started, pressure starts only inside a
         # booted sandbox, so unbooted rows hold none.
         for instance in booted:
             self.datacenter.host(instance.host_id).release_pressure(

@@ -17,18 +17,22 @@ both background false positives and scheduling false negatives.
 from __future__ import annotations
 
 import abc
+import contextlib
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.cloud.api import InstanceHandle
-from repro.errors import InstanceGoneError, VerificationError
+from repro.errors import VerificationError
 from repro.faults import FaultPlan, current_fault_plan
 from repro.hardware.channels import DvfsFrequencyResource
-from repro.hardware.rng_resource import window_hits
-from repro.sandbox.base import ChannelPort, Sandbox
+from repro.hardware.rng_resource import ContentionResource, window_hits
+from repro.sandbox.base import Sandbox
 from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
+
+if TYPE_CHECKING:
+    from repro.fleet.probe import BootStates
 
 
 @dataclass(frozen=True)
@@ -142,11 +146,33 @@ class ChannelStats:
         return text
 
 
+class _Observer(NamedTuple):
+    """One started instance of a CTest batch."""
+
+    handle: InstanceHandle
+    #: Its host's contention domain of the channel's kind.
+    resource: ContentionResource
+    #: Its sandbox stream: the booted sandbox's generator, or an unbooted
+    #: row's :class:`~repro.fleet.probe.RowStream`.
+    stream: Any
+
+
 class CovertChannel(abc.ABC):
     """Abstract CTest provider."""
 
     def __init__(self) -> None:
         self.stats = ChannelStats()
+
+    @contextlib.contextmanager
+    def prepared(self, handles: Sequence[InstanceHandle]) -> Iterator[None]:
+        """Run the block's tests knowing every instance they will test.
+
+        A verifier opens this once around a run over ``handles`` so the
+        channel can set up per-instance state once instead of per batch.
+        Tests outside the block, or of instances not listed, still work.
+        A no-op here.
+        """
+        yield
 
     @abc.abstractmethod
     def ctest_batch(
@@ -176,14 +202,17 @@ class RngCovertChannel(CovertChannel):
 
     Also the concrete base of every registry-backed channel: subclasses
     *declare* their :attr:`kind` (a :mod:`repro.hardware.channels` registry
-    name) instead of overriding the start/stop/port hooks, and the generic
-    sandbox channel surface does the per-kind routing.
+    name), and each tested instance pressures its host's resource of that
+    kind (:meth:`~repro.fleet.ContainerInstance.channel_resource`).
 
     Each test window runs on one round engine: a single
     :func:`~repro.hardware.rng_resource.window_hits` call over every
     started instance of the batch, byte-identical to probing every
     instance once per round (that per-round reference is a test oracle in
-    ``tests/oracles``).
+    ``tests/oracles``).  A batch boots no sandbox: an unbooted row's window
+    and the sleeper's overshoot are drawn from the row's seeded stream
+    (:func:`repro.fleet.probe.sandbox_streams`), hashed once per
+    :meth:`prepared` block or, outside one, once per batch.
 
     Parameters
     ----------
@@ -223,20 +252,23 @@ class RngCovertChannel(CovertChannel):
         self.seconds_per_test = seconds_per_test
         self.fault_plan = fault_plan if fault_plan is not None else current_fault_plan()
         self._batch_serial = 0
+        self._boot_states: BootStates | None = None
         #: Per-instance contention-hit counts of the most recent test
         #: window (diagnostics; the identity suites pin it to the oracle).
         self._last_hits: dict[str, int] = {}
 
-    # Resource hooks, routed through the generic sandbox channel surface
-    # by declared kind.  Starting pressure also hands back the port the
-    # window engine observes through, so a batch resolves each sandbox
-    # once for both.
-    def _start(self, sandbox) -> ChannelPort:
-        sandbox.start_channel_pressure(self.kind)
-        return sandbox.channel_port(self.kind)
+    @contextlib.contextmanager
+    def prepared(self, handles: Sequence[InstanceHandle]) -> Iterator[None]:
+        # Hash every unbooted row once for a whole verification, not once
+        # per batch; the states are dropped when the block exits.
+        from repro.fleet.probe import BootStates  # deferred: loads the PCG64 port
 
-    def _stop(self, sandbox) -> None:
-        sandbox.stop_channel_pressure(self.kind)
+        outer = self._boot_states
+        self._boot_states = BootStates.of([handle._instance for handle in handles])
+        try:
+            yield
+        finally:
+            self._boot_states = outer
 
     def ctest_batch(
         self,
@@ -304,37 +336,42 @@ class RngCovertChannel(CovertChannel):
 
         # Instances that stop responding mid-test (injected deaths, or a
         # platform reap racing the test) stop pressuring and report no
-        # further rounds; the attacker reads silence as a negative.
+        # further rounds; the attacker reads silence as a negative.  Each
+        # instance pressures its host's resource directly: no sandbox
+        # boots for it.
         dead: set[str] = set()
-        started: list[tuple[InstanceHandle, ChannelPort]] = []
+        pressured: list[tuple[InstanceHandle, ContentionResource]] = []
         for handle in flat:
-            try:
-                started.append((handle, handle.run(self._start)))
-            except InstanceGoneError:
+            instance = handle._instance
+            if not instance.alive:
                 dead.add(handle.instance_id)
+                continue
+            resource = instance.channel_resource(self.kind)
+            resource.start_pressure(handle.instance_id)
+            pressured.append((handle, resource))
         try:
+            started = self._observers(pressured)
             hits = {handle.instance_id: 0 for handle in flat}
             hits.update(self._observe_window(started, dead, death_round, threshold_of))
             self._last_hits = hits
             # The test window occupies wall time *while* the pressure is
-            # on.
-            for handle, _port in started:
+            # on: the first instance still responding sleeps through it.
+            for handle, _resource, stream in started:
+                instance = handle._instance
                 if handle.instance_id in dead:
                     continue
-                try:
-                    handle.run(lambda sandbox: sandbox.sleep(self.seconds_per_test))
-                except InstanceGoneError:
+                if not instance.alive:
                     dead.add(handle.instance_id)
                     continue
+                sleeper = stream if instance._sandbox is None else instance._sandbox
+                sleeper.sleep(self.seconds_per_test)
                 break
         finally:
-            for handle, _port in started:
-                if handle.instance_id in dead:
-                    continue
-                try:
-                    handle.run(self._stop)
-                except InstanceGoneError:
-                    pass
+            # A row terminated during the sleep holds no sandbox whose
+            # teardown would release its pressure, so it stops here too.
+            for handle, resource in pressured:
+                if handle.instance_id not in dead:
+                    resource.stop_pressure(handle.instance_id)
 
         self.stats.record_batch([len(g) for g in groups], self.seconds_per_test)
 
@@ -356,9 +393,27 @@ class RngCovertChannel(CovertChannel):
             )
         return results
 
+    def _observers(
+        self, pressured: Sequence[tuple[InstanceHandle, ContentionResource]]
+    ) -> list[_Observer]:
+        """Each pressuring instance with its sandbox stream: a
+        :class:`~repro.fleet.probe.RowStream` for an unbooted row, else its
+        sandbox's generator (booting the rows a stream cannot serve)."""
+        from repro.fleet.probe import sandbox_streams  # deferred: loads the PCG64 port
+
+        streams = sandbox_streams(
+            [handle._instance for handle, _resource in pressured],
+            [self.total_rounds * resource.pressurer_count for _handle, resource in pressured],
+            self._boot_states,
+        )
+        return [
+            _Observer(handle, resource, stream)
+            for (handle, resource), stream in zip(pressured, streams)
+        ]
+
     def _observe_window(
         self,
-        started: Sequence[tuple[InstanceHandle, ChannelPort]],
+        started: Sequence[_Observer],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
@@ -371,9 +426,12 @@ class RngCovertChannel(CovertChannel):
         pressure and the window, so every started instance is still alive
         here.
         """
-        ids = [handle.instance_id for handle, _port in started]
+        ids = [handle.instance_id for handle, _resource, _stream in started]
         hits = window_hits(
-            [port for _handle, port in started],
+            [
+                (resource, instance_id, stream)
+                for (_handle, resource, stream), instance_id in zip(started, ids)
+            ],
             self.total_rounds,
             [threshold_of[instance_id] for instance_id in ids],
             stop_rounds=[death_round.get(instance_id) for instance_id in ids],
@@ -382,13 +440,10 @@ class RngCovertChannel(CovertChannel):
         # dying instance's observations and pressure contribution at its
         # death slot, so only the state transition (dead + unregister)
         # remains.
-        for handle, _port in started:
+        for handle, resource, _stream in started:
             if handle.instance_id in death_round:
                 dead.add(handle.instance_id)
-                try:
-                    handle.run(self._stop)
-                except InstanceGoneError:
-                    pass
+                resource.stop_pressure(handle.instance_id)
         return dict(zip(ids, hits.tolist()))
 
 
@@ -482,7 +537,7 @@ class DvfsFingerprintChannel(RngCovertChannel):
         )
 
     def _frequency_resource(self, sandbox: Sandbox) -> DvfsFrequencyResource:
-        resource = sandbox.channel_port(self.kind).resource
+        resource = sandbox._host.channel_resource(self.kind)
         if not isinstance(resource, DvfsFrequencyResource):
             raise VerificationError(
                 f"dvfs channel needs a DvfsFrequencyResource, got "

@@ -47,7 +47,7 @@ class PairwiseVerifier:
 
         with current_telemetry().span(
             "verify.pairwise", instances=len(handles), sie=self.use_sie
-        ) as span:
+        ) as span, self.channel.prepared(handles):
             candidates = list(handles)
             eliminated = 0
             if self.use_sie and len(candidates) > 2:

@@ -260,9 +260,10 @@ class ScalableVerifier:
         ) as span:
             groups = self._group_by_fingerprint(tagged)
             span.set(groups=len(groups))
-            clusters = self._verify_groups(groups, report)
-            if not self.assume_no_false_negatives:
-                clusters = self._merge_false_negatives(clusters, report)
+            with self.channel.prepared([item.handle for item in tagged]):
+                clusters = self._verify_groups(groups, report)
+                if not self.assume_no_false_negatives:
+                    clusters = self._merge_false_negatives(clusters, report)
             report.clusters = clusters
 
             delta = self.channel.stats.since(before)

@@ -32,7 +32,9 @@ plan's own in-process counters.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, fields, replace
+from typing import Any
 
 from repro.errors import FaultSpecError
 from repro.telemetry import current_telemetry
@@ -214,9 +216,26 @@ def hashed_uniform(seed: int, site: str, token: str) -> float:
     :mod:`repro.cloud.traffic`) should draw from here rather than from a
     shared sequential RNG.
     """
-    payload = f"{seed}|{site}|{token}".encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "big") / 2**64
+    key = (type(seed), seed, site)
+    prefix = _PREFIXES.get(key)
+    if prefix is None:
+        if len(_PREFIXES) >= _MAX_PREFIXES:
+            _PREFIXES.clear()
+        prefix = _PREFIXES[key] = hashlib.sha256(f"{seed}|{site}|".encode("utf-8"))
+    # The hash of ``f"{seed}|{site}|{token}"``: UTF-8 encodes a
+    # concatenation as the concatenation of the encodings.
+    digest = prefix.copy()
+    digest.update(token.encode("utf-8"))
+    return _FIRST_WORD(digest.digest())[0] / 2**64
+
+
+#: SHA-256 states that have hashed ``f"{seed}|{site}|"``, per ``(type of
+#: seed, seed, site)``: a run makes tens of thousands of draws from a
+#: handful of sites and seeds.  Cleared when full.
+_PREFIXES: dict[tuple[type, int, str], Any] = {}
+_MAX_PREFIXES = 1024
+#: A digest's first eight bytes as a big-endian unsigned integer.
+_FIRST_WORD = struct.Struct(">Q").unpack_from
 
 
 class FaultPlan:

@@ -21,7 +21,8 @@ API.  Its rows are the one record of where a service's instances run:
 placement reads a service's per-host counts from them
 (:meth:`InstanceStore.host_counts`).  :mod:`repro.fleet.probe` takes a
 batch's Gen 1 fingerprint samples from its unbooted rows as array draws
-(:mod:`repro.fleet.seeding`), booting no sandbox.
+(:mod:`repro.fleet.seeding`) and serves a CTest batch's draws from their
+seeded streams, booting no sandbox.
 """
 
 from repro.fleet.instances import (

@@ -20,10 +20,10 @@ instances of a launch-heavy campaign are probed at most once and then idle
 out, so they never need one.  The row keeps the sandbox seed and the clock
 at the launch commit, which is everything an eager boot would have read
 from the world then, so a late sandbox is the one an eager boot would
-have built.  A fingerprint batch probes unbooted rows without a sandbox
-(:mod:`repro.fleet.probe`) and records in two columns how far each
-row's stream and clock-read count moved; a later boot fast-forwards its
-fresh sandbox by exactly that much.
+have built.  Fingerprint and CTest batches draw from unbooted rows
+without a sandbox (:mod:`repro.fleet.probe`) and record in two columns
+how far each row's stream and clock-read count moved; a later boot
+fast-forwards its fresh sandbox by exactly that much.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from repro.sandbox.base import Sandbox, TscPolicy
 
 if TYPE_CHECKING:
     from repro.hardware.host import PhysicalHost
+    from repro.hardware.rng_resource import ContentionResource
     from repro.simtime.clock import SimClock
 
 T = TypeVar("T")
@@ -190,6 +191,12 @@ class ContainerInstance:
         rows = self._rows
         host = rows.hosts[rows.host[self.row]]
         return self.sandbox_class.host_kernel_tsc_khz(host, rows.tsc_policy)
+
+    def channel_resource(self, kind: str) -> ContentionResource:
+        """The instance's host's contention domain of one covert-channel
+        kind: what its sandbox pressures, found without booting it."""
+        rows = self._rows
+        return rows.hosts[rows.host[self.row]].channel_resource(kind)
 
     def require_alive(self) -> None:
         """Raise :class:`InstanceGoneError` if the instance is terminated."""

@@ -1,4 +1,4 @@
-"""Gen 1 fingerprint samples of unbooted rows, taken as array draws.
+"""Probes of unbooted rows, taken as array draws.
 
 A Gen 1 probe (:func:`repro.core.probes.gen1_fingerprint_probe`) reads the
 CPU model, the frequency the model name reports, one TSC value and one
@@ -9,6 +9,13 @@ boot, then one call jitter
 and the clock, which no probe moves.  :func:`probe_gen1` computes those
 draws for a batch's unbooted rows with :mod:`repro.fleet.seeding` and
 builds no ``Generator`` or sandbox for them.
+
+A CTest window (:mod:`repro.core.covert`) draws many uniforms from each
+tested sandbox's stream, and its one sleeper draws a ``nanosleep``
+overshoot.  :func:`sandbox_streams` hands the channel a :class:`RowStream`
+for each unbooted row instead of booting it: the row's state just after
+its boot draws (:class:`BootStates`, computed for many rows at once), set
+into one shared generator before each draw.
 
 Each probed row records how far its probes moved the sandbox it did not
 boot: ``probe_words``, the raw words drawn after the boot draws, and
@@ -22,14 +29,15 @@ position.
 Rows fall in three classes:
 
 * *fast* rows, most of them: each normal takes its one-word ziggurat path
-  and no outlier branch fires, so the boot draws two words and the probe
-  two more;
+  and no outlier branch fires, so the boot draws two words and a Gen 1
+  probe two more;
 * *replay* rows (about 4-5%): a ziggurat rejection or tail word, or an
-  outlier branch.  A real ``default_rng(seed)`` draws them through the
-  noise model, exactly as the sandbox would;
-* *per-probe* rows, which :func:`probe_gen1` leaves to the caller: rows
-  already booted, rows listed a second time, rows of another world, other
-  sandbox classes and rows near their counters' limits.
+  outlier branch.  One shared ``PCG64``, set to the row's seeded state,
+  draws them through the noise model, exactly as the sandbox would;
+* rows the columns leave to a sandbox: rows already booted, rows listed a
+  second time, rows of another world, other sandbox classes and rows near
+  their counters' limits.  :func:`probe_gen1` leaves them to the caller's
+  per-probe path; :func:`sandbox_streams` boots them.
 """
 
 from __future__ import annotations
@@ -41,7 +49,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.fleet.instances import ContainerInstance, _Rows
-from repro.fleet.seeding import MASK128, PCG64_MULT, Pcg64Streams, standard_normal, uniform
+from repro.fleet.seeding import (
+    MASK64,
+    MASK128,
+    PCG64_MULT,
+    Pcg64Streams,
+    standard_normal,
+    uniform,
+)
 from repro.hardware.cpu import CPUModel
 from repro.hardware.noise import SyscallNoiseModel
 from repro.sandbox.base import TscPolicy
@@ -56,8 +71,12 @@ _GEN1, _GEN2, _OTHER = 0, 1, -1
 _GENERATION = {GVisorSandbox: _GEN1, MicroVMSandbox: _GEN2}
 #: Rows at or past these counts take the per-probe path, which boots them:
 #: one probe adds at most a few dozen words and two reads, so the int16 and
-#: int8 columns never overflow.
-_WORDS_LIMIT = 2**14
+#: int8 columns never overflow.  A CTest window draws from a row's columns
+#: only while it stays under the words limit.  That also bounds what a
+#: row retested many times spends re-seeking the shared generator (a few
+#: microseconds a window; a window draws 60 words per pressurer on its
+#: host) before it boots once and draws from its own generator.
+_WORDS_LIMIT = 2**10
 _READS_LIMIT = 100
 #: Host columns, in :func:`_host_columns` order.
 _TSC_BOOT, _TSC_HZ, _CPU_HZ, _OFFSET_SIGMA, _OFFSET_P, _CALL_SIGMA, _CALL_P = range(7)
@@ -147,23 +166,12 @@ def probe_gen1(instances: Sequence[ContainerInstance]) -> Gen1Columns:
     jitter = 0.0 + hosts[:, _CALL_SIGMA] * normal
     replay |= sampled & (~fast | outlier)
     words = np.full(rows.size, 2, dtype=np.int64)
-    if replay.any():
-        bit_generator = np.random.PCG64(0)  # set to each row's seeded state
-        rng = np.random.Generator(bit_generator)
-        for i in np.flatnonzero(replay).tolist():
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {
-                    "state": int(start_hi[i]) << 64 | int(start_lo[i]),
-                    "inc": int(streams.inc_hi[i]) << 64 | int(streams.inc_lo[i]),
-                },
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            noise = table.hosts[int(table.host[rows[i]])].syscall_noise
-            offset[i], jitter[i], words[i] = _replay(
-                rng, bit_generator, noise, int(skipped[i]), bool(sampled[i])
-            )
+    for i in np.flatnonzero(replay).tolist():
+        _seek(_join(start_hi[i], start_lo[i]), _join(streams.inc_hi[i], streams.inc_lo[i]))
+        noise = table.hosts[int(table.host[rows[i]])].syscall_noise
+        offset[i], jitter[i], words[i] = _replay(
+            _SHARED, _BITS, noise, int(skipped[i]), bool(sampled[i])
+        )
 
     # The probe's reads, all at the batch's one clock time.
     now = table.clock.now()
@@ -268,8 +276,192 @@ def _replay(
     start = bit_generator.state["state"]
     jitter = noise.sample_call_jitter(rng)
     end = bit_generator.state["state"]["state"]
-    state, increment, words = start["state"], start["inc"], 0
+    return offset, jitter, _words_between(start["state"], end, start["inc"])
+
+
+def _words_between(state: int, end: int, increment: int) -> int:
+    """The words a PCG64 stream drew to get from ``state`` to ``end``:
+    LCG steps, counted one by one (draws take a handful of words)."""
+    words = 0
     while state != end:
         state = (state * PCG64_MULT + increment) & MASK128
         words += 1
-    return offset, jitter, words
+    return words
+
+
+#: The one generator every replay and :class:`RowStream` draws through,
+#: set to a row's state before each use.
+_BITS = np.random.PCG64(0)
+_SHARED = np.random.Generator(_BITS)
+
+
+def _seek(state: int, increment: int) -> None:
+    """Set the shared generator to one 128-bit PCG64 state."""
+    _BITS.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": increment},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def _position() -> int:
+    """The shared generator's 128-bit state."""
+    return int(_BITS.state["state"]["state"])
+
+
+def _join(high: np.uint64 | int, low: np.uint64 | int) -> int:
+    return int(high) << 64 | int(low)
+
+
+class BootStates:
+    """Each listed row's PCG64 state just after its sandbox's boot draws.
+
+    A boot draws the sandbox's wall-clock offset
+    (:meth:`~repro.hardware.noise.SyscallNoiseModel.sample_sandbox_offset`):
+    two words on the one-word ziggurat path with no outlier, which is
+    computed for every row at once; the other rows replay the offset
+    through the shared generator set to their seeded state.  A boot state
+    never goes stale: a row's later probes only add to its
+    ``probe_words``.
+
+    Held as columns, 36 bytes a row: per listed row its state and
+    increment as ``(high, low)`` uint64 words, and each row's position
+    over the span of listed rows.
+    """
+
+    def __init__(self, table: _Rows, rows: IndexArray) -> None:
+        """``rows``: ascending, distinct."""
+        self.table = table
+        streams = Pcg64Streams(table.seed[rows])
+        seeded_hi, seeded_lo = streams.hi, streams.lo
+        hosts, _names, _models = _host_columns(table, rows)
+        _normal, fast = standard_normal(streams.next_raw())
+        replay = ~fast | (uniform(streams.next_raw()) < hosts[:, _OFFSET_P])
+        self.states = np.stack([streams.hi, streams.lo, streams.inc_hi, streams.inc_lo], axis=1)
+        for i in np.flatnonzero(replay).tolist():
+            _seek(_join(seeded_hi[i], seeded_lo[i]), _join(streams.inc_hi[i], streams.inc_lo[i]))
+            noise = table.hosts[int(table.host[rows[i]])].syscall_noise
+            noise.sample_sandbox_offset(_SHARED)
+            state = _position()
+            self.states[i, 0] = state >> 64
+            self.states[i, 1] = state & MASK64
+        self.first = int(rows[0])
+        self.position = np.full(int(rows[-1]) - self.first + 1, -1, dtype=np.int32)
+        self.position[rows - self.first] = np.arange(rows.size, dtype=np.int32)
+
+    @classmethod
+    def of(cls, instances: Sequence[ContainerInstance]) -> BootStates | None:
+        """Boot states of the alive, unbooted rows of a probed sandbox
+        class among ``instances``, in the first one's table; ``None`` when
+        there are none."""
+        rows = [
+            instance.row
+            for instance in instances
+            if instance.alive and _columnar(instance, instances[0]._rows)
+        ]
+        return cls(instances[0]._rows, np.unique(rows)) if rows else None
+
+    def stream(self, row: int) -> RowStream | None:
+        """The row's :class:`RowStream`, or ``None`` if it is not listed."""
+        at = row - self.first
+        if 0 <= at < self.position.size:
+            listed = int(self.position[at])
+            if listed >= 0:
+                hi, lo, inc_hi, inc_lo = self.states[listed].tolist()
+                return RowStream(self.table, row, hi << 64 | lo, inc_hi << 64 | inc_lo)
+        return None
+
+
+def _columnar(instance: ContainerInstance, table: _Rows) -> bool:
+    """Whether a row's draws can be taken from its seeded stream: it is
+    unbooted, in ``table`` and of a sandbox class the columns model."""
+    return (
+        instance._sandbox is None
+        and instance._rows is table
+        and table.classes[int(table.service[instance.row])] in _GENERATION
+    )
+
+
+class RowStream:
+    """The sandbox stream of an unbooted row, drawn through the shared
+    generator.
+
+    Stands in for the row's sandbox in a CTest batch: :meth:`random` for
+    the window's draws, :meth:`sleep` for the sleeper's ``nanosleep``.
+    Each call sets the shared generator to the row's post-boot state,
+    jumps it ``probe_words`` ahead and adds the words it draws to
+    ``probe_words``, so a later boot lands where the draws left the
+    stream.
+    """
+
+    __slots__ = ("_table", "_row", "_state", "_increment")
+
+    def __init__(self, table: _Rows, row: int, state: int, increment: int) -> None:
+        self._table = table
+        self._row = row
+        self._state = state
+        self._increment = increment
+
+    def _seek(self) -> None:
+        _seek(self._state, self._increment)
+        words = int(self._table.probe_words[self._row])
+        if words:
+            _BITS.advance(words)
+
+    def random(self, *, out: FloatColumn) -> None:
+        """``Generator.random(out=out)`` on the row's stream."""
+        if out.size:
+            self._seek()
+            _SHARED.random(out=out)
+            self._table.probe_words[self._row] += out.size
+
+    def sleep(self, duration: float) -> None:
+        """:meth:`~repro.sandbox.base.Sandbox.sleep` on the row's stream:
+        ``nanosleep`` draws its overshoot from the host's call jitter."""
+        table, row = self._table, self._row
+        self._seek()
+        start = _position()
+        noise = table.hosts[int(table.host[row])].syscall_noise
+        overshoot = abs(noise.sample_call_jitter(_SHARED))
+        table.probe_words[row] += _words_between(start, _position(), self._increment)
+        table.clock.sleep(max(0.0, duration) + overshoot)
+
+
+def sandbox_streams(
+    instances: Sequence[ContainerInstance],
+    bounds: Sequence[int],
+    prepared: BootStates | None = None,
+) -> list[np.random.Generator | RowStream]:
+    """The stream each alive instance of a CTest batch draws from.
+
+    ``bounds[i]`` caps the words the caller draws from instance ``i``.  An
+    unbooted row of the first instance's table, of a probed sandbox
+    class, with room for ``bounds[i]`` more words under
+    :data:`_WORDS_LIMIT`, gets a :class:`RowStream`: from ``prepared``
+    when it holds the row, else from one :class:`BootStates` over the
+    batch's other such rows.  Every other instance boots its sandbox (if
+    it has not) and gives the sandbox's generator.
+    """
+    if not instances:
+        return []
+    table = instances[0]._rows
+    if prepared is not None and prepared.table is not table:
+        prepared = None
+    words = table.probe_words
+    streams: list[np.random.Generator | RowStream | None] = []
+    missing: list[int] = []
+    for instance, bound in zip(instances, bounds):
+        row = instance.row
+        if not (_columnar(instance, table) and int(words[row]) + bound <= _WORDS_LIMIT):
+            streams.append(instance.sandbox._rng)
+            continue
+        stream = prepared.stream(row) if prepared is not None else None
+        if stream is None:
+            missing.append(len(streams))
+        streams.append(stream)
+    if missing:
+        hashed = BootStates(table, np.unique([instances[i].row for i in missing]))
+        for i in missing:
+            streams[i] = hashed.stream(instances[i].row)
+    return streams  # type: ignore[return-value]  # every None was replaced

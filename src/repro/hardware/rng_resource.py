@@ -153,12 +153,14 @@ def window_hits(
     Parameters
     ----------
     observers:
-        ``(resource, instance_id, rng)`` triples (a
-        :class:`~repro.sandbox.base.ChannelPort` is one) in *schedule
-        order*: the order in which the scalar engine visits observers
-        within each round.  Only the relative order of observers sharing
-        a resource matters.  Every observer must currently be registered
-        as pressuring its resource.
+        ``(resource, instance_id, rng)`` triples in *schedule order*: the
+        order in which the scalar engine visits observers within each
+        round.  Only the relative order of observers sharing a resource
+        matters.  Every observer must currently be registered as
+        pressuring its resource.  ``rng`` is the observer's sandbox
+        stream: a ``Generator``, or anything whose ``random(out=...)``
+        fills a float64 array as ``Generator.random`` would (an unbooted
+        row's :class:`~repro.fleet.probe.RowStream`).
     n_rounds:
         Number of observation rounds in the test window.
     thresholds:

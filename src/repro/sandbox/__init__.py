@@ -13,18 +13,16 @@ Cloud Run offers two sandbox generations (paper §2.3):
 
 Guest probe programs (see :mod:`repro.core.probes`) run against the common
 :class:`~repro.sandbox.base.Sandbox` interface.  Neither generation
-virtualizes the shared-hardware contention surface, so the covert-channel
-ports (:class:`~repro.sandbox.base.ChannelPort`) used by the vectorized
-CTest engine are generation-independent.
+virtualizes the shared-hardware contention surface, so the covert channel
+behaves the same in both.
 """
 
-from repro.sandbox.base import ChannelPort, Sandbox, TscPolicy
+from repro.sandbox.base import Sandbox, TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.sandbox.syscalls import SyscallLayer
 
 __all__ = [
-    "ChannelPort",
     "Sandbox",
     "TscPolicy",
     "GVisorSandbox",

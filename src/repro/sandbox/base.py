@@ -10,32 +10,12 @@ from __future__ import annotations
 
 import abc
 import enum
-from typing import NamedTuple
 
 import numpy as np
 
 from repro.hardware.host import PhysicalHost
-from repro.hardware.rng_resource import ContentionResource
 from repro.sandbox.syscalls import SyscallLayer
 from repro.simtime.clock import SimClock
-
-
-class ChannelPort(NamedTuple):
-    """Engine-side ingredients for batched covert-channel observation.
-
-    A port bundles what :func:`~repro.hardware.rng_resource.window_hits`
-    needs to reproduce one sandbox's scalar observation stream: the host's
-    shared contention domain, the pressure-registration id, and the
-    sandbox's private randomness source.  It is simulator plumbing — the
-    CTest round engine uses it to draw a whole batch's test window in one
-    call, grouping observers by their (hidden) host resource — and must
-    never leak into attacker logic, which only ever sees the scalar
-    observe results.
-    """
-
-    resource: ContentionResource
-    sandbox_id: str
-    rng: np.random.Generator
 
 
 class TscPolicy(enum.Enum):
@@ -182,12 +162,6 @@ class Sandbox(abc.ABC):
         kind inherits the module-level draw-order contract unchanged.
         """
         return self._host.channel_resource(kind).observe(self.sandbox_id, self._rng)
-
-    def channel_port(self, kind: str) -> ChannelPort:
-        """Batched-observation port for one registered channel kind."""
-        return ChannelPort(
-            self._host.channel_resource(kind), self.sandbox_id, self._rng
-        )
 
     # ------------------------------------------------------------------
     # Request serving (victim-side latency surface)

@@ -21,9 +21,8 @@ class GVisorSandbox(Sandbox):
     The covert-channel surface is inherited unchanged from
     :class:`~repro.sandbox.base.Sandbox`: ``RDRAND`` is an unprivileged
     instruction gVisor cannot intercept, so RNG-contention pressure and
-    observation hit real shared hardware — which also makes the batched
-    observation port (:meth:`~repro.sandbox.base.Sandbox.channel_port`)
-    valid for Gen 1 without any generation-specific handling.
+    observation hit real shared hardware, and the CTest engine needs no
+    generation-specific handling for Gen 1.
     """
 
     generation = "gen1"

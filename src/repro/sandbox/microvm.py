@@ -27,9 +27,8 @@ class MicroVMSandbox(Sandbox):
     TSC offsetting and ``cpuid`` trapping reshape the *identification*
     surface, but the hypervisor does not virtualize shared-resource
     contention: ``RDRAND`` and memory-bus pressure still reach host
-    hardware, so the inherited covert-channel surface — including the
-    batched observation ports the CTest round engine uses — behaves
-    identically to Gen 1 (paper §4.5 relies on exactly this).
+    hardware, so the inherited covert-channel surface behaves identically
+    to Gen 1 (paper §4.5 relies on exactly this).
     """
 
     generation = "gen2"

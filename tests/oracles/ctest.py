@@ -1,20 +1,19 @@
 """Per-round CTest loop (reference for the batch-wide ``window_hits`` engine).
 
 One probe round-trip per started instance per round, visiting instances
-in flat order within each round; the ports the batched engine observes
-through are ignored.  :func:`loop_reference` derives, from any registered
-channel class, a subclass that runs its windows this way, so every kind's
-batched engine is pinned against the same loop.
+in flat order within each round, each in its sandbox (booting it); the
+streams the batched engine draws from are ignored.
+:func:`loop_reference` derives, from any registered channel class, a
+subclass that runs its windows this way, so every kind's batched engine
+is pinned against the same loop.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cloud.api import InstanceHandle
-from repro.core.covert import RngCovertChannel
+from repro.core.covert import RngCovertChannel, _Observer
 from repro.errors import InstanceGoneError
-from repro.sandbox.base import ChannelPort
 
 
 class LoopWindow:
@@ -22,13 +21,13 @@ class LoopWindow:
 
     def _observe_window(
         self,
-        started: Sequence[tuple[InstanceHandle, ChannelPort]],
+        started: Sequence[_Observer],
         dead: set[str],
         death_round: dict[str, int],
         threshold_of: dict[str, int],
     ) -> dict[str, int]:
         kind = self.kind
-        flat = [handle for handle, _port in started]
+        flat = [handle for handle, _resource, _stream in started]
         hits = {handle.instance_id: 0 for handle in flat}
         for round_index in range(self.total_rounds):
             for handle in flat:
@@ -38,7 +37,7 @@ class LoopWindow:
                 if death_round.get(instance_id) == round_index:
                     dead.add(instance_id)
                     try:
-                        handle.run(self._stop)
+                        handle.run(lambda sandbox: sandbox.stop_channel_pressure(kind))
                     except InstanceGoneError:
                         pass
                     continue

@@ -9,13 +9,14 @@ values, so within a batch every key must be unique and a key-less
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.covert import RngCovertChannel
 from repro.core.verification import ScalableVerifier, _GroupTask
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults import FaultPlan, FaultSpec, hashed_uniform
 
 
 @dataclass(frozen=True)
@@ -100,3 +101,26 @@ def test_death_rounds_stay_in_range(spec, names):
     for token in names:
         when = plan.ctest_death_round(token, 60)
         assert when is None or 0 <= when < 60
+
+
+def reference_uniform(seed, site: str, token: str) -> float:
+    """The draw's definition: one SHA-256 of the whole formatted name."""
+    digest = hashlib.sha256(f"{seed}|{site}|{token}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2**64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    site=st.text(max_size=12),
+    tokens=st.lists(st.text(max_size=40), min_size=1, max_size=6),
+)
+@example(seed=2**63 - 1, site="ctest-noise", tokens=["b0:svc-é#0000001", "☃", ""])
+@example(seed=1, site="traffic-idle", tokens=["x"])
+def test_hashed_uniform_matches_formatted_hash(seed, site, tokens):
+    # Each site is hashed once per seed and reused: draws repeat, in any
+    # order, and a bool or float seed formats differently from the int.
+    for token in tokens + tokens[::-1]:
+        assert hashed_uniform(seed, site, token) == reference_uniform(seed, site, token)
+    for alias in (bool(seed), float(seed)):
+        assert hashed_uniform(alias, site, tokens[0]) == reference_uniform(alias, site, tokens[0])

@@ -6,10 +6,10 @@ Two guarantees per kind:
   ``window_hits`` engine produce identical verdicts, hits, RNG end
   states, and pressurer sets for every registered kind (the per-kind
   generalization of the RNG twin-world suite);
-* **refactor identity** — the kind-routed hooks (``channel_port(kind)`` /
-  ``start_channel_pressure(kind)``) reproduce the historical wiring
-  straight to the host's eager ``rng_resource`` / ``memory_bus`` fields
-  byte-for-byte.
+* **refactor identity** — the kind-routed lookup
+  (:meth:`~repro.fleet.ContainerInstance.channel_resource`) reproduces the
+  historical wiring straight to the host's eager ``rng_resource`` /
+  ``memory_bus`` fields byte-for-byte.
 """
 
 from __future__ import annotations
@@ -18,36 +18,36 @@ import pytest
 
 from repro.core.covert import COVERT_CHANNEL_CLASSES, MemoryBusCovertChannel, RngCovertChannel
 from repro.faults import FaultPlan, FaultSpec
-from repro.sandbox.base import ChannelPort
+from repro.fleet import ContainerInstance
 from tests.unit.test_ctest_vectorized import launch, run_twin_worlds
 
 KINDS = tuple(COVERT_CHANNEL_CLASSES)
 
 
 class LegacyRngChannel(RngCovertChannel):
-    """The pre-registry hook wiring: the host's ``rng_resource`` field."""
+    """The pre-registry wiring: the host's eager ``rng_resource`` field."""
 
-    @staticmethod
-    def _start(sandbox) -> ChannelPort:
-        sandbox._host.rng_resource.start_pressure(sandbox.sandbox_id)
-        return ChannelPort(sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng)
+    FIELD = "rng_resource"
 
-    @staticmethod
-    def _stop(sandbox) -> None:
-        sandbox._host.rng_resource.stop_pressure(sandbox.sandbox_id)
+    def ctest_batch(self, groups, threshold_m):
+        field = self.FIELD
+
+        def eager_field(instance, kind):
+            rows = instance._rows
+            return getattr(rows.hosts[rows.host[instance.row]], field)
+
+        registry = ContainerInstance.channel_resource
+        ContainerInstance.channel_resource = eager_field
+        try:
+            return super().ctest_batch(groups, threshold_m)
+        finally:
+            ContainerInstance.channel_resource = registry
 
 
-class LegacyBusChannel(MemoryBusCovertChannel):
-    """The pre-registry hook wiring: the host's ``memory_bus`` field."""
+class LegacyBusChannel(LegacyRngChannel, MemoryBusCovertChannel):
+    """The pre-registry wiring: the host's eager ``memory_bus`` field."""
 
-    @staticmethod
-    def _start(sandbox) -> ChannelPort:
-        sandbox._host.memory_bus.start_pressure(sandbox.sandbox_id)
-        return ChannelPort(sandbox._host.memory_bus, sandbox.sandbox_id, sandbox._rng)
-
-    @staticmethod
-    def _stop(sandbox) -> None:
-        sandbox._host.memory_bus.stop_pressure(sandbox.sandbox_id)
+    FIELD = "memory_bus"
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))
@@ -100,14 +100,17 @@ def test_generic_hooks_match_legacy_hooks(
     assert generic[0] == legacy[0]
 
 
-def test_channel_port_resolves_every_kind(tiny_env):
+def test_channel_resource_resolves_every_kind(tiny_env):
     handle = launch(tiny_env, 1)[0]
-    sandbox = handle._instance.sandbox
-    host = sandbox._host
-    assert sandbox.channel_port("rng").resource is host.rng_resource
-    assert sandbox.channel_port("bus").resource is host.memory_bus
+    instance = handle._instance
+    host = tiny_env.datacenter.host(instance.host_id)
+    assert instance.channel_resource("rng") is host.rng_resource
+    assert instance.channel_resource("bus") is host.memory_bus
     for kind in KINDS:
-        port = sandbox.channel_port(kind)
-        assert port.resource is host.channel_resource(kind)
-        assert port.sandbox_id == handle.instance_id
-        assert port.rng is sandbox._rng
+        assert instance.channel_resource(kind) is host.channel_resource(kind)
+    # Resolved from the row: nothing booted.
+    assert instance._sandbox is None
+    sandbox = instance.sandbox
+    for kind in KINDS:
+        sandbox.start_channel_pressure(kind)
+        assert instance.channel_resource(kind).current_pressurers() == {handle.instance_id}

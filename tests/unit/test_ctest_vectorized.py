@@ -26,12 +26,12 @@ from repro.core.covert import (
 from repro.core.verification import ScalableVerifier, TaggedInstance
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import InstanceStore
+from repro.fleet.probe import RowStream
 from repro.hardware import rng_resource
 from repro.hardware.cpu import cpu_catalog
 from repro.hardware.host import PhysicalHost
 from repro.hardware.rng_resource import PASS_DRAWS, ContentionResource, window_hits
 from repro.hardware.tsc import TimestampCounter
-from repro.sandbox.base import ChannelPort
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.simtime.clock import SimClock
 from tests.oracles.ctest import LoopRngCovertChannel, loop_reference
@@ -225,7 +225,7 @@ class TestEdgeCases:
             handles = launch(env, 6)
             channel = cls()
             victim = handles[0]
-            victim.run(channel._start)
+            victim.run(lambda sandbox: sandbox.start_channel_pressure("rng"))
             env.orchestrator.instance_store.terminate(
                 np.array([victim._instance.row]), env.orchestrator.clock.now()
             )
@@ -299,16 +299,17 @@ class TestEdgeCases:
 
 
 class TestEngineGuards:
-    def test_port_carries_host_resource_and_private_rng(self, tiny_env):
-        handle = launch(tiny_env, 1)[0]
-        sandbox = handle._instance.sandbox
-        port = sandbox.channel_port("rng")
-        assert isinstance(port, ChannelPort)
-        assert port.resource is sandbox._host.rng_resource
-        assert port.rng is sandbox._rng
-        assert port.sandbox_id == handle.instance_id
-        bus_port = sandbox.channel_port("bus")
-        assert bus_port.resource is sandbox._host.memory_bus
+    def test_observer_carries_host_resource_and_sandbox_stream(self, tiny_env):
+        booted, unbooted = launch(tiny_env, 2)
+        sandbox = booted._instance.sandbox
+        pressured = [(h, h._instance.channel_resource("rng")) for h in (booted, unbooted)]
+        first, second = RngCovertChannel()._observers(pressured)
+        assert first.resource is sandbox._host.rng_resource
+        assert first.stream is sandbox._rng
+        host = tiny_env.datacenter.host(unbooted._instance.host_id)
+        assert second.resource is host.rng_resource
+        assert isinstance(second.stream, RowStream)
+        assert unbooted._instance._sandbox is None
 
     def test_channel_resource_unknown_kind_rejected(self, tiny_env):
         handle = launch(tiny_env, 1)[0]
@@ -319,11 +320,14 @@ class TestEngineGuards:
 def quiet_ports(handles):
     """Start rng pressure on every handle and silence the hosts' noise,
     so each observed level is exactly the host's pressurer count."""
-    channel = RngCovertChannel()
-    ports = [h.run(channel._start) for h in handles]
-    for port in ports:
-        port.resource.background_rate = 0.0
-        port.resource.drop_rate = 0.0
+    ports = []
+    for handle in handles:
+        sandbox = handle._instance.sandbox
+        sandbox.start_channel_pressure("rng")
+        ports.append((sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng))
+    for resource, _instance_id, _rng in ports:
+        resource.background_rate = 0.0
+        resource.drop_rate = 0.0
     return ports
 
 

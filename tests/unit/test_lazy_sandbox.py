@@ -468,10 +468,26 @@ class TestLifecycle:
         assert first.instance_id in repr(first)
         assert first._sandbox is None and second._sandbox is None
 
-    def test_run_batch_boots_grouped_sandboxes(self, tiny_env):
-        """A CTest batch boots the sandbox of every instance it tests."""
-        client, name = deploy(tiny_env)
-        handles = client.connect(name, 5)
-        assert all(h._instance._sandbox is None for h in handles)
-        RngCovertChannel().ctest_batch([handles[:3], handles[3:]], 2)
-        assert all(h._instance._sandbox is not None for h in handles)
+    def test_ctest_batch_boots_no_sandbox(self, tiny_env_factory, sandbox_inits):
+        """A CTest batch boots none of the rows it tests; booted later,
+        each sandbox is the one the batch would have left behind."""
+        worlds = {}
+        for label in ("boot-free", "booted"):
+            env = tiny_env_factory(seed=3)
+            client, name = deploy(env)
+            handles = client.connect(name, 5)
+            if label == "booted":
+                for handle in handles:
+                    handle.run(lambda sandbox: None)
+            sandbox_inits.clear()
+            results = RngCovertChannel().ctest_batch([handles[:3], handles[3:]], 2)
+            worlds[label] = {
+                "built": len(sandbox_inits),
+                "booted": booted(handles),
+                "positives": [result.positive for result in results],
+                "states": sandbox_states(handles),
+            }
+        free, eager = worlds["boot-free"], worlds["booted"]
+        assert free["built"] == 0 and free["booted"] == [False] * 5
+        assert free["positives"] == eager["positives"]
+        assert free["states"] == eager["states"]
