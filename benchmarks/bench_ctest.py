@@ -86,16 +86,16 @@ def build_groups(n_instances: int, seed: int) -> list[list[InstanceHandle]]:
     ]
     store = InstanceStore(clock, hosts)
     serials = np.arange(n_instances)
-    instances = store.launch(
+    rows = store.launch(
         store.service_index("bench"),
         serials // INSTANCES_PER_HOST,
-        [f"i{serial:06d}" for serial in range(n_instances)],
+        serials,
         seed * 1_000_003 + serials,
         clock.now(),
         clock.now(),
         GVisorSandbox,
     )
-    handles = [InstanceHandle(instance) for instance in instances]
+    handles = [InstanceHandle(instance) for instance in store.column(rows)]
     return [
         handles[i : i + GROUP_SIZE] for i in range(0, len(handles), GROUP_SIZE)
     ]

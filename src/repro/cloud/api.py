@@ -10,33 +10,64 @@ paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from typing import Callable, TypeVar
+
+import numpy as np
+from numpy.typing import NDArray
 
 from repro.cloud.orchestrator import Orchestrator
 from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import RetryPolicy
 from repro.fleet import ContainerInstance
+from repro.fleet.instances import RowColumn, _Rows
 from repro.sandbox.base import Sandbox
 
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class InstanceHandle:
     """Client-side handle to one container instance.
 
     The handle lets the user run guest code in the instance's sandbox and
-    capture the SIGTERM notification, but exposes no placement information.
+    capture the SIGTERM notification, but exposes no placement information
+    and no row.  Handles of one instance compare and hash equal.
     """
 
-    _instance: ContainerInstance
+    __slots__ = ("_rows", "_row", "_id")
+
+    def __init__(self, instance: ContainerInstance) -> None:
+        # The handle keeps the view's row, not the view: one object per
+        # handle, so a batch of handles gives the cycle collector half the
+        # objects to track, and the view is built when platform code asks.
+        self._rows = instance._rows
+        self._row = instance.row
+        self._id: str | None = None
+
+    @property
+    def _instance(self) -> ContainerInstance:
+        """The platform-side view of the instance's row."""
+        return ContainerInstance(self._rows, self._row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstanceHandle):
+            return NotImplemented
+        return self._row == other._row and self._rows is other._rows
+
+    def __hash__(self) -> int:
+        return hash(self._row)
+
+    def __repr__(self) -> str:
+        return f"InstanceHandle({self.instance_id!r})"
 
     @property
     def instance_id(self) -> str:
-        """Opaque instance identifier."""
-        return self._instance.instance_id
+        """Opaque instance identifier (built on first read)."""
+        cached = self._id
+        if cached is None:
+            cached = self._id = self._rows.instance_id(self._row)
+        return cached
 
     @property
     def generation(self) -> str:
@@ -50,7 +81,7 @@ class InstanceHandle:
     @property
     def alive(self) -> bool:
         """Whether the instance is still running (active or idle)."""
-        return self._instance.alive
+        return self._rows.alive(self._row)
 
     def run(self, probe: Callable[[Sandbox], T]) -> T:
         """Execute ``probe(sandbox)`` inside the instance and return its result.
@@ -70,6 +101,43 @@ class InstanceHandle:
         a collection server (Fig. 6).
         """
         self._instance.on_sigterm = callback
+
+
+class HandleColumn(RowColumn[InstanceHandle]):
+    """The handles of one launch, as rows of the instance table.
+
+    What :meth:`FaaSClient.connect` returns: a sequence that builds an
+    :class:`InstanceHandle` only for a row that is indexed or iterated.
+    Batch probes read its rows directly (:func:`rows_of`).
+    """
+
+    __slots__ = ()
+
+    def _item(self, row: int) -> InstanceHandle:
+        return InstanceHandle(ContainerInstance(self._table, row))
+
+
+def rows_of(
+    handles: Sequence[InstanceHandle],
+) -> tuple[_Rows | None, NDArray[np.int64]]:
+    """The instance table and rows of a batch of handles, in batch order.
+
+    A :class:`HandleColumn` gives its own; a list is read handle by
+    handle.  The table is ``None`` for an empty batch.
+
+    Raises
+    ------
+    ValueError
+        If the handles come from more than one world.
+    """
+    if isinstance(handles, HandleColumn):
+        return handles._table, handles._row_array
+    if not handles:
+        return None, np.empty(0, dtype=np.int64)
+    table = handles[0]._rows
+    if any(handle._rows is not table for handle in handles):
+        raise ValueError("a batch holds instances of more than one world")
+    return table, np.fromiter((handle._row for handle in handles), np.int64, len(handles))
 
 
 class FaaSClient:
@@ -142,10 +210,11 @@ class FaaSClient:
     # ------------------------------------------------------------------
     # Scaling
     # ------------------------------------------------------------------
-    def connect(self, service_name: str, n_connections: int) -> list[InstanceHandle]:
+    def connect(self, service_name: str, n_connections: int) -> HandleColumn:
         """Open ``n_connections`` connections, forcing that many instances.
 
-        Returns handles to the instances serving the connections.  With a
+        Returns the handles of the instances serving the connections, as a
+        column built handle by handle when read.  With a
         ``retry_policy``, platform-side launch failures are retried
         (already-launched instances are reused, so a retry only asks for
         the remainder).
@@ -162,7 +231,7 @@ class FaaSClient:
                     raise
                 self.wait(policy.backoff(attempt))
                 attempt += 1
-        return [InstanceHandle(instance) for instance in instances]
+        return HandleColumn(instances._table, instances._row_array)
 
     def disconnect(self, service_name: str) -> None:
         """Close all connections; instances idle out and are later reaped."""

@@ -30,6 +30,7 @@ from repro.cloud.services import Service, ServiceConfig
 from repro.errors import CloudError, LaunchError
 from repro.faults import DEFAULT_LAUNCH_RETRY, FaultPlan, RetryPolicy
 from repro.fleet import ContainerInstance, InstanceStore
+from repro.fleet.instances import InstanceColumn, instance_id
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
@@ -77,7 +78,6 @@ class Orchestrator:
         self.scheduler = EventScheduler(self.clock)
         self.accounts: dict[str, Account] = {}
         self.services: dict[str, Service] = {}
-        self.instances: dict[str, ContainerInstance] = {}
         self.fleet = datacenter.fleet
         self._rng = np.random.default_rng(datacenter.rng.integers(2**63))
         self._placement = PlacementPolicy(self._rng, platform=self.platform)
@@ -138,7 +138,7 @@ class Orchestrator:
     # ------------------------------------------------------------------
     # Scaling (autoscaler entry points)
     # ------------------------------------------------------------------
-    def connect(self, service: Service, n_connections: int) -> list[ContainerInstance]:
+    def connect(self, service: Service, n_connections: int) -> InstanceColumn:
         """Ensure capacity for ``n_connections`` concurrent connections.
 
         Models the paper's workload generator: each instance serves up to
@@ -155,7 +155,7 @@ class Orchestrator:
 
     def scale_to(
         self, service: Service, target: int, *, sleep_startup: bool = True
-    ) -> list[ContainerInstance]:
+    ) -> InstanceColumn:
         """Autoscale the service to ``target`` concurrently active instances.
 
         Scaling *out* reuses idle instances and creates the remainder
@@ -218,7 +218,7 @@ class Orchestrator:
                 span.set(idled=active_n - target)
                 telemetry.count("orchestrator.scale_ins")
                 self._demand.record_demand(service, now, target)
-            return store.handles_of(active[:target]) if want_list else target
+            return store.column(active[:target]) if want_list else target
 
         with telemetry.span(
             "orchestrator.launch",
@@ -275,15 +275,15 @@ class Orchestrator:
                     startup = self._startup_seconds(service, new_needed, target)
                     if self.fault_plan is not None:
                         startup += sum(
-                            self.fault_plan.slow_launch_penalty(i.instance_id)
-                            for i in created
+                            self.fault_plan.slow_launch_penalty(instance_id)
+                            for instance_id in store.instance_ids(created)
                         )
                     self.clock.sleep(startup)
 
             if not want_list:
                 return store.active_count(index)
             active = self._active_rows(index)
-        return store.handles_of(active[:target])
+        return store.column(active[:target])
 
     def disconnect(self, service: Service) -> None:
         """Close all connections: instances idle out and are later reaped.
@@ -326,8 +326,8 @@ class Orchestrator:
             # tenants cannot perturb foreground draw sequences.
             span_s = idle_deadline - idle_grace
             deadlines = [
-                now + idle_grace + stream(handle.instance_id) * span_s
-                for handle in store.handles_of(rows)
+                now + idle_grace + stream(instance_id) * span_s
+                for instance_id in store.instance_ids(rows)
             ]
         self._schedule_reaps(rows, deadlines)
 
@@ -402,11 +402,11 @@ class Orchestrator:
     # Introspection (ground truth for the simulator and metrics; guests
     # and the attacker-facing client API never see host ids)
     # ------------------------------------------------------------------
-    def alive_instances(self, service: Service) -> list[ContainerInstance]:
+    def alive_instances(self, service: Service) -> InstanceColumn:
         """All non-terminated instances of a service, in creation order."""
         store = self._instances
         index = self._service_index(service)
-        return store.handles_of(store.alive_rows(index))
+        return store.column(store.alive_rows(index))
 
     def active_count(self, service: Service) -> int:
         """ACTIVE instance count from the columnar state (no list build)."""
@@ -430,8 +430,15 @@ class Orchestrator:
         return self._instances
 
     def true_host_of(self, instance_id: str) -> str:
-        """Ground-truth host of an instance (validation only)."""
-        return self.instances[instance_id].host_id
+        """Ground-truth host of an instance (validation only).
+
+        Raises
+        ------
+        KeyError
+            If no instance was launched under this id.
+        """
+        store = self._instances
+        return self.datacenter.hosts[store.host[store.row_of(instance_id)]].host_id
 
     def host_load_slots(self, host_id: str) -> float:
         """Current committed capacity slots on a host."""
@@ -502,7 +509,7 @@ class Orchestrator:
         key = service.qualified_name
         counter = self._route_counters.get(key, 0)
         self._route_counters[key] = counter + 1
-        return self._instances.handles[active[counter % active.size]]
+        return self._instances.instance(int(active[counter % active.size]))
 
     def _sizes(
         self, services: np.ndarray
@@ -565,8 +572,9 @@ class Orchestrator:
         service: Service,
         account: Account,
         count: int,
-    ) -> list[ContainerInstance]:
-        """Place and commit one launch batch as a run of segments.
+    ) -> np.ndarray:
+        """Place and commit one launch batch as a run of segments; returns
+        the rows launched.
 
         A segment's head takes the next instance id and survives its
         launch faults (:meth:`_attempt_launch` may sleep retry backoff,
@@ -584,7 +592,8 @@ class Orchestrator:
         No sandbox is built here: each row records its seed and what an
         eager boot would read now — the clock at the segment commit (retry
         backoff may have moved it since ``created_at``) — and boots on its
-        first probe.
+        first probe.  Nor is an id: a row keeps its counter value
+        (``serial``), and the id is built from it when asked for.
         """
         chosen = self._place_batch(service, account, count)
         qualified = service.qualified_name
@@ -593,30 +602,31 @@ class Orchestrator:
         index = self._service_index(service)
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
         plan = self.fault_plan
-        created: list[ContainerInstance] = []
-        pending: str | None = None
+        counter = self._instance_counter
+        created: list[np.ndarray] = []
+        pending: int | None = None
         start = 0
         while start < chosen.size:
-            head = pending or f"{qualified}#{next(self._instance_counter):07d}"
-            self._attempt_launch(head)
-            segment_ids = [head]
+            head = next(counter) if pending is None else pending
+            self._attempt_launch(instance_id(qualified, head))
+            serials = [head]
             pending = None
-            while start + len(segment_ids) < chosen.size:
-                instance_id = f"{qualified}#{next(self._instance_counter):07d}"
-                if plan is not None and plan.launch_would_fail(instance_id, 0):
-                    pending = instance_id
+            while start + len(serials) < chosen.size:
+                serial = next(counter)
+                if plan is not None and plan.launch_would_fail(
+                    instance_id(qualified, serial), 0
+                ):
+                    pending = serial
                     break
-                segment_ids.append(instance_id)
-            stop = start + len(segment_ids)
+                serials.append(serial)
+            stop = start + len(serials)
             segment = chosen[start:stop]
             seeds = self._rng.integers(2**63, size=segment.size)
-            launched = store.launch(
-                index, segment, segment_ids, seeds, now, self.clock.now(), cls
+            created.append(
+                store.launch(index, segment, serials, seeds, now, self.clock.now(), cls)
             )
-            self.instances.update(zip(segment_ids, launched))
-            created.extend(launched)
             start = stop
-        return created
+        return np.concatenate([np.empty(0, dtype=np.int64), *created])
 
     def _place_batch(
         self,

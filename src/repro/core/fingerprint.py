@@ -19,8 +19,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.cloud.api import InstanceHandle
-from repro.errors import FingerprintError
+from repro.cloud.api import HandleColumn, InstanceHandle, rows_of
+from repro.errors import FingerprintError, PrivilegeError
+from repro.fleet.instances import TERMINATED
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,10 @@ def _check_precision(p_boot: float) -> None:
 
 def _gen1_columns(
     handles: Sequence[InstanceHandle],
-) -> tuple[list[InstanceHandle], NDArray[np.int64], list[str], NDArray[np.float64]]:
+) -> tuple[HandleColumn, NDArray[np.int64], list[str], NDArray[np.float64]]:
     """Probe a batch for Gen 1 samples: the fingerprinted handles in batch
-    order, each one's model (as an index into the model list) and its
-    unrounded boot time.
+    order (as a column), each one's model (as an index into the model
+    list) and its unrounded boot time.
 
     Unbooted instances are probed as columns (:mod:`repro.fleet.probe`);
     the rest run :func:`~repro.core.probes.gen1_fingerprint_probe` in
@@ -122,7 +123,8 @@ def _gen1_columns(
     from repro.core import probes  # deferred: probes constructs Gen1Sample
     from repro.fleet.probe import probe_gen1  # deferred: loads the port on first use
 
-    batch = probe_gen1([handle._instance for handle in handles])
+    table, rows = rows_of(handles)
+    batch = probe_gen1(table, rows)
     positions, codes, names, boot_times = batch[:4]
     if batch.per_probe:
         code_of = {name: code for code, name in enumerate(names)}
@@ -144,7 +146,7 @@ def _gen1_columns(
             positions, codes, boot_times = positions[order], codes[order], boot_times[order]
     if batch.stop < len(handles):
         handles[batch.stop]._instance.require_alive()
-    return list(map(handles.__getitem__, positions.tolist())), codes, names, boot_times
+    return HandleColumn(table, rows[positions]), codes, names, boot_times
 
 
 def gen1_boot_times(
@@ -190,16 +192,40 @@ def fingerprint_gen2_instances(
 ) -> list[tuple[InstanceHandle, Gen2Fingerprint]]:
     """Collect Gen 2 fingerprints from a batch of container instances.
 
-    Each instance's refined frequency is read from its host, as its
-    kernel would report it (:meth:`~repro.fleet.ContainerInstance.kernel_tsc_khz`),
-    so the batch boots no sandbox and draws nothing.  A terminated
-    instance raises :class:`~repro.errors.InstanceGoneError`, a Gen 1 one
+    The refined frequency is read once per distinct host and sandbox
+    class of the batch, as the instances' kernels would report it
+    (:meth:`~repro.sandbox.base.Sandbox.host_kernel_tsc_khz`), so the
+    batch boots no sandbox and draws nothing.  A terminated instance
+    raises :class:`~repro.errors.InstanceGoneError`, a Gen 1 one
     :class:`~repro.errors.PrivilegeError`, after the instances before it.
     """
-    return [
-        (handle, Gen2Fingerprint.from_khz(handle._instance.kernel_tsc_khz()))
-        for handle in handles
-    ]
+    table, rows = rows_of(handles)
+    if table is None:
+        return []
+    n_hosts = len(table.hosts)
+    pairs, pair_of = np.unique(
+        table.service[rows] * n_hosts + table.host[rows], return_inverse=True
+    )
+    pair_of = pair_of.reshape(-1)
+    # Per distinct (service, host): its fingerprint, or the error reading it.
+    read: list[Gen2Fingerprint | PrivilegeError] = []
+    for pair in pairs.tolist():
+        service, host = divmod(pair, n_hosts)
+        try:
+            khz = table.classes[service].host_kernel_tsc_khz(
+                table.hosts[host], table.tsc_policy
+            )
+        except PrivilegeError as error:
+            read.append(error)
+        else:
+            read.append(Gen2Fingerprint.from_khz(khz))
+    failed = np.array([isinstance(value, PrivilegeError) for value in read])
+    bad = np.flatnonzero(failed[pair_of] | (table.state[rows] == TERMINATED))
+    if bad.size:
+        position = int(bad[0])
+        handles[position]._instance.require_alive()
+        raise read[pair_of[position]]
+    return list(zip(handles, map(read.__getitem__, pair_of.tolist())))
 
 
 def group_by_fingerprint(

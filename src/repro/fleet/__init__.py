@@ -16,8 +16,8 @@ pre-columnar placement sequences byte-for-byte (see the golden-trace
 regression tests).
 
 :class:`InstanceStore` does the same for container instances: one row per
-instance, with a :class:`ContainerInstance` handle per row for the client
-API.  Its rows are the one record of where a service's instances run:
+instance and no Python object per row; a :class:`ContainerInstance` is a
+view of a row, built when code asks for it.  Its rows are the one record of where a service's instances run:
 placement reads a service's per-host counts from them
 (:meth:`InstanceStore.host_counts`).  :mod:`repro.fleet.probe` takes a
 batch's Gen 1 fingerprint samples from its unbooted rows as array draws

@@ -12,8 +12,16 @@ array of its rows, so per-service lookups cost O(that service's rows),
 never O(all rows).  The store also owns the service-key <-> dense-index
 mapping and per-service ACTIVE/IDLE count columns, so the
 background-traffic hot path reads a service's counts without touching its
-rows.  :class:`ContainerInstance` is the per-row handle the client API
-holds.
+rows.
+
+A row exists as columns only.  :class:`ContainerInstance` is a stateless
+view of ``(table, row)`` that code builds when it asks for one row, and
+:class:`InstanceColumn` a sequence of them over a row array, built item by
+item as it is read.  A row's instance id is derived from its service key
+and its ``serial`` column (the orchestrator's instance counter at launch),
+and its booted sandbox and SIGTERM callback live in per-row dicts of the
+table.  So the store holds no Python object per row, and two views of one
+row see the same instance.
 
 A row boots its sandbox on first use and frees it at termination.  Most
 instances of a launch-heavy campaign are probed at most once and then idle
@@ -29,9 +37,10 @@ fast-forwards its fresh sandbox by exactly that much.
 from __future__ import annotations
 
 import enum
+import operator
 from collections import Counter
-from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any, Callable, TypeVar
+from collections.abc import Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generic, TypeVar, overload
 
 import numpy as np
 from numpy.typing import NDArray
@@ -67,45 +76,53 @@ class InstanceState(enum.Enum):
 _STATE_OF_CODE = (InstanceState.ACTIVE, InstanceState.IDLE, InstanceState.TERMINATED)
 
 
+def instance_id(key: str, serial: int) -> str:
+    """The id of the instance a service ``key`` launched under counter
+    value ``serial``."""
+    return f"{key}#{serial:07d}"
+
+
 class ContainerInstance:
-    """Handle on one row of an :class:`InstanceStore`.
+    """A view of one row of an :class:`InstanceStore`.
+
+    The view holds nothing but its table and row, so any number of views
+    of one row see one instance: they compare and hash equal, and a
+    sandbox booted through one is the sandbox of all.
 
     Attributes
     ----------
     instance_id:
-        Unique identifier (also the sandbox id on the host RNG).
+        Unique identifier (also the sandbox id on the host RNG), built
+        from the row's service key and ``serial``.
     host_id:
         The physical host (simulator-side ground truth; never exposed to
         guests or to the attacker-facing API).
     alive:
-        True until the instance has been terminated.  A plain slot, not a
-        column read: the probe path checks it on every call.
+        True until the instance has been terminated (the ``state``
+        column).
     row:
         The instance's row in its store.
 
-    Everything else is read from the row: the ``service``, the
+    Everything else is read from the row too: the ``service``, the
     ``sandbox_class`` (known without booting a sandbox and kept after
     termination), ``on_sigterm`` and the lifecycle ``state``.
     """
 
-    __slots__ = ("instance_id", "host_id", "alive", "row", "_rows", "_sandbox")
+    __slots__ = ("_rows", "row")
 
-    def __init__(self, rows: _Rows, row: int, instance_id: str, host_id: str) -> None:
-        self.instance_id = instance_id
-        self.host_id = host_id
-        self.alive = True
-        self.row = row
+    def __init__(self, rows: _Rows, row: int) -> None:
         self._rows = rows
-        self._sandbox: Sandbox | None = None
+        self.row = row
 
-    def __getstate__(self) -> tuple[Any, ...]:
-        # A tuple, not the default slot dict: world snapshots pickle
-        # every handle ever launched.
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ContainerInstance):
+            return NotImplemented
+        return self.row == other.row and self._rows is other._rows
 
-    def __setstate__(self, state: tuple[Any, ...]) -> None:
-        for name, value in zip(self.__slots__, state):
-            setattr(self, name, value)
+    def __hash__(self) -> int:
+        # The row alone: equal views hash equal, and the hash (so the
+        # order of a set of views) does not depend on where a table lives.
+        return hash(self.row)
 
     def __repr__(self) -> str:
         return (
@@ -113,6 +130,19 @@ class ContainerInstance:
             f"host_id={self.host_id!r}, state={self.state}, "
             f"booted={self._sandbox is not None})"
         )
+
+    @property
+    def instance_id(self) -> str:
+        return self._rows.instance_id(self.row)
+
+    @property
+    def host_id(self) -> str:
+        rows = self._rows
+        return rows.hosts[rows.host[self.row]].host_id
+
+    @property
+    def alive(self) -> bool:
+        return self._rows.alive(self.row)
 
     @property
     def service(self) -> Any:
@@ -143,6 +173,11 @@ class ContainerInstance:
         return _STATE_OF_CODE[self._rows.state[self.row]]
 
     @property
+    def _sandbox(self) -> Sandbox | None:
+        """The booted sandbox, or ``None``; never boots."""
+        return self._rows.sandboxes.get(self.row)
+
+    @property
     def sandbox(self) -> Sandbox:
         """The sandboxed execution environment, booted on first access.
 
@@ -156,10 +191,10 @@ class ContainerInstance:
         InstanceGoneError
             If the instance has been terminated (its sandbox is freed).
         """
-        sandbox = self._sandbox
+        rows, row = self._rows, self.row
+        sandbox = rows.sandboxes.get(row)
         if sandbox is None:
             self.require_alive()
-            rows, row = self._rows, self.row
             bit_generator = np.random.PCG64(int(rows.seed[row]))  # as default_rng(seed)
             sandbox = rows.classes[rows.service[row]](
                 rows.hosts[rows.host[row]],
@@ -173,7 +208,7 @@ class ContainerInstance:
             if words:
                 bit_generator.advance(words)
             sandbox.syscalls.call_count = int(rows.clock_reads[row])
-            self._sandbox = sandbox
+            rows.sandboxes[row] = sandbox
         return sandbox
 
     def kernel_tsc_khz(self) -> float:
@@ -200,7 +235,7 @@ class ContainerInstance:
 
     def require_alive(self) -> None:
         """Raise :class:`InstanceGoneError` if the instance is terminated."""
-        if not self.alive:
+        if not self._rows.alive(self.row):
             raise InstanceGoneError(f"instance {self.instance_id!r} was terminated")
 
     def run_probe(self, probe: Callable[[Sandbox], T]) -> T:
@@ -211,6 +246,67 @@ class ContainerInstance:
         """
         self.require_alive()
         return probe(self.sandbox)
+
+
+class RowColumn(Sequence[T], Generic[T]):
+    """Rows of one table as a sequence whose items are built when read.
+
+    Indexing or iterating builds an item per row read
+    (:meth:`_item`); slicing gives another column.  A column compares
+    equal to any list, tuple or column of equal items, and ``+`` with
+    one gives a list.
+    """
+
+    __slots__ = ("_table", "_row_array")
+
+    def __init__(self, table: _Rows, rows: IndexArray) -> None:
+        self._table = table
+        self._row_array = rows
+
+    def _item(self, row: int) -> T:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return int(self._row_array.size)
+
+    @overload
+    def __getitem__(self, index: int) -> T: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> RowColumn[T]: ...
+
+    def __getitem__(self, index: int | slice) -> T | RowColumn[T]:
+        if isinstance(index, slice):
+            return type(self)(self._table, self._row_array[index])
+        return self._item(int(self._row_array[index]))
+
+    def __iter__(self) -> Iterator[T]:
+        return map(self._item, self._row_array.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (RowColumn, list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable-sequence equality
+
+    def __add__(self, other: Sequence[T]) -> list[T]:
+        return [*self, *other]
+
+    def __radd__(self, other: Sequence[T]) -> list[T]:
+        return [*other, *self]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} rows>"
+
+
+class InstanceColumn(RowColumn[ContainerInstance]):
+    """Rows of one table as :class:`ContainerInstance` views."""
+
+    __slots__ = ()
+
+    def _item(self, row: int) -> ContainerInstance:
+        return ContainerInstance(self._table, row)
 
 
 class _Columns:
@@ -225,6 +321,7 @@ class _Columns:
     active_total: FloatColumn
     billed: FloatColumn
     seed: IndexArray
+    serial: IndexArray
     boot_time: FloatColumn
     reap_seq: IndexArray
     probe_words: NDArray[np.int16]
@@ -232,11 +329,9 @@ class _Columns:
 
 
 class _Rows(_Columns):
-    """The columns, per-service tables, and what a sandbox boots against.
-
-    Handles point here rather than at their store: the store lists its
-    handles, so a handle -> store link would make every world a reference
-    cycle that outlives its last user until the cycle collector runs.
+    """The columns, per-service tables, the per-row dicts, and what a
+    sandbox boots against: everything a :class:`ContainerInstance` view
+    reads.
     """
 
     #: ``(name, dtype, fill)``: rows past ``n_rows`` hold ``fill``, the
@@ -251,6 +346,7 @@ class _Rows(_Columns):
         ("active_total", np.float64, 0.0),
         ("billed", np.float64, 0.0),
         ("seed", np.int64, None),
+        ("serial", np.int64, None),
         ("boot_time", np.float64, None),
         ("reap_seq", np.int64, -1),
         ("probe_words", np.int16, 0),
@@ -263,12 +359,15 @@ class _Rows(_Columns):
         self.clock = clock
         self.hosts = hosts
         self.tsc_policy = tsc_policy
-        #: Per service index: the service, and its sandbox class once
-        #: it has launched.
+        #: Per service index: the key, the service, and its sandbox class
+        #: once it has launched.
+        self.keys: list[str] = []
         self.services: list[Any] = []
         self.classes: dict[int, type[Sandbox]] = {}
         #: Row -> SIGTERM callback, for the rows that registered one.
         self.sigterm: dict[int, Callable[[float], None]] = {}
+        #: Row -> booted sandbox, for the alive rows that booted one.
+        self.sandboxes: dict[int, Sandbox] = {}
         self.n_rows = 0
         for name, dtype, fill in self.COLUMNS:
             setattr(self, name, _column(dtype, fill, _MIN_CAPACITY))
@@ -283,6 +382,15 @@ class _Rows(_Columns):
             grown = _column(dtype, fill, capacity)
             grown[: self.n_rows] = getattr(self, name)[: self.n_rows]
             setattr(self, name, grown)
+
+    def alive(self, row: int) -> bool:
+        """Whether the instance at ``row`` is not terminated."""
+        state: int = self.state.item(row)
+        return state != TERMINATED
+
+    def instance_id(self, row: int) -> str:
+        """The id of the instance at ``row``."""
+        return instance_id(self.keys[self.service[row]], int(self.serial[row]))
 
     def __getstate__(self) -> dict[str, Any]:
         # Snapshots carry the used rows only, not the spare capacity.
@@ -303,14 +411,16 @@ _COLUMN_NAMES = frozenset(name for name, _dtype, _fill in _Rows.COLUMNS)
 
 
 class InstanceStore(_Columns):
-    """One row per instance, as NumPy columns, plus a handle per row.
+    """One row per instance, as NumPy columns.
 
     Columns (index = row, in launch order): ``state`` (:data:`ACTIVE`,
     :data:`IDLE` or :data:`TERMINATED`), ``host`` (index into ``hosts``),
     ``service`` (dense service index), ``created_at``, ``last_active_at``,
     ``active_since`` (NaN while not active), ``active_total`` (seconds of
     closed active periods), ``billed`` (active seconds already charged),
-    ``seed`` (the sandbox seed), ``boot_time`` (the clock at the launch
+    ``seed`` (the sandbox seed), ``serial`` (the instance counter value
+    the row's id is built from; rising with rows, except where retry
+    backoff delayed a commit), ``boot_time`` (the clock at the launch
     commit), ``reap_seq`` (sequence number of the row's pending idle
     reap, -1 when none; its owner is the orchestrator's reaper), and, for
     rows probed before their sandbox booted, ``probe_words`` (raw words
@@ -340,10 +450,8 @@ class InstanceStore(_Columns):
         tsc_policy: TscPolicy = TscPolicy.NATIVE,
     ) -> None:
         self._index: dict[str, int] = {}
-        self._keys: list[str] = []
         self._active: IntColumn = np.zeros(_MIN_CAPACITY, dtype=np.int64)
         self._idle: IntColumn = np.zeros(_MIN_CAPACITY, dtype=np.int64)
-        self.handles: list[ContainerInstance] = []
         self._rows = _Rows(clock, hosts, tsc_policy)
         self._bind_columns()
         self._rows_of: list[IndexArray] = []
@@ -378,8 +486,8 @@ class InstanceStore(_Columns):
         """Dense index of a service key, registering it on first use."""
         index = self._index.get(key)
         if index is None:
-            index = self._index[key] = len(self._keys)
-            self._keys.append(key)
+            index = self._index[key] = len(self._rows.keys)
+            self._rows.keys.append(key)
             self._rows.services.append(service)
             self._rows_of.append(np.empty(_MIN_CAPACITY, dtype=np.int64))
             self._n_of.append(0)
@@ -401,7 +509,7 @@ class InstanceStore(_Columns):
 
     def key_of(self, index: int) -> str:
         """Service key at a dense index."""
-        return self._keys[index]
+        return self._rows.keys[index]
 
     def rows_of(self, index: int) -> IndexArray:
         """Every row of one service, in launch order (a view)."""
@@ -425,10 +533,52 @@ class InstanceStore(_Columns):
         alive: IndexArray = rows[self.state[rows] != TERMINATED]
         return alive
 
-    def handles_of(self, rows: IndexArray) -> list[ContainerInstance]:
-        """The handles of ``rows``, in the same order."""
-        handles = self.handles
-        return [handles[row] for row in rows.tolist()]
+    def instance(self, row: int) -> ContainerInstance:
+        """A view of one row."""
+        return ContainerInstance(self._rows, row)
+
+    def column(self, rows: IndexArray) -> InstanceColumn:
+        """Views of ``rows``, in the same order, built as they are read."""
+        return InstanceColumn(self._rows, rows)
+
+    def instance_ids(self, rows: IndexArray) -> list[str]:
+        """The ids of ``rows``, in the same order."""
+        table = self._rows
+        keys = table.keys
+        return [
+            instance_id(keys[index], serial)
+            for index, serial in zip(
+                table.service[rows].tolist(), table.serial[rows].tolist()
+            )
+        ]
+
+    def row_of(self, instance_id: str) -> int:
+        """The row of the instance with this id.
+
+        The id's ``#`` suffix is its serial, and serials rise with rows,
+        so one binary search finds the row; a row whose commit retry
+        backoff delayed past later launches is found by a scan.
+
+        Raises
+        ------
+        KeyError
+            If no row has this id: an unknown service or serial, or a
+            serial whose launch failed.
+        """
+        key, _hash, suffix = instance_id.rpartition("#")
+        if key not in self._index or not suffix.isdecimal():
+            raise KeyError(instance_id)
+        serial = int(suffix)
+        serials = self.serial[: self.n_rows]
+        row = int(serials.searchsorted(serial))
+        if row == serials.size or serials[row] != serial:
+            found = np.flatnonzero(serials == serial)
+            if not found.size:
+                raise KeyError(instance_id)
+            row = int(found[0])
+        if self._rows.instance_id(row) != instance_id:  # another service's serial
+            raise KeyError(instance_id)
+        return row
 
     # ------------------------------------------------------------------
     # Per-service counts
@@ -452,7 +602,7 @@ class InstanceStore(_Columns):
 
     def totals(self) -> tuple[int, int]:
         """``(active, idle)`` instance totals across every service."""
-        n = len(self._keys)
+        n = len(self._rows.keys)
         return int(self._active[:n].sum()), int(self._idle[:n].sum())
 
     def host_counts(self, index: int, hosts: IndexArray) -> IntColumn:
@@ -473,17 +623,19 @@ class InstanceStore(_Columns):
         self,
         index: int,
         host_indices: IndexArray,
-        instance_ids: Sequence[str],
+        serials: Sequence[int],
         seeds: NDArray[np.int64],
         created_at: float,
         boot_time: float,
         sandbox_class: type[Sandbox],
-    ) -> list[ContainerInstance]:
-        """Append one ACTIVE row per id for service ``index``.
+    ) -> IndexArray:
+        """Append one ACTIVE row per serial for service ``index``; returns
+        the new rows.
 
-        ``seeds`` and ``boot_time`` are what each row's sandbox boots from.
+        A row's id is ``instance_id(key, serial)``.  ``seeds`` and
+        ``boot_time`` are what each row's sandbox boots from.
         """
-        count = len(instance_ids)
+        count = len(serials)
         table = self._rows
         start, stop = table.n_rows, table.n_rows + count
         self._reserve(stop)
@@ -494,20 +646,13 @@ class InstanceStore(_Columns):
         self.last_active_at[new] = created_at
         self.active_since[new] = created_at
         self.seed[new] = seeds
+        self.serial[new] = serials
         self.boot_time[new] = boot_time
         self._append_rows(index, start, stop)
         table.classes[index] = sandbox_class
-        hosts = table.hosts
-        handles = [
-            ContainerInstance(table, row, instance_id, hosts[host].host_id)
-            for row, instance_id, host in zip(
-                range(start, stop), instance_ids, np.asarray(host_indices).tolist()
-            )
-        ]
-        self.handles.extend(handles)
         table.n_rows = stop
         self._active[index] += count
-        return handles
+        return np.arange(start, stop)
 
     def idle(self, index: int, rows: IndexArray, now: float) -> None:
         """ACTIVE -> IDLE for ``rows`` of service ``index``, closing each
@@ -528,12 +673,12 @@ class InstanceStore(_Columns):
 
     def terminate(
         self, rows: IndexArray, now: float
-    ) -> tuple[IndexArray, list[ContainerInstance]]:
+    ) -> tuple[IndexArray, InstanceColumn]:
         """Terminate the alive ones of ``rows``, in order, freeing sandboxes.
 
         Active rows close their active period first; each row's
         ``on_sigterm`` callback runs with ``now``.  Returns the rows
-        terminated and the handles among them whose sandbox had booted:
+        terminated and the instances among them whose sandbox had booted:
         only those can hold hardware pressure.
         """
         state = self.state[rows]
@@ -549,18 +694,17 @@ class InstanceStore(_Columns):
         for (index, flag), count in transitions.items():
             (self._active if flag else self._idle)[index] -= count
         self.state[rows] = TERMINATED
-        booted: list[ContainerInstance] = []
-        handles, sigterm = self.handles, self._rows.sigterm
-        for row in rows.tolist():
-            handle = handles[row]
-            callback = sigterm.pop(row, None)
-            if callback is not None:
-                callback(now)
-            handle.alive = False
-            if handle._sandbox is not None:
-                booted.append(handle)
-                handle._sandbox = None
-        return rows, booted
+        booted: list[int] = []
+        sigterm, sandboxes = self._rows.sigterm, self._rows.sandboxes
+        if sigterm or sandboxes:
+            listed = rows[np.isin(rows, [*sigterm, *sandboxes])]
+            for row in listed.tolist():
+                callback = sigterm.pop(row, None)
+                if callback is not None:
+                    callback(now)
+                if sandboxes.pop(row, None) is not None:
+                    booted.append(row)
+        return rows, self.column(np.array(booted, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Growth

@@ -35,9 +35,10 @@ Rows fall in three classes:
   outlier branch.  One shared ``PCG64``, set to the row's seeded state,
   draws them through the noise model, exactly as the sandbox would;
 * rows the columns leave to a sandbox: rows already booted, rows listed a
-  second time, rows of another world, other sandbox classes and rows near
-  their counters' limits.  :func:`probe_gen1` leaves them to the caller's
-  per-probe path; :func:`sandbox_streams` boots them.
+  second time, other sandbox classes, rows near their counters' limits
+  and, in a CTest batch, rows of another world.  :func:`probe_gen1`
+  leaves them to the caller's per-probe path; :func:`sandbox_streams`
+  boots them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.fleet.instances import ContainerInstance, _Rows
+from repro.fleet.instances import TERMINATED, ContainerInstance, _Rows
 from repro.fleet.seeding import (
     MASK64,
     MASK128,
@@ -98,35 +99,30 @@ class Gen1Columns(NamedTuple):
     stop: int
 
 
-def probe_gen1(instances: Sequence[ContainerInstance]) -> Gen1Columns:
+def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
     """Take a Gen 1 sample from each unbooted row of a batch, as columns.
 
-    Probes every eligible position before the first terminated instance
-    (``stop``), as the per-probe loop would have, and records each probed
-    row's counters.  A row whose model name reports no frequency is
-    probed as far as the per-probe path gets before it raises: its boot
-    draws, which the row does not record because a later boot repeats
-    them.  The caller probes ``per_probe`` itself, after this returns, and
-    raises for the instance at ``stop``.
+    ``rows`` lists the batch's rows of ``table`` in batch order (``table``
+    may be ``None`` for an empty batch).  Probes every eligible position
+    before the first terminated row (``stop``), as the per-probe loop
+    would have, and records each probed row's counters.  A row whose
+    model name reports no frequency is probed as far as the per-probe
+    path gets before it raises: its boot draws, which the row does not
+    record because a later boot repeats them.  The caller probes
+    ``per_probe`` itself, after this returns, and raises for the instance
+    at ``stop``.
     """
-    stop = len(instances)
-    for position, instance in enumerate(instances):
-        if not instance.alive:
-            stop = position
-            break
+    if table is None or not rows.size:
+        return _empty(0)
+    gone = np.flatnonzero(table.state[rows] == TERMINATED)
+    stop = int(gone[0]) if gone.size else int(rows.size)
     if stop == 0:
         return _empty(stop)
-    table = instances[0]._rows
-    batch = instances[:stop]
-    rows = np.fromiter((instance.row for instance in batch), np.int64, stop)
-    eligible = np.fromiter(
-        (instance._sandbox is None and instance._rows is table for instance in batch),
-        bool,
-        stop,
-    )
-    first = np.zeros(stop, dtype=bool)
-    first[np.unique(rows, return_index=True)[1]] = True
-    eligible &= first
+    rows = rows[:stop]
+    eligible = np.zeros(stop, dtype=bool)
+    eligible[np.unique(rows, return_index=True)[1]] = True
+    if table.sandboxes:
+        eligible &= ~np.isin(rows, list(table.sandboxes))
     eligible[eligible] &= (table.probe_words[rows[eligible]] < _WORDS_LIMIT) & (
         table.clock_reads[rows[eligible]] < _READS_LIMIT
     )
@@ -377,8 +373,8 @@ def _columnar(instance: ContainerInstance, table: _Rows) -> bool:
     """Whether a row's draws can be taken from its seeded stream: it is
     unbooted, in ``table`` and of a sandbox class the columns model."""
     return (
-        instance._sandbox is None
-        and instance._rows is table
+        instance._rows is table
+        and instance.row not in table.sandboxes
         and table.classes[int(table.service[instance.row])] in _GENERATION
     )
 

@@ -33,22 +33,22 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
     created = []
     for host_index in chosen.tolist():
         host_id = self.fleet.ids[host_index]
-        instance_id = f"{qualified}#{next(self._instance_counter):07d}"
+        serial = next(self._instance_counter)
+        instance_id = f"{qualified}#{serial:07d}"
         self._attempt_launch(instance_id)
         seed = self._rng.integers(2**63)
-        (instance,) = store.launch(
-            index, [host_index], [instance_id], [seed], now, self.clock.now(), cls
+        (row,) = store.launch(
+            index, [host_index], [serial], [seed], now, self.clock.now(), cls
         )
-        instance._sandbox = cls(
+        store._rows.sandboxes[int(row)] = cls(
             self.datacenter.host(host_id),
             self.clock,
             np.random.default_rng(seed),
             instance_id,
             tsc_policy=self.tsc_policy,
         )
-        self.instances[instance_id] = instance
-        created.append(instance)
-    return created
+        created.append(row)
+    return np.array(created, dtype=np.int64)
 
 
 def bind_scalar_launch(orchestrator: Orchestrator) -> None:

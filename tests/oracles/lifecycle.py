@@ -71,7 +71,7 @@ def idle_out_scalar(self: Orchestrator, index, rows, now) -> None:
             deadline = now + self._rng.uniform(idle_grace, idle_deadline)
         else:
             span_s = idle_deadline - idle_grace
-            instance_id = store.handles[row].instance_id
+            instance_id = store.instance(row).instance_id
             deadline = now + idle_grace + stream(instance_id) * span_s
         self._cancel_reaps([row])
         reap = _ScalarReap(self, row, float(store.last_active_at[row]))
@@ -87,7 +87,7 @@ def terminate_scalar(self: Orchestrator, rows, now) -> None:
             continue
         current_telemetry().count("orchestrator.terminations")
         self._cancel_reaps([row])
-        instance = store.handles[row]
+        instance = store.instance(row)
         store.terminate(np.array([row]), now)
         settle_billing_scalar(self, row)
         self.datacenter.host(instance.host_id).release_pressure(instance.instance_id)
@@ -98,7 +98,7 @@ def terminate_scalar(self: Orchestrator, rows, now) -> None:
 
 def settle_billing_scalar(self: Orchestrator, row: int) -> None:
     store = self.instance_store
-    service = store.handles[row].service
+    service = store.instance(row).service
     owed = store.active_total[row] - store.billed[row]
     if owed > 0:
         size = service.config.size

@@ -19,8 +19,8 @@ def make_instance(clock=None):
     store = InstanceStore(clock, [make_host()])
     service = Service(config=ServiceConfig(name="s"), account_id="a", image_id="img")
     index = store.service_index("a/s", service)
-    (instance,) = store.launch(
-        index, [0], ["i-1"], [0], clock.now(), clock.now(), GVisorSandbox
+    (instance,) = store.column(
+        store.launch(index, [0], [1], [0], clock.now(), clock.now(), GVisorSandbox)
     )
     return instance, store, clock
 
@@ -113,7 +113,7 @@ class TestLifecycle:
         clock.sleep(60.0)
         sandbox = instance.sandbox
         assert sandbox.boot_wall_time == launched_at
-        assert sandbox.sandbox_id == "i-1"
+        assert sandbox.sandbox_id == "a/s#0000001"
         assert str(sandbox._rng.bit_generator.state) != str(
             np.random.default_rng(0).bit_generator.state
         )  # the syscall layer drew its clock offset at boot

@@ -344,7 +344,7 @@ def test_snapshot_after_boot_free_batch_forks_equal_streams(sandbox_inits):
     RngCovertChannel().ctest_batch(groups_of(handles, 3), 2)
     forked = WorldSnapshot.capture(env).fork()
     twins = [
-        InstanceHandle(forked.orchestrator.instance_store.handles[h._instance.row])
+        InstanceHandle(forked.orchestrator.instance_store.instance(h._instance.row))
         for h in handles
     ]
     assert batch_outcome(RngCovertChannel(), groups_of(twins, 4)) == batch_outcome(

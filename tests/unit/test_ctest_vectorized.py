@@ -424,16 +424,16 @@ def store_handles(per_host, seed, services=1):
     for service in range(services):
         host_index = np.repeat(np.arange(len(per_host)), per_host)
         serials = np.arange(host_index.size) + service * 100_000
-        instances = store.launch(
+        rows = store.launch(
             store.service_index(f"svc{service}"),
             host_index,
-            [f"s{service}-i{serial:06d}" for serial in serials],
+            serials,
             seed * 1_000_003 + serials,
             clock.now(),
             clock.now(),
             GVisorSandbox,
         )
-        out.append([InstanceHandle(instance) for instance in instances])
+        out.append([InstanceHandle(instance) for instance in store.column(rows)])
     return out
 
 
@@ -488,7 +488,7 @@ class TestPassCap:
         return [list(range(starts.index(lo), starts.index(hi))) for lo, hi in spans]
 
     def _observer(self, host, k):
-        return f"s0-i{sum(self.LAYOUT[:host]) + k:06d}"
+        return f"svc0#{sum(self.LAYOUT[:host]) + k:07d}"
 
     def test_capped_passes_match_loop_oracle(self, monkeypatch):
         layout = self._passes(monkeypatch, None)

@@ -36,6 +36,12 @@ def orch_rng_state(env) -> str:
     return str(env.orchestrator._rng.bit_generator.state)
 
 
+def all_ids(orch) -> list[str]:
+    """Every launched instance's id, in row (commit) order."""
+    store = orch.instance_store
+    return store.instance_ids(np.arange(store.n_rows))
+
+
 def sandbox_rng_state(handle) -> str:
     return handle.run(lambda sandbox: str(sandbox._rng.bit_generator.state))
 
@@ -96,7 +102,7 @@ def run_campaign(
             orch.instance_store.index_of(qualified), orch.fleet.all_indices
         ).tolist(),
         "load": orch.fleet.load_slots.tolist(),
-        "instances": list(orch.instances),
+        "instances": all_ids(orch),
         "clock": orch.clock.now(),
         "fault_counters": (
             None if plan is None else dataclasses.asdict(plan.counters)
@@ -239,14 +245,14 @@ def test_mid_batch_launch_error_commits_oracle_prefix(tiny_env_factory):
         index = state.index_of(qualified)
         worlds[label] = {
             "orch_rng": orch_rng_state(env),
-            "instances": list(orch.instances),
+            "instances": all_ids(orch),
             "next_instance": orch._instance_counter.value,
             "service_counts": state.host_counts(index, orch.fleet.all_indices).tolist(),
             "load": orch.fleet.load_slots.tolist(),
             "state": (state.active_count(index), state.idle_count(index)),
             "sandbox_states": {
-                iid: str(inst.sandbox._rng.bit_generator.state)
-                for iid, inst in orch.instances.items()
+                inst.instance_id: str(inst.sandbox._rng.bit_generator.state)
+                for inst in state.column(np.arange(state.n_rows))
             },
             "fault_counters": dataclasses.asdict(plan.counters),
             "clock": orch.clock.now(),

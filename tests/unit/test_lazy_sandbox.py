@@ -256,7 +256,7 @@ def test_port_rejections_replay(monkeypatch):
 
     monkeypatch.setattr(columnar, "standard_normal", recording_normal)
     _env, handles = probe_world("gen1", TscPolicy.NATIVE, "quiet")
-    batch = [(h.instance_id, fp) for h, fp in fingerprint_gen1_instances(handles * 1)]
+    batch = [(h.instance_id, fp) for h, fp in fingerprint_gen1_instances(list(handles))]
     assert sum(rejected) > 0
     _env, twin = probe_world("gen1", TscPolicy.NATIVE, "quiet")
     assert batch == [(h.instance_id, fp) for h, fp in fingerprint_gen1_per_probe(twin)]
@@ -389,7 +389,7 @@ def test_snapshot_after_columnar_probe_forks_equal_rng_states():
     fingerprint_gen1_instances(live)
     forked = WorldSnapshot.capture(env).fork()
     forked_live = [
-        InstanceHandle(forked.orchestrator.instance_store.handles[h._instance.row])
+        InstanceHandle(forked.orchestrator.instance_store.instance(h._instance.row))
         for h in live
     ]
     assert booted(forked_live) == booted(live)

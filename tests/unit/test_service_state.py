@@ -33,8 +33,8 @@ def launch(store, key, count):
     index = store.service_index(key)
     start = store.n_rows
     zeros = np.zeros(count, dtype=np.int64)
-    ids = [f"i-{row}" for row in range(start, start + count)]
-    store.launch(index, zeros, ids, zeros, 0.0, 0.0, GVisorSandbox)
+    serials = np.arange(start, start + count)
+    store.launch(index, zeros, serials, zeros, 0.0, 0.0, GVisorSandbox)
     return index, np.arange(start, start + count)
 
 
@@ -93,9 +93,9 @@ class TestServiceStateStore:
         index = store.service_index("a/svc")
         empty = store.service_index("b/svc")
         hosts = np.array([2, 0, 2, 2], dtype=np.int64)
-        ids = [f"i-{row}" for row in range(hosts.size)]
+        serials = np.arange(hosts.size)
         seeds = np.zeros(hosts.size, dtype=np.int64)
-        store.launch(index, hosts, ids, seeds, 0.0, 0.0, GVisorSandbox)
+        store.launch(index, hosts, serials, seeds, 0.0, 0.0, GVisorSandbox)
         query = np.array([2, 3, 0, 2, 1], dtype=np.int64)  # host 2 asked twice
         assert store.host_counts(index, query).tolist() == [3, 0, 1, 3, 0]
         assert store.host_counts(empty, query).tolist() == [0, 0, 0, 0, 0]

@@ -195,9 +195,10 @@ class TestBackgroundDriver:
         config = small_config()
         driver = self.drive(tiny_env, config)
         tiny_env.clock.sleep(5 * config.evaluation_period_s)
+        store = tiny_env.orchestrator.instance_store
         alive = [
             i
-            for i in tiny_env.orchestrator.instances.values()
+            for i in store.column(np.arange(store.n_rows))
             if i.state is not InstanceState.TERMINATED
             and i.service.account_id.startswith("bg-")
         ]
