@@ -43,10 +43,10 @@ def timer_overhead(tsc_policy: TscPolicy) -> int:
     handle = client.connect(service, 1)[0]
 
     def hammer(sandbox):
-        before = sandbox.syscalls.call_count
+        before = sandbox.call_count
         for _ in range(1000):
             sandbox.rdtsc()
-        return sandbox.syscalls.call_count - before
+        return sandbox.call_count - before
 
     return handle.run(hammer)
 

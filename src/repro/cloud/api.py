@@ -73,8 +73,8 @@ class InstanceHandle:
     def generation(self) -> str:
         """Execution environment generation ("gen1"/"gen2").
 
-        Answered from the sandbox class, so it boots no sandbox and still
-        answers after termination.
+        Answered from the sandbox class, so it still answers after
+        termination.
         """
         return self._instance.sandbox_class.generation
 

@@ -589,10 +589,9 @@ class Orchestrator:
         twin-world launch tests).  Without a fault plan the whole batch is
         one segment.
 
-        No sandbox is built here: each row records its seed and what an
-        eager boot would read now — the clock at the segment commit (retry
-        backoff may have moved it since ``created_at``) — and boots on its
-        first probe.  Nor is an id: a row keeps its counter value
+        No sandbox is built here: each row records its stream seed and
+        its sandbox's boot time, the clock at the segment commit (retry
+        backoff may have moved it since ``created_at``).  Nor is an id: a row keeps its counter value
         (``serial``), and the id is built from it when asked for.
         """
         chosen = self._place_batch(service, account, count)
@@ -729,7 +728,7 @@ class Orchestrator:
         load slots.
         """
         store = self._instances
-        rows, booted = store.terminate(np.asarray(rows, dtype=np.int64), now)
+        rows, hot = store.terminate(np.asarray(rows, dtype=np.int64), now)
         if not rows.size:
             return
         current_telemetry().count("orchestrator.terminations", rows.size)
@@ -740,8 +739,8 @@ class Orchestrator:
         # is released with it — otherwise a dead locker would pin its
         # host's contention level forever.  Outside a CTest batch, which
         # stops every pressure it started, pressure starts only inside a
-        # booted sandbox, so unbooted rows hold none.
-        for instance in booted:
+        # sandbox, which makes its row hot, so cold rows hold none.
+        for instance in hot:
             self.datacenter.host(instance.host_id).release_pressure(
                 instance.instance_id
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import abc
 import contextlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, ClassVar, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.sandbox.base import Sandbox
 from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
 
 if TYPE_CHECKING:
-    from repro.fleet.probe import BootStates
+    from repro.fleet.probe import BootStates, RowStream
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,8 @@ class _Observer(NamedTuple):
     handle: InstanceHandle
     #: Its host's contention domain of the channel's kind.
     resource: ContentionResource
-    #: Its sandbox stream: the booted sandbox's generator, or an unbooted
-    #: row's :class:`~repro.fleet.probe.RowStream`.
-    stream: Any
+    #: Its row's sandbox stream.
+    stream: RowStream
 
 
 class CovertChannel(abc.ABC):
@@ -209,10 +208,11 @@ class RngCovertChannel(CovertChannel):
     :func:`~repro.hardware.rng_resource.window_hits` call over every
     started instance of the batch, byte-identical to probing every
     instance once per round (that per-round reference is a test oracle in
-    ``tests/oracles``).  A batch boots no sandbox: an unbooted row's window
-    and the sleeper's overshoot are drawn from the row's seeded stream
-    (:func:`repro.fleet.probe.sandbox_streams`), hashed once per
-    :meth:`prepared` block or, outside one, once per batch.
+    ``tests/oracles``).  Each row's window and the sleeper's overshoot are
+    drawn from the row's stream
+    (:func:`repro.fleet.probe.sandbox_streams`); the boot states of cold
+    rows are hashed once per :meth:`prepared` block or, outside one, once
+    per batch.
 
     Parameters
     ----------
@@ -259,8 +259,8 @@ class RngCovertChannel(CovertChannel):
 
     @contextlib.contextmanager
     def prepared(self, handles: Sequence[InstanceHandle]) -> Iterator[None]:
-        # Hash every unbooted row once for a whole verification, not once
-        # per batch; the states are dropped when the block exits.
+        # Hash every cold row once for a whole verification, not once per
+        # batch; the states are dropped when the block exits.
         from repro.fleet.probe import BootStates  # deferred: loads the PCG64 port
 
         outer = self._boot_states
@@ -337,8 +337,7 @@ class RngCovertChannel(CovertChannel):
         # Instances that stop responding mid-test (injected deaths, or a
         # platform reap racing the test) stop pressuring and report no
         # further rounds; the attacker reads silence as a negative.  Each
-        # instance pressures its host's resource directly: no sandbox
-        # boots for it.
+        # instance pressures its host's resource directly.
         dead: set[str] = set()
         pressured: list[tuple[InstanceHandle, ContentionResource]] = []
         for handle in flat:
@@ -357,18 +356,16 @@ class RngCovertChannel(CovertChannel):
             # The test window occupies wall time *while* the pressure is
             # on: the first instance still responding sleeps through it.
             for handle, _resource, stream in started:
-                instance = handle._instance
                 if handle.instance_id in dead:
                     continue
-                if not instance.alive:
+                if not handle.alive:
                     dead.add(handle.instance_id)
                     continue
-                sleeper = stream if instance._sandbox is None else instance._sandbox
-                sleeper.sleep(self.seconds_per_test)
+                stream.sleep(self.seconds_per_test)
                 break
         finally:
-            # A row terminated during the sleep holds no sandbox whose
-            # teardown would release its pressure, so it stops here too.
+            # A row terminated during the sleep may be cold, and termination
+            # releases the pressure of hot rows only, so it stops here.
             for handle, resource in pressured:
                 if handle.instance_id not in dead:
                     resource.stop_pressure(handle.instance_id)
@@ -396,15 +393,11 @@ class RngCovertChannel(CovertChannel):
     def _observers(
         self, pressured: Sequence[tuple[InstanceHandle, ContentionResource]]
     ) -> list[_Observer]:
-        """Each pressuring instance with its sandbox stream: a
-        :class:`~repro.fleet.probe.RowStream` for an unbooted row, else its
-        sandbox's generator (booting the rows a stream cannot serve)."""
+        """Each pressuring instance with its row's sandbox stream."""
         from repro.fleet.probe import sandbox_streams  # deferred: loads the PCG64 port
 
         streams = sandbox_streams(
-            [handle._instance for handle, _resource in pressured],
-            [self.total_rounds * resource.pressurer_count for _handle, resource in pressured],
-            self._boot_states,
+            [handle._instance for handle, _resource in pressured], self._boot_states
         )
         return [
             _Observer(handle, resource, stream)

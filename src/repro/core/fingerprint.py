@@ -114,38 +114,17 @@ def _gen1_columns(
     order (as a column), each one's model (as an index into the model
     list) and its unrounded boot time.
 
-    Unbooted instances are probed as columns (:mod:`repro.fleet.probe`);
-    the rest run :func:`~repro.core.probes.gen1_fingerprint_probe` in
-    their sandbox.  Either way each instance's sandbox stream moves as one
-    probe moves it, so the result and every later draw equal the
-    per-probe loop's.
+    The batch is probed as columns (:mod:`repro.fleet.probe`), each
+    instance's sandbox stream moving as one
+    :func:`~repro.core.probes.gen1_fingerprint_probe` moves it, so the
+    result and every later draw equal the per-probe loop's.
     """
-    from repro.core import probes  # deferred: probes constructs Gen1Sample
     from repro.fleet.probe import probe_gen1  # deferred: loads the port on first use
 
     table, rows = rows_of(handles)
-    batch = probe_gen1(table, rows)
-    positions, codes, names, boot_times = batch[:4]
-    if batch.per_probe:
-        code_of = {name: code for code, name in enumerate(names)}
-        probed = []
-        for position in batch.per_probe:
-            try:
-                sample = handles[position].run(probes.gen1_fingerprint_probe)
-            except FingerprintError:
-                continue
-            code = code_of.setdefault(sample.cpu_model, len(code_of))
-            probed.append((position, code, sample.boot_time()))
-        names = list(code_of)
-        if probed:
-            positions, codes, boot_times = (
-                np.concatenate([column, np.array(more)])
-                for column, more in zip((positions, codes, boot_times), zip(*probed))
-            )
-            order = np.argsort(positions)
-            positions, codes, boot_times = positions[order], codes[order], boot_times[order]
-    if batch.stop < len(handles):
-        handles[batch.stop]._instance.require_alive()
+    positions, codes, names, boot_times, stop = probe_gen1(table, rows)
+    if stop < len(handles):
+        handles[stop]._instance.require_alive()
     return HandleColumn(table, rows[positions]), codes, names, boot_times
 
 
@@ -195,7 +174,7 @@ def fingerprint_gen2_instances(
     The refined frequency is read once per distinct host and sandbox
     class of the batch, as the instances' kernels would report it
     (:meth:`~repro.sandbox.base.Sandbox.host_kernel_tsc_khz`), so the
-    batch boots no sandbox and draws nothing.  A terminated instance
+    batch draws nothing.  A terminated instance
     raises :class:`~repro.errors.InstanceGoneError`, a Gen 1 one
     :class:`~repro.errors.PrivilegeError`, after the instances before it.
     """

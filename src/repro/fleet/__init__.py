@@ -19,10 +19,10 @@ regression tests).
 instance and no Python object per row; a :class:`ContainerInstance` is a
 view of a row, built when code asks for it.  Its rows are the one record of where a service's instances run:
 placement reads a service's per-host counts from them
-(:meth:`InstanceStore.host_counts`).  :mod:`repro.fleet.probe` takes a
-batch's Gen 1 fingerprint samples from its unbooted rows as array draws
-(:mod:`repro.fleet.seeding`) and serves a CTest batch's draws from their
-seeded streams, booting no sandbox.
+(:meth:`InstanceStore.host_counts`).  :mod:`repro.fleet.probe` holds
+each row's one random stream: a sandbox, a Gen 1 fingerprint batch (as
+array draws, :mod:`repro.fleet.seeding`) and a CTest batch all draw
+through it.
 """
 
 from repro.fleet.instances import (

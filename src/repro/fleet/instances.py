@@ -19,19 +19,17 @@ view of ``(table, row)`` that code builds when it asks for one row, and
 :class:`InstanceColumn` a sequence of them over a row array, built item by
 item as it is read.  A row's instance id is derived from its service key
 and its ``serial`` column (the orchestrator's instance counter at launch),
-and its booted sandbox and SIGTERM callback live in per-row dicts of the
-table.  So the store holds no Python object per row, and two views of one
-row see the same instance.
+and its SIGTERM callback and, once the row is hot, its cached generator
+live in per-row dicts of the table.  So the store holds no Python object
+per row, and two views of one row see the same instance.
 
-A row boots its sandbox on first use and frees it at termination.  Most
-instances of a launch-heavy campaign are probed at most once and then idle
-out, so they never need one.  The row keeps the sandbox seed and the clock
-at the launch commit, which is everything an eager boot would have read
-from the world then, so a late sandbox is the one an eager boot would
-have built.  Fingerprint and CTest batches draw from unbooted rows
-without a sandbox (:mod:`repro.fleet.probe`) and record in two columns
-how far each row's stream and clock-read count moved; a later boot
-fast-forwards its fresh sandbox by exactly that much.
+A row's sandbox is a view too (:class:`~repro.sandbox.base.Sandbox`),
+built when code asks for it, and it draws through the row's one stream
+(:class:`~repro.fleet.probe.RowStream`).  The row keeps the sandbox seed
+and the clock at the launch commit, and two columns say how far its
+stream and clock-read count moved since the boot draws.  So fingerprint
+and CTest batches draw from many rows as array operations, and a row
+keeps a cached generator only once it is hot (:mod:`repro.fleet.probe`).
 """
 
 from __future__ import annotations
@@ -49,6 +47,7 @@ from repro.errors import InstanceGoneError
 from repro.sandbox.base import Sandbox, TscPolicy
 
 if TYPE_CHECKING:
+    from repro.fleet.probe import Hot, RowStream
     from repro.hardware.host import PhysicalHost
     from repro.hardware.rng_resource import ContentionResource
     from repro.simtime.clock import SimClock
@@ -86,8 +85,8 @@ class ContainerInstance:
     """A view of one row of an :class:`InstanceStore`.
 
     The view holds nothing but its table and row, so any number of views
-    of one row see one instance: they compare and hash equal, and a
-    sandbox booted through one is the sandbox of all.
+    of one row see one instance: they compare and hash equal, and their
+    sandboxes draw from one stream.
 
     Attributes
     ----------
@@ -104,8 +103,8 @@ class ContainerInstance:
         The instance's row in its store.
 
     Everything else is read from the row too: the ``service``, the
-    ``sandbox_class`` (known without booting a sandbox and kept after
-    termination), ``on_sigterm`` and the lifecycle ``state``.
+    ``sandbox_class`` (kept after termination), ``on_sigterm`` and the
+    lifecycle ``state``.
     """
 
     __slots__ = ("_rows", "row")
@@ -128,7 +127,7 @@ class ContainerInstance:
         return (
             f"ContainerInstance(instance_id={self.instance_id!r}, "
             f"host_id={self.host_id!r}, state={self.state}, "
-            f"booted={self._sandbox is not None})"
+            f"hot={self.row in self._rows.hot})"
         )
 
     @property
@@ -151,7 +150,7 @@ class ContainerInstance:
 
     @property
     def sandbox_class(self) -> type[Sandbox]:
-        """The class of the sandbox generation the instance boots."""
+        """The class of the instance's sandbox generation."""
         return self._rows.classes[self._rows.service[self.row]]
 
     @property
@@ -173,47 +172,24 @@ class ContainerInstance:
         return _STATE_OF_CODE[self._rows.state[self.row]]
 
     @property
-    def _sandbox(self) -> Sandbox | None:
-        """The booted sandbox, or ``None``; never boots."""
-        return self._rows.sandboxes.get(self.row)
-
-    @property
     def sandbox(self) -> Sandbox:
-        """The sandboxed execution environment, booted on first access.
+        """A view of the instance's sandboxed execution environment.
 
-        The sandbox boots from ``np.random.default_rng(seed)``'s stream, drawing
-        its offset as an eager boot would, then skips the words and
-        counts the clock reads that columnar probes of the row
-        (:mod:`repro.fleet.probe`) already took.
+        Building it draws nothing: the view reads the row and draws
+        through the row's stream.
 
         Raises
         ------
         InstanceGoneError
-            If the instance has been terminated (its sandbox is freed).
+            If the instance has been terminated.
         """
-        rows, row = self._rows, self.row
-        sandbox = rows.sandboxes.get(row)
-        if sandbox is None:
-            self.require_alive()
-            bit_generator = np.random.PCG64(int(rows.seed[row]))  # as default_rng(seed)
-            sandbox = rows.classes[rows.service[row]](
-                rows.hosts[rows.host[row]],
-                rows.clock,
-                np.random.Generator(bit_generator),
-                self.instance_id,
-                rows.tsc_policy,
-                boot_wall_time=float(rows.boot_time[row]),
-            )
-            words = int(rows.probe_words[row])
-            if words:
-                bit_generator.advance(words)
-            sandbox.syscalls.call_count = int(rows.clock_reads[row])
-            rows.sandboxes[row] = sandbox
-        return sandbox
+        self.require_alive()
+        rows = self._rows
+        return rows.classes[rows.service[self.row]](rows, self.row)
 
     def kernel_tsc_khz(self) -> float:
         """What :meth:`Sandbox.kernel_tsc_khz` would read in this instance,
-        answered from its host without booting the sandbox.
+        answered from its host.
 
         Raises
         ------
@@ -229,7 +205,7 @@ class ContainerInstance:
 
     def channel_resource(self, kind: str) -> ContentionResource:
         """The instance's host's contention domain of one covert-channel
-        kind: what its sandbox pressures, found without booting it."""
+        kind: what its sandbox pressures."""
         rows = self._rows
         return rows.hosts[rows.host[self.row]].channel_resource(kind)
 
@@ -244,7 +220,6 @@ class ContainerInstance:
         The execution gate behind :meth:`repro.cloud.api.InstanceHandle.run`:
         a terminated instance raises :class:`InstanceGoneError`.
         """
-        self.require_alive()
         return probe(self.sandbox)
 
 
@@ -324,14 +299,14 @@ class _Columns:
     serial: IndexArray
     boot_time: FloatColumn
     reap_seq: IndexArray
-    probe_words: NDArray[np.int16]
-    clock_reads: NDArray[np.int8]
+    probe_words: NDArray[np.int32]
+    clock_reads: NDArray[np.int16]
 
 
 class _Rows(_Columns):
-    """The columns, per-service tables, the per-row dicts, and what a
-    sandbox boots against: everything a :class:`ContainerInstance` view
-    reads.
+    """The columns, per-service tables, the per-row dicts, and the world
+    a sandbox runs in: everything a :class:`ContainerInstance` or
+    sandbox view reads.
     """
 
     #: ``(name, dtype, fill)``: rows past ``n_rows`` hold ``fill``, the
@@ -349,8 +324,8 @@ class _Rows(_Columns):
         ("serial", np.int64, None),
         ("boot_time", np.float64, None),
         ("reap_seq", np.int64, -1),
-        ("probe_words", np.int16, 0),
-        ("clock_reads", np.int8, 0),
+        ("probe_words", np.int32, 0),
+        ("clock_reads", np.int16, 0),
     )
 
     def __init__(
@@ -366,8 +341,8 @@ class _Rows(_Columns):
         self.classes: dict[int, type[Sandbox]] = {}
         #: Row -> SIGTERM callback, for the rows that registered one.
         self.sigterm: dict[int, Callable[[float], None]] = {}
-        #: Row -> booted sandbox, for the alive rows that booted one.
-        self.sandboxes: dict[int, Sandbox] = {}
+        #: Row -> cache of the alive hot rows (:mod:`repro.fleet.probe`).
+        self.hot: dict[int, Hot] = {}
         self.n_rows = 0
         for name, dtype, fill in self.COLUMNS:
             setattr(self, name, _column(dtype, fill, _MIN_CAPACITY))
@@ -391,6 +366,12 @@ class _Rows(_Columns):
     def instance_id(self, row: int) -> str:
         """The id of the instance at ``row``."""
         return instance_id(self.keys[self.service[row]], int(self.serial[row]))
+
+    def stream(self, row: int) -> RowStream:
+        """The stream every draw from ``row`` goes through."""
+        from repro.fleet.probe import RowStream  # deferred: probe imports this module
+
+        return RowStream(self, row)
 
     def __getstate__(self) -> dict[str, Any]:
         # Snapshots carry the used rows only, not the spare capacity.
@@ -422,10 +403,10 @@ class InstanceStore(_Columns):
     the row's id is built from; rising with rows, except where retry
     backoff delayed a commit), ``boot_time`` (the clock at the launch
     commit), ``reap_seq`` (sequence number of the row's pending idle
-    reap, -1 when none; its owner is the orchestrator's reaper), and, for
-    rows probed before their sandbox booted, ``probe_words`` (raw words
-    the probes drew after the boot draws) and ``clock_reads`` (the clock
-    reads they made); their owner is :mod:`repro.fleet.probe`.
+    reap, -1 when none; its owner is the orchestrator's reaper),
+    ``probe_words`` (int32: raw words the row's stream drew after its boot
+    draws) and ``clock_reads`` (int16: the clock reads its sandbox made);
+    their owner is :mod:`repro.fleet.probe`.
 
     Per service (index = dense service index, in registration order) the
     store keeps the key and ACTIVE/IDLE instance counts; transitions update
@@ -436,11 +417,11 @@ class InstanceStore(_Columns):
     Parameters
     ----------
     clock:
-        The clock sandboxes boot against.
+        The clock sandboxes read.
     hosts:
         Physical hosts; a row's ``host`` column indexes this sequence.
     tsc_policy:
-        TSC exposure of every sandbox the store boots.
+        TSC exposure of every sandbox of the store.
     """
 
     def __init__(
@@ -633,7 +614,7 @@ class InstanceStore(_Columns):
         the new rows.
 
         A row's id is ``instance_id(key, serial)``.  ``seeds`` and
-        ``boot_time`` are what each row's sandbox boots from.
+        ``boot_time`` are each row's stream seed and sandbox boot time.
         """
         count = len(serials)
         table = self._rows
@@ -674,12 +655,13 @@ class InstanceStore(_Columns):
     def terminate(
         self, rows: IndexArray, now: float
     ) -> tuple[IndexArray, InstanceColumn]:
-        """Terminate the alive ones of ``rows``, in order, freeing sandboxes.
+        """Terminate the alive ones of ``rows``, in order, dropping their
+        caches.
 
         Active rows close their active period first; each row's
         ``on_sigterm`` callback runs with ``now``.  Returns the rows
-        terminated and the instances among them whose sandbox had booted:
-        only those can hold hardware pressure.
+        terminated and the instances among them that were hot: only those
+        can hold hardware pressure.
         """
         state = self.state[rows]
         alive = state != TERMINATED
@@ -694,17 +676,17 @@ class InstanceStore(_Columns):
         for (index, flag), count in transitions.items():
             (self._active if flag else self._idle)[index] -= count
         self.state[rows] = TERMINATED
-        booted: list[int] = []
-        sigterm, sandboxes = self._rows.sigterm, self._rows.sandboxes
-        if sigterm or sandboxes:
-            listed = rows[np.isin(rows, [*sigterm, *sandboxes])]
+        was_hot: list[int] = []
+        sigterm, hot = self._rows.sigterm, self._rows.hot
+        if sigterm or hot:
+            listed = rows[np.isin(rows, [*sigterm, *hot])]
             for row in listed.tolist():
                 callback = sigterm.pop(row, None)
                 if callback is not None:
                     callback(now)
-                if sandboxes.pop(row, None) is not None:
-                    booted.append(row)
-        return rows, self.column(np.array(booted, dtype=np.int64))
+                if hot.pop(row, None) is not None:
+                    was_hot.append(row)
+        return rows, self.column(np.array(was_hot, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Growth

@@ -1,50 +1,48 @@
-"""Probes of unbooted rows, taken as array draws.
+"""Every draw from an instance row, and the batched probes that take them.
 
-A Gen 1 probe (:func:`repro.core.probes.gen1_fingerprint_probe`) reads the
-CPU model, the frequency the model name reports, one TSC value and one
-``clock_gettime``.  In a sandbox booted for it, its only random inputs are
-the sandbox stream's first draws: the constant wall-clock offset drawn at
-boot, then one call jitter
-(:class:`~repro.hardware.noise.SyscallNoiseModel`).  The rest is host state
-and the clock, which no probe moves.  :func:`probe_gen1` computes those
-draws for a batch's unbooted rows with :mod:`repro.fleet.seeding` and
-builds no ``Generator`` or sandbox for them.
+A row's sandbox (:class:`~repro.sandbox.base.Sandbox`) is a view of the
+row, and the row has one random stream: ``np.random.default_rng(seed)`` of
+its ``seed`` column.  The stream's first draws are the boot draws, the
+sandbox's constant wall-clock offset; every later draw (a Gen 1 call
+jitter, a CTest window, a sleeper's ``nanosleep``, a served request, a
+channel observation) comes after them.  The row's ``probe_words`` column
+counts the raw words drawn after the boot draws, and ``clock_reads`` the
+clock reads made, so for every row the columns say exactly where its
+stream is.
 
-A CTest window (:mod:`repro.core.covert`) draws many uniforms from each
-tested sandbox's stream, and its one sleeper draws a ``nanosleep``
-overshoot.  :func:`sandbox_streams` hands the channel a :class:`RowStream`
-for each unbooted row instead of booting it: the row's state just after
-its boot draws (:class:`BootStates`, computed for many rows at once), set
-into one shared generator before each draw.
+:class:`RowStream` is one row's stream, and every draw from a row goes
+through one.  It draws through
 
-Each probed row records how far its probes moved the sandbox it did not
-boot: ``probe_words``, the raw words drawn after the boot draws, and
-``clock_reads``, the ``clock_gettime`` calls made.  A later boot builds the
-sandbox from ``default_rng(seed)`` as an eager boot would, then advances
-its stream by ``probe_words`` and restores its call count
-(:attr:`~repro.fleet.ContainerInstance.sandbox`), so it is the sandbox the
-probes would have left behind.  A re-probe continues from the recorded
-position.
+* the row's cached generator if the row is *hot*: a row becomes hot when
+  code draws through its sandbox, or when its stream passes
+  :data:`HOT_WORDS` words.  The cache (:class:`Hot`) lives in the table's
+  ``hot`` dict, always where the columns say, and termination drops it;
+* else one shared ``PCG64``, set to the row's state just after its boot
+  draws (:class:`BootStates`, computed for many rows at once) and jumped
+  ``probe_words`` ahead.
 
-Rows fall in three classes:
+:func:`probe_gen1` takes a batch's Gen 1 samples as array draws
+(:mod:`repro.fleet.seeding`), building no ``Generator``.  A Gen 1 probe
+(:func:`repro.core.probes.gen1_fingerprint_probe`) reads the CPU model, the
+frequency the model name reports, one TSC value and one
+``clock_gettime``; its random inputs are the boot offset and one call
+jitter (:class:`~repro.hardware.noise.SyscallNoiseModel`).  Rows fall in
+two classes:
 
 * *fast* rows, most of them: each normal takes its one-word ziggurat path
   and no outlier branch fires, so the boot draws two words and a Gen 1
   probe two more;
 * *replay* rows (about 4-5%): a ziggurat rejection or tail word, or an
-  outlier branch.  One shared ``PCG64``, set to the row's seeded state,
-  draws them through the noise model, exactly as the sandbox would;
-* rows the columns leave to a sandbox: rows already booted, rows listed a
-  second time, other sandbox classes, rows near their counters' limits
-  and, in a CTest batch, rows of another world.  :func:`probe_gen1`
-  leaves them to the caller's per-probe path; :func:`sandbox_streams`
-  boots them.
+  outlier branch.  The shared ``PCG64``, set to the row's seeded state,
+  draws them through the noise model, exactly as the sandbox would.
+
+A hot row's cache is advanced past the words a batch drew from the row.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,30 +59,32 @@ from repro.fleet.seeding import (
 from repro.hardware.cpu import CPUModel
 from repro.hardware.noise import SyscallNoiseModel
 from repro.sandbox.base import TscPolicy
-from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 
+T = TypeVar("T")
 IndexArray = NDArray[np.int64]
 FloatColumn = NDArray[np.float64]
 
-#: Generation codes of the sandbox classes probed as columns.
-_GEN1, _GEN2, _OTHER = 0, 1, -1
-_GENERATION = {GVisorSandbox: _GEN1, MicroVMSandbox: _GEN2}
-#: Rows at or past these counts take the per-probe path, which boots them:
-#: one probe adds at most a few dozen words and two reads, so the int16 and
-#: int8 columns never overflow.  A CTest window draws from a row's columns
-#: only while it stays under the words limit.  That also bounds what a
-#: row retested many times spends re-seeking the shared generator (a few
-#: microseconds a window; a window draws 60 words per pressurer on its
-#: host) before it boots once and draws from its own generator.
-_WORDS_LIMIT = 2**10
-_READS_LIMIT = 100
+#: A row whose stream has drawn this many words gets a cached generator:
+#: from there on, re-seeking the shared generator for each draw call (a
+#: few microseconds; a CTest window draws 60 words per pressurer on the
+#: row's host) costs more than building the row one generator.
+HOT_WORDS = 2**10
 #: Host columns, in :func:`_host_columns` order.
 _TSC_BOOT, _TSC_HZ, _CPU_HZ, _OFFSET_SIGMA, _OFFSET_P, _CALL_SIGMA, _CALL_P = range(7)
 
 
+class Hot(NamedTuple):
+    """A hot row's cache."""
+
+    #: A generator where the row's columns say its stream is.
+    rng: np.random.Generator
+    #: The sandbox's wall-clock offset, the stream's boot draw.
+    offset: float
+
+
 class Gen1Columns(NamedTuple):
-    """What :func:`probe_gen1` measured, and what it left to the caller."""
+    """What :func:`probe_gen1` measured."""
 
     #: Batch positions that yielded a sample, ascending.
     positions: NDArray[np.intp]
@@ -93,24 +93,20 @@ class Gen1Columns(NamedTuple):
     model_names: list[str]
     #: Per sample: the unrounded boot time ``T_w - tsc / f_r`` (Eq. 4.1).
     boot_times: FloatColumn
-    #: Batch positions left to the per-probe path, ascending.
-    per_probe: list[int]
     #: Position of the first terminated instance, or the batch length.
     stop: int
 
 
 def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
-    """Take a Gen 1 sample from each unbooted row of a batch, as columns.
+    """Take a Gen 1 sample at each position of a batch, as columns.
 
     ``rows`` lists the batch's rows of ``table`` in batch order (``table``
-    may be ``None`` for an empty batch).  Probes every eligible position
-    before the first terminated row (``stop``), as the per-probe loop
-    would have, and records each probed row's counters.  A row whose
-    model name reports no frequency is probed as far as the per-probe
-    path gets before it raises: its boot draws, which the row does not
-    record because a later boot repeats them.  The caller probes
-    ``per_probe`` itself, after this returns, and raises for the instance
-    at ``stop``.
+    may be ``None`` for an empty batch).  Probes every position before the
+    first terminated row (``stop``), as a per-probe loop would: a row
+    listed twice draws its second jitter after its first.  Moves each
+    probed row's stream and clock-read count.  A row whose model name
+    reports no frequency is skipped before it draws.  The caller raises
+    for the instance at ``stop``.
     """
     if table is None or not rows.size:
         return _empty(0)
@@ -119,25 +115,13 @@ def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
     if stop == 0:
         return _empty(stop)
     rows = rows[:stop]
-    eligible = np.zeros(stop, dtype=bool)
-    eligible[np.unique(rows, return_index=True)[1]] = True
-    if table.sandboxes:
-        eligible &= ~np.isin(rows, list(table.sandboxes))
-    eligible[eligible] &= (table.probe_words[rows[eligible]] < _WORDS_LIMIT) & (
-        table.clock_reads[rows[eligible]] < _READS_LIMIT
-    )
-    generation = _generation(table, rows[eligible])
-    eligible[eligible] = generation != _OTHER
-    gen2 = generation[generation != _OTHER] == _GEN2
-    positions = np.flatnonzero(eligible)
-    per_probe = np.flatnonzero(~eligible).tolist()
-    if not positions.size:
-        return _empty(stop, per_probe)
-    rows = rows[positions]
     hosts, names, model_codes = _host_columns(table, rows)
 
     # Models (a Gen 2 guest sees the hypervisor's) and the frequencies
     # their names report.
+    services, service_of = np.unique(table.service[rows], return_inverse=True)
+    vm = np.array([table.classes[s] is MicroVMSandbox for s in services.tolist()])
+    gen2 = vm[service_of.reshape(-1)]
     if gen2.any():
         model_codes[gen2] = len(names)
         names.append(MicroVMSandbox.VIRTUALIZED_MODEL)
@@ -146,28 +130,6 @@ def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
         [np.nan if frequency is None else frequency for frequency in frequencies]
     )[model_codes]
     sampled = ~np.isnan(reported)
-
-    # The boot draw (offset) and the probe's draw (one call jitter).
-    streams = Pcg64Streams(table.seed[rows])
-    start_hi, start_lo = streams.hi, streams.lo
-    normal, fast = standard_normal(streams.next_raw())
-    outlier = uniform(streams.next_raw()) < hosts[:, _OFFSET_P]
-    offset = 0.0 + hosts[:, _OFFSET_SIGMA] * normal
-    replay = ~fast | outlier
-    skipped = table.probe_words[rows].astype(np.int64)
-    if skipped.any():
-        streams.advance(skipped)
-    normal, fast = standard_normal(streams.next_raw())
-    outlier = uniform(streams.next_raw()) < hosts[:, _CALL_P]
-    jitter = 0.0 + hosts[:, _CALL_SIGMA] * normal
-    replay |= sampled & (~fast | outlier)
-    words = np.full(rows.size, 2, dtype=np.int64)
-    for i in np.flatnonzero(replay).tolist():
-        _seek(_join(start_hi[i], start_lo[i]), _join(streams.inc_hi[i], streams.inc_lo[i]))
-        noise = table.hosts[int(table.host[rows[i]])].syscall_noise
-        offset[i], jitter[i], words[i] = _replay(
-            _SHARED, _BITS, noise, int(skipped[i]), bool(sampled[i])
-        )
 
     # The probe's reads, all at the batch's one clock time.
     now = table.clock.now()
@@ -181,40 +143,76 @@ def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
             since_boot = boot_wall[gen2] - hosts[gen2, _TSC_BOOT]
             tsc[gen2] -= (since_boot * hosts[gen2, _TSC_HZ]).astype(np.int64)
         reads = 1
+
+    # The boot draw (offset) and the probe's draw (one call jitter), the
+    # k-th listings of rows together.
+    offset = np.empty(stop)
+    jitter = np.empty(stop)
+    listing = _listing(rows)
+    for level in range(int(listing.max()) + 1):
+        at = np.flatnonzero(listing == level)
+        offset[at], jitter[at] = _draw(table, rows[at], hosts[at], sampled[at], reads)
     wall = (now + offset) + jitter
     boot_times = wall - tsc.astype(np.float64) / reported
-
-    probed = rows[sampled]
-    table.probe_words[probed] += words[sampled].astype(np.int16)
-    table.clock_reads[probed] += np.int8(reads)
     return Gen1Columns(
-        positions[sampled],
-        model_codes[sampled],
-        names,
-        boot_times[sampled],
-        per_probe,
-        stop,
+        np.flatnonzero(sampled), model_codes[sampled], names, boot_times[sampled], stop
     )
 
 
-def _empty(stop: int, per_probe: list[int] | None = None) -> Gen1Columns:
+def _empty(stop: int) -> Gen1Columns:
     return Gen1Columns(
         np.empty(0, dtype=np.intp),
         np.empty(0, dtype=np.int64),
         [],
         np.empty(0, dtype=np.float64),
-        per_probe or [],
         stop,
     )
 
 
-def _generation(table: _Rows, rows: IndexArray) -> IndexArray:
-    services, service_of = np.unique(table.service[rows], return_inverse=True)
-    kinds = np.array(
-        [_GENERATION.get(table.classes[s], _OTHER) for s in services.tolist()], dtype=np.int64
-    )
-    generation: IndexArray = kinds[service_of.reshape(-1)]
-    return generation
+def _listing(rows: IndexArray) -> IndexArray:
+    """Per position, how many earlier positions list the same row."""
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    listing = np.empty(rows.size, dtype=np.int64)
+    listing[order] = np.arange(rows.size) - np.repeat(first, np.diff(np.r_[first, rows.size]))
+    return listing
+
+
+def _draw(
+    table: _Rows, rows: IndexArray, hosts: FloatColumn, sampled: NDArray[np.bool_], reads: int
+) -> tuple[FloatColumn, FloatColumn]:
+    """Distinct rows' boot offsets and Gen 1 jitters.
+
+    Moves each sampled row's stream past its jitter and counts its reads;
+    a hot row's cache moves with its columns.
+    """
+    streams = Pcg64Streams(table.seed[rows])
+    start_hi, start_lo = streams.hi, streams.lo
+    normal, fast = standard_normal(streams.next_raw())
+    outlier = uniform(streams.next_raw()) < hosts[:, _OFFSET_P]
+    offset = 0.0 + hosts[:, _OFFSET_SIGMA] * normal
+    replay = ~fast | outlier
+    skipped = table.probe_words[rows].astype(np.int64)
+    if skipped.any():
+        streams.advance(skipped)
+    normal, fast = standard_normal(streams.next_raw())
+    outlier = uniform(streams.next_raw()) < hosts[:, _CALL_P]
+    jitter = 0.0 + hosts[:, _CALL_SIGMA] * normal
+    replay |= sampled & (~fast | outlier)
+    words = np.where(sampled, 2, 0)
+    for i in np.flatnonzero(replay).tolist():
+        _seek(_join(start_hi[i], start_lo[i]), _join(streams.inc_hi[i], streams.inc_lo[i]))
+        noise = table.hosts[int(table.host[rows[i]])].syscall_noise
+        offset[i], jitter[i], words[i] = _replay(
+            _SHARED, _BITS, noise, int(skipped[i]), bool(sampled[i])
+        )
+    table.probe_words[rows] += words
+    table.clock_reads[rows[sampled]] += reads
+    if table.hot:
+        for i in np.flatnonzero(np.isin(rows, list(table.hot))).tolist():
+            table.hot[int(rows[i])].rng.bit_generator.advance(int(words[i]))
+    return offset, jitter
 
 
 def _host_columns(table: _Rows, rows: IndexArray) -> tuple[FloatColumn, list[str], IndexArray]:
@@ -285,8 +283,8 @@ def _words_between(state: int, end: int, increment: int) -> int:
     return words
 
 
-#: The one generator every replay and :class:`RowStream` draws through,
-#: set to a row's state before each use.
+#: The one generator every replay and cold :class:`RowStream` draws
+#: through, set to a row's state before each use.
 _BITS = np.random.PCG64(0)
 _SHARED = np.random.Generator(_BITS)
 
@@ -310,6 +308,24 @@ def _join(high: np.uint64 | int, low: np.uint64 | int) -> int:
     return int(high) << 64 | int(low)
 
 
+def warm(table: _Rows, row: int) -> Hot:
+    """The row's cache, built if the row is cold: a generator seeded as
+    ``default_rng(seed)``, past the boot draws and ``probe_words`` more.
+
+    A terminated row's cache is built but not kept.
+    """
+    hot = table.hot.get(row)
+    if hot is None:
+        bits = np.random.PCG64(int(table.seed[row]))  # as default_rng(seed)
+        rng = np.random.Generator(bits)
+        noise = table.hosts[int(table.host[row])].syscall_noise
+        hot = Hot(rng, noise.sample_sandbox_offset(rng))
+        bits.advance(int(table.probe_words[row]))
+        if table.alive(row):
+            table.hot[row] = hot
+    return hot
+
+
 class BootStates:
     """Each listed row's PCG64 state just after its sandbox's boot draws.
 
@@ -318,7 +334,7 @@ class BootStates:
     two words on the one-word ziggurat path with no outlier, which is
     computed for every row at once; the other rows replay the offset
     through the shared generator set to their seeded state.  A boot state
-    never goes stale: a row's later probes only add to its
+    never goes stale: a row's later draws only add to its
     ``probe_words``.
 
     Held as columns, 36 bytes a row: per listed row its state and
@@ -348,116 +364,129 @@ class BootStates:
 
     @classmethod
     def of(cls, instances: Sequence[ContainerInstance]) -> BootStates | None:
-        """Boot states of the alive, unbooted rows of a probed sandbox
-        class among ``instances``, in the first one's table; ``None`` when
-        there are none."""
+        """Boot states of the alive, cold rows among ``instances`` in the
+        first one's table; ``None`` when there are none."""
+        if not instances:
+            return None
+        table = instances[0]._rows
         rows = [
             instance.row
             for instance in instances
-            if instance.alive and _columnar(instance, instances[0]._rows)
+            if instance._rows is table and instance.alive and instance.row not in table.hot
         ]
-        return cls(instances[0]._rows, np.unique(rows)) if rows else None
+        return cls(table, np.unique(rows)) if rows else None
 
-    def stream(self, row: int) -> RowStream | None:
-        """The row's :class:`RowStream`, or ``None`` if it is not listed."""
-        at = row - self.first
-        if 0 <= at < self.position.size:
+    def stream(self, instance: ContainerInstance) -> RowStream | None:
+        """The instance's :class:`RowStream`, or ``None`` if its row is not
+        listed."""
+        at = instance.row - self.first
+        if instance._rows is self.table and 0 <= at < self.position.size:
             listed = int(self.position[at])
             if listed >= 0:
                 hi, lo, inc_hi, inc_lo = self.states[listed].tolist()
-                return RowStream(self.table, row, hi << 64 | lo, inc_hi << 64 | inc_lo)
+                return RowStream(self.table, instance.row, hi << 64 | lo, inc_hi << 64 | inc_lo)
         return None
 
 
-def _columnar(instance: ContainerInstance, table: _Rows) -> bool:
-    """Whether a row's draws can be taken from its seeded stream: it is
-    unbooted, in ``table`` and of a sandbox class the columns model."""
-    return (
-        instance._rows is table
-        and instance.row not in table.sandboxes
-        and table.classes[int(table.service[instance.row])] in _GENERATION
-    )
-
-
 class RowStream:
-    """The sandbox stream of an unbooted row, drawn through the shared
-    generator.
+    """The sandbox stream of one row.
 
-    Stands in for the row's sandbox in a CTest batch: :meth:`random` for
-    the window's draws, :meth:`sleep` for the sleeper's ``nanosleep``.
-    Each call sets the shared generator to the row's post-boot state,
-    jumps it ``probe_words`` ahead and adds the words it draws to
-    ``probe_words``, so a later boot lands where the draws left the
-    stream.
+    Draws through the row's cache when the row is hot, else through the
+    shared generator set to ``state`` (the row's state after its boot
+    draws, with its ``increment``) and jumped ``probe_words`` ahead.  A
+    stream built without a state, or whose row has drawn
+    :data:`HOT_WORDS` words, makes the row hot first.  Every draw adds
+    the words it took to ``probe_words``, every clock read to
+    ``clock_reads``.
     """
 
     __slots__ = ("_table", "_row", "_state", "_increment")
 
-    def __init__(self, table: _Rows, row: int, state: int, increment: int) -> None:
+    def __init__(
+        self, table: _Rows, row: int, state: int | None = None, increment: int = 0
+    ) -> None:
         self._table = table
         self._row = row
         self._state = state
         self._increment = increment
 
-    def _seek(self) -> None:
+    def generator(self) -> np.random.Generator:
+        """A generator where the row's stream is: the row's cache, or the
+        shared generator."""
+        table, row = self._table, self._row
+        hot = table.hot.get(row)
+        if hot is not None:
+            return hot.rng
+        words = int(table.probe_words[row])
+        if self._state is None or words >= HOT_WORDS:
+            return warm(table, row).rng
         _seek(self._state, self._increment)
-        words = int(self._table.probe_words[self._row])
-        if words:
-            _BITS.advance(words)
+        _BITS.advance(words)
+        return _SHARED
+
+    @property
+    def offset(self) -> float:
+        """The sandbox's wall-clock offset (the row becomes hot)."""
+        return warm(self._table, self._row).offset
 
     def random(self, *, out: FloatColumn) -> None:
         """``Generator.random(out=out)`` on the row's stream."""
-        if out.size:
-            self._seek()
-            _SHARED.random(out=out)
-            self._table.probe_words[self._row] += out.size
+        table, row = self._table, self._row
+        hot = table.hot.get(row)  # generator() inlined: one call per CTest window
+        (self.generator() if hot is None else hot.rng).random(out=out)
+        table.probe_words[row] += out.size
+
+    def draw(self, sample: Callable[[np.random.Generator], T]) -> T:
+        """``sample(generator)`` on the row's stream; its words are counted
+        by stepping the LCG from the state before to the state after."""
+        rng = self.generator()
+        bits = rng.bit_generator
+        start = bits.state["state"]
+        value = sample(rng)
+        end = bits.state["state"]["state"]
+        self._table.probe_words[self._row] += _words_between(start["state"], end, start["inc"])
+        return value
+
+    def _noise(self) -> SyscallNoiseModel:
+        return self._table.hosts[int(self._table.host[self._row])].syscall_noise
+
+    def clock_gettime(self) -> float:
+        """``clock_gettime``: the clock plus the sandbox's offset and one
+        call jitter."""
+        table = self._table
+        table.clock_reads[self._row] += 1
+        offset = self.offset
+        return table.clock.now() + offset + self.draw(self._noise().sample_call_jitter)
 
     def sleep(self, duration: float) -> None:
-        """:meth:`~repro.sandbox.base.Sandbox.sleep` on the row's stream:
-        ``nanosleep`` draws its overshoot from the host's call jitter."""
-        table, row = self._table, self._row
-        self._seek()
-        start = _position()
-        noise = table.hosts[int(table.host[row])].syscall_noise
-        overshoot = abs(noise.sample_call_jitter(_SHARED))
-        table.probe_words[row] += _words_between(start, _position(), self._increment)
-        table.clock.sleep(max(0.0, duration) + overshoot)
+        """``nanosleep``: the wake-up overshoots by one call jitter."""
+        overshoot = abs(self.draw(self._noise().sample_call_jitter))
+        self._table.clock.sleep(max(0.0, duration) + overshoot)
 
 
 def sandbox_streams(
-    instances: Sequence[ContainerInstance],
-    bounds: Sequence[int],
-    prepared: BootStates | None = None,
-) -> list[np.random.Generator | RowStream]:
-    """The stream each alive instance of a CTest batch draws from.
+    instances: Sequence[ContainerInstance], prepared: BootStates | None = None
+) -> list[RowStream]:
+    """The stream of each alive instance of a CTest batch.
 
-    ``bounds[i]`` caps the words the caller draws from instance ``i``.  An
-    unbooted row of the first instance's table, of a probed sandbox
-    class, with room for ``bounds[i]`` more words under
-    :data:`_WORDS_LIMIT`, gets a :class:`RowStream`: from ``prepared``
-    when it holds the row, else from one :class:`BootStates` over the
-    batch's other such rows.  Every other instance boots its sandbox (if
-    it has not) and gives the sandbox's generator.
+    A hot row's stream draws through its cache; a cold row's through its
+    boot state, from ``prepared`` when that lists the row, else from one
+    :class:`BootStates` per table over the batch's other cold rows.
     """
-    if not instances:
-        return []
-    table = instances[0]._rows
-    if prepared is not None and prepared.table is not table:
-        prepared = None
-    words = table.probe_words
-    streams: list[np.random.Generator | RowStream | None] = []
-    missing: list[int] = []
-    for instance, bound in zip(instances, bounds):
-        row = instance.row
-        if not (_columnar(instance, table) and int(words[row]) + bound <= _WORDS_LIMIT):
-            streams.append(instance.sandbox._rng)
-            continue
-        stream = prepared.stream(row) if prepared is not None else None
-        if stream is None:
-            missing.append(len(streams))
+    streams: list[RowStream | None] = []
+    missing: dict[int, list[int]] = {}
+    for position, instance in enumerate(instances):
+        table, row = instance._rows, instance.row
+        if row in table.hot:
+            stream: RowStream | None = RowStream(table, row)
+        else:
+            stream = None if prepared is None else prepared.stream(instance)
+            if stream is None:
+                missing.setdefault(id(table), []).append(position)
         streams.append(stream)
-    if missing:
-        hashed = BootStates(table, np.unique([instances[i].row for i in missing]))
-        for i in missing:
-            streams[i] = hashed.stream(instances[i].row)
+    for positions in missing.values():
+        listed = [instances[i] for i in positions]
+        hashed = BootStates(listed[0]._rows, np.unique([instance.row for instance in listed]))
+        for i, instance in zip(positions, listed):
+            streams[i] = hashed.stream(instance)
     return streams  # type: ignore[return-value]  # every None was replaced

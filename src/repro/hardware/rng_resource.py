@@ -159,8 +159,8 @@ def window_hits(
         matters.  Every observer must currently be registered as
         pressuring its resource.  ``rng`` is the observer's sandbox
         stream: a ``Generator``, or anything whose ``random(out=...)``
-        fills a float64 array as ``Generator.random`` would (an unbooted
-        row's :class:`~repro.fleet.probe.RowStream`).
+        fills a float64 array as ``Generator.random`` would (a row's
+        :class:`~repro.fleet.probe.RowStream`).
     n_rounds:
         Number of observation rounds in the test window.
     thresholds:

@@ -12,7 +12,8 @@ Cloud Run offers two sandbox generations (paper §2.3):
   frequency and the user has guest-root privileges.
 
 Guest probe programs (see :mod:`repro.core.probes`) run against the common
-:class:`~repro.sandbox.base.Sandbox` interface.  Neither generation
+:class:`~repro.sandbox.base.Sandbox` interface: a view of one instance row
+of :mod:`repro.fleet`, drawing through the row's stream.  Neither generation
 virtualizes the shared-hardware contention surface, so the covert channel
 behaves the same in both.
 """
@@ -20,12 +21,10 @@ behaves the same in both.
 from repro.sandbox.base import Sandbox, TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
-from repro.sandbox.syscalls import SyscallLayer
 
 __all__ = [
     "Sandbox",
     "TscPolicy",
     "GVisorSandbox",
     "MicroVMSandbox",
-    "SyscallLayer",
 ]

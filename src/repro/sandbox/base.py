@@ -10,12 +10,16 @@ from __future__ import annotations
 
 import abc
 import enum
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.hardware.host import PhysicalHost
-from repro.sandbox.syscalls import SyscallLayer
-from repro.simtime.clock import SimClock
+if TYPE_CHECKING:
+    from repro.fleet.instances import _Rows
+    from repro.fleet.probe import RowStream
+    from repro.hardware.host import PhysicalHost
+    from repro.simtime.clock import SimClock
 
 
 class TscPolicy(enum.Enum):
@@ -37,46 +41,76 @@ class TscPolicy(enum.Enum):
 
 
 class Sandbox(abc.ABC):
-    """Abstract sandboxed execution environment on one physical host.
+    """The sandboxed execution environment of one instance, as a view of
+    its row.
+
+    A sandbox holds nothing but its table and row.  Its host, clock, TSC
+    policy, boot wall time and id are read from the row, and every draw
+    (syscall jitter, channel observations, request jitter) goes through
+    the row's stream (:class:`~repro.fleet.probe.RowStream`), which
+    records in the row's columns how far it moved.  So any number of views
+    of one row are one sandbox, and building one draws nothing.
 
     Parameters
     ----------
-    host:
-        The physical host this sandbox runs on.
-    clock:
-        Shared simulated wall clock.
-    rng:
-        Per-sandbox randomness source (jitter, scheduling noise).
-    sandbox_id:
-        Identifier used to register RNG pressure on the host.
-    tsc_policy:
-        Whether the TSC is exposed natively or emulated (mitigation).
-    boot_wall_time:
-        Wall time the sandbox booted at; defaults to now.  A sandbox built
-        after its instance launched passes the launch time, which is what
-        Gen 2 TSC offsetting and the emulated TSC count from.
+    rows:
+        The instance table (:class:`~repro.fleet.instances._Rows`).
+    row:
+        The instance's row.
     """
 
     #: Human-readable generation tag ("gen1" / "gen2").
     generation: str = "abstract"
 
-    def __init__(
-        self,
-        host: PhysicalHost,
-        clock: SimClock,
-        rng: np.random.Generator,
-        sandbox_id: str,
-        tsc_policy: TscPolicy = TscPolicy.NATIVE,
-        *,
-        boot_wall_time: float | None = None,
-    ) -> None:
-        self._host = host
-        self._clock = clock
-        self._rng = rng
-        self.sandbox_id = sandbox_id
-        self.tsc_policy = tsc_policy
-        self.boot_wall_time = clock.now() if boot_wall_time is None else boot_wall_time
-        self.syscalls = SyscallLayer(host, clock, rng)
+    def __init__(self, rows: _Rows, row: int) -> None:
+        self._rows = rows
+        self.row = row
+
+    @property
+    def _host(self) -> PhysicalHost:
+        return self._rows.hosts[self._rows.host[self.row]]
+
+    @property
+    def _clock(self) -> SimClock:
+        return self._rows.clock
+
+    @property
+    def _stream(self) -> RowStream:
+        return self._rows.stream(self.row)
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The row's cached generator, where the row's columns say its
+        stream is (the row becomes hot).  For reading the stream's state:
+        a draw through it is not counted in the columns."""
+        return self._stream.generator()
+
+    @property
+    def sandbox_id(self) -> str:
+        """Identifier the sandbox registers channel pressure under."""
+        return self._rows.instance_id(self.row)
+
+    @property
+    def tsc_policy(self) -> TscPolicy:
+        """Whether the TSC is exposed natively or emulated (mitigation)."""
+        return self._rows.tsc_policy
+
+    @property
+    def boot_wall_time(self) -> float:
+        """Wall time the sandbox booted at: its instance's launch commit,
+        which Gen 2 TSC offsetting and the emulated TSC count from."""
+        return float(self._rows.boot_time[self.row])
+
+    @property
+    def sandbox_offset(self) -> float:
+        """The constant wall-clock offset of the sandbox's clock reads
+        (seconds): its stream's first draw."""
+        return self._stream.offset
+
+    @property
+    def call_count(self) -> int:
+        """System calls made so far: clock reads and trapped ``rdtsc``."""
+        return int(self._rows.clock_reads[self.row])
 
     # ------------------------------------------------------------------
     # Instruction-level surface
@@ -102,12 +136,17 @@ class Sandbox(abc.ABC):
     # Kernel/VM surface
     # ------------------------------------------------------------------
     def wall_clock(self) -> float:
-        """Read the wall clock through a (noisy) system call."""
-        return self.syscalls.clock_gettime()
+        """Read the wall clock through a (noisy) system call.
+
+        Hosts keep accurate time via NTP, so the reading carries only the
+        sandbox's constant offset (its userspace kernel keeps its own time
+        state) and the host's per-call jitter (:mod:`repro.hardware.noise`).
+        """
+        return self._stream.clock_gettime()
 
     def sleep(self, duration: float) -> None:
         """Sleep for ``duration`` seconds of wall time (plus jitter)."""
-        self.syscalls.nanosleep(duration)
+        self._stream.sleep(duration)
 
     def kernel_tsc_khz(self) -> float:
         """Read the kernel's refined TSC frequency, in kHz.
@@ -146,7 +185,11 @@ class Sandbox(abc.ABC):
     # ------------------------------------------------------------------
     def start_channel_pressure(self, kind: str) -> None:
         """Begin pressuring one registered covert-channel kind (an RDRAND
-        loop for ``rng``, an atomic-op loop for ``bus``, ...)."""
+        loop for ``rng``, an atomic-op loop for ``bus``, ...).
+
+        The row becomes hot, so its termination releases the pressure.
+        """
+        self._stream.generator()
         self._host.channel_resource(kind).start_pressure(self.sandbox_id)
 
     def stop_channel_pressure(self, kind: str) -> None:
@@ -161,7 +204,8 @@ class Sandbox(abc.ABC):
         :class:`~repro.hardware.rng_resource.ContentionResource`, so every
         kind inherits the module-level draw-order contract unchanged.
         """
-        return self._host.channel_resource(kind).observe(self.sandbox_id, self._rng)
+        resource = self._host.channel_resource(kind)
+        return self._stream.draw(partial(resource.observe, self.sandbox_id))
 
     # ------------------------------------------------------------------
     # Request serving (victim-side latency surface)
@@ -188,7 +232,7 @@ class Sandbox(abc.ABC):
         latency = (
             processing_seconds
             * (1.0 + self.BUS_LOCK_SLOWDOWN * lockers)
-            * (1.0 + self._rng.uniform(0.0, self.SERVE_JITTER))
+            * (1.0 + self._stream.draw(lambda rng: rng.uniform(0.0, self.SERVE_JITTER)))
         )
         return latency
 
@@ -202,6 +246,6 @@ class Sandbox(abc.ABC):
         frequency; the trap adds syscall-grade latency, modeled by counting
         the read as a system call.
         """
-        self.syscalls.call_count += 1
+        self._rows.clock_reads[self.row] += 1
         elapsed = self._clock.now() - self.boot_wall_time
         return int(elapsed * self._host.cpu.reported_tsc_frequency_hz)

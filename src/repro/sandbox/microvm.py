@@ -36,11 +36,11 @@ class MicroVMSandbox(Sandbox):
     #: Model string the hypervisor fabricates for trapped ``cpuid``.
     VIRTUALIZED_MODEL = "Virtual CPU @ 2.00GHz"
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        # TSC offsetting: the hypervisor saves the host TSC at guest boot
-        # and subtracts it from every guest read.
-        self._tsc_offset = self._host.tsc.offset_for_guest(self.boot_wall_time)
+    @property
+    def _tsc_offset(self) -> int:
+        """TSC offsetting: the hypervisor saves the host TSC at guest boot
+        and subtracts it from every guest read."""
+        return self._host.tsc.offset_for_guest(self.boot_wall_time)
 
     def rdtsc(self) -> int:
         """Guest ``rdtsc``: host TSC with the boot-time offset applied.

@@ -9,9 +9,11 @@ import pytest
 
 from repro.cloud.topology import AccountPlacementPlan, RegionProfile
 from repro.experiments.base import SimulationEnv, default_env
+from repro.fleet import InstanceStore
 from repro.hardware.cpu import cpu_catalog
 from repro.hardware.host import PhysicalHost
 from repro.hardware.tsc import TimestampCounter
+from repro.sandbox.base import Sandbox, TscPolicy
 from repro.simtime.clock import SIM_EPOCH, SimClock
 
 
@@ -69,6 +71,26 @@ def make_host(
             actual_frequency_hz=cpu.reported_tsc_frequency_hz - epsilon_hz,
         ),
     )
+
+
+def row_sandbox(
+    cls: type[Sandbox],
+    host: PhysicalHost | None = None,
+    clock: SimClock | None = None,
+    seed: int = 0,
+    tsc_policy: TscPolicy = TscPolicy.NATIVE,
+    key: str = "sb",
+) -> Sandbox:
+    """The sandbox of a one-row store: one ``cls`` instance of service
+    ``key`` on ``host``, launched now with stream seed ``seed``."""
+    host = host or make_host()
+    clock = clock or SimClock()
+    store = InstanceStore(clock, [host], tsc_policy)
+    index = store.service_index(key)
+    (row,) = store.launch(
+        index, np.zeros(1, dtype=np.int64), [1], np.array([seed]), clock.now(), clock.now(), cls
+    )
+    return store.instance(int(row)).sandbox
 
 
 @pytest.fixture

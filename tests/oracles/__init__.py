@@ -6,7 +6,9 @@ identity suites run a world on each and assert byte-identical draws,
 columns and verdicts.  Nothing in this package is collected as a test.
 
 * :mod:`tests.oracles.launch` — the per-instance launch loop, bound onto
-  an orchestrator's ``_create_instances``;
+  an orchestrator's ``_create_instances``, with an eager sandbox per row;
+* :mod:`tests.oracles.sandbox` — the self-contained sandbox that owns its
+  ``Generator``, and handles that run guest code in it;
 * :mod:`tests.oracles.lifecycle` — per-instance idle-out, reap events and
   teardown, bound onto an orchestrator's ``_idle_out``, ``_cancel_reaps``
   and ``_terminate``;
@@ -14,5 +16,5 @@ columns and verdicts.  Nothing in this package is collected as a test.
   subclasses overriding the single window method;
 * :mod:`tests.oracles.census` — the set-algebra census reduction;
 * :mod:`tests.oracles.fingerprint` — the per-probe Gen 1 and Gen 2
-  fingerprint loops, one guest probe per booted sandbox.
+  fingerprint loops, one guest probe per sandbox.
 """

@@ -1,8 +1,9 @@
 """Per-round CTest loop (reference for the batch-wide ``window_hits`` engine).
 
 One probe round-trip per started instance per round, visiting instances
-in flat order within each round, each in its sandbox (booting it); the
-streams the batched engine draws from are ignored.
+in flat order within each round, each in its sandbox; the sleeper sleeps
+in its sandbox too, so the row streams the batched engine draws from are
+never used.
 :func:`loop_reference` derives, from any registered channel class, a
 subclass that runs its windows this way, so every kind's batched engine
 is pinned against the same loop.
@@ -18,6 +19,12 @@ from repro.errors import InstanceGoneError
 
 class LoopWindow:
     """Mixin replacing the channel's window method with the round loop."""
+
+    def _observers(self, pressured) -> list[_Observer]:
+        return [
+            _Observer(handle, resource, handle._instance.sandbox)
+            for handle, resource in pressured
+        ]
 
     def _observe_window(
         self,

@@ -16,13 +16,15 @@ import numpy as np
 from repro.cloud.orchestrator import Orchestrator
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
+from tests.oracles.sandbox import EAGER
 
 
 def create_instances_scalar(self: Orchestrator, service, account, count):
     """``Orchestrator._create_instances``, one instance per iteration.
 
     Each row goes in through the store's ``launch`` alone, and its
-    sandbox is built eagerly from the world as it is at that moment.
+    sandbox is built eagerly from the world as it is at that moment, into
+    the table's ``eager`` dict (:mod:`tests.oracles.sandbox`).
     """
     chosen = self._place_batch(service, account, count)
     qualified = service.qualified_name
@@ -30,6 +32,7 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
     store = self.instance_store
     index = self._service_index(service)
     cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
+    eager = store._rows.__dict__.setdefault("eager", {})
     created = []
     for host_index in chosen.tolist():
         host_id = self.fleet.ids[host_index]
@@ -40,12 +43,12 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
         (row,) = store.launch(
             index, [host_index], [serial], [seed], now, self.clock.now(), cls
         )
-        store._rows.sandboxes[int(row)] = cls(
+        eager[int(row)] = EAGER[cls](
             self.datacenter.host(host_id),
             self.clock,
             np.random.default_rng(seed),
             instance_id,
-            tsc_policy=self.tsc_policy,
+            self.tsc_policy,
         )
         created.append(row)
     return np.array(created, dtype=np.int64)

@@ -54,12 +54,19 @@ def test_distant_boot_times_never_match(boot, p_boot):
     st.integers(min_value=0, max_value=10**15),
     st.floats(min_value=1e9, max_value=4e9),
 )
+@example(100000.00000000001, 231_072_000_000_001, 1e9)  # off by one ulp of T_w
 def test_boot_time_equation_inverts(wall, tsc, freq):
     sample = Gen1Sample(
         cpu_model="m", tsc_value=tsc, wall_time=wall, reported_frequency_hz=freq
     )
-    # T_w == T_boot + tsc / f by construction.
-    assert sample.boot_time() + tsc / freq == wall
+    # T_w == T_boot + tsc / f by construction, up to two roundings.  The
+    # quotient q = tsc / f is the same float on both sides (tsc < 2**53
+    # converts exactly).  T_boot = fl(T_w - q) is off by some e with
+    # |e| <= ulp(M) / 2, M = max(T_w, q), since |T_w - q| <= M.  Then
+    # fl(T_boot + q) is the float nearest T_w + e, and T_w is a float, so
+    # the sum lands within 2|e| <= ulp(M) of T_w.
+    quotient = tsc / freq
+    assert abs(sample.boot_time() + quotient - wall) <= math.ulp(max(wall, quotient))
 
 
 @given(

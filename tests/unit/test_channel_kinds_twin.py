@@ -108,8 +108,8 @@ def test_channel_resource_resolves_every_kind(tiny_env):
     assert instance.channel_resource("bus") is host.memory_bus
     for kind in KINDS:
         assert instance.channel_resource(kind) is host.channel_resource(kind)
-    # Resolved from the row: nothing booted.
-    assert instance._sandbox is None
+    # Resolved from the row: the row stays cold.
+    assert instance.row not in instance._rows.hot
     sandbox = instance.sandbox
     for kind in KINDS:
         sandbox.start_channel_pressure(kind)

@@ -100,9 +100,10 @@ class TestLifecycle:
     def test_terminate_frees_an_eager_sandbox(self):
         instance, store, clock = make_instance()
         sandbox = instance.sandbox
-        assert instance.run_probe(lambda s: s) is sandbox
-        _rows, booted = store.terminate(ROW, clock.now())
-        assert booted == [instance]
+        assert instance.run_probe(lambda s: s._rng) is sandbox._rng
+        _rows, hot = store.terminate(ROW, clock.now())
+        assert hot == [instance]
+        assert 0 not in store._rows.hot
         with pytest.raises(InstanceGoneError):
             instance.sandbox
         assert instance.sandbox_class is GVisorSandbox
@@ -116,5 +117,5 @@ class TestLifecycle:
         assert sandbox.sandbox_id == "a/s#0000001"
         assert str(sandbox._rng.bit_generator.state) != str(
             np.random.default_rng(0).bit_generator.state
-        )  # the syscall layer drew its clock offset at boot
-        assert instance.sandbox is sandbox
+        )  # the stream's boot draw, the clock offset, is behind it
+        assert instance.sandbox._rng is sandbox._rng

@@ -1,21 +1,18 @@
 """Unit tests for TSC frequency acquisition (§4.2)."""
 
-import numpy as np
 import pytest
 
 from repro import units
 from repro.core.frequency import measure_tsc_frequency, reported_tsc_frequency
 from repro.errors import FingerprintError
 from repro.sandbox.gvisor import GVisorSandbox
-from repro.simtime.clock import SimClock
 
-from tests.conftest import make_host
+from tests.conftest import make_host, row_sandbox
 
 
 def make_sandbox(host=None, seed=3):
     host = host or make_host()
-    clock = SimClock()
-    return GVisorSandbox(host, clock, np.random.default_rng(seed), "sb")
+    return row_sandbox(GVisorSandbox, host, seed=seed)
 
 
 class TestReportedFrequency:

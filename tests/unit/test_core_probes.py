@@ -1,6 +1,5 @@
 """Unit tests for the guest-side probe programs."""
 
-import numpy as np
 import pytest
 
 from repro import units
@@ -10,17 +9,17 @@ from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.clock import SimClock
 
-from tests.conftest import make_host
+from tests.conftest import make_host, row_sandbox
 
 
 def gen1_sandbox(host=None, policy=TscPolicy.NATIVE):
     host = host or make_host()
-    return GVisorSandbox(host, SimClock(), np.random.default_rng(0), "g1", tsc_policy=policy)
+    return row_sandbox(GVisorSandbox, host, tsc_policy=policy, key="g1")
 
 
 def gen2_sandbox(host=None):
     host = host or make_host()
-    return MicroVMSandbox(host, SimClock(), np.random.default_rng(0), "g2")
+    return row_sandbox(MicroVMSandbox, host, key="g2")
 
 
 class TestGen1Probe:
@@ -42,8 +41,8 @@ class TestGen1Probe:
     def test_colocated_probes_agree(self):
         host = make_host()
         clock = SimClock()
-        s1 = GVisorSandbox(host, clock, np.random.default_rng(1), "a")
-        s2 = GVisorSandbox(host, clock, np.random.default_rng(2), "b")
+        s1 = row_sandbox(GVisorSandbox, host, clock, seed=1, key="a")
+        s2 = row_sandbox(GVisorSandbox, host, clock, seed=2, key="b")
         b1 = probes.gen1_fingerprint_probe(s1).boot_time()
         b2 = probes.gen1_fingerprint_probe(s2).boot_time()
         assert b1 == pytest.approx(b2, abs=0.1)

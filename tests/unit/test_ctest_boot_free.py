@@ -1,15 +1,15 @@
-"""A CTest batch boots no sandbox, and nothing can tell.
+"""A CTest batch draws from cold rows as well as hot ones, and nothing
+can tell.
 
 :class:`~repro.core.covert.RngCovertChannel` pressures each tested row's
-host resource directly and draws an unbooted row's window (and the
-sleeper's ``nanosleep`` overshoot) from the row's seeded stream
+host resource directly and draws each row's window (and the sleeper's
+``nanosleep`` overshoot) from the row's stream
 (:func:`repro.fleet.probe.sandbox_streams`).  Every test here runs one
-scenario twice: as is, and with every live handle booted first (each row
-then draws through its sandbox, as every row did before batches stopped
-booting).  The two must agree on verdicts, ``_last_hits``, reports, host
-pressurer sets, and every row's sandbox after a late boot (RNG state,
-call count, clock offset).  The boot-free run must build no sandbox for a
-row the streams serve.
+scenario twice: as is, and with every live row made hot first (each row
+then draws through its cached generator).  The two must agree on
+verdicts, ``_last_hits``, reports, host pressurer sets, and every row's
+stream afterwards (RNG state, call count, clock offset).  The cold run
+must warm no row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import probe as columnar
 from repro.hardware.noise import SyscallNoiseModel
 from repro.runner import WorldSnapshot
-from repro.sandbox.base import Sandbox
 from tests.conftest import tiny_profile
 from tests.unit.test_ctest_vectorized import store_handles
 
@@ -43,23 +42,24 @@ KINDS = ("rng", "llc")
 
 @pytest.fixture(autouse=True)
 def roomy_rows(monkeypatch):
-    """Rows retested many times boot once their stream passes
-    ``_WORDS_LIMIT``; raise it (still inside the int16 column) so that
-    only :func:`test_rows_at_the_word_limit_boot` reaches it."""
-    monkeypatch.setattr(columnar, "_WORDS_LIMIT", 2**14)
+    """Rows retested many times get a cached generator once their stream
+    passes ``HOT_WORDS``; raise it so that only
+    :func:`test_rows_past_hot_words_cache_a_generator` reaches it."""
+    monkeypatch.setattr(columnar, "HOT_WORDS", 2**14)
 
 
 @pytest.fixture
-def sandbox_inits(monkeypatch):
-    """The instance id of every sandbox built while the test runs."""
+def warmed(monkeypatch):
+    """The instance id of every row made hot while the test runs."""
     built = []
-    original = Sandbox.__init__
+    original = columnar.warm
 
-    def counting_init(self, host, clock, rng, sandbox_id, *args, **kwargs):
-        built.append(sandbox_id)
-        original(self, host, clock, rng, sandbox_id, *args, **kwargs)
+    def recording_warm(table, row):
+        if row not in table.hot:
+            built.append(table.instance_id(row))
+        return original(table, row)
 
-    monkeypatch.setattr(Sandbox, "__init__", counting_init)
+    monkeypatch.setattr(columnar, "warm", recording_warm)
     return built
 
 
@@ -77,10 +77,10 @@ def groups_of(handles, size):
     return [handles[i : i + size] for i in range(0, len(handles), size)]
 
 
-def boot_all(handles):
+def warm_all(handles):
     for handle in handles:
         if handle.alive:
-            handle.run(lambda sandbox: None)
+            handle.run(lambda sandbox: sandbox._rng)
 
 
 def pressurers(envs):
@@ -95,32 +95,33 @@ def pressurers(envs):
 
 
 def late_states(handles):
-    """Each live handle's sandbox, booted now if it has not: what a later
-    probe would start from."""
+    """Each live handle's stream (the row becomes hot): what a later probe
+    would start from."""
     states = {}
     for handle in handles:
         if handle.alive:
             sandbox = handle._instance.sandbox
             states[handle.instance_id] = (
                 str(sandbox._rng.bit_generator.state),
-                sandbox.syscalls.call_count,
-                sandbox.syscalls.sandbox_offset,
+                sandbox.call_count,
+                sandbox.sandbox_offset,
             )
     return states
 
 
-def twin(scenario, sandbox_inits):
-    """Run ``scenario(booted)`` boot-free and pre-booted; compare.
+def twin(scenario, warmed):
+    """Run ``scenario(hot)`` with cold rows, and with every row made hot
+    first; compare.
 
     ``scenario`` returns ``(envs, handles, outcome)`` and clears
-    ``sandbox_inits`` just before the calls it compares.  Returns the ids
-    of the sandboxes the boot-free run built in those calls.
+    ``warmed`` just before the calls it compares.  Returns the ids
+    of the rows the cold run made hot in those calls.
     """
     runs = {}
-    for booted in (False, True):
-        envs, handles, outcome = scenario(booted)
-        built = list(sandbox_inits)
-        runs[booted] = (outcome, pressurers(envs), late_states(handles), built)
+    for hot in (False, True):
+        envs, handles, outcome = scenario(hot)
+        built = list(warmed)
+        runs[hot] = (outcome, pressurers(envs), late_states(handles), built)
     free, eager = runs[False], runs[True]
     assert free[0] == eager[0]
     assert free[1] == eager[1]
@@ -146,116 +147,114 @@ def verify_outcome(channel, tagged, m=2):
     )
 
 
-def test_mixed_booted_probed_and_retested_rows(sandbox_inits):
-    def scenario(booted):
+def test_mixed_booted_probed_and_retested_rows(warmed):
+    def scenario(hot):
         env, handles = world()
         for handle in handles[1:4]:
             handle.run(lambda sandbox: sandbox.wall_clock())
         fingerprint_gen1_instances(handles[3:9])
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         channel = RngCovertChannel()
         outcome = [batch_outcome(channel, groups_of(handles, 3))]
         env.clock.sleep(3.0)
         outcome.append(batch_outcome(channel, groups_of(handles[::-1], 4), 3))
         return [env], handles, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
 @pytest.mark.parametrize("m", [2, 3])
-def test_verify_retests_rows(sandbox_inits, m):
+def test_verify_retests_rows(warmed, m):
     """One fingerprint over several hosts: chunks, merges, pairwise
     fallback and the false-negative hunt test rows again and again."""
 
-    def scenario(booted):
+    def scenario(hot):
         env, handles = world(seed=12, n=20)
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         tagged = [TaggedInstance(h, "same", "cpu") for h in handles]
         channel = RngCovertChannel()
         outcome = verify_outcome(channel, tagged, m)
         assert channel._boot_states is None
         return [env], handles, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
 @pytest.mark.parametrize("generation", ["gen1", "gen2"])
-def test_boot_draw_replay_rows(sandbox_inits, generation):
+def test_boot_draw_replay_rows(warmed, generation):
     """Outlier branches on almost every boot and sleeper jitter: the
     replayed boot states and the counted overshoot words."""
 
-    def scenario(booted):
+    def scenario(hot):
         env, handles = world(seed=13, generation=generation, noise=LOUD)
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         channel = RngCovertChannel()
         tagged = [TaggedInstance(h, i % 3, None) for i, h in enumerate(handles)]
         outcome = [batch_outcome(channel, groups_of(handles, 2))]
         outcome.append(verify_outcome(channel, tagged))
         return [env], handles, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
-def test_rows_at_the_word_limit_boot(sandbox_inits, monkeypatch):
-    monkeypatch.setattr(columnar, "_WORDS_LIMIT", 600)
+def test_rows_past_hot_words_cache_a_generator(warmed, monkeypatch):
+    monkeypatch.setattr(columnar, "HOT_WORDS", 600)
 
-    def scenario(booted):
+    def scenario(hot):
         env, handles = world(seed=14)
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         channel = RngCovertChannel()
         outcome = [batch_outcome(channel, groups_of(handles, 4)) for _ in range(4)]
         return [env], handles, outcome
 
-    built = twin(scenario, sandbox_inits)
-    # Rows ran windows as columns until one more would cross the limit,
-    # then booted; every row booted once at most.
+    built = twin(scenario, warmed)
+    # Rows drew through the shared generator until their streams passed
+    # HOT_WORDS, then through a cache; every row got one cache at most.
     env, handles = world(seed=14)
     channel = RngCovertChannel()
-    sandbox_inits.clear()
+    warmed.clear()
     channel.ctest_batch(groups_of(handles, 4), 2)
-    assert sandbox_inits == []
+    assert warmed == []
     assert 0 < len(built) == len(set(built)) <= len(handles)
 
 
-def test_rows_of_two_worlds_in_one_batch(sandbox_inits):
-    def scenario(booted):
+def test_rows_of_two_worlds_in_one_batch(warmed):
+    def scenario(hot):
         first, a = world(seed=15, n=9)
         second, b = world(seed=16, n=9, name="other")
-        if booted:
-            boot_all(a + b)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(a + b)
+        warmed.clear()
         channel = RngCovertChannel()
         groups = [a[:3], b[:3], a[3:6], b[3:6], a[6:], b[6:]]
         return [first, second], a + b, batch_outcome(channel, groups)
 
-    built = twin(scenario, sandbox_inits)
-    # The first world's rows draw as columns; the other world's boot.
-    _second, b = world(seed=16, n=9, name="other")
-    assert sorted(built) == sorted(h.instance_id for h in b)
+    # Each world's cold rows draw through their own boot states.
+    assert twin(scenario, warmed) == []
 
 
-def test_terminated_rows(sandbox_inits):
+def test_terminated_rows(warmed):
     """Rows dead before the batch read negative; rows the orchestrator
     terminates during the sleep leave no pressure behind."""
 
-    def scenario(booted):
+    def scenario(hot):
         env, handles = world(seed=17)
         client = env.clients["account-1"]
         gone = client.connect(client.deploy(ServiceConfig(name="gone")), 4)
         doomed = client.connect(client.deploy(ServiceConfig(name="doomed")), 4)
         gone[0].run(lambda sandbox: None)
         client.kill("gone")
-        if booted:
-            boot_all(handles + doomed)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles + doomed)
+        warmed.clear()
         env.orchestrator.scheduler.call_at(env.clock.now() + 0.5, lambda: client.kill("doomed"))
         channel = RngCovertChannel()
         groups = groups_of(handles[:4] + gone + doomed + handles[4:], 4)
@@ -263,16 +262,16 @@ def test_terminated_rows(sandbox_inits):
         assert not any(h.alive for h in gone + doomed)
         return [env], handles + gone + doomed, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])
-def test_injected_deaths_and_noise(sandbox_inits, seed):
-    def scenario(booted):
+def test_injected_deaths_and_noise(warmed, seed):
+    def scenario(hot):
         env, handles = world(seed=seed, n=16)
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         plan = FaultPlan(FaultSpec(ctest_death_rate=0.3, ctest_noise_rate=0.2, seed=seed))
         channel = RngCovertChannel(fault_plan=plan)
         outcome = [batch_outcome(channel, groups_of(handles, 3))]
@@ -281,15 +280,15 @@ def test_injected_deaths_and_noise(sandbox_inits, seed):
         outcome.append(channel.stats.faults_injected)
         return [env], handles, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
-def test_saturating_llc_kind(sandbox_inits):
-    def scenario(booted):
+def test_saturating_llc_kind(warmed):
+    def scenario(hot):
         env, handles = world(seed=24, n=24)
-        if booted:
-            boot_all(handles)
-        sandbox_inits.clear()
+        if hot:
+            warm_all(handles)
+        warmed.clear()
         channel = LlcOccupancyChannel()
         # A 12-way group's threshold sits above the LLC saturation (8).
         outcome = [batch_outcome(channel, [handles[:12], handles[12:]], [10, 2])]
@@ -297,12 +296,12 @@ def test_saturating_llc_kind(sandbox_inits):
         outcome.append(verify_outcome(channel, tagged, 3))
         return [env], handles, outcome
 
-    assert twin(scenario, sandbox_inits) == []
+    assert twin(scenario, warmed) == []
 
 
-def test_verify_releases_its_boot_states(sandbox_inits, monkeypatch):
-    """A verify over ~1,000 unbooted rows builds no sandbox and keeps no
-    boot-state columns once it returns."""
+def test_verify_releases_its_boot_states(warmed, monkeypatch):
+    """A verify over ~1,000 cold rows warms none and keeps no boot-state
+    columns once it returns."""
     (handles,) = store_handles([3] * 334, seed=5)
     tagged = [
         TaggedInstance(h, index // 3, f"k{index // 3}") for index, h in enumerate(handles)
@@ -326,7 +325,7 @@ def test_verify_releases_its_boot_states(sandbox_inits, monkeypatch):
     assert report.n_hosts == 334
     # One set of columns for the whole verify, none per batch.
     assert prepared == [len(handles)]
-    assert sandbox_inits == []
+    assert warmed == []
     assert channel._boot_states is None
     held = snapshot.filter_traces([tracemalloc.Filter(True, columnar.__file__)])
     # The columns alone take 36 bytes a row.
@@ -336,10 +335,10 @@ def test_verify_releases_its_boot_states(sandbox_inits, monkeypatch):
     )
 
 
-def test_snapshot_after_boot_free_batch_forks_equal_streams(sandbox_inits):
-    """A world captured after a boot-free batch carries each row's moved
-    stream in its columns: the fork tests on, and boots late, exactly as
-    the original does."""
+def test_snapshot_after_boot_free_batch_forks_equal_streams(warmed):
+    """A world captured after a batch over cold rows carries each row's
+    moved stream in its columns: the fork tests on, and draws through its
+    sandboxes, exactly as the original does."""
     env, handles = world(seed=25)
     RngCovertChannel().ctest_batch(groups_of(handles, 3), 2)
     forked = WorldSnapshot.capture(env).fork()
@@ -350,5 +349,5 @@ def test_snapshot_after_boot_free_batch_forks_equal_streams(sandbox_inits):
     assert batch_outcome(RngCovertChannel(), groups_of(twins, 4)) == batch_outcome(
         RngCovertChannel(), groups_of(handles, 4)
     )
-    assert sandbox_inits == []
+    assert warmed == []
     assert late_states(twins) == late_states(handles)

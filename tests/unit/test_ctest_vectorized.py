@@ -300,16 +300,17 @@ class TestEdgeCases:
 
 class TestEngineGuards:
     def test_observer_carries_host_resource_and_sandbox_stream(self, tiny_env):
-        booted, unbooted = launch(tiny_env, 2)
-        sandbox = booted._instance.sandbox
-        pressured = [(h, h._instance.channel_resource("rng")) for h in (booted, unbooted)]
+        hot, cold = launch(tiny_env, 2)
+        sandbox = hot._instance.sandbox
+        cache = sandbox._rng  # the row becomes hot
+        pressured = [(h, h._instance.channel_resource("rng")) for h in (hot, cold)]
         first, second = RngCovertChannel()._observers(pressured)
         assert first.resource is sandbox._host.rng_resource
-        assert first.stream is sandbox._rng
-        host = tiny_env.datacenter.host(unbooted._instance.host_id)
+        assert first.stream.generator() is cache
+        host = tiny_env.datacenter.host(cold._instance.host_id)
         assert second.resource is host.rng_resource
         assert isinstance(second.stream, RowStream)
-        assert unbooted._instance._sandbox is None
+        assert cold._instance.row not in cold._instance._rows.hot
 
     def test_channel_resource_unknown_kind_rejected(self, tiny_env):
         handle = launch(tiny_env, 1)[0]
@@ -324,7 +325,7 @@ def quiet_ports(handles):
     for handle in handles:
         sandbox = handle._instance.sandbox
         sandbox.start_channel_pressure("rng")
-        ports.append((sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._rng))
+        ports.append((sandbox._host.rng_resource, sandbox.sandbox_id, sandbox._stream))
     for resource, _instance_id, _rng in ports:
         resource.background_rate = 0.0
         resource.drop_rate = 0.0

@@ -85,7 +85,7 @@ def test_census_loop_keeps_no_object_per_row():
     assert store.totals() == (0, 0)
     assert env.orchestrator.pending_reaps() == 0
     assert live_views(env) == 0
-    assert not store._rows.sandboxes and not store._rows.sigterm
+    assert not store._rows.hot and not store._rows.sigterm
     # Every column array now held was allocated while tracing.
     assert grown <= column_bytes(store) + SLACK_BYTES
 
@@ -103,30 +103,30 @@ def test_views_of_one_row_are_one_instance():
     assert len({*first, *again}) == 4
     assert first[1] != first[2]
 
-    # A sandbox booted through one view is every view's sandbox.
+    # Views of one row draw from one stream: a row made hot through one
+    # view is hot for every view.
     sandbox = first[2].run(lambda sandbox: sandbox)
-    assert again[2]._instance.sandbox is sandbox
-    assert [h._instance._sandbox is not None for h in again] == [False, False, True, False]
+    assert again[2]._instance.sandbox._rng is sandbox._rng
+    assert [h._instance.row in h._instance._rows.hot for h in again] == [False, False, True, False]
     sandbox.rdtsc()
 
-    # A snapshot carries the booted sandbox; the fork's views share it.
+    # A snapshot carries the row's cache; the fork's views share it.
     forked = WorldSnapshot.capture(env).fork()
     fork_store = forked.orchestrator.instance_store
     row = first[2]._instance.row
     left, right = fork_store.instance(row), fork_store.instance(row)
-    assert left._sandbox is not None and left._sandbox is right.sandbox
-    assert left._sandbox is not sandbox
+    assert row in fork_store._rows.hot and left.sandbox._rng is right.sandbox._rng
+    assert left.sandbox._rng is not sandbox._rng
     assert left.instance_id == first[2].instance_id
     assert str(left.sandbox._rng.bit_generator.state) == str(
         sandbox._rng.bit_generator.state
     )
     assert left != first[2]._instance  # another world's row
 
-    # Termination frees it for every view.
+    # Termination drops it for every view.
     client.kill(name)
     assert not any(h.alive for h in first)
-    assert first[2]._instance._sandbox is None
-    assert row not in env.orchestrator.instance_store._rows.sandboxes
+    assert row not in env.orchestrator.instance_store._rows.hot
     with pytest.raises(InstanceGoneError):
         again[2].run(lambda sandbox: None)
     assert isinstance(left.sandbox, Sandbox)  # the fork lives on

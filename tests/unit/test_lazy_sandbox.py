@@ -1,28 +1,27 @@
-"""Sandboxes boot on first use and are freed at termination.
+"""A sandbox is a view of its row, and a row has one stream.
 
-The orchestrator launches instances without building their sandboxes; an
-instance boots its sandbox on the first probe from the seed and boot time
-its :class:`~repro.fleet.InstanceStore` row recorded at launch.  A
-fingerprint batch probes unbooted rows without booting them
+The orchestrator launches instances without building anything per row; a
+sandbox view reads the seed and boot time its
+:class:`~repro.fleet.InstanceStore` row recorded at launch and draws
+through the row's stream.  A fingerprint batch probes rows as columns
 (:mod:`repro.fleet.probe`): it draws each row's first words as array
 operations and records how far its stream and clock-read count moved, so
-a later boot lands where a probed sandbox would be.  The twin tests here
-pin that columnar probe to the per-probe oracle
+a later draw through the sandbox continues from there.  The twin tests
+here pin that columnar probe to the per-probe oracle
 (:mod:`tests.oracles.fingerprint`) and to the eager per-instance launch
-oracle (:mod:`tests.oracles.launch`, which builds every sandbox at
-launch): equal fingerprints, the same error at the same handle, and equal
-sandboxes afterwards (boot wall time, syscall offset and call count, Gen 2
-TSC offset, first ``rdtsc`` readings and the sandbox RNG state).  The
-matrix covers both generations under both TSC policies, launch-retry
-backoff that moves the clock inside a batch, re-probes, duplicates,
-frequency-less hosts, outlier branches and ziggurat rejections.
+oracle (:mod:`tests.oracles.launch`, which builds a self-contained sandbox
+per row at launch, :mod:`tests.oracles.sandbox`): equal fingerprints, the
+same error at the same handle, and equal sandboxes afterwards (boot wall
+time, syscall offset and call count, Gen 2 TSC offset, first ``rdtsc``
+readings and the stream's RNG state).  The matrix covers both generations
+under both TSC policies, launch-retry backoff that moves the clock inside
+a batch, re-probes, duplicates, frequency-less hosts, outlier branches and
+ziggurat rejections.
 """
 
 from __future__ import annotations
 
-import gc
-import weakref
-
+import numpy as np
 import pytest
 
 from repro.cloud.api import InstanceHandle
@@ -45,6 +44,7 @@ from repro.sandbox.microvm import MicroVMSandbox
 from tests.conftest import tiny_profile
 from tests.oracles.fingerprint import fingerprint_gen1_per_probe, fingerprint_gen2_per_probe
 from tests.oracles.launch import bind_scalar_launch
+from tests.oracles.sandbox import eager_handles
 
 #: Outlier branches fire on almost every call and on every other boot.
 LOUD = SyscallNoiseModel(call_outlier_probability=0.999, sandbox_offset_outlier_probability=0.5)
@@ -63,7 +63,7 @@ class FirstAttemptFails(FaultPlan):
 
 @pytest.fixture
 def sandbox_inits(monkeypatch):
-    """Every sandbox built while the test runs."""
+    """Every sandbox view built while the test runs."""
     built = []
     original = Sandbox.__init__
 
@@ -75,18 +75,19 @@ def sandbox_inits(monkeypatch):
     return built
 
 
-def booted(handles) -> list[bool]:
-    return [h._instance._sandbox is not None for h in handles]
+def hot(handles) -> list[bool]:
+    """Whether each handle's row keeps a cached generator."""
+    return [h._instance.row in h._instance._rows.hot for h in handles]
 
 
 def boot_observables(sandbox: Sandbox) -> dict:
     """Everything a boot and the probes since fix, read before the RNG is
     touched again."""
     observed = {
-        "class": type(sandbox).__name__,
+        "generation": sandbox.generation,
         "boot_wall_time": sandbox.boot_wall_time,
-        "sandbox_offset": sandbox.syscalls.sandbox_offset,
-        "call_count": sandbox.syscalls.call_count,
+        "sandbox_offset": sandbox.sandbox_offset,
+        "call_count": sandbox.call_count,
         "rng": str(sandbox._rng.bit_generator.state),
         "tsc_offset": getattr(sandbox, "_tsc_offset", None),
     }
@@ -98,10 +99,10 @@ def boot_observables(sandbox: Sandbox) -> dict:
 def launch_world(boot: str, generation: str, tsc_policy: TscPolicy, faulted: bool):
     """Launch 10 instances, fingerprint them and observe their sandboxes.
 
-    ``boot`` is ``"eager"`` (the launch oracle, then per-probe
-    fingerprints), ``"lazy"`` (per-probe fingerprints boot each sandbox)
-    or ``"batch"`` (the columnar probe, which boots none; the observation
-    boots them).
+    ``boot`` is ``"eager"`` (the launch oracle's sandboxes, then per-probe
+    fingerprints), ``"lazy"`` (per-probe fingerprints in sandbox views,
+    which make each row hot) or ``"batch"`` (the columnar probe, which
+    leaves every row cold; the observation warms them).
     """
     plan = FirstAttemptFails(3, 7) if faulted else None
     env = default_env(
@@ -114,14 +115,16 @@ def launch_world(boot: str, generation: str, tsc_policy: TscPolicy, faulted: boo
         "account-1", ServiceConfig(name="svc", generation=generation)
     )
     instances = orch.scale_to(service, 10)
-    booted_at_launch = [i._sandbox is not None for i in instances]
+    booted_at_launch = [i.row in getattr(i._rows, "eager", ()) for i in instances]
     orch.clock.sleep(42.0)
     handles = [InstanceHandle(i) for i in instances]
+    if boot == "eager":
+        handles = eager_handles(handles)
     fingerprint = fingerprint_gen1_instances if boot == "batch" else fingerprint_gen1_per_probe
     tagged = [(h.instance_id, fp) for h, fp in fingerprint(handles)]
     if boot == "batch":
-        assert not any(booted(handles))
-    observed = [boot_observables(i.sandbox) for i in instances]
+        assert not any(hot(handles))
+    observed = [boot_observables(h._instance.sandbox) for h in handles]
     return booted_at_launch, tagged, observed
 
 
@@ -148,22 +151,22 @@ def test_late_boot_matches_eager_boot(generation, tsc_policy, faulted):
 
 
 def sandbox_states(handles) -> list[tuple]:
-    """Each handle's sandbox stream and call count, booting it if needed."""
+    """Each handle's sandbox stream and call count (the row becomes hot)."""
     states = []
     for handle in handles:
         sandbox = handle._instance.sandbox
         states.append(
             (
                 str(sandbox._rng.bit_generator.state),
-                sandbox.syscalls.sandbox_offset,
-                sandbox.syscalls.call_count,
+                sandbox.sandbox_offset,
+                sandbox.call_count,
             )
         )
     return states
 
 
 def probe_world(generation: str, tsc_policy: TscPolicy, noise: str):
-    """60 handles: two booted and probed, one on a host whose model name
+    """60 handles: two hot and probed, one on a host whose model name
     has no frequency; ``noise="loud"`` gives every host :data:`LOUD`."""
     env = default_env(profile=tiny_profile(), seed=11, tsc_policy=tsc_policy)
     client = env.attacker
@@ -186,7 +189,7 @@ REPROBE = list(range(0, 60, 3)) + list(range(5)) + [4, 5]
 
 def probe_rounds(fingerprint, generation, tsc_policy, noise):
     """Probe a world four times: everything, a re-probe with duplicates,
-    everything again later, then once more after every sandbox booted."""
+    everything again later, then once more after every row is hot."""
     env, handles = probe_world(generation, tsc_policy, noise)
 
     def tagged(batch, p_boot=1.0):
@@ -196,10 +199,10 @@ def probe_rounds(fingerprint, generation, tsc_policy, noise):
     rounds.append(tagged([handles[i] for i in REPROBE], 1e-3))
     env.clock.sleep(17.5)
     rounds.append(tagged(handles))
-    probed_unbooted = booted(handles)
+    probed_hot = hot(handles)
     states = sandbox_states(handles)
     rounds.append(tagged(handles))
-    return rounds, probed_unbooted, states, sandbox_states(handles)
+    return rounds, probed_hot, states, sandbox_states(handles)
 
 
 @pytest.mark.parametrize("noise", ["quiet", "loud"])
@@ -220,11 +223,11 @@ def test_reprobed_rows_match_per_probe(generation, tsc_policy, noise, monkeypatc
     assert batch[0] == oracle[0]
     assert batch[2] == oracle[2]
     assert batch[3] == oracle[3]
-    # Only the handles probed before the batches, and the second listing
-    # of a handle in one batch (the per-probe path), ever booted.
+    # Only the handles probed in their sandboxes before the batches are
+    # hot: a handle listed twice in one batch is probed twice as columns.
     listed_twice = {i for i in REPROBE if REPROBE.count(i) > 1}
     assert listed_twice == {0, 3, 4}
-    assert batch[1] == [i in (1, 6) or i in listed_twice for i in range(60)]
+    assert batch[1] == [i in (1, 6) for i in range(60)]
     # Gen 1 skips the frequency-less host's instances; a Gen 2 guest sees
     # the hypervisor's model, which names a frequency.
     assert (len(batch[0][0]) < 60) == (generation == "gen1")
@@ -233,15 +236,23 @@ def test_reprobed_rows_match_per_probe(generation, tsc_policy, noise, monkeypatc
     assert any(skipped for _rng, _bits, _noise, skipped, _sampled in replayed)
 
 
-def test_rows_at_counter_limits_take_the_per_probe_path(monkeypatch):
-    # Under EMULATED a probe makes two clock reads, so every row probed
-    # once as columns reaches the limit and boots on its next probe.
-    monkeypatch.setattr(columnar, "_READS_LIMIT", 2)
-    oracle = probe_rounds(fingerprint_gen1_per_probe, "gen1", TscPolicy.EMULATED, "quiet")
-    batch = probe_rounds(fingerprint_gen1_instances, "gen1", TscPolicy.EMULATED, "quiet")
-    assert [batch[i] for i in (0, 2, 3)] == [oracle[i] for i in (0, 2, 3)]
-    # Every row with a sample booted on its second probe.
-    assert sum(batch[1]) >= len(batch[0][0])
+def test_rows_past_the_old_counter_widths():
+    """A row's counters pass what int8 clock reads (127) and int16 words
+    (32,767) held, and its columns still say where its stream is."""
+    outcomes = []
+    for fingerprint in (fingerprint_gen1_per_probe, fingerprint_gen1_instances):
+        _env, handles = probe_world("gen1", TscPolicy.EMULATED, "quiet")
+        batch = list(handles[9:12])  # none on the frequency-less host
+        # Under EMULATED a probe makes two clock reads.
+        rounds = [[(h.instance_id, fp) for h, fp in fingerprint(batch, 1e-3)] for _ in range(70)]
+        instance = batch[1]._instance
+        instance._rows.stream(instance.row).random(out=np.empty(40_000))
+        table, row = instance._rows, instance.row
+        counters = (int(table.clock_reads[row]), int(table.probe_words[row]))
+        outcomes.append((rounds, counters, sandbox_states(batch)))
+    assert outcomes[1] == outcomes[0]
+    reads, words = outcomes[0][1]
+    assert reads == 140 and words > 40_000
 
 
 def test_port_rejections_replay(monkeypatch):
@@ -264,8 +275,8 @@ def test_port_rejections_replay(monkeypatch):
 
 
 def mixed_world():
-    """Eight live handles (two booted and probed) and two terminated ones
-    (one had booted); ``live[3]``'s host model name has no frequency."""
+    """Eight live handles (two hot and probed) and two terminated ones
+    (one had been hot); ``live[3]``'s host model name has no frequency."""
     env = default_env(profile=tiny_profile(), seed=11)
     client = env.attacker
     live = client.connect(client.deploy(ServiceConfig(name="live")), 8)
@@ -284,14 +295,14 @@ def fingerprint_mixed(fingerprint):
     env, live, gone = mixed_world()
     with pytest.raises(InstanceGoneError) as raised:
         fingerprint(live[:4] + [gone[1]] + live[4:] + [gone[0]])
-    booted_after_raise = booted(live + gone)
+    hot_after_raise = hot(live + gone)
     after_raise = sandbox_states(live)
     tagged = fingerprint(live)
     return {
         "gone_id": gone[1].instance_id,
         "live": {h.instance_id for h in live},
         "error": str(raised.value),
-        "booted": booted_after_raise,
+        "hot": hot_after_raise,
         "after_raise": after_raise,
         "tagged": [(h.instance_id, fp) for h, fp in tagged],
         "after_run": sandbox_states(live),
@@ -310,10 +321,11 @@ def test_mixed_batch_matches_per_probe_boot():
     # The terminated handle raises after the same probes.
     assert batch["gone_id"] in batch["error"]
     assert batch["error"] == oracle["error"]
-    assert oracle["booted"] == [True] * 4 + [False, False, True, False] + [False] * 2
-    # The columnar probe boots nothing: only the handles probed before
-    # the batch (and the terminated one's freed sandbox) differ.
-    assert batch["booted"] == [False, True] + [False] * 4 + [True, False] + [False] * 2
+    # The frequency-less live[3] raises before its probe draws.
+    assert oracle["hot"] == [True] * 3 + [False, False, False, True, False] + [False] * 2
+    # The columnar probe warms nothing: only the handles probed in their
+    # sandboxes before the batch are hot.
+    assert batch["hot"] == [False, True] + [False] * 4 + [True, False] + [False] * 2
     # Probed as columns or in their sandbox, every stream is in the same
     # state after the raise and after a full run.
     assert batch["after_raise"] == oracle["after_raise"]
@@ -333,7 +345,7 @@ def test_batch_probe_boots_no_sandbox(tiny_env, sandbox_inits):
     assert len(gen1_boot_times(gen2)) == 12
     assert len(fingerprint_gen2_instances(gen2)) == 12
     assert sandbox_inits == []
-    assert not any(booted(gen1 + gen2))
+    assert not any(hot(gen1 + gen2))
 
 
 def test_unrounded_boot_times_round_to_the_fingerprints():
@@ -392,9 +404,9 @@ def test_snapshot_after_columnar_probe_forks_equal_rng_states():
         InstanceHandle(forked.orchestrator.instance_store.instance(h._instance.row))
         for h in live
     ]
-    assert booted(forked_live) == booted(live)
+    assert hot(forked_live) == hot(live)
     assert [h.instance_id for h in forked_live] == [h.instance_id for h in live]
-    # Booted in the fork or in the original, each sandbox continues from
+    # Drawn in the fork or in the original, each stream continues from
     # where the columnar probe left its row.
     assert sandbox_states(forked_live) == sandbox_states(live)
     _twin_env, twin, _ = mixed_world()
@@ -432,20 +444,35 @@ class TestLifecycle:
     def test_probe_boots_only_that_instance(self, tiny_env):
         client, name = deploy(tiny_env)
         handles = client.connect(name, 4)
-        handles[1].run(lambda sandbox: sandbox.rdtsc())
-        assert [h._instance._sandbox is not None for h in handles] == [
-            False, True, False, False,
-        ]
+        handles[1].run(lambda sandbox: sandbox.wall_clock())
+        assert hot(handles) == [False, True, False, False]
+
+    def test_sandbox_view_of_a_cold_row_builds_no_generator(self, tiny_env, monkeypatch):
+        client, name = deploy(tiny_env)
+        (handle,) = client.connect(name, 1)
+        built = []
+        pcg64 = np.random.PCG64
+
+        def counting_pcg64(*args):
+            built.append(args)
+            return pcg64(*args)
+
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+        sandbox = handle._instance.sandbox
+        handle.run(lambda sandbox: (sandbox.rdtsc(), sandbox.cpuid_model(), sandbox.call_count))
+        assert sandbox.boot_wall_time <= tiny_env.clock.now()
+        assert built == [] and hot([handle]) == [False]
+        sandbox.wall_clock()
+        assert len(built) == 1 and hot([handle]) == [True]
 
     def test_terminated_instance_frees_its_sandbox(self, tiny_env):
         client, name = deploy(tiny_env)
         (handle,) = client.connect(name, 1)
-        ref = weakref.ref(handle.run(lambda sandbox: sandbox))
-        assert ref() is not None
+        rng = handle.run(lambda sandbox: sandbox._rng)
+        table, row = handle._instance._rows, handle._instance.row
+        assert table.hot[row].rng is rng
         client.kill(name)
-        gc.collect()
-        assert ref() is None
-        assert handle._instance._sandbox is None
+        assert row not in table.hot
 
     def test_terminated_instance_sandbox_raises_gone(self, tiny_env):
         client, name = deploy(tiny_env, generation="gen2")
@@ -466,28 +493,28 @@ class TestLifecycle:
         assert first != second
         assert first == first
         assert first.instance_id in repr(first)
-        assert first._sandbox is None and second._sandbox is None
+        assert first.row not in first._rows.hot and second.row not in second._rows.hot
 
     def test_ctest_batch_boots_no_sandbox(self, tiny_env_factory, sandbox_inits):
-        """A CTest batch boots none of the rows it tests; booted later,
-        each sandbox is the one the batch would have left behind."""
+        """A CTest batch builds no sandbox and warms none of the rows it
+        tests; each stream ends where draws through hot rows leave it."""
         worlds = {}
-        for label in ("boot-free", "booted"):
+        for label in ("cold", "hot"):
             env = tiny_env_factory(seed=3)
             client, name = deploy(env)
             handles = client.connect(name, 5)
-            if label == "booted":
+            if label == "hot":
                 for handle in handles:
-                    handle.run(lambda sandbox: None)
+                    handle.run(lambda sandbox: sandbox._rng)
             sandbox_inits.clear()
             results = RngCovertChannel().ctest_batch([handles[:3], handles[3:]], 2)
             worlds[label] = {
                 "built": len(sandbox_inits),
-                "booted": booted(handles),
+                "hot": hot(handles),
                 "positives": [result.positive for result in results],
                 "states": sandbox_states(handles),
             }
-        free, eager = worlds["boot-free"], worlds["booted"]
-        assert free["built"] == 0 and free["booted"] == [False] * 5
+        free, eager = worlds["cold"], worlds["hot"]
+        assert free["built"] == 0 and free["hot"] == [False] * 5
         assert free["positives"] == eager["positives"]
         assert free["states"] == eager["states"]

@@ -1,20 +1,19 @@
 """Unit tests for the shared sandbox surface (base-class behaviors)."""
 
-import numpy as np
 
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.clock import SimClock
 
-from tests.conftest import make_host
+from tests.conftest import make_host, row_sandbox
 
 
 def both_generations(host=None, clock=None):
     host = host or make_host()
     clock = clock or SimClock()
     return [
-        GVisorSandbox(host, clock, np.random.default_rng(1), "g1"),
-        MicroVMSandbox(host, clock, np.random.default_rng(2), "g2"),
+        row_sandbox(GVisorSandbox, host, clock, seed=1, key="g1"),
+        row_sandbox(MicroVMSandbox, host, clock, seed=2, key="g2"),
     ], host
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the Gen 1 (gVisor) sandbox."""
 
-import numpy as np
 import pytest
 
 from repro import units
@@ -9,13 +8,13 @@ from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.simtime.clock import SimClock
 
-from tests.conftest import make_host
+from tests.conftest import make_host, row_sandbox
 
 
 def make_sandbox(host=None, clock=None, policy=TscPolicy.NATIVE, seed=5, sid="sb-1"):
     host = host or make_host()
     clock = clock or SimClock()
-    return GVisorSandbox(host, clock, np.random.default_rng(seed), sid, tsc_policy=policy), host, clock
+    return row_sandbox(GVisorSandbox, host, clock, seed, policy, key=sid), host, clock
 
 
 class TestGVisorSandbox:
@@ -73,7 +72,7 @@ class TestGVisorSandbox:
         clock = SimClock()
         s1, _, _ = make_sandbox(host, clock, seed=1, sid="a")
         s2, _, _ = make_sandbox(host, clock, seed=2, sid="b")
-        assert s1.syscalls.sandbox_offset != s2.syscalls.sandbox_offset
+        assert s1.sandbox_offset != s2.sandbox_offset
 
     def test_sleep_advances_wall_clock(self):
         sandbox, _h, clock = make_sandbox()
@@ -117,6 +116,6 @@ class TestGVisorTscMitigation:
 
     def test_emulated_tsc_charges_syscall_cost(self):
         sandbox, _h, _c = make_sandbox(policy=TscPolicy.EMULATED)
-        calls_before = sandbox.syscalls.call_count
+        calls_before = sandbox.call_count
         sandbox.rdtsc()
-        assert sandbox.syscalls.call_count == calls_before + 1
+        assert sandbox.call_count == calls_before + 1

@@ -1,6 +1,5 @@
 """Unit tests for the Gen 2 (microVM) sandbox."""
 
-import numpy as np
 import pytest
 
 from repro import units
@@ -8,13 +7,13 @@ from repro.sandbox.base import TscPolicy
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.clock import SimClock
 
-from tests.conftest import make_host
+from tests.conftest import make_host, row_sandbox
 
 
 def make_vm(host=None, clock=None, policy=TscPolicy.NATIVE, seed=5, sid="vm-1"):
     host = host or make_host()
     clock = clock or SimClock()
-    vm = MicroVMSandbox(host, clock, np.random.default_rng(seed), sid, tsc_policy=policy)
+    vm = row_sandbox(MicroVMSandbox, host, clock, seed, policy, key=sid)
     return vm, host, clock
 
 
