@@ -51,7 +51,7 @@ from repro.core.fingerprint import (
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
 )
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import SimulationEnv, default_env
 from repro.runner import EnvSpec, WorldCache
 
@@ -119,26 +119,11 @@ def cell_work(env: SimulationEnv, channel_kind: str, rep: int) -> dict:
         handles.extend(attacker.connect(name, 4))
     handles = [handle for handle in handles if handle.alive]
     if platform.instance_id_exposure == "gen2":
-        tagged = [
-            TaggedInstance(handle, fingerprint)
-            for handle, fingerprint in fingerprint_gen2_instances(handles)
-            if handle.alive
-        ]
-        no_false_negatives = True
+        pairs = fingerprint_gen2_instances(handles)
     else:
-        tagged = [
-            TaggedInstance(handle, fingerprint, fingerprint.cpu_model)
-            for handle, fingerprint in fingerprint_gen1_instances(
-                handles, p_boot=1.0
-            )
-            if handle.alive
-        ]
-        no_false_negatives = False
-    verifier = ScalableVerifier(
-        covert_channel_for(channel_kind),
-        assume_no_false_negatives=no_false_negatives,
-    )
-    report = verifier.verify(tagged)
+        pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
+    pairs = [(handle, fingerprint) for handle, fingerprint in pairs if handle.alive]
+    report = ScalableVerifier(covert_channel_for(channel_kind)).verify(pairs)
     predicted = report.cluster_index()
     truth = {
         instance_id: env.orchestrator.true_host_of(instance_id)

@@ -11,7 +11,7 @@ from repro.analysis.metrics import pair_confusion
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import MemoryBusCovertChannel, RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.experiments.report import ComparisonRow, format_comparison
 
@@ -24,9 +24,8 @@ def verify_with(channel_cls):
     service = client.deploy(ServiceConfig(name="channel", max_instances=800))
     handles = client.connect(service, 800)
     pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
     channel = channel_cls()
-    report = ScalableVerifier(channel).verify(tagged)
+    report = ScalableVerifier(channel).verify(pairs)
     truth = {h.instance_id: env.orchestrator.true_host_of(h.instance_id) for h in handles}
     confusion = pair_confusion(report.cluster_index(), truth)
     return report, confusion

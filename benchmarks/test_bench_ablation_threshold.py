@@ -8,7 +8,7 @@ the price of needing ``m`` co-located pressurers to light up at all.
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.experiments.report import ComparisonRow, format_comparison
 
@@ -21,8 +21,7 @@ def verify_with_m(threshold_m: int):
     service = client.deploy(ServiceConfig(name="ablate-m", max_instances=800))
     handles = client.connect(service, 800)
     pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
-    report = ScalableVerifier(RngCovertChannel(), threshold_m=threshold_m).verify(tagged)
+    report = ScalableVerifier(RngCovertChannel(), threshold_m=threshold_m).verify(pairs)
     truth = {h.instance_id: env.orchestrator.true_host_of(h.instance_id) for h in handles}
     from repro.analysis.metrics import pair_confusion
 

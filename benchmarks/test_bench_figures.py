@@ -9,9 +9,9 @@ Quick scale only (the CI fidelity gate)::
 
     pytest benchmarks/test_bench_figures.py -k quick
 
-The full-scale loop::
+The full-scale loop (CI's ``fidelity-full`` gate)::
 
-    pytest benchmarks/test_bench_figures.py --benchmark-only -k full
+    REPRO_BENCH_JOBS=2 pytest benchmarks/test_bench_figures.py -k full --benchmark-disable
 """
 
 import pytest

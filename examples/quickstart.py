@@ -16,7 +16,7 @@ from repro.analysis.metrics import pair_confusion
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 
 
@@ -31,14 +31,14 @@ def main() -> None:
     print(f"launched {len(handles)} instances in {client.region}")
 
     # Gen 1 fingerprint: (CPU model, boot time derived from rdtsc).
-    tagged_pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    fingerprints = {fp for _h, fp in tagged_pairs}
+    pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
+    fingerprints = {fp for _h, fp in pairs}
     print(f"observed {len(fingerprints)} apparent hosts, e.g. {next(iter(fingerprints))}")
 
-    # Verify co-location with the scalable group-testing method (§4.3).
-    tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in tagged_pairs]
+    # Verify co-location with the scalable group-testing method (§4.3);
+    # the verifier batches Gen 1 groups by the fingerprints' CPU models.
     channel = RngCovertChannel()
-    report = ScalableVerifier(channel).verify(tagged)
+    report = ScalableVerifier(channel).verify(pairs)
     print(
         f"verified {report.n_hosts} hosts with {report.n_tests} covert-channel "
         f"tests in {report.busy_seconds:.0f} simulated seconds "
@@ -46,7 +46,7 @@ def main() -> None:
     )
 
     # Score the fingerprints against the covert-channel ground truth.
-    predicted = {h.instance_id: fp for h, fp in tagged_pairs}
+    predicted = {h.instance_id: fp for h, fp in pairs}
     truth = report.cluster_index()
     confusion = pair_confusion(predicted, truth)
     print(

@@ -22,7 +22,7 @@ from repro.core.covert import (
     RngCovertChannel,
 )
 from repro.core.pairwise import PairwiseVerifier
-from repro.core.verification import ScalableVerifier, TaggedInstance, VerificationReport
+from repro.core.verification import ScalableVerifier, VerificationReport
 
 __all__ = [
     "Gen1Fingerprint",
@@ -39,6 +39,5 @@ __all__ = [
     "RngCovertChannel",
     "PairwiseVerifier",
     "ScalableVerifier",
-    "TaggedInstance",
     "VerificationReport",
 ]

@@ -21,13 +21,9 @@ from repro.analysis.metrics import victim_instance_coverage
 from repro.cloud.api import FaaSClient, InstanceHandle
 from repro.cloud.services import SMALL, ContainerSize, ServiceConfig
 from repro.core.covert import RngCovertChannel
-from repro.core.fingerprint import (
-    Gen1Fingerprint,
-    fingerprint_gen1_instances,
-    fingerprint_gen2_instances,
-)
+from repro.core.fingerprint import fingerprint_gen1_instances, fingerprint_gen2_instances
 from repro.core.attack.strategies import LaunchOutcome
-from repro.core.verification import ScalableVerifier, TaggedInstance, VerificationReport
+from repro.core.verification import ScalableVerifier, VerificationReport
 from repro.telemetry import current_telemetry
 
 
@@ -168,23 +164,8 @@ class ColocationCampaign:
             instances=len(combined),
         ) as span:
             if self.generation == "gen2":
-                tagged_pairs = fingerprint_gen2_instances(combined)
-                tagged = [
-                    TaggedInstance(handle=h, fingerprint=fp)
-                    for h, fp in tagged_pairs
-                ]
-                verifier = ScalableVerifier(
-                    channel or RngCovertChannel(), assume_no_false_negatives=True
-                )
+                pairs = fingerprint_gen2_instances(combined)
             else:
-                tagged_pairs = fingerprint_gen1_instances(
-                    combined, p_boot=self.p_boot
-                )
-                tagged = [
-                    TaggedInstance(handle=h, fingerprint=fp, model_key=fp.cpu_model)
-                    for h, fp in tagged_pairs
-                    if isinstance(fp, Gen1Fingerprint)
-                ]
-                verifier = ScalableVerifier(channel or RngCovertChannel())
-            span.set(tagged=len(tagged))
-        return verifier.verify(tagged)
+                pairs = fingerprint_gen1_instances(combined, p_boot=self.p_boot)
+            span.set(tagged=len(pairs))
+        return ScalableVerifier(channel or RngCovertChannel()).verify(pairs)

@@ -37,14 +37,10 @@ closes that gap with a lock-and-probe protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.cloud.api import InstanceHandle
-from repro.core.verification import (
-    ScalableVerifier,
-    TaggedInstance,
-    VerificationReport,
-)
+from repro.core.verification import ScalableVerifier, VerificationReport
 from repro.errors import InstanceGoneError
 from repro.faults import DEFAULT_LOCATE_RETRY, RetryPolicy
 from repro.sandbox.base import Sandbox
@@ -177,8 +173,11 @@ class TargetVictimLocator:
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
-    def locate(self, tagged: Sequence[TaggedInstance]) -> LocatorResult:
-        """Deduplicate ``tagged`` attacker instances, then localize.
+    def locate(
+        self, pairs: Sequence[tuple[InstanceHandle, Hashable]]
+    ) -> LocatorResult:
+        """Deduplicate attacker instances, given as ``(handle,
+        fingerprint)`` pairs, then localize.
 
         Requires a ``verifier``; its clusters (one per verified server)
         become the search candidates, and its report rides along in the
@@ -186,7 +185,7 @@ class TargetVictimLocator:
         """
         if self.verifier is None:
             raise ValueError("locate() needs a verifier; or use locate_clusters()")
-        report = self.verifier.verify(list(tagged))
+        report = self.verifier.verify(list(pairs))
         result = self.locate_clusters(report.clusters)
         return _with_dedup(result, report)
 

@@ -25,35 +25,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro.cloud.api import InstanceHandle
 from repro.core.clusters import DisjointSet
 from repro.core.covert import CovertChannel, CTestResult
+from repro.core.fingerprint import Gen1Fingerprint, Gen2Fingerprint
 from repro.errors import VerificationError
 from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 from repro.telemetry import current_telemetry
-
-
-@dataclass(frozen=True)
-class TaggedInstance:
-    """An instance handle plus the attacker-side placement hints.
-
-    Attributes
-    ----------
-    handle:
-        The instance.
-    fingerprint:
-        Any hashable fingerprint (Gen 1 or Gen 2).
-    model_key:
-        A key such that instances with *different* keys are guaranteed to be
-        on different hosts (the CPU model for Gen 1); used to batch tests
-        safely.  ``None`` disables cross-group batching for this instance.
-    """
-
-    handle: InstanceHandle
-    fingerprint: Hashable
-    model_key: str | None = None
 
 
 @dataclass
@@ -212,9 +192,6 @@ class ScalableVerifier:
     threshold_m:
         Contention threshold ``m``; chunks hold at most ``2m - 1``
         instances so a positive set within one chunk is a single host.
-    assume_no_false_negatives:
-        Set for Gen 2 fingerprints: skips step 3 and batches every group
-        concurrently (distinct fingerprints guarantee distinct hosts).
     retry_policy:
         How often to re-run an *inconsistent* test (fewer positives than
         the threshold — physically impossible without noise).  The default
@@ -227,21 +204,28 @@ class ScalableVerifier:
         self,
         channel: CovertChannel,
         threshold_m: int = 2,
-        assume_no_false_negatives: bool = False,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         if threshold_m < 2:
             raise VerificationError(f"threshold m must be >= 2, got {threshold_m}")
         self.channel = channel
         self.m = threshold_m
-        self.assume_no_false_negatives = assume_no_false_negatives
         self.retry_policy = retry_policy if retry_policy is not None else DEFAULT_CTEST_RETRY
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
-    def verify(self, tagged: Sequence[TaggedInstance]) -> VerificationReport:
-        """Produce verified co-location clusters for ``tagged`` instances.
+    def verify(
+        self, pairs: Sequence[tuple[InstanceHandle, Hashable]]
+    ) -> VerificationReport:
+        """Produce verified co-location clusters for ``(handle,
+        fingerprint)`` pairs, as fingerprinting returns them.
+
+        The fingerprints say how far they can be trusted.  Gen 1
+        fingerprints of different CPU models are on different hosts, so
+        their groups test concurrently.  When every fingerprint is Gen 2,
+        distinct fingerprints are distinct hosts and a host never splits
+        across two: every group tests concurrently and step 3 is skipped.
 
         Safe to call repeatedly on one channel: per-call cost accounting
         is a snapshot/delta over the channel's counters, so sequential
@@ -251,18 +235,19 @@ class ScalableVerifier:
         telemetry = current_telemetry()
         report = VerificationReport()
         before = self.channel.stats.snapshot()
+        no_false_negatives = all(isinstance(fp, Gen2Fingerprint) for _h, fp in pairs)
 
         with telemetry.span(
             "verify",
-            instances=len(tagged),
+            instances=len(pairs),
             threshold_m=self.m,
-            no_false_negatives=self.assume_no_false_negatives,
+            no_false_negatives=no_false_negatives,
         ) as span:
-            groups = self._group_by_fingerprint(tagged)
+            groups = self._group_by_fingerprint(pairs)
             span.set(groups=len(groups))
-            with self.channel.prepared([item.handle for item in tagged]):
-                clusters = self._verify_groups(groups, report)
-                if not self.assume_no_false_negatives:
+            with self.channel.prepared([handle for handle, _fp in pairs]):
+                clusters = self._verify_groups(groups, report, no_false_negatives)
+                if not no_false_negatives:
                     clusters = self._merge_false_negatives(clusters, report)
             report.clusters = clusters
 
@@ -290,23 +275,13 @@ class ScalableVerifier:
     # ------------------------------------------------------------------
     @staticmethod
     def _group_by_fingerprint(
-        tagged: Sequence[TaggedInstance],
+        pairs: Sequence[tuple[InstanceHandle, Hashable]],
     ) -> list[tuple[str | None, list[InstanceHandle]]]:
+        """Step 1: each fingerprint's handles, with the group's batching key."""
         members: dict[Hashable, list[InstanceHandle]] = {}
-        model_keys: dict[Hashable, str | None] = {}
-        for item in tagged:
-            fp = item.fingerprint
-            if fp not in members:
-                members[fp] = []
-                model_keys[fp] = item.model_key
-            elif model_keys[fp] != item.model_key:
-                # Mixed batching keys within one fingerprint group: no
-                # single key can guarantee host-disjointness against other
-                # groups, so cross-group batching is disabled for the
-                # whole group rather than inheriting the first item's key.
-                model_keys[fp] = None
-            members[fp].append(item.handle)
-        return [(model_keys[fp], handles) for fp, handles in members.items()]
+        for handle, fingerprint in pairs:
+            members.setdefault(fingerprint, []).append(handle)
+        return [(_batching_key(fp), handles) for fp, handles in members.items()]
 
     # ------------------------------------------------------------------
     # Step 2: intra-group verification, wave-batched across groups
@@ -315,6 +290,7 @@ class ScalableVerifier:
         self,
         groups: list[tuple[str | None, list[InstanceHandle]]],
         report: VerificationReport,
+        no_false_negatives: bool,
     ) -> list[list[InstanceHandle]]:
         tasks: list[_GroupTask] = []
         clusters: list[list[InstanceHandle]] = []
@@ -352,7 +328,7 @@ class ScalableVerifier:
             with telemetry.span(
                 "verify.wave", wave=wave, requests=len(requests)
             ) as span:
-                batches = self._plan_batches(requests)
+                batches = self._plan_batches(requests, no_false_negatives)
                 span.set(batches=len(batches))
                 for batch in batches:
                     results = self._run_batch([test for _task, test in batch])
@@ -431,21 +407,23 @@ class ScalableVerifier:
             else:
                 task.record_fallback_negative(i, j)
 
+    @staticmethod
     def _plan_batches(
-        self, requests: list[tuple[_GroupTask, list[InstanceHandle]]]
+        requests: list[tuple[_GroupTask, list[InstanceHandle]]],
+        no_false_negatives: bool,
     ) -> list[list[tuple[_GroupTask, list[InstanceHandle]]]]:
         """Greedily pack group tests into concurrency-safe batches.
 
         Two tests may share a batch when their groups are guaranteed to be
         on different hosts: always true across groups under
-        ``assume_no_false_negatives`` (Gen 2), and true for groups with
+        ``no_false_negatives`` (all Gen 2), and true for groups with
         different ``model_key`` otherwise (Gen 1).  A ``model_key=None``
         group carries no such guarantee against *anyone*, so it gets an
         exclusive batch (``keys is None`` below) that no other group may
         join — previously a keyed group could slip into it and concurrent
         tests could share a host, silently corrupting verdicts.
         """
-        if self.assume_no_false_negatives:
+        if no_false_negatives:
             return [requests]
         batches: list[
             tuple[set[str] | None, list[tuple[_GroupTask, list[InstanceHandle]]]]
@@ -574,6 +552,15 @@ class ScalableVerifier:
             return merged
 
 
+def _batching_key(fingerprint: Hashable) -> str | None:
+    """A key that differs only between instances on different hosts.
+
+    Two Gen 1 fingerprints of different CPU models cannot share a host.
+    Any other fingerprint gives no such guarantee: ``None``.
+    """
+    return fingerprint.cpu_model if isinstance(fingerprint, Gen1Fingerprint) else None
+
+
 def _balanced_chunks(items: list, size: int) -> list[list]:
     """Split ``items`` into chunks of at most ``size``, avoiding singletons.
 
@@ -587,16 +574,3 @@ def _balanced_chunks(items: list, size: int) -> list[list]:
     if len(chunks) >= 2 and len(chunks[-1]) == 1:
         chunks[-1].insert(0, chunks[-2].pop())
     return chunks
-
-
-def tag_instances(
-    pairs: Sequence[tuple[InstanceHandle, Hashable]],
-    model_key_fn: Callable[[Hashable], str | None] | None = None,
-) -> list[TaggedInstance]:
-    """Build :class:`TaggedInstance` records from ``(handle, fingerprint)``
-    pairs, deriving the batching key via ``model_key_fn``."""
-    tagged = []
-    for handle, fingerprint in pairs:
-        key = model_key_fn(fingerprint) if model_key_fn is not None else None
-        tagged.append(TaggedInstance(handle=handle, fingerprint=fingerprint, model_key=key))
-    return tagged

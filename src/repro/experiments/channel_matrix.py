@@ -39,7 +39,7 @@ from repro.core.fingerprint import (
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
 )
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.experiments.report import format_series, pct
 from repro.experiments.spec import Band, FigureSpec
@@ -147,27 +147,13 @@ def _matrix_cell(params: dict, seed: int) -> dict:
     # exposure gives collision-free unique IDs (no false negatives), Gen1
     # gives boot-time fingerprints that step 3 must double-check.
     if platform.instance_id_exposure == "gen2":
-        tagged = [
-            TaggedInstance(handle, fingerprint)
-            for handle, fingerprint in fingerprint_gen2_instances(handles)
-            if handle.alive
-        ]
-        assume_no_false_negatives = True
+        pairs = fingerprint_gen2_instances(handles)
     else:
-        tagged = [
-            TaggedInstance(handle, fingerprint, fingerprint.cpu_model)
-            for handle, fingerprint in fingerprint_gen1_instances(
-                handles, p_boot=1.0
-            )
-            if handle.alive
-        ]
-        assume_no_false_negatives = False
+        pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
+    pairs = [(handle, fingerprint) for handle, fingerprint in pairs if handle.alive]
 
     channel = covert_channel_for(params["channel"])
-    verifier = ScalableVerifier(
-        channel, assume_no_false_negatives=assume_no_false_negatives
-    )
-    report = verifier.verify(tagged)
+    report = ScalableVerifier(channel).verify(pairs)
 
     # Oracle scoring only: the verifier above never sees a host id.
     predicted = report.cluster_index()
@@ -181,7 +167,7 @@ def _matrix_cell(params: dict, seed: int) -> dict:
         "fmi": confusion.fmi,
         "precision": confusion.precision,
         "recall": confusion.recall,
-        "n_instances": len(tagged),
+        "n_instances": len(pairs),
         "n_clusters": report.n_hosts,
         "n_true_hosts": len(set(truth.values())),
         "n_tests": report.n_tests,

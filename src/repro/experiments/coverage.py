@@ -148,9 +148,12 @@ def _cell_params(config: CoverageConfig) -> dict:
 def _rep_cell(params: dict, seed: int) -> tuple[float, int, float]:
     """One campaign repetition; returns ``(coverage, hosts, cost_usd)``."""
     config = CoverageConfig(repetitions=1, base_seed=seed, **params)
+    # Co-location is verified only through the covert channel; the field
+    # stays because the e2e benchmark passes it, and cell keys (which fault
+    # plans hash) and its result digests include it.
+    if config.ground_truth != "covert":
+        raise ValueError(f"unknown ground truth {config.ground_truth!r}")
     env = default_env(config.region, seed=seed)
-    if config.ground_truth == "oracle":
-        return _oracle_campaign(env, config)
     campaign = ColocationCampaign(
         attacker=env.attacker,
         victim=env.victim(config.victim_account),
@@ -195,31 +198,6 @@ def run_cell(
     """Measure victim instance coverage for one experiment cell."""
     results = run_cells(_rep_specs(config), runner)
     return _aggregate(config, (r.value for r in results))
-
-
-def _oracle_campaign(env, config: CoverageConfig) -> tuple[float, int, float]:
-    """Fast-path campaign scored against the simulator's placement map.
-
-    Coverage is computed with fleet-index masks (:func:`host_coverage`)
-    rather than per-campaign host-id sets.
-    """
-    from repro.cloud.services import ServiceConfig
-    from repro.experiments.base import host_coverage
-
-    strategy = _strategy_fn(config)
-    outcome = strategy(env.attacker)
-    victim = env.victim(config.victim_account)
-    service = victim.deploy(
-        ServiceConfig(
-            name="victim",
-            size=config.victim_size,
-            generation=config.generation,
-            max_instances=max(100, config.n_victim_instances),
-        )
-    )
-    handles = victim.connect(service, config.n_victim_instances)
-    coverage, attacker_hosts = host_coverage(env, outcome.handles, handles)
-    return coverage, attacker_hosts, outcome.cost_usd
 
 
 @dataclass(frozen=True)
@@ -347,7 +325,7 @@ _SIZES = ("Pico", "Small", "Medium", "Large")
 
 FIG11A = FigureSpec(
     id="fig11a", description="victim coverage, optimized strategy",
-    quick=MatrixConfig(repetitions=1, ground_truth="oracle"),
+    quick=MatrixConfig(repetitions=1),
     full=MatrixConfig(victim_counts=(20, 50, 100, 200), repetitions=2),  # paper: 3
     driver=run_matrix, render=_render_matrix,
     bands=(
@@ -363,9 +341,7 @@ FIG11A = FigureSpec(
 
 FIG11B = FigureSpec(
     id="fig11b", description="victim coverage vs victim container size",
-    quick=MatrixConfig(
-        regions=("us-central1",), victim_sizes=_SIZES, repetitions=1, ground_truth="oracle"
-    ),
+    quick=MatrixConfig(regions=("us-central1",), victim_sizes=_SIZES, repetitions=1),
     full=MatrixConfig(victim_sizes=_SIZES, repetitions=2),  # paper: 3
     driver=run_matrix, render=_render_matrix,
     bands=(
@@ -377,7 +353,7 @@ FIG11B = FigureSpec(
 
 NAIVE = FigureSpec(
     id="naive", description="victim coverage, naive strategy",
-    quick=MatrixConfig(strategy="naive", repetitions=1, ground_truth="oracle"),
+    quick=MatrixConfig(strategy="naive", repetitions=1),
     full=MatrixConfig(strategy="naive", repetitions=2),
     driver=run_matrix, render=_render_matrix,
     bands=(
@@ -399,7 +375,7 @@ NAIVE = FigureSpec(
 
 GEN2COV = FigureSpec(
     id="gen2cov", description="victim coverage, Gen 2",
-    quick=MatrixConfig(generation="gen2", repetitions=1, ground_truth="oracle"),
+    quick=MatrixConfig(generation="gen2", repetitions=1),
     full=MatrixConfig(generation="gen2", repetitions=2),  # paper: 3
     driver=run_matrix, render=_render_matrix,
     bands=(

@@ -20,9 +20,10 @@ import numpy as np
 from repro.analysis.asciichart import render_series
 from repro.analysis.metrics import PairConfusion, pair_confusion
 from repro.cloud.services import ServiceConfig
+from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import Gen1Fingerprint, gen1_boot_times
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
-from repro.experiments.ground_truth import truth_clusters
 from repro.experiments.report import format_series
 from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, EnvSpec, RunnerConfig, run_cells
@@ -42,7 +43,6 @@ class AccuracyConfig:
     p_boot_grid: tuple[float, ...] = (
         1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3,
     )
-    ground_truth: str = "covert"
     base_seed: int = 100
 
 
@@ -83,7 +83,7 @@ class AccuracyResult:
 def _accuracy_cell(
     params: dict, seed: int
 ) -> tuple[list[tuple[str, tuple[str, float]]], dict[str, str]]:
-    """One Fig. 4 cell: launch instances, sample inputs, get ground truth.
+    """One Fig. 4 cell: launch instances, sample inputs, verify co-location.
 
     Returns ``(samples, truth)`` where samples are
     ``(instance_id, (model, boot_time))`` inputs reusable across the sweep.
@@ -96,10 +96,10 @@ def _accuracy_cell(
     )
     raw = gen1_boot_times(client.connect(service, instances))
     samples = [(h.instance_id, (model, boot)) for h, model, boot in raw]
-    tagged_pairs = [
+    pairs = [
         (h, Gen1Fingerprint.from_boot_time(model, boot, 1.0)) for h, model, boot in raw
     ]
-    truth = truth_clusters(params["ground_truth"], env.orchestrator, tagged_pairs)
+    truth = ScalableVerifier(RngCovertChannel()).verify(pairs).cluster_index()
     truth = {iid: str(label) for iid, label in truth.items()}
     return samples, truth
 
@@ -132,11 +132,7 @@ def run(
                 CellSpec(
                     experiment="fig4",
                     fn=_accuracy_cell,
-                    config={
-                        "region": region,
-                        "instances": config.instances,
-                        "ground_truth": config.ground_truth,
-                    },
+                    config={"region": region, "instances": config.instances},
                     seed=seed,
                     label=f"{region}/rep{rep}",
                     # Each (region, rep) world is distinct in one sweep,

@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.cloud.services import ServiceConfig
 from repro.analysis.metrics import pair_confusion
+from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen2_instances
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
-from repro.experiments.ground_truth import truth_clusters
 from repro.experiments.report import ComparisonRow, format_comparison
 from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
@@ -35,7 +36,6 @@ class Gen2AccuracyConfig:
     regions: tuple[str, ...] = ("us-east1", "us-central1", "us-west1")
     repetitions: int = 5
     instances: int = 800
-    ground_truth: str = "covert"
     base_seed: int = 200
 
 
@@ -63,19 +63,14 @@ def _accuracy_cell(params: dict, seed: int) -> tuple[float, float, float, float]
         )
     )
     handles = client.connect(service, instances)
-    tagged_pairs = fingerprint_gen2_instances(handles)
-    truth = truth_clusters(
-        params["ground_truth"],
-        env.orchestrator,
-        tagged_pairs,
-        assume_no_false_negatives=True,
-    )
-    predicted = {h.instance_id: fp for h, fp in tagged_pairs}
+    pairs = fingerprint_gen2_instances(handles)
+    truth = ScalableVerifier(RngCovertChannel()).verify(pairs).cluster_index()
+    predicted = {h.instance_id: fp for h, fp in pairs}
     confusion = pair_confusion(predicted, truth)
 
     # Hosts per fingerprint: distinct true clusters per fingerprint.
     hosts_by_fp: dict[object, set] = {}
-    for handle, fp in tagged_pairs:
+    for handle, fp in pairs:
         hosts_by_fp.setdefault(fp, set()).add(truth[handle.instance_id])
     hosts_per_fp = float(np.mean([len(hosts) for hosts in hosts_by_fp.values()]))
     return confusion.fmi, confusion.precision, confusion.recall, hosts_per_fp
@@ -94,11 +89,7 @@ def run(
                 CellSpec(
                     experiment="sec45",
                     fn=_accuracy_cell,
-                    config={
-                        "region": region,
-                        "instances": config.instances,
-                        "ground_truth": config.ground_truth,
-                    },
+                    config={"region": region, "instances": config.instances},
                     seed=seed,
                     label=f"{region}/rep{rep}",
                 )
@@ -139,7 +130,7 @@ def _render(result: Gen2AccuracyResult, config: Gen2AccuracyConfig) -> str:
 
 SEC45 = FigureSpec(
     id="sec45", description="Gen 2 fingerprint accuracy",
-    quick=Gen2AccuracyConfig(regions=("us-east1",), repetitions=1, ground_truth="oracle"),
+    quick=Gen2AccuracyConfig(regions=("us-east1",), repetitions=1),
     full=Gen2AccuracyConfig(repetitions=2),  # paper: 5 reps x 3 DCs
     driver=run, render=_render,
     bands=(

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 from repro import units
 from repro.cloud.services import ServiceConfig
+from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
-from repro.experiments.ground_truth import truth_clusters
 from repro.experiments.report import ComparisonRow, format_comparison, format_series
 from repro.experiments.spec import Band, FigureSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
@@ -39,7 +40,6 @@ PAPER_FIG9_EXTRA_AT_2MIN = 12
 class DistributionConfig:
     region: str = "us-east1"
     instances: int = 800
-    ground_truth: str = "covert"
     seed: int = 500
 
 
@@ -73,8 +73,8 @@ def _distribution_cell(params: dict, seed: int) -> DistributionResult:
         ServiceConfig(name="exp1", max_instances=max(100, instances))
     )
     handles = client.connect(service, instances)
-    tagged_pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    truth = truth_clusters(params["ground_truth"], env.orchestrator, tagged_pairs)
+    pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
+    truth = ScalableVerifier(RngCovertChannel()).verify(pairs).cluster_index()
     counts = Counter(truth.values())
     return DistributionResult(
         n_hosts=len(counts), per_host_counts=sorted(counts.values())
@@ -89,11 +89,7 @@ def run_distribution(
     spec = CellSpec(
         experiment="exp1",
         fn=_distribution_cell,
-        config={
-            "region": config.region,
-            "instances": config.instances,
-            "ground_truth": config.ground_truth,
-        },
+        config={"region": config.region, "instances": config.instances},
         seed=config.seed,
         label=config.region,
     )
@@ -325,7 +321,7 @@ _BASE_HOSTS_GROWTH = Band("cumulative growth <= 8 hosts", "minimal (base hosts)"
 
 EXP1 = FigureSpec(
     id="exp1", description="instance distribution over hosts",
-    quick=DistributionConfig(ground_truth="oracle"),
+    quick=DistributionConfig(),
     full=DistributionConfig(),
     driver=run_distribution, render=_render_distribution,
     bands=(

@@ -21,7 +21,7 @@ from repro.cloud.services import SMALL, ServiceConfig
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.core.pairwise import PairwiseVerifier
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.experiments.report import ComparisonRow, format_comparison
 from repro.experiments.spec import Band, FigureSpec
@@ -76,15 +76,11 @@ def run(config: VerificationCostConfig = VerificationCostConfig()) -> Verificati
         ServiceConfig(name="verify-cost", max_instances=max(100, config.instances))
     )
     handles = client.connect(service, config.instances)
-    tagged_pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    tagged = [
-        TaggedInstance(handle=h, fingerprint=fp, model_key=fp.cpu_model)
-        for h, fp in tagged_pairs
-    ]
+    pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
 
     channel = RngCovertChannel()
     verifier = ScalableVerifier(channel, threshold_m=config.threshold_m)
-    report = verifier.verify(tagged)
+    report = verifier.verify(pairs)
     # Billing: all instances stay active while the batched tests run.
     scalable_usd = config.instances * TIER1_RATES.active_cost(
         SMALL.vcpus, SMALL.memory_gb, report.busy_seconds
@@ -111,7 +107,7 @@ def run(config: VerificationCostConfig = VerificationCostConfig()) -> Verificati
     # groups so that, as on a real FaaS platform, every sampled instance is
     # co-located with some sibling and SIE cannot eliminate anything.
     groups: dict[object, list] = {}
-    for handle, fp in tagged_pairs:
+    for handle, fp in pairs:
         groups.setdefault(fp, []).append(handle)
     sample = []
     for members in groups.values():

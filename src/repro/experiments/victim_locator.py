@@ -34,7 +34,7 @@ from repro.core.attack.locator import TargetVictimLocator, probe_latency_thresho
 from repro.core.attack.strategies import optimized_launch
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.experiments.report import format_series, pct
 from repro.experiments.spec import Band, FigureSpec
@@ -151,10 +151,9 @@ def _locator_cell(params: dict, seed: int) -> dict:
     victim.connect("victim", 1)
     victim_url = f"{params['victim_account']}/victim"
 
-    pairs = fingerprint_gen1_instances(outcome.handles, p_boot=1.0)
-    tagged = [
-        TaggedInstance(handle, fp, fp.cpu_model)
-        for handle, fp in pairs
+    pairs = [
+        (handle, fp)
+        for handle, fp in fingerprint_gen1_instances(outcome.handles, p_boot=1.0)
         if handle.alive
     ]
     processing = params["processing_seconds"]
@@ -165,7 +164,7 @@ def _locator_cell(params: dict, seed: int) -> dict:
         probes_per_measure=params["probes_per_measure"],
     )
     started = env.clock.now()
-    result = locator.locate(tagged)
+    result = locator.locate(pairs)
     locate_seconds = env.clock.now() - started
 
     # Oracle scoring only: the attacker-side logic above never sees a

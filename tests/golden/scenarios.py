@@ -23,7 +23,7 @@ from repro.core.attack.locator import TargetVictimLocator, probe_latency_thresho
 from repro.core.attack.strategies import optimized_launch
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.faults import FaultPlan, FaultSpec
 from repro.runner import CellSpec, RunnerConfig, run_cells
@@ -79,8 +79,7 @@ def verification_cell(config, seed):
     service = client.deploy(ServiceConfig(name="golden"))
     handles = client.connect(service, int(config["instances"]))
     pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
-    report = ScalableVerifier(RngCovertChannel()).verify(tagged)
+    report = ScalableVerifier(RngCovertChannel()).verify(pairs)
     return {"hosts": report.n_hosts, "tests": report.n_tests}
 
 
@@ -91,9 +90,10 @@ def locator_cell(config, seed):
     victim = env.victim("account-2")
     victim.deploy(ServiceConfig(name="victim"))
     victim.connect("victim", 1)
-    pairs = fingerprint_gen1_instances(outcome.handles, p_boot=1.0)
-    tagged = [
-        TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs if h.alive
+    pairs = [
+        (h, fp)
+        for h, fp in fingerprint_gen1_instances(outcome.handles, p_boot=1.0)
+        if h.alive
     ]
     processing = float(config["processing"])
     locator = TargetVictimLocator(
@@ -101,7 +101,7 @@ def locator_cell(config, seed):
         latency_threshold_s=probe_latency_threshold(processing),
         verifier=ScalableVerifier(RngCovertChannel()),
     )
-    result = locator.locate(tagged)
+    result = locator.locate(pairs)
     return {
         "converged": result.converged,
         "failure": result.failure,

@@ -16,7 +16,7 @@ from repro.core.fingerprint import (
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
 )
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 
 
 class TestGen1Pipeline:
@@ -26,8 +26,7 @@ class TestGen1Pipeline:
         handles = client.connect(service, 50)
 
         pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-        tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
-        report = ScalableVerifier(RngCovertChannel()).verify(tagged)
+        report = ScalableVerifier(RngCovertChannel()).verify(pairs)
 
         truth = {
             h.instance_id: tiny_env.orchestrator.true_host_of(h.instance_id)
@@ -74,10 +73,7 @@ class TestGen2Pipeline:
         service = client.deploy(ServiceConfig(name="g2", generation="gen2"))
         handles = client.connect(service, 50)
         pairs = fingerprint_gen2_instances(handles)
-        tagged = [TaggedInstance(h, fp) for h, fp in pairs]
-        report = ScalableVerifier(
-            RngCovertChannel(), assume_no_false_negatives=True
-        ).verify(tagged)
+        report = ScalableVerifier(RngCovertChannel()).verify(pairs)
         truth = {
             h.instance_id: tiny_env.orchestrator.true_host_of(h.instance_id)
             for h in handles

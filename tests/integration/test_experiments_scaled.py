@@ -21,6 +21,7 @@ from repro.experiments import (
     launch_behavior,
     verification_cost,
 )
+from tests.oracles.ground_truth import oracle_campaign
 
 
 class TestFig4Accuracy:
@@ -31,7 +32,6 @@ class TestFig4Accuracy:
             repetitions=1,
             instances=200,
             p_boot_grid=(1e-3, 1e-1, 1.0, 1e3),
-            ground_truth="covert",
         )
         return fingerprint_accuracy.run(config)
 
@@ -51,7 +51,7 @@ class TestFig4Accuracy:
 class TestGen2Accuracy:
     def test_recall_perfect_precision_imperfect(self):
         config = gen2_accuracy.Gen2AccuracyConfig(
-            regions=("us-east1",), repetitions=1, instances=300, ground_truth="covert"
+            regions=("us-east1",), repetitions=1, instances=300
         )
         result = gen2_accuracy.run(config)
         assert result.recall_mean == 1.0
@@ -93,7 +93,7 @@ class TestFig6Idle:
 class TestLaunchBehavior:
     def test_exp1_distribution(self):
         result = launch_behavior.run_distribution(
-            launch_behavior.DistributionConfig(instances=400, ground_truth="covert")
+            launch_behavior.DistributionConfig(instances=400)
         )
         # 400 instances over 75 base hosts: 5-6 each.
         assert result.n_hosts == 75
@@ -148,15 +148,11 @@ class TestFig10Episodes:
 
 class TestCoverage:
     def test_optimized_cell_oracle(self):
-        cell = coverage.run_cell(
-            coverage.CoverageConfig(
-                region="us-west1",
-                victim_account="account-2",
-                repetitions=1,
-                ground_truth="oracle",
-            )
+        config = coverage.CoverageConfig(region="us-west1", victim_account="account-2")
+        covered, _hosts, _cost = oracle_campaign(
+            coverage._cell_params(config), config.base_seed
         )
-        assert cell.mean > 0.9
+        assert covered > 0.9
 
     def test_naive_cell_zero_in_east(self):
         cell = coverage.run_cell(
@@ -165,7 +161,6 @@ class TestCoverage:
                 victim_account="account-2",
                 strategy="naive",
                 repetitions=1,
-                ground_truth="oracle",
             )
         )
         assert cell.mean == 0.0

@@ -6,7 +6,7 @@ same *answer* as a clean run — these tests pin that end to end.
 """
 
 from repro.core.covert import RngCovertChannel
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.core.fingerprint import fingerprint_gen1_instances
 from repro.cloud.services import ServiceConfig
 from repro.experiments.launch_behavior import _distribution_cell
@@ -18,8 +18,7 @@ def launch_and_tag(env, n, name="svc"):
     client = env.attacker
     service = client.deploy(ServiceConfig(name=name))
     handles = client.connect(service, n)
-    pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    return [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
+    return fingerprint_gen1_instances(handles, p_boot=1.0)
 
 
 def clusters_of(report):
@@ -96,7 +95,7 @@ class TestLaunchFaultRecovery:
 
 class TestCellFaultRecovery:
     def _specs(self):
-        params = {"region": "us-east1", "instances": 60, "ground_truth": "oracle"}
+        params = {"region": "us-east1", "instances": 60}
         return [
             CellSpec(
                 experiment="exp1-test",

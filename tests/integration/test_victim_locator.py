@@ -17,7 +17,7 @@ from repro.core.attack.locator import TargetVictimLocator, probe_latency_thresho
 from repro.core.attack.strategies import optimized_launch
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 
 PROCESSING = 0.05
@@ -47,13 +47,9 @@ def _victim_host(env):
     return orch.true_host_of(instance.instance_id)
 
 
-def _tagged(handles):
+def _pairs(handles):
     pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-    return [
-        TaggedInstance(handle, fp, fp.cpu_model)
-        for handle, fp in pairs
-        if handle.alive
-    ]
+    return [(handle, fp) for handle, fp in pairs if handle.alive]
 
 
 def _locator(env, **overrides):
@@ -101,7 +97,7 @@ class TestSeedMatrix:
             if fault_rate:
                 plan = FaultPlan(FaultSpec(probe_noise_rate=fault_rate, seed=seed))
             env, outcome = _campaign(tiny_env_factory, seed, plan)
-            result = _locator(env).locate(_tagged(outcome.handles))
+            result = _locator(env).locate(_pairs(outcome.handles))
             victim_host = _victim_host(env)
             truly_co_resident = any(
                 _is_co_resident(env, handle, victim_host)
@@ -140,7 +136,7 @@ class TestStructuredFailures:
         victim_host = _victim_host(env)
         assert not any(_is_co_resident(env, h, victim_host) for h in handles)
 
-        result = _locator(env).locate(_tagged(handles))
+        result = _locator(env).locate(_pairs(handles))
         assert not result.converged
         assert result.located is None
         assert result.failure == "no_colocation"
@@ -274,7 +270,7 @@ class TestFaultTolerance:
                 if plan is None
                 else ScalableVerifier(channel, retry_policy=RetryPolicy(max_retries=4))
             )
-            result = _locator(env, verifier=verifier).locate(_tagged(outcome.handles))
+            result = _locator(env, verifier=verifier).locate(_pairs(outcome.handles))
             assert result.converged
             return env.orchestrator.true_host_of(result.located.instance_id)
 

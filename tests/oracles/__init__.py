@@ -16,5 +16,7 @@ columns and verdicts.  Nothing in this package is collected as a test.
   subclasses overriding the single window method;
 * :mod:`tests.oracles.census` — the set-algebra census reduction;
 * :mod:`tests.oracles.fingerprint` — the per-probe Gen 1 and Gen 2
-  fingerprint loops, one guest probe per sandbox.
+  fingerprint loops, one guest probe per sandbox;
+* :mod:`tests.oracles.ground_truth` — co-location read from the placement
+  map, the answer the covert verifier must reach.
 """

@@ -9,7 +9,7 @@ fire clock hooks that launch or reap in between.
 
 from __future__ import annotations
 
-import types
+from functools import partial
 
 import numpy as np
 
@@ -55,7 +55,9 @@ def create_instances_scalar(self: Orchestrator, service, account, count):
 
 
 def bind_scalar_launch(orchestrator: Orchestrator) -> None:
-    """Route one orchestrator's launches through the per-instance loop."""
-    orchestrator._create_instances = types.MethodType(
-        create_instances_scalar, orchestrator
-    )
+    """Route one orchestrator's launches through the per-instance loop.
+
+    A ``partial`` over the module-level loop pickles by reference, so a
+    world launched this way can be snapshotted and forked.
+    """
+    orchestrator._create_instances = partial(create_instances_scalar, orchestrator)

@@ -11,7 +11,7 @@ meter and the termination order exactly as this loop does.
 
 from __future__ import annotations
 
-import types
+from functools import partial
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def bind_scalar_lifecycle(orchestrator: Orchestrator) -> None:
     """Route one orchestrator's idle-outs, reaps and teardowns through the
     per-instance loop."""
     orchestrator._reap_events = {}
-    orchestrator.pending_reaps = types.MethodType(pending_reaps_scalar, orchestrator)
-    orchestrator._cancel_reaps = types.MethodType(cancel_reaps_scalar, orchestrator)
-    orchestrator._idle_out = types.MethodType(idle_out_scalar, orchestrator)
-    orchestrator._terminate = types.MethodType(terminate_scalar, orchestrator)
+    orchestrator.pending_reaps = partial(pending_reaps_scalar, orchestrator)
+    orchestrator._cancel_reaps = partial(cancel_reaps_scalar, orchestrator)
+    orchestrator._idle_out = partial(idle_out_scalar, orchestrator)
+    orchestrator._terminate = partial(terminate_scalar, orchestrator)

@@ -50,8 +50,6 @@ def launch(eager: bool, seed: int):
         *client.connect(client.deploy(ServiceConfig(name="one")), N_GEN1),
         *client.connect(client.deploy(ServiceConfig(name="two", generation="gen2")), N_GEN2),
     ]
-    if eager:  # launches are done; a bound method would not pickle into a fork
-        del env.orchestrator._create_instances
     return env, rehandle(env, handles, eager)
 
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.simtime.clock import SimClock
 from repro.telemetry import MetricSet, Telemetry, telemetry_context
@@ -152,8 +152,7 @@ def test_enabling_telemetry_never_changes_results(seed):
         service = client.deploy(ServiceConfig(name="svc"))
         handles = client.connect(service, 16)
         pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-        tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
-        report = ScalableVerifier(RngCovertChannel()).verify(tagged)
+        report = ScalableVerifier(RngCovertChannel()).verify(pairs)
         clusters = sorted(
             tuple(sorted(h.instance_id for h in cluster))
             for cluster in report.clusters

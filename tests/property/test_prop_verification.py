@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings, strategies as st
 
 from repro.core.covert import CovertChannel, CTestResult
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.verification import ScalableVerifier
 
 
 @dataclass(frozen=True)
@@ -77,10 +77,7 @@ def true_clusters(host_of):
 @settings(max_examples=80, deadline=None)
 def test_verifier_recovers_exact_clusters(scenario):
     host_of, fingerprints = scenario
-    tagged = [
-        TaggedInstance(handle=FakeHandle(iid), fingerprint=fingerprints[iid])
-        for iid in host_of
-    ]
+    tagged = [(FakeHandle(iid), fingerprints[iid]) for iid in host_of]
     channel = OracleChannel(host_of)
     report = ScalableVerifier(channel).verify(tagged)
     found = {
@@ -93,10 +90,7 @@ def test_verifier_recovers_exact_clusters(scenario):
 @settings(max_examples=40, deadline=None)
 def test_verifier_never_exceeds_pairwise_cost(scenario):
     host_of, fingerprints = scenario
-    tagged = [
-        TaggedInstance(handle=FakeHandle(iid), fingerprint=fingerprints[iid])
-        for iid in host_of
-    ]
+    tagged = [(FakeHandle(iid), fingerprints[iid]) for iid in host_of]
     channel = OracleChannel(host_of)
     report = ScalableVerifier(channel).verify(tagged)
     n = len(host_of)
@@ -109,10 +103,7 @@ def test_verifier_never_exceeds_pairwise_cost(scenario):
 @settings(max_examples=40, deadline=None)
 def test_accurate_fingerprints_cost_linear_in_hosts(scenario):
     host_of, _ = scenario
-    tagged = [
-        TaggedInstance(handle=FakeHandle(iid), fingerprint=host_of[iid])
-        for iid in host_of
-    ]
+    tagged = [(FakeHandle(iid), host_of[iid]) for iid in host_of]
     channel = OracleChannel(host_of)
     report = ScalableVerifier(channel).verify(tagged)
     n_hosts = len(set(host_of.values()))

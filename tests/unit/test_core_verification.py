@@ -9,16 +9,11 @@ from repro.cloud.services import ServiceConfig
 from repro.core.covert import CovertChannel, CTestResult, RngCovertChannel
 from repro.core.fingerprint import (
     Gen1Fingerprint,
+    Gen2Fingerprint,
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
 )
-from repro.core.verification import (
-    ScalableVerifier,
-    TaggedInstance,
-    _balanced_chunks,
-    _GroupTask,
-    tag_instances,
-)
+from repro.core.verification import ScalableVerifier, _balanced_chunks, _GroupTask
 from repro.errors import VerificationError
 from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 
@@ -29,12 +24,10 @@ def launch_and_tag(env, n, generation="gen1", name="svc"):
     handles = client.connect(service, n)
     if generation == "gen2":
         pairs = fingerprint_gen2_instances(handles)
-        tagged = [TaggedInstance(h, fp) for h, fp in pairs]
     else:
         pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-        tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
     truth = {h.instance_id: env.orchestrator.true_host_of(h.instance_id) for h in handles}
-    return tagged, truth
+    return pairs, truth
 
 
 class TestScalableVerifier:
@@ -54,7 +47,7 @@ class TestScalableVerifier:
         tagged, _truth = launch_and_tag(tiny_env, 25)
         report = ScalableVerifier(RngCovertChannel()).verify(tagged)
         covered = {h.instance_id for c in report.clusters for h in c}
-        assert covered == {t.handle.instance_id for t in tagged}
+        assert covered == {h.instance_id for h, _fp in tagged}
 
     def test_far_fewer_tests_than_pairwise(self, tiny_env):
         tagged, truth = launch_and_tag(tiny_env, 40)
@@ -76,8 +69,8 @@ class TestScalableVerifier:
         check step 3 re-merges the clusters."""
         tagged, truth = launch_and_tag(tiny_env, 30)
         groups: dict = {}
-        for t in tagged:
-            groups.setdefault(t.fingerprint, []).append(t)
+        for h, fp in tagged:
+            groups.setdefault(fp, []).append(h)
         big_fp, members = max(groups.items(), key=lambda kv: len(kv[1]))
         assert len(members) >= 2
         fake = Gen1Fingerprint(
@@ -85,9 +78,7 @@ class TestScalableVerifier:
             boot_bucket=big_fp.boot_bucket + 1,
             p_boot=big_fp.p_boot,
         )
-        split = [
-            TaggedInstance(members[0].handle, fake, members[0].model_key)
-        ] + [t for t in tagged if t.handle is not members[0].handle]
+        split = [(members[0], fake)] + [(h, fp) for h, fp in tagged if h is not members[0]]
         report = ScalableVerifier(RngCovertChannel()).verify(split)
         confusion = pair_confusion(report.cluster_index(), truth)
         assert confusion.recall == 1.0
@@ -97,17 +88,10 @@ class TestScalableVerifier:
         """Merge two different hosts' groups under one fingerprint and
         check step 2 splits them back apart."""
         tagged, truth = launch_and_tag(tiny_env, 30)
-        fingerprints = list({t.fingerprint for t in tagged})
+        fingerprints = list({fp for _h, fp in tagged})
         assert len(fingerprints) >= 2
         keep, merge_away = fingerprints[0], fingerprints[1]
-        forged = [
-            TaggedInstance(
-                t.handle,
-                keep if t.fingerprint == merge_away else t.fingerprint,
-                t.model_key,
-            )
-            for t in tagged
-        ]
+        forged = [(h, keep if fp == merge_away else fp) for h, fp in tagged]
         report = ScalableVerifier(RngCovertChannel()).verify(forged)
         confusion = pair_confusion(report.cluster_index(), truth)
         assert confusion.precision == 1.0
@@ -115,16 +99,14 @@ class TestScalableVerifier:
     def test_gen2_mode_skips_false_negative_hunt(self, tiny_env):
         tagged, truth = launch_and_tag(tiny_env, 30, generation="gen2")
         channel = RngCovertChannel()
-        report = ScalableVerifier(channel, assume_no_false_negatives=True).verify(tagged)
+        report = ScalableVerifier(channel).verify(tagged)
         confusion = pair_confusion(report.cluster_index(), truth)
         assert confusion.precision == 1.0
         assert confusion.recall == 1.0
 
     def test_gen2_mode_batches_aggressively(self, tiny_env):
         tagged, _ = launch_and_tag(tiny_env, 30, generation="gen2")
-        report = ScalableVerifier(
-            RngCovertChannel(), assume_no_false_negatives=True
-        ).verify(tagged)
+        report = ScalableVerifier(RngCovertChannel()).verify(tagged)
         assert report.n_batches <= max(4, report.n_tests // 2)
 
     def test_collision_heavy_fallback_stays_cheap(self, tiny_env):
@@ -132,8 +114,8 @@ class TestScalableVerifier:
         collisions), the fallback must resolve clusters in far fewer than
         pairwise tests, thanks to unit merging and negative-pair memory."""
         tagged, truth = launch_and_tag(tiny_env, 40)
-        one_fp = tagged[0].fingerprint
-        forged = [TaggedInstance(t.handle, one_fp, t.model_key) for t in tagged]
+        one_fp = tagged[0][1]
+        forged = [(h, one_fp) for h, _fp in tagged]
         report = ScalableVerifier(RngCovertChannel()).verify(forged)
         confusion = pair_confusion(report.cluster_index(), truth)
         assert confusion.precision == 1.0
@@ -153,8 +135,7 @@ class TestScalableVerifier:
         service = client.deploy(ServiceConfig(name="m-sweep"))
         handles = client.connect(service, 40)
         pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-        tagged = [TaggedInstance(h, fp, fp.cpu_model) for h, fp in pairs]
-        report = ScalableVerifier(RngCovertChannel(), threshold_m=m).verify(tagged)
+        report = ScalableVerifier(RngCovertChannel(), threshold_m=m).verify(pairs)
         truth = {
             h.instance_id: env.orchestrator.true_host_of(h.instance_id)
             for h in handles
@@ -209,50 +190,24 @@ class FakeHandle:
 
 class TestGroupByFingerprint:
     def test_uniform_keys_preserved(self):
-        tagged = [
-            TaggedInstance(FakeHandle("a"), "fp1", "xeon"),
-            TaggedInstance(FakeHandle("b"), "fp1", "xeon"),
-            TaggedInstance(FakeHandle("c"), "fp2", "epyc"),
-        ]
+        xeon, epyc = Gen1Fingerprint("xeon", 1, 1.0), Gen1Fingerprint("epyc", 2, 1.0)
+        pairs = [(FakeHandle("a"), xeon), (FakeHandle("b"), xeon), (FakeHandle("c"), epyc)]
         groups = dict(
             (key, [h.instance_id for h in members])
-            for key, members in ScalableVerifier._group_by_fingerprint(tagged)
+            for key, members in ScalableVerifier._group_by_fingerprint(pairs)
         )
         assert groups == {"xeon": ["a", "b"], "epyc": ["c"]}
 
-    def test_mixed_keys_demote_group_to_none(self):
-        """One fingerprint group with two different model keys cannot carry
-        a host-disjointness guarantee against anyone — the group's batching
-        key must become None, not the first member's key."""
-        tagged = [
-            TaggedInstance(FakeHandle("a"), "fp1", "xeon"),
-            TaggedInstance(FakeHandle("b"), "fp1", "epyc"),
+    def test_only_gen1_fingerprints_carry_a_key(self):
+        """The batching key is a Gen 1 fingerprint's CPU model; a Gen 2 or
+        any other fingerprint says nothing about other groups' hosts."""
+        pairs = [
+            (FakeHandle("a"), Gen1Fingerprint("xeon", 1, 1.0)),
+            (FakeHandle("b"), Gen2Fingerprint(2_000_000)),
+            (FakeHandle("c"), "synthetic"),
         ]
-        groups = ScalableVerifier._group_by_fingerprint(tagged)
-        assert len(groups) == 1
-        key, members = groups[0]
-        assert key is None
-        assert [h.instance_id for h in members] == ["a", "b"]
-
-    def test_key_vs_none_also_demotes(self):
-        tagged = [
-            TaggedInstance(FakeHandle("a"), "fp1", "xeon"),
-            TaggedInstance(FakeHandle("b"), "fp1", None),
-        ]
-        (key, _members), = ScalableVerifier._group_by_fingerprint(tagged)
-        assert key is None
-
-    def test_membership_unaffected_by_demotion(self):
-        tagged = [
-            TaggedInstance(FakeHandle("a"), "fp1", "xeon"),
-            TaggedInstance(FakeHandle("b"), "fp2", "xeon"),
-            TaggedInstance(FakeHandle("c"), "fp1", "epyc"),
-        ]
-        groups = ScalableVerifier._group_by_fingerprint(tagged)
-        members = {
-            frozenset(h.instance_id for h in handles) for _key, handles in groups
-        }
-        assert members == {frozenset({"a", "c"}), frozenset({"b"})}
+        keys = [key for key, _members in ScalableVerifier._group_by_fingerprint(pairs)]
+        assert keys == ["xeon", None, None]
 
 
 class TestPlanBatches:
@@ -267,9 +222,8 @@ class TestPlanBatches:
         return (_GroupTask(handles, model_key), handles)
 
     @staticmethod
-    def _plan(requests, **kwargs):
-        verifier = ScalableVerifier(RngCovertChannel(), **kwargs)
-        return ScalableVerifier._plan_batches(verifier, requests)
+    def _plan(requests, no_false_negatives=False):
+        return ScalableVerifier._plan_batches(requests, no_false_negatives)
 
     def test_none_key_batch_is_exclusive(self):
         requests = [
@@ -316,7 +270,7 @@ class TestPlanBatches:
             self._request(None, "a1", "a2"),
             self._request("xeon", "b1", "b2"),
         ]
-        batches = self._plan(requests, assume_no_false_negatives=True)
+        batches = self._plan(requests, no_false_negatives=True)
         assert [len(b) for b in batches] == [2]
 
     def test_all_requests_planned_exactly_once(self):
@@ -414,16 +368,6 @@ class TestCTestRetryPolicy:
         assert second.positive == (True, True)
         assert channel.calls == 3
         assert channel.stats.retries == 2
-
-
-class TestTagInstances:
-    def test_derives_model_keys(self, tiny_env):
-        client = tiny_env.attacker
-        service = client.deploy(ServiceConfig(name="svc"))
-        handles = client.connect(service, 5)
-        pairs = fingerprint_gen1_instances(handles, p_boot=1.0)
-        tagged = tag_instances(pairs, model_key_fn=lambda fp: fp.cpu_model)
-        assert all(t.model_key == t.fingerprint.cpu_model for t in tagged)
 
 
 class TestReentrantStats:

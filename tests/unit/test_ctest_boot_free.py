@@ -23,8 +23,8 @@ import pytest
 from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import LlcOccupancyChannel, RngCovertChannel
-from repro.core.fingerprint import fingerprint_gen1_instances
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.fingerprint import Gen1Fingerprint, fingerprint_gen1_instances
+from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import probe as columnar
@@ -175,7 +175,7 @@ def test_verify_retests_rows(warmed, m):
         if hot:
             warm_all(handles)
         warmed.clear()
-        tagged = [TaggedInstance(h, "same", "cpu") for h in handles]
+        tagged = [(h, Gen1Fingerprint("cpu", 0, 1.0)) for h in handles]
         channel = RngCovertChannel()
         outcome = verify_outcome(channel, tagged, m)
         assert channel._boot_states is None
@@ -195,7 +195,7 @@ def test_boot_draw_replay_rows(warmed, generation):
             warm_all(handles)
         warmed.clear()
         channel = RngCovertChannel()
-        tagged = [TaggedInstance(h, i % 3, None) for i, h in enumerate(handles)]
+        tagged = [(h, i % 3) for i, h in enumerate(handles)]
         outcome = [batch_outcome(channel, groups_of(handles, 2))]
         outcome.append(verify_outcome(channel, tagged))
         return [env], handles, outcome
@@ -275,7 +275,7 @@ def test_injected_deaths_and_noise(warmed, seed):
         plan = FaultPlan(FaultSpec(ctest_death_rate=0.3, ctest_noise_rate=0.2, seed=seed))
         channel = RngCovertChannel(fault_plan=plan)
         outcome = [batch_outcome(channel, groups_of(handles, 3))]
-        tagged = [TaggedInstance(h, i % 4, f"k{i % 4}") for i, h in enumerate(handles)]
+        tagged = [(h, Gen1Fingerprint(f"k{i % 4}", i % 4, 1.0)) for i, h in enumerate(handles)]
         outcome.append(verify_outcome(channel, tagged))
         outcome.append(channel.stats.faults_injected)
         return [env], handles, outcome
@@ -292,7 +292,7 @@ def test_saturating_llc_kind(warmed):
         channel = LlcOccupancyChannel()
         # A 12-way group's threshold sits above the LLC saturation (8).
         outcome = [batch_outcome(channel, [handles[:12], handles[12:]], [10, 2])]
-        tagged = [TaggedInstance(h, "same", "cpu") for h in handles]
+        tagged = [(h, Gen1Fingerprint("cpu", 0, 1.0)) for h in handles]
         outcome.append(verify_outcome(channel, tagged, 3))
         return [env], handles, outcome
 
@@ -304,7 +304,8 @@ def test_verify_releases_its_boot_states(warmed, monkeypatch):
     columns once it returns."""
     (handles,) = store_handles([3] * 334, seed=5)
     tagged = [
-        TaggedInstance(h, index // 3, f"k{index // 3}") for index, h in enumerate(handles)
+        (h, Gen1Fingerprint(f"k{index // 3}", index // 3, 1.0))
+        for index, h in enumerate(handles)
     ]
     channel = RngCovertChannel()
     prepared = []

@@ -23,7 +23,8 @@ from repro.core.covert import (
     MemoryBusCovertChannel,
     RngCovertChannel,
 )
-from repro.core.verification import ScalableVerifier, TaggedInstance
+from repro.core.fingerprint import Gen1Fingerprint
+from repro.core.verification import ScalableVerifier
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import InstanceStore
 from repro.fleet.probe import RowStream
@@ -260,10 +261,7 @@ class TestEdgeCases:
         for label, cls in (("loop", LoopRngCovertChannel), ("batched", RngCovertChannel)):
             env = tiny_env_factory(seed=8)
             handles = launch(env, 7)
-            tagged = [
-                TaggedInstance(handle=h, fingerprint="same-fp", model_key="cpu0")
-                for h in handles
-            ]
+            tagged = [(h, Gen1Fingerprint("cpu0", 0, 1.0)) for h in handles]
             report = ScalableVerifier(cls(), threshold_m=2).verify(tagged)
             reports[label] = {
                 "clusters": sorted(

@@ -1,15 +1,15 @@
 """Unit tests for experiment infrastructure: env builder, ground truth,
 report formatting."""
 
-import pytest
-
 from repro.experiments.base import ATTACKER_ACCOUNT, VICTIM_ACCOUNTS, default_env
-from repro.experiments.ground_truth import truth_clusters
 from repro.experiments.report import ComparisonRow, format_comparison, format_series, pct
 from repro.cloud.services import ServiceConfig
+from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import fingerprint_gen1_instances
+from repro.core.verification import ScalableVerifier
 
 from tests.conftest import tiny_profile
+from tests.oracles.ground_truth import oracle_clusters, partition
 
 
 class TestDefaultEnv:
@@ -51,7 +51,7 @@ class TestGroundTruth:
     def test_oracle_matches_simulator(self):
         env = default_env(profile=tiny_profile(), seed=2)
         pairs = self.launch(env)
-        truth = truth_clusters("oracle", env.orchestrator, pairs)
+        truth = oracle_clusters(env.orchestrator, pairs)
         for handle, _fp in pairs:
             assert truth[handle.instance_id] == env.orchestrator.true_host_of(
                 handle.instance_id
@@ -60,24 +60,9 @@ class TestGroundTruth:
     def test_covert_agrees_with_oracle(self):
         env = default_env(profile=tiny_profile(), seed=3)
         pairs = self.launch(env, n=20)
-        covert = truth_clusters("covert", env.orchestrator, pairs)
-        oracle = truth_clusters("oracle", env.orchestrator, pairs)
-        # Same partition (labels differ).
-        by_covert: dict = {}
-        for iid, label in covert.items():
-            by_covert.setdefault(label, set()).add(iid)
-        by_oracle: dict = {}
-        for iid, label in oracle.items():
-            by_oracle.setdefault(label, set()).add(iid)
-        assert {frozenset(s) for s in by_covert.values()} == {
-            frozenset(s) for s in by_oracle.values()
-        }
-
-    def test_unknown_mode_rejected(self):
-        env = default_env(profile=tiny_profile(), seed=4)
-        pairs = self.launch(env, n=4)
-        with pytest.raises(ValueError):
-            truth_clusters("psychic", env.orchestrator, pairs)
+        covert = ScalableVerifier(RngCovertChannel()).verify(pairs).cluster_index()
+        oracle = oracle_clusters(env.orchestrator, pairs)
+        assert partition(covert) == partition(oracle)
 
 
 class TestReportFormatting:

@@ -5,6 +5,7 @@ import typing
 
 import pytest
 
+from repro.experiments import coverage
 from repro.experiments.registry import EXPERIMENTS, get_spec
 from repro.experiments.spec import FigureSpec
 
@@ -50,3 +51,14 @@ class TestSpec:
         config_type = _config_type(spec)
         assert isinstance(spec.quick, config_type)
         assert isinstance(spec.full, config_type)
+
+    def test_scores_through_the_covert_channel(self, spec):
+        """No figure scores co-location from the placement map."""
+        for config in (spec.quick, spec.full):
+            assert getattr(config, "ground_truth", "covert") == "covert"
+
+
+def test_coverage_cell_rejects_the_oracle():
+    params = coverage._cell_params(coverage.CoverageConfig(ground_truth="oracle"))
+    with pytest.raises(ValueError, match="oracle"):
+        coverage._rep_cell(params, seed=0)

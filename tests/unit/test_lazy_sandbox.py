@@ -417,6 +417,26 @@ def test_snapshot_after_columnar_probe_forks_equal_rng_states():
     ]
 
 
+def test_oracle_launched_world_forks():
+    """A world launched through the launch oracle pickles, and its fork
+    keeps launching through the oracle as the original does."""
+    env = default_env(profile=tiny_profile(), seed=11)
+    bind_scalar_launch(env.orchestrator)
+    service = env.attacker.deploy(ServiceConfig(name="svc"))
+    env.attacker.connect(service, 4)
+    forked = WorldSnapshot.capture(env).fork()
+    worlds = (env, forked)
+    ids = [[h.instance_id for h in w.attacker.connect(service, 8)] for w in worlds]
+    assert ids[0] == ids[1]
+    eager = [w.orchestrator.instance_store._rows.eager for w in worlds]
+    assert sorted(eager[0]) == sorted(eager[1]) and len(eager[0]) == 8
+    states = [
+        {row: str(box._rng.bit_generator.state) for row, box in rows.items()}
+        for rows in eager
+    ]
+    assert states[0] == states[1]
+
+
 def deploy(env, name="svc", **config):
     client = env.clients["account-1"]
     return client, client.deploy(ServiceConfig(name=name, **config))

@@ -214,7 +214,7 @@ class TestSerialPoolIdentity:
     ``random``, iteration-order-dependent draws)."""
 
     def _real_specs(self) -> list[CellSpec]:
-        params = {"region": "us-east1", "instances": 60, "ground_truth": "oracle"}
+        params = {"region": "us-east1", "instances": 60}
         return [
             CellSpec(
                 experiment="exp1-test",
