@@ -21,15 +21,11 @@ import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.cloud.api import InstanceHandle
 from repro.errors import VerificationError
 from repro.faults import FaultPlan, current_fault_plan
-from repro.hardware.channels import DvfsFrequencyResource
 from repro.hardware.rng_resource import ContentionResource, window_hits
-from repro.sandbox.base import Sandbox
-from repro.telemetry import HistogramSummary, MetricSet, current_telemetry
+from repro.telemetry import MetricSet, current_telemetry
 
 if TYPE_CHECKING:
     from repro.fleet.probe import BootStates, RowStream
@@ -53,99 +49,6 @@ class CTestResult:
         return sum(self.positive)
 
 
-class ChannelStats:
-    """Cost accounting for covert-channel usage, backed by typed counters.
-
-    The legacy field names (``n_tests``, ``busy_seconds``, ...) remain as
-    properties over a per-channel :class:`~repro.telemetry.MetricSet`, so
-    existing consumers keep working while the counters gain the telemetry
-    semantics: re-entrant consumers take a :meth:`snapshot` before a call
-    and read :meth:`since` deltas after, instead of resetting shared state
-    (which double-counts when two verifications share one channel).
-
-    ``retries`` counts tests re-run after an inconsistent verdict (by the
-    verifier's retry policy); ``faults_injected`` counts the noise flips
-    and mid-test deaths an active :class:`~repro.faults.FaultPlan` put
-    into this channel's results.  Both stay 0 on a clean run.
-    """
-
-    def __init__(self) -> None:
-        self.metrics = MetricSet()
-
-    @property
-    def n_tests(self) -> int:
-        return int(self.metrics.counter("tests"))
-
-    @property
-    def n_instance_slots(self) -> int:
-        return int(self.metrics.counter("instance_slots"))
-
-    @property
-    def busy_seconds(self) -> float:
-        return float(self.metrics.counter("busy_seconds"))
-
-    @property
-    def batches(self) -> int:
-        return int(self.metrics.counter("batches"))
-
-    @property
-    def retries(self) -> int:
-        return int(self.metrics.counter("retries"))
-
-    @retries.setter
-    def retries(self, value: int) -> None:
-        self.metrics.counters["retries"] = value
-
-    @property
-    def faults_injected(self) -> int:
-        return int(self.metrics.counter("faults_injected"))
-
-    @faults_injected.setter
-    def faults_injected(self, value: int) -> None:
-        self.metrics.counters["faults_injected"] = value
-
-    @property
-    def per_batch_tests(self) -> HistogramSummary:
-        """Read-only summary view of per-batch test counts.
-
-        Backed by the ``batch_tests`` histogram (count/total/min/max/mean)
-        instead of the raw per-batch list this attribute used to be, so a
-        long campaign's memory stays O(1) next to the typed metrics.
-        Consumers that relied on the list should read the summary fields
-        — the raw sequence is no longer retained.
-        """
-        return self.metrics.histograms.get("batch_tests", HistogramSummary())
-
-    def snapshot(self) -> dict[str, float]:
-        """Counter snapshot for re-entrancy-safe per-call deltas."""
-        return self.metrics.snapshot()
-
-    def since(self, snapshot: dict[str, float]) -> dict[str, float]:
-        """Counter growth since :meth:`snapshot` (absent keys grew by 0)."""
-        return self.metrics.since(snapshot)
-
-    def record_batch(self, group_sizes: Sequence[int], seconds: float) -> None:
-        """Record one (possibly parallel) batch of tests."""
-        self.metrics.inc("tests", len(group_sizes))
-        self.metrics.inc("instance_slots", sum(group_sizes))
-        self.metrics.inc("busy_seconds", seconds)
-        self.metrics.inc("batches")
-        self.metrics.observe("batch_tests", len(group_sizes))
-
-    def summary(self) -> str:
-        """One-line human-readable report of the counters."""
-        text = (
-            f"{self.n_tests} tests in {self.batches} batches, "
-            f"{self.busy_seconds:.1f}s busy"
-        )
-        if self.retries or self.faults_injected:
-            text += (
-                f", {self.retries} retries, "
-                f"{self.faults_injected} faults injected"
-            )
-        return text
-
-
 class _Observer(NamedTuple):
     """One started instance of a CTest batch."""
 
@@ -157,10 +60,28 @@ class _Observer(NamedTuple):
 
 
 class CovertChannel(abc.ABC):
-    """Abstract CTest provider."""
+    """Abstract CTest provider.
+
+    ``stats`` holds the channel's cumulative cost counters: ``tests``,
+    ``instance_slots``, ``busy_seconds`` and ``batches``, plus the
+    ``batch_tests`` histogram.  ``retries`` counts tests the verifier
+    re-ran after an inconsistent verdict; ``faults_injected`` counts the
+    noise flips and mid-test deaths an active
+    :class:`~repro.faults.FaultPlan` put into this channel's results.
+    Consumers that want the cost of one call take a ``snapshot()`` before
+    it and read ``since()`` after, instead of resetting shared counters.
+    """
 
     def __init__(self) -> None:
-        self.stats = ChannelStats()
+        self.stats = MetricSet()
+
+    def record_batch(self, group_sizes: Sequence[int], seconds: float) -> None:
+        """Count one (possibly parallel) batch of tests in :attr:`stats`."""
+        self.stats.inc("tests", len(group_sizes))
+        self.stats.inc("instance_slots", sum(group_sizes))
+        self.stats.inc("busy_seconds", seconds)
+        self.stats.inc("batches")
+        self.stats.observe("batch_tests", len(group_sizes))
 
     @contextlib.contextmanager
     def prepared(self, handles: Sequence[InstanceHandle]) -> Iterator[None]:
@@ -332,7 +253,7 @@ class RngCovertChannel(CovertChannel):
                 )
                 if when is not None:
                     death_round[handle.instance_id] = when
-                    self.stats.faults_injected += 1
+                    self.stats.inc("faults_injected")
 
         # Instances that stop responding mid-test (injected deaths, or a
         # platform reap racing the test) stop pressuring and report no
@@ -370,7 +291,7 @@ class RngCovertChannel(CovertChannel):
                 if handle.instance_id not in dead:
                     resource.stop_pressure(handle.instance_id)
 
-        self.stats.record_batch([len(g) for g in groups], self.seconds_per_test)
+        self.record_batch([len(g) for g in groups], self.seconds_per_test)
 
         results = []
         for group in groups:
@@ -383,7 +304,7 @@ class RngCovertChannel(CovertChannel):
                 )
                 if plan is not None and plan.ctest_noise(f"b{serial}:{instance_id}"):
                     verdict = not verdict
-                    self.stats.faults_injected += 1
+                    self.stats.inc("faults_injected")
                 positive.append(verdict)
             results.append(
                 CTestResult(handles=tuple(group), positive=tuple(positive))
@@ -503,14 +424,13 @@ class DvfsFingerprintChannel(RngCovertChannel):
     """CTest over DVFS frequency-step contention (Dipta et al.).
 
     Pressure here is *sustained CPU load* in the frequency-step contention
-    domain.  What the guest physically records
-    is its own spin-loop frequency — the sustained-load frequency *trace*
-    exposed by :meth:`frequency_trace_hz` — but the level-to-frequency map
-    is strictly monotone decreasing
+    domain.  What the guest physically records is its own spin-loop
+    frequency, but the level-to-frequency map is strictly monotone
+    decreasing
     (:meth:`~repro.hardware.channels.DvfsFrequencyResource.frequency_of_level`),
     so thresholding the level stream at ``m`` is the same verdict as
-    thresholding the frequency trace at :meth:`frequency_threshold_hz`,
-    and the CTest verdict machinery runs unchanged.
+    thresholding the frequency trace at ``frequency_of_level(m)``, and the
+    CTest verdict machinery runs unchanged.
     """
 
     kind: ClassVar[str] = "dvfs"
@@ -528,31 +448,6 @@ class DvfsFingerprintChannel(RngCovertChannel):
             seconds_per_test=seconds_per_test,
             fault_plan=fault_plan,
         )
-
-    def _frequency_resource(self, sandbox: Sandbox) -> DvfsFrequencyResource:
-        resource = sandbox._host.channel_resource(self.kind)
-        if not isinstance(resource, DvfsFrequencyResource):
-            raise VerificationError(
-                f"dvfs channel needs a DvfsFrequencyResource, got "
-                f"{type(resource).__name__}"
-            )
-        return resource
-
-    def frequency_trace_hz(self, sandbox: Sandbox, levels) -> np.ndarray:
-        """Map one window's contention levels to the guest-visible trace.
-
-        This is the raw measurement a real attacker records: one achieved
-        spin-loop frequency per round, via
-        :func:`repro.core.frequency.sustained_load_frequency_hz`.
-        """
-        from repro.core.frequency import sustained_load_frequency_hz
-
-        resource = self._frequency_resource(sandbox)
-        return np.asarray(sustained_load_frequency_hz(resource, levels))
-
-    def frequency_threshold_hz(self, sandbox: Sandbox, threshold_m: int) -> float:
-        """Frequency below which a round counts as contended at ``m``."""
-        return self._frequency_resource(sandbox).frequency_of_level(threshold_m)
 
 
 #: Channel kind -> CTest provider class: the construction-side mirror of

@@ -12,11 +12,6 @@ Two methods:
    only be measured through noisy system calls; on ~10% of hosts the noise
    reaches 10 kHz - a few MHz, producing false negatives.  (The paper
    therefore uses the reported frequency.)
-
-A third, related frequency surface backs the DVFS covert channel: the
-*achieved sustained-load frequency* of the guest's own spin loop, which
-steps down with co-located sustained loads
-(:func:`sustained_load_frequency_hz`).
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import FingerprintError
-from repro.hardware.channels import DvfsFrequencyResource
 from repro.hardware.cpu import CPUModel
 from repro.sandbox.base import Sandbox
 
@@ -106,26 +100,3 @@ def measure_tsc_frequency(
         std_hz=float(array.std(ddof=1)),
         samples_hz=tuple(float(s) for s in samples),
     )
-
-
-def sustained_load_frequency_hz(resource: DvfsFrequencyResource, level):
-    """Achieved spin-loop frequency at a DVFS contention level.
-
-    The guest-visible measurement of the DVFS channel: a calibrated spin
-    loop's achieved frequency under the package power budget, stepping
-    down with each co-located sustained load.  Pure post-hoc map over the
-    shared contention-level draw (scalar or array), delegating to
-    :meth:`~repro.hardware.channels.DvfsFrequencyResource.frequency_of_level`.
-    """
-    return resource.frequency_of_level(level)
-
-
-def frequency_threshold_hz(resource: DvfsFrequencyResource, threshold_m: int) -> float:
-    """Frequency below which a DVFS round counts as contended at ``m``.
-
-    Because the level-to-frequency map is monotone decreasing, a frequency
-    trace dipping below this value is exactly a contention level of at
-    least ``threshold_m`` — the equivalence that lets the DVFS channel run
-    the unchanged CTest verdict machinery.
-    """
-    return resource.frequency_of_level(threshold_m)

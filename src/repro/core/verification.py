@@ -23,17 +23,21 @@ number of *waves* (a handful) times the per-test duration.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Collection, Generator, Hashable, Iterator, Sequence
 
 from repro.cloud.api import InstanceHandle
 from repro.core.clusters import DisjointSet
 from repro.core.covert import CovertChannel, CTestResult
-from repro.core.fingerprint import Gen1Fingerprint, Gen2Fingerprint
+from repro.core.fingerprint import Gen1Fingerprint, Gen2Fingerprint, group_by_fingerprint
 from repro.errors import VerificationError
 from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 from repro.telemetry import current_telemetry
+
+Clusters = list[list[InstanceHandle]]
+#: Step 2 of one group: yields its tests, is sent their results, and
+#: returns ``(clusters, fell_back)``.
+GroupTests = Generator[list[InstanceHandle], CTestResult, tuple[Clusters, bool]]
 
 
 @dataclass
@@ -53,7 +57,7 @@ class VerificationReport:
         Cluster pairs merged by the step-3 false-negative hunt.
     """
 
-    clusters: list[list[InstanceHandle]] = field(default_factory=list)
+    clusters: Clusters = field(default_factory=list)
     n_tests: int = 0
     n_batches: int = 0
     busy_seconds: float = 0.0
@@ -74,66 +78,33 @@ class VerificationReport:
         return len(self.clusters)
 
 
-class _GroupTask:
-    """Step-2 state machine for one fingerprint group.
+class _Fallback:
+    """Pairwise testing between verified units, pruned by transitivity.
 
-    Phases: ``chunking`` (n-way chunk tests) -> either ``merging``
-    (hierarchical representative tests) or ``fallback`` (pairwise within
-    the group, with transitivity pruning) -> ``done``.
+    Each unit is a list of handles already known to share a host; a test
+    uses its first handle.  Units that test positive are merged in a
+    :class:`DisjointSet`; negative verdicts are remembered between cluster
+    roots (``root -> roots known to be on other hosts``, symmetric), so a
+    pair is skipped once transitivity or an earlier negative settles it.
     """
 
-    def __init__(self, members: list[InstanceHandle], model_key: str | None) -> None:
-        self.members = members
-        self.model_key = model_key
-        self.clusters: list[list[InstanceHandle]] = []
-        self.fully_colocated = True
-        self.fell_back = False
-        # Work queues are deques: both are consumed strictly from the
-        # front, and a large group's pairwise fallback pops O(units^2)
-        # entries — list.pop(0)'s O(n) shift would make that quadratic
-        # again on top of the quadratic pair count.
-        self.pending_chunks: deque[list[InstanceHandle]] = deque()
-        self.merge_level: list[InstanceHandle] = []
-        self.fallback_units: list[list[InstanceHandle]] = []
-        self.fallback_ds: DisjointSet | None = None
-        self.fallback_pairs: deque[tuple[int, int]] = deque()
-        #: Negative verdicts between fallback clusters, keyed by cluster
-        #: root: ``root -> roots known to be on other hosts`` (symmetric).
-        self.fallback_negatives: dict[int, set[int]] = {}
-        self.phase = "chunking"
+    def __init__(self, units: Clusters) -> None:
+        self.units = units
+        self.ds = DisjointSet(range(len(units)))
+        self.negatives: dict[int, set[int]] = {}
 
-    def done(self) -> bool:
-        return self.phase == "done"
+    def negatives_of(self, root: int) -> Collection[int]:
+        """Roots known to be on another host than cluster ``root``."""
+        return self.negatives.get(root, ())
 
-    def enter_fallback(self) -> None:
-        """Degenerate to pairwise testing within the group.
-
-        Pairs are tested between *representatives of already-verified
-        units* (the chunk-phase clusters), not between raw members: two
-        units on the same host merge after a single positive test, so the
-        sweep costs ~C(units, 2) instead of C(members, 2), further pruned
-        by transitivity.
-        """
-        self.fell_back = True
-        self.phase = "fallback"
-        self.fallback_units = [list(cluster) for cluster in self.clusters if cluster]
-        self.clusters = []
-        n = len(self.fallback_units)
-        self.fallback_ds = DisjointSet(range(n))
-        self.fallback_pairs = deque(
-            (i, j) for i in range(n) for j in range(i + 1, n)
-        )
-        self.fallback_negatives = {}
-
-    def record_fallback_negative(self, i: int, j: int) -> None:
+    def record_negative(self, i: int, j: int) -> None:
         """Remember that the units' current clusters are on different hosts."""
-        assert self.fallback_ds is not None
-        root_i, root_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
+        root_i, root_j = self.ds.find(i), self.ds.find(j)
         if root_i != root_j:
-            self.fallback_negatives.setdefault(root_i, set()).add(root_j)
-            self.fallback_negatives.setdefault(root_j, set()).add(root_i)
+            self.negatives.setdefault(root_i, set()).add(root_j)
+            self.negatives.setdefault(root_j, set()).add(root_i)
 
-    def merge_fallback_units(self, i: int, j: int) -> None:
+    def merge(self, i: int, j: int) -> None:
         """Union two units, migrating negative knowledge to the new root.
 
         Host identity is an equivalence relation, so a cluster's negative
@@ -141,11 +112,10 @@ class _GroupTask:
         roots' neighbours move; a negative between the two merged clusters
         contradicts the merge and is dropped.
         """
-        assert self.fallback_ds is not None
-        old_i, old_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
-        self.fallback_ds.union(i, j)
-        new_root = self.fallback_ds.find(i)
-        negatives = self.fallback_negatives
+        old_i, old_j = self.ds.find(i), self.ds.find(j)
+        self.ds.union(i, j)
+        new_root = self.ds.find(i)
+        negatives = self.negatives
         moved = negatives.pop(old_i, set()) | negatives.pop(old_j, set())
         moved -= {old_i, old_j}
         for other in moved:
@@ -156,30 +126,82 @@ class _GroupTask:
         if moved:
             negatives[new_root] = moved
 
-    def next_fallback_pair(self) -> list[InstanceHandle] | None:
-        """Next unit pair not settled by transitivity or negative memory."""
-        assert self.fallback_ds is not None
-        while self.fallback_pairs:
-            i, j = self.fallback_pairs[0]
-            root_i, root_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
-            settled = root_i == root_j or (
-                root_j in self.fallback_negatives.get(root_i, ())
-            )
-            if settled:
-                self.fallback_pairs.popleft()
-                continue
-            return [self.fallback_units[i][0], self.fallback_units[j][0]]
-        return None
+    def unsettled_pairs(self) -> Iterator[tuple[int, int]]:
+        """Unit pairs in lexicographic order that are still open when the
+        scan reaches them; the caller records each verdict before resuming.
 
-    def finish_fallback(self) -> None:
-        assert self.fallback_ds is not None
-        self.clusters = []
-        for index_cluster in self.fallback_ds.clusters():
-            block: list[InstanceHandle] = []
-            for idx in index_cluster:
-                block.extend(self.fallback_units[idx])
-            self.clusters.append(block)
-        self.phase = "done"
+        The outer unit's root and negatives are read once per yielded pair,
+        since only a verdict can change them.
+        """
+        find = self.ds.find
+        n = len(self.units)
+        for i in range(n):
+            root_i = find(i)
+            known = self.negatives_of(root_i)
+            for j in range(i + 1, n):
+                root_j = find(j)
+                if root_j != root_i and root_j not in known:
+                    yield i, j
+                    root_i = find(i)
+                    known = self.negatives_of(root_i)
+
+    def clusters(self) -> Clusters:
+        """The merged units, one block of handles per cluster."""
+        return [
+            [handle for idx in index_cluster for handle in self.units[idx]]
+            for index_cluster in self.ds.clusters()
+        ]
+
+
+def _group_tests(members: list[InstanceHandle], m: int) -> GroupTests:
+    """Step 2 for one fingerprint group of at least two members.
+
+    Chunk tests first.  If every chunk verified, the chunk clusters merge
+    up a hierarchy of representative tests; if a chunk or a merge test
+    comes back negative, the group falls back to pairwise tests between
+    the chunk clusters (not raw members: two units on one host merge after
+    a single positive, so the sweep costs ~C(units, 2) at most).
+    """
+    size = 2 * m - 1
+    clusters: Clusters = []
+    fully_colocated = True
+    for chunk in _balanced_chunks(members, size):
+        result = yield chunk
+        positives = [h for h, p in zip(result.handles, result.positive) if p]
+        negatives = [h for h, p in zip(result.handles, result.positive) if not p]
+        if 0 < len(positives) < _threshold(m, result.handles):
+            # Inconsistent even after the channel-level retry; treat the
+            # whole chunk as not co-located (conservative).
+            negatives = list(result.handles)
+            positives = []
+        if positives:
+            clusters.append(positives)
+        clusters.extend([h] for h in negatives)
+        if negatives:
+            fully_colocated = False
+    if len(clusters) <= 1:
+        return clusters, False
+
+    if fully_colocated:
+        level = [cluster[0] for cluster in clusters]
+        while len(level) > 1:
+            result = yield level[:size]
+            if not all(result.positive):
+                break
+            # The tested representatives share one host; collapse them
+            # onto the first and continue up the hierarchy.
+            level = [result.handles[0]] + level[len(result.handles) :]
+        if len(level) == 1:
+            return [[h for cluster in clusters for h in cluster]], False
+
+    fallback = _Fallback(clusters)
+    for i, j in fallback.unsettled_pairs():
+        result = yield [fallback.units[i][0], fallback.units[j][0]]
+        if all(result.positive):
+            fallback.merge(i, j)
+        else:
+            fallback.record_negative(i, j)
+    return fallback.clusters(), True
 
 
 class ScalableVerifier:
@@ -197,7 +219,7 @@ class ScalableVerifier:
         the threshold — physically impossible without noise).  The default
         is the historical single re-run; raise ``max_retries`` when the
         channel is noisy (e.g. under fault injection).  Re-runs are
-        counted in ``channel.stats.retries``.
+        counted in the channel's ``retries`` counter.
     """
 
     def __init__(
@@ -243,7 +265,11 @@ class ScalableVerifier:
             threshold_m=self.m,
             no_false_negatives=no_false_negatives,
         ) as span:
-            groups = self._group_by_fingerprint(pairs)
+            # Step 1: each fingerprint's handles, with the group's batching key.
+            groups = [
+                (_batching_key(fp), members)
+                for fp, members in group_by_fingerprint(pairs).items()
+            ]
             span.set(groups=len(groups))
             with self.channel.prepared([handle for handle, _fp in pairs]):
                 clusters = self._verify_groups(groups, report, no_false_negatives)
@@ -271,19 +297,6 @@ class ScalableVerifier:
         return report
 
     # ------------------------------------------------------------------
-    # Step 1: fingerprint grouping
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _group_by_fingerprint(
-        pairs: Sequence[tuple[InstanceHandle, Hashable]],
-    ) -> list[tuple[str | None, list[InstanceHandle]]]:
-        """Step 1: each fingerprint's handles, with the group's batching key."""
-        members: dict[Hashable, list[InstanceHandle]] = {}
-        for handle, fingerprint in pairs:
-            members.setdefault(fingerprint, []).append(handle)
-        return [(_batching_key(fp), handles) for fp, handles in members.items()]
-
-    # ------------------------------------------------------------------
     # Step 2: intra-group verification, wave-batched across groups
     # ------------------------------------------------------------------
     def _verify_groups(
@@ -291,197 +304,63 @@ class ScalableVerifier:
         groups: list[tuple[str | None, list[InstanceHandle]]],
         report: VerificationReport,
         no_false_negatives: bool,
-    ) -> list[list[InstanceHandle]]:
-        tasks: list[_GroupTask] = []
-        clusters: list[list[InstanceHandle]] = []
-        for model_key, members in groups:
-            if len(members) == 1:
-                # Nothing to verify inside a singleton group; step 3 still
-                # covers potential false negatives against other clusters.
-                clusters.append(list(members))
-                continue
-            task = _GroupTask(members, model_key)
-            task.pending_chunks = deque(_balanced_chunks(members, 2 * self.m - 1))
-            tasks.append(task)
+    ) -> Clusters:
+        # Nothing to verify inside a singleton group; step 3 still covers
+        # potential false negatives against other clusters.
+        clusters = [list(members) for _key, members in groups if len(members) == 1]
+        tasks = [
+            (key, _group_tests(members, self.m))
+            for key, members in groups
+            if len(members) > 1
+        ]
+        # Each generator's (clusters, fell_back), kept in group order.
+        outcomes: dict[GroupTests, tuple[Clusters, bool]] = {
+            tests: ([], False) for _key, tests in tasks
+        }
+        # Live generators in group order, each with its batching key and
+        # the test it waits on; a wave sends every one a result, and a
+        # generator that returns leaves the list.
+        live: list[tuple[str | None, GroupTests, list[InstanceHandle] | None]] = [
+            (key, tests, next(tests)) for key, tests in tasks
+        ]
 
         telemetry = current_telemetry()
         wave = 0
-        # Active-task scheduling: _next_test returns None exactly when a
-        # task has finished, so tasks drop out of the wave scan as they
-        # complete instead of being re-polled every wave — O(live groups)
-        # per wave, not O(all groups), which matters when a 64x wave
-        # carries tens of thousands of fingerprint groups.  Request order
-        # within a wave is unchanged (task insertion order), so batch
-        # planning and the RNG-free verdict sequence are identical.
-        active = list(tasks)
-        while active:
-            requests: list[tuple[_GroupTask, list[InstanceHandle]]] = []
-            next_active: list[_GroupTask] = []
-            for task in active:
-                test = self._next_test(task)
-                if test is not None:
-                    requests.append((task, test))
-                    next_active.append(task)
-            active = next_active
-            if not requests:
-                break
-            with telemetry.span(
-                "verify.wave", wave=wave, requests=len(requests)
-            ) as span:
-                batches = self._plan_batches(requests, no_false_negatives)
+        while live:
+            with telemetry.span("verify.wave", wave=wave, requests=len(live)) as span:
+                batches = _plan_batches([key for key, _g, _t in live], no_false_negatives)
                 span.set(batches=len(batches))
                 for batch in batches:
-                    results = self._run_batch([test for _task, test in batch])
-                    for (task, _test), result in zip(batch, results):
-                        self._feed_result(task, result)
+                    results = self._run_batch([live[position][2] for position in batch])
+                    for position, result in zip(batch, results):
+                        key, tests, _test = live[position]
+                        try:
+                            live[position] = (key, tests, tests.send(result))
+                        except StopIteration as stop:
+                            outcomes[tests] = stop.value
+                            live[position] = (key, tests, None)
+            live = [entry for entry in live if entry[2] is not None]
             wave += 1
 
-        for task in tasks:
-            if task.fell_back:
+        for group_clusters, fell_back in outcomes.values():
+            if fell_back:
                 report.fallback_groups += 1
-            clusters.extend(task.clusters)
+            clusters.extend(group_clusters)
         return clusters
-
-    def _next_test(self, task: _GroupTask) -> list[InstanceHandle] | None:
-        """Return the group's next pending test, advancing its phases."""
-        if task.done():
-            return None
-        if task.phase == "chunking":
-            if task.pending_chunks:
-                return task.pending_chunks[0]
-            # All chunks resolved: decide whether to merge or finish.
-            if len(task.clusters) <= 1:
-                task.phase = "done"
-                return None
-            if not task.fully_colocated:
-                task.enter_fallback()
-            else:
-                task.phase = "merging"
-                task.merge_level = [cluster[0] for cluster in task.clusters]
-        if task.phase == "merging":
-            if len(task.merge_level) <= 1:
-                merged: list[InstanceHandle] = []
-                for cluster in task.clusters:
-                    merged.extend(cluster)
-                task.clusters = [merged]
-                task.phase = "done"
-                return None
-            return task.merge_level[: 2 * self.m - 1]
-        if task.phase == "fallback":
-            pair = task.next_fallback_pair()
-            if pair is None:
-                task.finish_fallback()
-                return None
-            return pair
-        return None
-
-    def _feed_result(self, task: _GroupTask, result: CTestResult) -> None:
-        """Apply a finished test to the group's state machine."""
-        if task.phase == "chunking":
-            task.pending_chunks.popleft()
-            positives = [h for h, p in zip(result.handles, result.positive) if p]
-            negatives = [h for h, p in zip(result.handles, result.positive) if not p]
-            if 0 < len(positives) < self._threshold_for(result.handles):
-                # Inconsistent even after the channel-level retry; treat
-                # the whole chunk as not co-located (conservative).
-                negatives = list(result.handles)
-                positives = []
-            if positives:
-                task.clusters.append(positives)
-            task.clusters.extend([h] for h in negatives)
-            if negatives:
-                task.fully_colocated = False
-        elif task.phase == "merging":
-            if all(result.positive):
-                # The tested representatives share one host; collapse them
-                # onto the first and continue up the hierarchy.
-                survivors = task.merge_level[len(result.handles):]
-                task.merge_level = [result.handles[0]] + survivors
-            else:
-                task.enter_fallback()
-        elif task.phase == "fallback":
-            assert task.fallback_ds is not None
-            i, j = task.fallback_pairs.popleft()
-            if all(result.positive):
-                task.merge_fallback_units(i, j)
-            else:
-                task.record_fallback_negative(i, j)
-
-    @staticmethod
-    def _plan_batches(
-        requests: list[tuple[_GroupTask, list[InstanceHandle]]],
-        no_false_negatives: bool,
-    ) -> list[list[tuple[_GroupTask, list[InstanceHandle]]]]:
-        """Greedily pack group tests into concurrency-safe batches.
-
-        Two tests may share a batch when their groups are guaranteed to be
-        on different hosts: always true across groups under
-        ``no_false_negatives`` (all Gen 2), and true for groups with
-        different ``model_key`` otherwise (Gen 1).  A ``model_key=None``
-        group carries no such guarantee against *anyone*, so it gets an
-        exclusive batch (``keys is None`` below) that no other group may
-        join — previously a keyed group could slip into it and concurrent
-        tests could share a host, silently corrupting verdicts.
-        """
-        if no_false_negatives:
-            return [requests]
-        batches: list[
-            tuple[set[str] | None, list[tuple[_GroupTask, list[InstanceHandle]]]]
-        ] = []
-        # First-fit packing with a per-key resume index.  A batch that is
-        # unacceptable for key k stays unacceptable (it either already
-        # contains k or is a keyless exclusive batch), so each key's scan
-        # can resume where the last one stopped instead of rescanning the
-        # whole batch list — the sizing step stays O(requests) even for
-        # the wide single-wave batches the vectorized round engine makes
-        # worthwhile.  Placement decisions are identical to a full scan.
-        scan_from: dict[str, int] = {}
-        for task, test in requests:
-            key = task.model_key
-            if key is None:
-                batches.append((None, [(task, test)]))
-                continue
-            index = scan_from.get(key, 0)
-            placed = False
-            while index < len(batches):
-                keys, batch = batches[index]
-                if keys is not None and key not in keys:
-                    batch.append((task, test))
-                    keys.add(key)
-                    placed = True
-                    break
-                index += 1
-            scan_from[key] = index + 1
-            if not placed:
-                batches.append(({key}, [(task, test)]))
-        return [batch for _keys, batch in batches]
-
-    def _threshold_for(self, chunk: Sequence[InstanceHandle]) -> int:
-        """Per-test contention threshold.
-
-        A test can only light up when at least ``threshold`` pressurers
-        share a host, so tests smaller than ``m`` (pairs during fallback
-        and refinement, small trailing chunks) drop to their own size —
-        never below the physical minimum of 2 (paper §4.3 adjusts the
-        threshold per test).
-        """
-        return max(2, min(self.m, len(chunk)))
 
     def _run_batch(
         self,
         chunks: list[list[InstanceHandle]],
         force_threshold: int | None = None,
     ) -> list[CTestResult]:
-        def thresholds(batch: list[list[InstanceHandle]]) -> list[int]:
-            if force_threshold is not None:
-                return [force_threshold] * len(batch)
-            return [self._threshold_for(chunk) for chunk in batch]
-
-        results = self.channel.ctest_batch(chunks, thresholds(chunks))
+        if force_threshold is not None:
+            limits = [force_threshold] * len(chunks)
+        else:
+            limits = [_threshold(self.m, chunk) for chunk in chunks]
+        results = self.channel.ctest_batch(chunks, limits)
         # Retry inconsistent results (fewer positives than the threshold is
         # physically impossible without noise), up to the retry policy's
         # budget; each pass only re-runs the still-inconsistent tests.
-        limits = thresholds(chunks)
         telemetry = current_telemetry()
         for _attempt in range(self.retry_policy.max_retries):
             retried: list[int] = [
@@ -491,7 +370,7 @@ class ScalableVerifier:
             ]
             if not retried:
                 break
-            self.channel.stats.retries += len(retried)
+            self.channel.stats.inc("retries", len(retried))
             before = self.channel.stats.snapshot()
             with telemetry.span(
                 "verify.inconsistent_rerun", attempt=_attempt, tests=len(retried)
@@ -513,9 +392,9 @@ class ScalableVerifier:
     # ------------------------------------------------------------------
     def _merge_false_negatives(
         self,
-        clusters: list[list[InstanceHandle]],
+        clusters: Clusters,
         report: VerificationReport,
-    ) -> list[list[InstanceHandle]]:
+    ) -> Clusters:
         if len(clusters) <= 1:
             return clusters
         # The sweep uses m = 2 regardless of the step-2 threshold: a false
@@ -531,25 +410,79 @@ class ScalableVerifier:
                 return clusters
 
             # Refine: pairwise tests among the positive representatives
-            # reveal which of their clusters actually share hosts.
-            ds = DisjointSet(range(len(clusters)))
+            # reveal which of their clusters actually share hosts.  Every
+            # positive pair is tested unless transitivity settles it; no
+            # negative is remembered here.
+            refined = _Fallback(clusters)
             for a in range(len(positives)):
                 for b in range(a + 1, len(positives)):
                     i, j = positives[a], positives[b]
-                    if ds.same(i, j):
+                    if refined.ds.same(i, j):
                         continue
                     pair = self._run_batch([[reps[i], reps[j]]])[0]
                     if all(pair.positive):
-                        ds.union(i, j)
+                        refined.merge(i, j)
                         report.merged_false_negatives += 1
             span.set(merged=report.merged_false_negatives)
-            merged: list[list[InstanceHandle]] = []
-            for index_cluster in ds.clusters():
-                block: list[InstanceHandle] = []
-                for idx in index_cluster:
-                    block.extend(clusters[idx])
-                merged.append(block)
-            return merged
+            return refined.clusters()
+
+
+def _plan_batches(
+    keys: Sequence[str | None], no_false_negatives: bool
+) -> list[list[int]]:
+    """Greedily pack one wave's tests into concurrency-safe batches.
+
+    ``keys`` holds each test's batching key; a batch is a list of
+    positions into it.  Two tests may share a batch when their groups are
+    guaranteed to be on different hosts: always true across groups under
+    ``no_false_negatives`` (all Gen 2), and true for groups with different
+    keys otherwise (Gen 1).  A ``None`` key carries no such guarantee
+    against *anyone*, so its test gets an exclusive batch (``taken is
+    None`` below) that no other test may join — previously a keyed group
+    could slip into it and concurrent tests could share a host, silently
+    corrupting verdicts.
+    """
+    if no_false_negatives:
+        return [list(range(len(keys)))]
+    batches: list[tuple[set[str] | None, list[int]]] = []
+    # First-fit packing with a per-key resume index.  A batch that is
+    # unacceptable for key k stays unacceptable (it either already
+    # contains k or is a keyless exclusive batch), so each key's scan can
+    # resume where the last one stopped instead of rescanning the whole
+    # batch list — the sizing step stays O(tests) even for the wide
+    # single-wave batches the vectorized round engine makes worthwhile.
+    # Placement decisions are identical to a full scan.
+    scan_from: dict[str, int] = {}
+    for position, key in enumerate(keys):
+        if key is None:
+            batches.append((None, [position]))
+            continue
+        index = scan_from.get(key, 0)
+        placed = False
+        while index < len(batches):
+            taken, batch = batches[index]
+            if taken is not None and key not in taken:
+                batch.append(position)
+                taken.add(key)
+                placed = True
+                break
+            index += 1
+        scan_from[key] = index + 1
+        if not placed:
+            batches.append(({key}, [position]))
+    return [batch for _taken, batch in batches]
+
+
+def _threshold(m: int, chunk: Sequence[InstanceHandle]) -> int:
+    """Per-test contention threshold.
+
+    A test can only light up when at least ``threshold`` pressurers share
+    a host, so tests smaller than ``m`` (pairs during fallback and
+    refinement, small trailing chunks) drop to their own size — never
+    below the physical minimum of 2 (paper §4.3 adjusts the threshold per
+    test).
+    """
+    return max(2, min(m, len(chunk)))
 
 
 def _batching_key(fingerprint: Hashable) -> str | None:

@@ -19,7 +19,7 @@ number, a CTest batch slot, a cell cache key).  Two consequences:
   bounded retry loop deterministically escapes transient faults.
 
 Counters are the only mutable state, and they are advisory: they feed the
-``[runner]`` / :class:`~repro.core.covert.ChannelStats` reporting, never a
+``[runner]`` line and a covert channel's ``stats`` counters, never a
 decision.  (When a plan is pickled into a worker process the worker's
 counter increments stay in the worker; parent-side accounting is derived
 from structured results instead.)  Every increment is also mirrored to

@@ -12,9 +12,8 @@ engine layers changes.
 Extension contract (what keeps a new kind on the one batch-wide
 :func:`~repro.hardware.rng_resource.window_hits` CTest engine):
 
-* the resource class must not override
-  :meth:`~repro.hardware.rng_resource.ContentionResource.observe`, the
-  scalar model ``window_hits`` reproduces in arrays
+* the resource class must not define a scalar ``observe`` of its own:
+  ``window_hits`` is the one contention model and would ignore it
   (:func:`register_channel_kind` rejects a class that does);
 * channel physics beyond background/drop rates must be expressed as pure
   post-draw transforms (``saturation`` clamping, the DVFS level-to-frequency
@@ -143,7 +142,7 @@ class ChannelKind:
     resource_cls:
         Class instantiated per host (a
         :class:`~repro.hardware.rng_resource.ContentionResource` or a
-        subclass that keeps ``observe`` untouched).
+        subclass that defines no ``observe``).
     """
 
     name: str
@@ -181,18 +180,18 @@ def register_channel_kind(kind: ChannelKind) -> ChannelKind:
 
     Registration is metadata-only: no resource is built until a host first
     serves the kind, so registering can never perturb existing kinds' RNG
-    draw order.  A ``resource_cls`` that overrides the contention model's
-    ``observe`` is rejected: the CTest engine draws every window through
-    :func:`~repro.hardware.rng_resource.window_hits`, which reproduces the
-    base ``observe`` and would silently ignore an override.
+    draw order.  A ``resource_cls`` with its own scalar ``observe`` is
+    rejected: the CTest engine draws every window through
+    :func:`~repro.hardware.rng_resource.window_hits`, which would silently
+    ignore it.
     """
     if kind.name in _CHANNEL_KINDS:
         raise ValueError(f"covert-channel kind {kind.name!r} already registered")
-    if kind.resource_cls.observe is not ContentionResource.observe:
+    if hasattr(kind.resource_cls, "observe"):
         raise ValueError(
             f"covert-channel kind {kind.name!r}: resource class "
-            f"{kind.resource_cls.__name__} overrides ContentionResource.observe, "
-            f"which window_hits reproduces"
+            f"{kind.resource_cls.__name__} defines observe, which window_hits "
+            f"would ignore"
         )
     _CHANNEL_KINDS[kind.name] = kind
     return kind

@@ -17,11 +17,12 @@ rates and, for coarse channels like LLC occupancy, an optional observation
 
 Draw-order contract
 -------------------
-Both the scalar :meth:`ContentionResource.observe` path and the batched
-:func:`window_hits` engine consume each observer's ``numpy`` generator in
-exactly the same order, which is what keeps the two execution strategies
-byte-identical (the same guarantee the columnar fleet store gives for
-placement).  Per observation by one instance:
+:func:`window_hits` consumes each observer's ``numpy`` generator exactly
+as a loop of scalar observations would, one per round.  That scalar side
+is a test oracle: ``observe`` in ``tests/oracles/ctest.py``, which the
+per-round CTest loop there draws through each row's stream, and the two
+stay byte-identical (the same guarantee the columnar fleet store gives
+for placement).  Per observation by one instance:
 
 1. one uniform draw **per co-located other pressurer**, in one block; a
    draw ``>= drop_rate`` means that pressurer's contribution is seen;
@@ -107,31 +108,6 @@ class ContentionResource:
         """Ids of the instances currently pressuring (provider telemetry)."""
         return frozenset(self._pressurers)
 
-    def observe(self, instance_id: str, rng: np.random.Generator) -> int:
-        """Return the contention level seen by one pressuring instance.
-
-        The observation is the number of co-located pressurers (including
-        the observer itself, which must be pressuring to measure), minus
-        occasional scheduling drops of *other* pressurers' contributions,
-        plus occasional background contention.
-
-        The draws follow the module-level draw-order contract (``others``
-        drop draws, then one background draw), so a sequence of scalar
-        observations is stream-identical to one :func:`window_hits` call
-        covering the same rounds.
-        """
-        if instance_id not in self._pressurers:
-            raise ValueError(
-                f"instance {instance_id!r} must pressure the RNG before observing it"
-            )
-        others = len(self._pressurers) - 1
-        seen_others = sum(1 for _ in range(others) if rng.random() >= self.drop_rate)
-        background = 1 if rng.random() < self.background_rate else 0
-        level = 1 + seen_others + background
-        if self.saturation is not None:
-            level = min(level, self.saturation)
-        return level
-
 
 def window_hits(
     observers: Sequence[tuple[ContentionResource, str, np.random.Generator]],
@@ -142,12 +118,12 @@ def window_hits(
     """Contention-hit counts of one CTest window over a whole batch.
 
     Simulates, for every observer, ``n_rounds`` successive scalar
-    :meth:`ContentionResource.observe` calls on its host's resource and
-    counts the rounds whose level reaches the observer's threshold.  The
-    observers of every host are handled together: each observer's whole
-    window is drawn by one ``rng.random(out=...)`` into a shared buffer,
-    and seen-others, background and hits are counted for all of them in
-    one segmented array pass (several passes of at most
+    observations of its host's resource (the module-level draw-order
+    contract) and counts the rounds whose level reaches the observer's
+    threshold.  The observers of every host are handled together: each
+    observer's whole window is drawn by one ``rng.random(out=...)`` into a
+    shared buffer, and seen-others, background and hits are counted for
+    all of them in one segmented array pass (several passes of at most
     :data:`PASS_DRAWS` draws for a large batch).
 
     Parameters

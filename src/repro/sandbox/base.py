@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import abc
 import enum
-from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -195,17 +194,6 @@ class Sandbox(abc.ABC):
     def stop_channel_pressure(self, kind: str) -> None:
         """Stop pressuring one registered covert-channel kind."""
         self._host.channel_resource(kind).stop_pressure(self.sandbox_id)
-
-    def observe_channel_contention(self, kind: str) -> int:
-        """Sample one kind's contention level (must be pressuring it).
-
-        The single scalar-observation entry point of the channel surface:
-        per-kind draw semantics live entirely in the host's
-        :class:`~repro.hardware.rng_resource.ContentionResource`, so every
-        kind inherits the module-level draw-order contract unchanged.
-        """
-        resource = self._host.channel_resource(kind)
-        return self._stream.draw(partial(resource.observe, self.sandbox_id))
 
     # ------------------------------------------------------------------
     # Request serving (victim-side latency surface)

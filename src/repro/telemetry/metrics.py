@@ -1,9 +1,9 @@
 """Typed metric containers: counters, gauges, and histograms.
 
-A :class:`MetricSet` is the mutable numeric state behind both the
-telemetry handle (:class:`~repro.telemetry.tracer.Telemetry`) and the
-legacy stats facades (:class:`~repro.core.covert.ChannelStats`,
-:class:`~repro.runner.pool.RunStats`).  Three metric kinds:
+A :class:`MetricSet` is the mutable numeric state behind the telemetry
+handle (:class:`~repro.telemetry.tracer.Telemetry`), a covert channel's
+``stats`` (:class:`~repro.core.covert.CovertChannel`) and the runner's
+:class:`~repro.runner.pool.RunStats` facade.  Three metric kinds:
 
 * **counters** — monotonically accumulated sums (``inc``);
 * **gauges** — last-write-wins point-in-time values (``gauge``);

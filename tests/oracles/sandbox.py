@@ -75,9 +75,6 @@ class EagerSandbox:
     def stop_channel_pressure(self, kind: str) -> None:
         self._host.channel_resource(kind).stop_pressure(self.sandbox_id)
 
-    def observe_channel_contention(self, kind: str) -> int:
-        return self._host.channel_resource(kind).observe(self.sandbox_id, self._rng)
-
     def serve_request(self, processing_seconds: float) -> float:
         lockers = self._host.memory_bus.pressurer_count
         return (

@@ -1,55 +1,47 @@
-"""Set-of-pairs negative memory (reference for ``_GroupTask``'s root-keyed one).
+"""Set-of-pairs negative memory (reference for ``_Fallback``'s root-keyed one).
 
 The verifier's pairwise fallback remembers which clusters tested negative
 against each other.  This keeps that memory as one set of root pairs and
 rebuilds the whole set on every merge, quadratic over a fallback but
 obviously right; the property suite pins the root-keyed adjacency in
-:class:`repro.core.verification._GroupTask` to it.
+:class:`repro.core.verification._Fallback` to it.  The pair scan, the
+union-find and the cluster blocks are the verifier's own.
 """
 
 from __future__ import annotations
 
-from repro.cloud.api import InstanceHandle
-from repro.core.verification import _GroupTask
+from repro.core.verification import _Fallback
 
 
-class PairSetGroupTask(_GroupTask):
-    """``_GroupTask`` with its fallback negatives as ``set[frozenset]``."""
+class PairSetFallback(_Fallback):
+    """``_Fallback`` with its negatives as ``set[frozenset]`` of roots."""
 
-    def enter_fallback(self) -> None:
-        super().enter_fallback()
-        self.fallback_negatives = set()  # type: ignore[assignment]
+    def __init__(self, units) -> None:
+        super().__init__(units)
+        self.negatives = set()  # type: ignore[assignment]
 
-    def record_fallback_negative(self, i: int, j: int) -> None:
-        assert self.fallback_ds is not None
-        self.fallback_negatives.add(  # type: ignore[attr-defined]
-            frozenset((self.fallback_ds.find(i), self.fallback_ds.find(j)))
+    def negatives_of(self, root: int) -> set[int]:
+        return {
+            other
+            for pair in self.negatives  # type: ignore[attr-defined]
+            if root in pair
+            for other in pair - {root}
+        }
+
+    def record_negative(self, i: int, j: int) -> None:
+        self.negatives.add(  # type: ignore[attr-defined]
+            frozenset((self.ds.find(i), self.ds.find(j)))
         )
 
-    def merge_fallback_units(self, i: int, j: int) -> None:
-        assert self.fallback_ds is not None
-        old_i, old_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
-        self.fallback_ds.union(i, j)
-        new_root = self.fallback_ds.find(i)
+    def merge(self, i: int, j: int) -> None:
+        old_i, old_j = self.ds.find(i), self.ds.find(j)
+        self.ds.union(i, j)
+        new_root = self.ds.find(i)
         migrated = set()
-        for pair in self.fallback_negatives:
+        for pair in self.negatives:  # type: ignore[attr-defined]
             others = pair - {old_i, old_j}
             if len(others) == len(pair):
                 migrated.add(pair)
             elif others:
                 migrated.add(frozenset((new_root, next(iter(others)))))
-        self.fallback_negatives = migrated  # type: ignore[assignment]
-
-    def next_fallback_pair(self) -> list[InstanceHandle] | None:
-        assert self.fallback_ds is not None
-        while self.fallback_pairs:
-            i, j = self.fallback_pairs[0]
-            root_i, root_j = self.fallback_ds.find(i), self.fallback_ds.find(j)
-            settled = root_i == root_j or (
-                frozenset((root_i, root_j)) in self.fallback_negatives
-            )
-            if settled:
-                self.fallback_pairs.popleft()
-                continue
-            return [self.fallback_units[i][0], self.fallback_units[j][0]]
-        return None
+        self.negatives = migrated  # type: ignore[assignment]

@@ -21,6 +21,7 @@ from repro.hardware.channels import (
 )
 from repro.hardware.rng_resource import ContentionResource
 from tests.conftest import make_host
+from tests.oracles.ctest import observe
 
 
 def _observe_stream(host, kinds, seed, n_obs):
@@ -31,7 +32,7 @@ def _observe_stream(host, kinds, seed, n_obs):
     rng = np.random.default_rng(seed)
     stream = {
         kind: [
-            int(host.channel_resource(kind).observe("i0", rng))
+            int(observe(host.channel_resource(kind), "i0", rng))
             for _ in range(n_obs)
         ]
         for kind in kinds
@@ -68,7 +69,7 @@ def test_registering_a_kind_never_perturbs_existing_kinds(
             # its *own* observation RNGs only.
             resource = host.channel_resource("prop-extra")
             resource.start_pressure("other")
-            resource.observe("other", np.random.default_rng(seed + 1))
+            observe(resource, "other", np.random.default_rng(seed + 1))
         assert _observe_stream(host, kinds, seed, n_obs) == baseline
     finally:
         unregister_channel_kind("prop-extra")
@@ -96,8 +97,8 @@ def test_saturation_is_a_pure_post_clamp(seed, n_pressurers, n_obs, saturation):
     rng_plain = np.random.default_rng(seed)
     rng_clamped = np.random.default_rng(seed)
     for _ in range(n_obs):
-        level = plain.observe("self", rng_plain)
-        assert clamped.observe("self", rng_clamped) == min(level, saturation)
+        level = observe(plain, "self", rng_plain)
+        assert observe(clamped, "self", rng_clamped) == min(level, saturation)
     assert str(rng_plain.bit_generator.state) == str(
         rng_clamped.bit_generator.state
     )
@@ -133,4 +134,5 @@ def test_dvfs_frequency_map_properties(levels, step, floor):
 def test_llc_resource_is_contention_resource_with_saturation():
     resource = LlcOccupancyResource()
     assert isinstance(resource, ContentionResource)
-    assert type(resource).observe is ContentionResource.observe
+    # The registry's rule: no scalar contention model beside window_hits.
+    assert not hasattr(type(resource), "observe")

@@ -51,7 +51,7 @@ def run_world(channel_cls, seed, n, group_size, threshold, death_rate, total_rou
             h.instance_id: h.run(lambda s: str(s._rng.bit_generator.state))
             for h in handles
         },
-        "faults": channel.stats.faults_injected,
+        "faults": channel.stats.counter("faults_injected"),
     }
 
 

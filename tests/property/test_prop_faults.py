@@ -2,64 +2,48 @@
 
 The batch planner's one safety invariant: two group tests may share a
 batch only when their groups are *guaranteed* host-disjoint.  With Gen 1
-fingerprints that guarantee comes solely from distinct ``model_key``
-values, so within a batch every key must be unique and a key-less
-(``model_key=None``) group must never have company.
+fingerprints that guarantee comes solely from distinct batching keys (CPU
+models), so within a batch every key must be unique and a key-less
+(``None``) group must never have company.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.verification import ScalableVerifier, _GroupTask
+from repro.core.verification import _plan_batches
 from repro.faults import FaultPlan, FaultSpec, hashed_uniform
-
-
-@dataclass(frozen=True)
-class FakeHandle:
-    """Minimal stand-in for an InstanceHandle."""
-
-    instance_id: str
 
 
 model_keys = st.one_of(st.none(), st.sampled_from(["xeon", "epyc", "ice", "milan"]))
 
-
-@st.composite
-def batch_requests(draw):
-    n = draw(st.integers(min_value=1, max_value=25))
-    requests = []
-    for index in range(n):
-        key = draw(model_keys)
-        handles = [FakeHandle(f"g{index}-{j}") for j in range(draw(st.integers(1, 3)))]
-        requests.append((_GroupTask(handles, key), handles))
-    return requests
+#: One wave's batching keys, one per pending group test.
+wave_keys = st.lists(model_keys, min_size=1, max_size=25)
 
 
-@given(batch_requests())
+@given(wave_keys)
 @settings(max_examples=120, deadline=None)
-def test_no_batch_contains_groups_that_could_share_a_host(requests):
-    batches = ScalableVerifier._plan_batches(requests, no_false_negatives=False)
+def test_no_batch_contains_groups_that_could_share_a_host(keys):
+    batches = _plan_batches(keys, no_false_negatives=False)
     for batch in batches:
-        keys = [task.model_key for task, _test in batch]
-        if any(key is None for key in keys):
+        batch_keys = [keys[position] for position in batch]
+        if any(key is None for key in batch_keys):
             # A key-less group carries no disjointness guarantee against
             # anyone: it must be tested in a batch of its own.
             assert len(batch) == 1
         else:
             # Same model key == possibly the same host: never batched.
-            assert len(keys) == len(set(keys))
+            assert len(batch_keys) == len(set(batch_keys))
 
 
-@given(batch_requests())
+@given(wave_keys)
 @settings(max_examples=60, deadline=None)
-def test_every_request_planned_exactly_once(requests):
-    batches = ScalableVerifier._plan_batches(requests, no_false_negatives=False)
-    planned = [task for batch in batches for task, _test in batch]
-    assert sorted(map(id, planned)) == sorted(id(task) for task, _test in requests)
+def test_every_request_planned_exactly_once(keys):
+    batches = _plan_batches(keys, no_false_negatives=False)
+    planned = [position for batch in batches for position in batch]
+    assert sorted(planned) == list(range(len(keys)))
 
 
 fault_specs = st.builds(

@@ -39,7 +39,7 @@ class OracleChannel(CovertChannel):
         for handle in flat:
             host = self.host_of[handle.instance_id]
             counts[host] = counts.get(host, 0) + 1
-        self.stats.record_batch([len(g) for g in groups], 1.0)
+        self.record_batch([len(g) for g in groups], 1.0)
         results = []
         for group, threshold in zip(groups, thresholds):
             positive = tuple(
@@ -116,16 +116,13 @@ def test_accurate_fingerprints_cost_linear_in_hosts(scenario):
 # Fallback negative memory: root-keyed adjacency == set of root pairs
 # ----------------------------------------------------------------------
 def _fallback_twins(n_units: int):
-    from repro.core.verification import _GroupTask
-    from tests.oracles.verification import PairSetGroupTask
+    from repro.core.verification import _Fallback
+    from tests.oracles.verification import PairSetFallback
 
-    twins = []
-    for cls in (_GroupTask, PairSetGroupTask):
-        task = cls([FakeHandle(f"i{k}") for k in range(n_units)], None)
-        task.clusters = [[FakeHandle(f"i{k}")] for k in range(n_units)]
-        task.enter_fallback()
-        twins.append(task)
-    return twins
+    return [
+        cls([[FakeHandle(f"i{k}")] for k in range(n_units)])
+        for cls in (_Fallback, PairSetFallback)
+    ]
 
 
 @st.composite
@@ -146,44 +143,38 @@ def fallback_scripts(draw):
 @given(fallback_scripts())
 @settings(max_examples=200, deadline=None)
 def test_fallback_negatives_match_pair_set_oracle(script):
-    """Random negatives and merges give the same ``next_fallback_pair``
-    sequence and the same final clusters in both negative memories."""
+    """Random negatives and merges give the same sequence of unsettled
+    pairs and the same final clusters in both negative memories."""
     n_units, steps = script
-    task, oracle = _fallback_twins(n_units)
+    fallback, oracle = _fallback_twins(n_units)
+    scans = [fallback.unsettled_pairs(), oracle.unsettled_pairs()]
+    twins = [fallback, oracle]
 
-    def next_pair(t):
-        pair = t.next_fallback_pair()
-        return None if pair is None else [h.instance_id for h in pair]
+    def next_pair(verdict):
+        """Test the next unsettled pair in both; False once none is left."""
+        pairs = [next(scan, None) for scan in scans]
+        assert pairs[0] == pairs[1]
+        if pairs[0] is None:
+            return False
+        for twin in twins:
+            if verdict:
+                twin.merge(*pairs[0])
+            else:
+                twin.record_negative(*pairs[0])
+        return True
 
     for step in steps:
-        got = next_pair(task)
-        assert got == next_pair(oracle)
         if step[0] == "next":
-            if got is None:
-                continue
-            for t in (task, oracle):
-                i, j = t.fallback_pairs.popleft()
-                if step[1]:
-                    t.merge_fallback_units(i, j)
-                else:
-                    t.record_fallback_negative(i, j)
-        else:
-            _op, i, j = step
-            for t in (task, oracle):
-                if step[0] == "merge":
-                    t.merge_fallback_units(i, j)
-                else:
-                    t.record_fallback_negative(i, j)
-    while True:
-        got = next_pair(task)
-        assert got == next_pair(oracle)
-        if got is None:
-            break
-        for t in (task, oracle):
-            i, j = t.fallback_pairs.popleft()
-            t.record_fallback_negative(i, j)
-    for t in (task, oracle):
-        t.finish_fallback()
-    assert [[h.instance_id for h in c] for c in task.clusters] == [
-        [h.instance_id for h in c] for c in oracle.clusters
+            next_pair(step[1])
+            continue
+        _op, i, j = step
+        for twin in twins:
+            if step[0] == "merge":
+                twin.merge(i, j)
+            else:
+                twin.record_negative(i, j)
+    while next_pair(False):
+        pass
+    assert [[h.instance_id for h in c] for c in fallback.clusters()] == [
+        [h.instance_id for h in c] for c in oracle.clusters()
     ]

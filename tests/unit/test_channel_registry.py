@@ -25,6 +25,7 @@ from repro.hardware.channels import (
 )
 from repro.hardware.rng_resource import ContentionResource
 from tests.conftest import make_host
+from tests.oracles.ctest import observe
 
 
 class TestRegistry:
@@ -80,9 +81,9 @@ class TestRegistry:
 
     @pytest.mark.parametrize("method", ["observe"])
     def test_resource_overriding_contention_model_rejected(self, method):
-        """The one CTest engine, ``window_hits``, reproduces the base
-        contention model, so a kind whose resource replaces it is refused
-        at registration."""
+        """The one CTest engine, ``window_hits``, is the contention model,
+        so a kind whose resource brings a scalar model of its own is
+        refused at registration."""
 
         def override(self, *args, **kwargs):  # pragma: no cover - never called
             raise AssertionError
@@ -95,7 +96,7 @@ class TestRegistry:
             drop_rate=0.01,
             resource_cls=custom,
         )
-        with pytest.raises(ValueError, match=f"overrides ContentionResource.{method}"):
+        with pytest.raises(ValueError, match=f"defines {method}"):
             register_channel_kind(kind)
         assert "test-custom-model" not in registered_channel_kinds()
 
@@ -132,7 +133,7 @@ class TestResources:
         for i in range(10):
             resource.start_pressure(f"i{i}")
         rng = np.random.default_rng(0)
-        assert resource.observe("i0", rng) == 3
+        assert observe(resource, "i0", rng) == 3
 
     def test_saturation_validation(self):
         with pytest.raises(ValueError, match="saturation"):

@@ -154,36 +154,38 @@ class TestCli:
 
 class TestChannelStats:
     def test_record_batch_accumulates(self):
-        from repro.core.covert import ChannelStats
+        from repro.core.covert import RngCovertChannel
 
-        stats = ChannelStats()
-        stats.record_batch([3, 2], seconds=1.2)
-        stats.record_batch([2], seconds=1.2)
-        assert stats.n_tests == 3
-        assert stats.n_instance_slots == 7
-        assert stats.batches == 2
-        assert stats.busy_seconds == pytest.approx(2.4)
-        # per_batch_tests is a bounded histogram view, not a raw list:
-        # long campaigns must not accumulate one entry per batch.
-        assert stats.per_batch_tests.count == 2
-        assert stats.per_batch_tests.total == 3
-        assert stats.per_batch_tests.max == 2
-        assert stats.per_batch_tests.min == 1
+        channel = RngCovertChannel()
+        channel.record_batch([3, 2], seconds=1.2)
+        channel.record_batch([2], seconds=1.2)
+        stats = channel.stats
+        assert stats.counter("tests") == 3
+        assert stats.counter("instance_slots") == 7
+        assert stats.counter("batches") == 2
+        assert stats.counter("busy_seconds") == pytest.approx(2.4)
+        # batch_tests is a bounded histogram, not a raw list: long
+        # campaigns must not accumulate one entry per batch.
+        per_batch = stats.histograms["batch_tests"]
+        assert per_batch.count == 2
+        assert per_batch.total == 3
+        assert per_batch.max == 2
+        assert per_batch.min == 1
 
     def test_per_batch_tests_memory_is_bounded(self):
-        from repro.core.covert import ChannelStats
+        from repro.core.covert import RngCovertChannel
 
-        stats = ChannelStats()
+        channel = RngCovertChannel()
         for _ in range(10_000):
-            stats.record_batch([1], seconds=0.0)
-        view = stats.per_batch_tests
+            channel.record_batch([1], seconds=0.0)
+        view = channel.stats.histograms["batch_tests"]
         assert view.count == 10_000
         assert view.mean == 1.0
         # The backing store is the histogram summary — four scalars — so
         # nothing in the stats object grows with the number of batches.
         assert not any(
             isinstance(value, list) and len(value) > 100
-            for value in vars(stats).values()
+            for value in vars(channel.stats).values()
         )
 
 

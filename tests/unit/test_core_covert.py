@@ -122,8 +122,8 @@ class TestRngCovertChannel:
         channel = RngCovertChannel()
         channel.ctest(handles[:2], threshold_m=2)
         channel.ctest(handles[2:], threshold_m=2)
-        assert channel.stats.n_tests == 2
-        assert channel.stats.busy_seconds == pytest.approx(2 * channel.seconds_per_test)
+        assert channel.stats.counter("tests") == 2
+        assert channel.stats.counter("busy_seconds") == pytest.approx(2 * channel.seconds_per_test)
 
     def test_batch_shares_wall_time(self, tiny_env):
         handles, orch = launch(tiny_env, 20)
@@ -131,5 +131,5 @@ class TestRngCovertChannel:
         groups = [hs[:2] for hs in by_host.values() if len(hs) >= 2][:2]
         channel = RngCovertChannel()
         channel.ctest_batch(groups, threshold_m=2)
-        assert channel.stats.busy_seconds == pytest.approx(channel.seconds_per_test)
-        assert channel.stats.n_tests == len(groups)
+        assert channel.stats.counter("busy_seconds") == pytest.approx(channel.seconds_per_test)
+        assert channel.stats.counter("tests") == len(groups)

@@ -12,8 +12,15 @@ from repro.core.fingerprint import (
     Gen2Fingerprint,
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
+    group_by_fingerprint,
 )
-from repro.core.verification import ScalableVerifier, _balanced_chunks, _GroupTask
+from repro.core.verification import (
+    ScalableVerifier,
+    _balanced_chunks,
+    _batching_key,
+    _group_tests,
+    _plan_batches,
+)
 from repro.errors import VerificationError
 from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 
@@ -188,13 +195,21 @@ class FakeHandle:
     instance_id: str
 
 
+def step1_groups(pairs):
+    """Step 1 as ``verify`` runs it: each group with its batching key."""
+    return [
+        (_batching_key(fp), members)
+        for fp, members in group_by_fingerprint(pairs).items()
+    ]
+
+
 class TestGroupByFingerprint:
     def test_uniform_keys_preserved(self):
         xeon, epyc = Gen1Fingerprint("xeon", 1, 1.0), Gen1Fingerprint("epyc", 2, 1.0)
         pairs = [(FakeHandle("a"), xeon), (FakeHandle("b"), xeon), (FakeHandle("c"), epyc)]
         groups = dict(
             (key, [h.instance_id for h in members])
-            for key, members in ScalableVerifier._group_by_fingerprint(pairs)
+            for key, members in step1_groups(pairs)
         )
         assert groups == {"xeon": ["a", "b"], "epyc": ["c"]}
 
@@ -206,85 +221,54 @@ class TestGroupByFingerprint:
             (FakeHandle("b"), Gen2Fingerprint(2_000_000)),
             (FakeHandle("c"), "synthetic"),
         ]
-        keys = [key for key, _members in ScalableVerifier._group_by_fingerprint(pairs)]
+        keys = [key for key, _members in step1_groups(pairs)]
         assert keys == ["xeon", None, None]
 
 
 class TestPlanBatches:
-    """The satellite-1 regression: ``model_key=None`` groups carry no
+    """The satellite-1 regression: ``None``-keyed groups carry no
     host-disjointness guarantee, so their tests must run alone — no keyed
     group may share their batch (previously ``key not in set()`` let any
-    keyed group slip in)."""
+    keyed group slip in).  A wave is given as its tests' batching keys; a
+    batch is a list of positions into them."""
 
     @staticmethod
-    def _request(model_key, *ids):
-        handles = [FakeHandle(i) for i in ids]
-        return (_GroupTask(handles, model_key), handles)
-
-    @staticmethod
-    def _plan(requests, no_false_negatives=False):
-        return ScalableVerifier._plan_batches(requests, no_false_negatives)
+    def _plan(keys, no_false_negatives=False):
+        return _plan_batches(keys, no_false_negatives)
 
     def test_none_key_batch_is_exclusive(self):
-        requests = [
-            self._request(None, "a1", "a2"),
-            self._request("xeon", "b1", "b2"),
-            self._request("epyc", "c1", "c2"),
-        ]
-        batches = self._plan(requests)
+        keys = [None, "xeon", "epyc"]
+        batches = self._plan(keys)
         for batch in batches:
-            if any(task.model_key is None for task, _test in batch):
+            if any(keys[position] is None for position in batch):
                 assert len(batch) == 1
         # The two keyed groups still share one batch with each other.
-        assert len(batches) == 2
+        assert batches == [[0], [1, 2]]
 
     def test_keyed_group_does_not_join_earlier_none_batch(self):
         # None first is the order that triggered the historical bug.
-        requests = [self._request(None, "a1", "a2"), self._request("xeon", "b1", "b2")]
-        batches = self._plan(requests)
-        assert [len(b) for b in batches] == [1, 1]
+        assert self._plan([None, "xeon"]) == [[0], [1]]
 
     def test_every_none_group_runs_alone(self):
-        requests = [self._request(None, f"g{k}a", f"g{k}b") for k in range(3)]
-        batches = self._plan(requests)
-        assert [len(b) for b in batches] == [1, 1, 1]
+        assert self._plan([None, None, None]) == [[0], [1], [2]]
 
     def test_same_key_groups_split_across_batches(self):
-        requests = [
-            self._request("xeon", "a1", "a2"),
-            self._request("xeon", "b1", "b2"),
-        ]
-        batches = self._plan(requests)
-        assert [len(b) for b in batches] == [1, 1]
+        assert self._plan(["xeon", "xeon"]) == [[0], [1]]
 
     def test_distinct_keys_share_a_batch(self):
-        requests = [
-            self._request("xeon", "a1", "a2"),
-            self._request("epyc", "b1", "b2"),
-        ]
-        batches = self._plan(requests)
-        assert [len(b) for b in batches] == [2]
+        assert self._plan(["xeon", "epyc"]) == [[0, 1]]
 
     def test_gen2_mode_batches_everything(self):
-        requests = [
-            self._request(None, "a1", "a2"),
-            self._request("xeon", "b1", "b2"),
-        ]
-        batches = self._plan(requests, no_false_negatives=True)
-        assert [len(b) for b in batches] == [2]
+        assert self._plan([None, "xeon"], no_false_negatives=True) == [[0, 1]]
 
     def test_all_requests_planned_exactly_once(self):
-        requests = [
-            self._request("xeon", "a1"),
-            self._request(None, "b1"),
-            self._request("epyc", "c1"),
-            self._request("xeon", "d1"),
+        batches = self._plan(["xeon", None, "epyc", "xeon"])
+        assert sorted(position for batch in batches for position in batch) == [
+            0,
+            1,
+            2,
+            3,
         ]
-        batches = self._plan(requests)
-        planned = [task for batch in batches for task, _test in batch]
-        assert sorted(id(t) for t in planned) == sorted(
-            id(t) for t, _test in requests
-        )
 
 
 class ScriptedChannel(CovertChannel):
@@ -299,7 +283,7 @@ class ScriptedChannel(CovertChannel):
     def ctest_batch(self, groups, threshold_m):
         script = self.scripts[min(self.calls, len(self.scripts) - 1)]
         self.calls += 1
-        self.stats.record_batch([len(g) for g in groups], 1.0)
+        self.record_batch([len(g) for g in groups], 1.0)
         return [
             CTestResult(
                 handles=tuple(group), positive=tuple(script[i][: len(group)])
@@ -324,7 +308,7 @@ class TestCTestRetryPolicy:
         (result,) = verifier._run_batch([self._chunk()])
         assert result.positive == (True, True)
         assert channel.calls == 2
-        assert channel.stats.retries == 1
+        assert channel.stats.counter("retries") == 1
 
     def test_retry_budget_exhausted_keeps_last_result(self):
         channel = ScriptedChannel([[[True, False]]])
@@ -332,7 +316,7 @@ class TestCTestRetryPolicy:
         (result,) = verifier._run_batch([self._chunk()])
         assert result.positive == (True, False)
         assert channel.calls == 2
-        assert channel.stats.retries == 1
+        assert channel.stats.counter("retries") == 1
 
     def test_larger_budget_outlasts_longer_noise(self):
         channel = ScriptedChannel(
@@ -342,14 +326,14 @@ class TestCTestRetryPolicy:
         (result,) = verifier._run_batch([self._chunk()])
         assert result.positive == (False, False)
         assert channel.calls == 4
-        assert channel.stats.retries == 3
+        assert channel.stats.counter("retries") == 3
 
     def test_consistent_results_never_retried(self):
         channel = ScriptedChannel([[[True, True]]])
         verifier = ScalableVerifier(channel, retry_policy=RetryPolicy(max_retries=5))
         verifier._run_batch([self._chunk()])
         assert channel.calls == 1
-        assert channel.stats.retries == 0
+        assert channel.stats.counter("retries") == 0
 
     def test_only_inconsistent_slots_rerun(self):
         # Two chunks in one batch: the first is consistent, the second is
@@ -367,7 +351,7 @@ class TestCTestRetryPolicy:
         assert first.positive == (True, True)
         assert second.positive == (True, True)
         assert channel.calls == 3
-        assert channel.stats.retries == 2
+        assert channel.stats.counter("retries") == 2
 
 
 class TestReentrantStats:
@@ -392,9 +376,9 @@ class TestReentrantStats:
         tagged_a, _ = launch_and_tag(env_a, 30)
         report_a = verifier.verify(tagged_a)
 
-        after_first = channel.stats.n_tests
+        after_first = channel.stats.counter("tests")
         assert after_first == report_a.n_tests > 0
-        assert channel.stats.busy_seconds == pytest.approx(report_a.busy_seconds)
+        assert channel.stats.counter("busy_seconds") == pytest.approx(report_a.busy_seconds)
 
         env_b = tiny_env_factory(seed=8)
         tagged_b, _ = launch_and_tag(env_b, 24)
@@ -402,13 +386,13 @@ class TestReentrantStats:
 
         assert report_b.n_tests > 0
         # Per-call: the second report covers only the second call.
-        assert report_b.n_tests == channel.stats.n_tests - after_first
+        assert report_b.n_tests == channel.stats.counter("tests") - after_first
         # Cumulative: the shared channel keeps the grand totals.
-        assert channel.stats.n_tests == report_a.n_tests + report_b.n_tests
-        assert channel.stats.busy_seconds == pytest.approx(
+        assert channel.stats.counter("tests") == report_a.n_tests + report_b.n_tests
+        assert channel.stats.counter("busy_seconds") == pytest.approx(
             report_a.busy_seconds + report_b.busy_seconds
         )
-        assert channel.stats.batches == report_a.n_batches + report_b.n_batches
+        assert channel.stats.counter("batches") == report_a.n_batches + report_b.n_batches
 
     def test_snapshot_since_isolates_a_window(self, tiny_env):
         channel = RngCovertChannel()
@@ -419,45 +403,39 @@ class TestReentrantStats:
         ScalableVerifier(channel).verify(tagged)
         delta = channel.stats.since(before)
         assert delta.get("tests", 0) > 0
-        assert delta["tests"] <= channel.stats.n_tests
+        assert delta["tests"] <= channel.stats.counter("tests")
 
 
-class TestFallbackQueueScaling:
-    """Regression for the work-queue data structure: the pairwise fallback
-    of a large group pops O(units^2) entries from the front of its pair
-    queue; with ``list.pop(0)`` that drain was quadratic *on top of* the
-    quadratic pair count.  The deques make each pop O(1), so draining a
-    few hundred units stays comfortably interactive."""
+class TestFallbackScanScaling:
+    """A large group's pairwise fallback scans O(units^2) pairs; the scan
+    is lazy (no list of C(units, 2) pairs) and settles each pair with one
+    root lookup, so draining a few hundred units stays interactive."""
 
-    def _fallback_task(self, n_units):
-        task = _GroupTask([FakeHandle(f"i{k}") for k in range(n_units)], None)
-        task.clusters = [[FakeHandle(f"i{k}")] for k in range(n_units)]
-        task.enter_fallback()
-        return task
-
-    def test_queues_are_deques(self):
-        from collections import deque
-
-        task = self._fallback_task(4)
-        assert isinstance(task.pending_chunks, deque)
-        assert isinstance(task.fallback_pairs, deque)
-
-    def test_large_group_pair_drain_is_not_quadratic_in_pops(self):
+    def test_all_negative_group_drains_quickly(self):
         import time
 
-        n = 350  # ~61k pairs; list.pop(0) needed ~1.9e9 element shifts
-        task = self._fallback_task(n)
+        n, m = 350, 2
+        members = [FakeHandle(f"i{k}") for k in range(n)]
+        tests = _group_tests(members, m)
         start = time.perf_counter()
-        drained = 0
-        while task.next_fallback_pair() is not None:
-            i, j = task.fallback_pairs.popleft()
-            task.record_fallback_negative(i, j)
-            drained += 1
+        sizes = []
+        test = next(tests)
+        try:
+            while True:
+                sizes.append(len(test))
+                result = CTestResult(handles=tuple(test), positive=(False,) * len(test))
+                test = tests.send(result)
+        except StopIteration as stop:
+            clusters, fell_back = stop.value
         elapsed = time.perf_counter() - start
-        assert drained == n * (n - 1) // 2
-        assert task.next_fallback_pair() is None
-        # Generous even for slow CI machines, far below what the O(n)
-        # front-pop would cost at this scale.
+        n_chunks = len(_balanced_chunks(members, 2 * m - 1))
+        assert n_chunks == 117
+        assert [len(c) for c in _balanced_chunks(members, 2 * m - 1)] == sizes[:n_chunks]
+        assert len(sizes) - n_chunks == n * (n - 1) // 2 == 61_075
+        assert set(sizes[n_chunks:]) == {2}
+        assert fell_back
+        assert [[h.instance_id for h in c] for c in clusters] == [
+            [f"i{k}"] for k in range(n)
+        ]
+        # Generous even for slow CI machines.
         assert elapsed < 5.0
-        task.finish_fallback()
-        assert len(task.clusters) == n

@@ -277,7 +277,7 @@ def test_injected_deaths_and_noise(warmed, seed):
         outcome = [batch_outcome(channel, groups_of(handles, 3))]
         tagged = [(h, Gen1Fingerprint(f"k{i % 4}", i % 4, 1.0)) for i, h in enumerate(handles)]
         outcome.append(verify_outcome(channel, tagged))
-        outcome.append(channel.stats.faults_injected)
+        outcome.append(channel.stats.counter("faults_injected"))
         return [env], handles, outcome
 
     assert twin(scenario, warmed) == []

@@ -118,7 +118,7 @@ def run_twin_worlds(
                 h.instance_id: rng_state(h) for h in handles if h.alive
             },
             "pressurers": pressurer_sets(env, handles),
-            "faults": channel.stats.faults_injected,
+            "faults": channel.stats.counter("faults_injected"),
         }
     loop, batched = worlds["loop"], worlds["batched"]
     assert loop["ids"] == batched["ids"], "twin worlds diverged before the test"
@@ -464,7 +464,7 @@ class TestPassCap:
             "positives": [r.positive for r in results],
             "hits": dict(channel._last_hits),
             "states": {h.instance_id: rng_state(h) for h in observers},
-            "faults": channel.stats.faults_injected,
+            "faults": channel.stats.counter("faults_injected"),
         }
 
     def _passes(self, monkeypatch, plan):

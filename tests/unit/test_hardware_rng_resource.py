@@ -5,6 +5,8 @@ import pytest
 
 from repro.hardware.rng_resource import ContentionResource, window_hits
 
+from tests.oracles.ctest import observe
+
 
 def noiseless() -> ContentionResource:
     return ContentionResource(background_rate=0.0, drop_rate=0.0)
@@ -14,32 +16,32 @@ class TestRngContentionResource:
     def test_single_pressurer_observes_only_itself(self, rng):
         res = noiseless()
         res.start_pressure("a")
-        assert res.observe("a", rng) == 1
+        assert observe(res, "a", rng) == 1
 
     def test_two_colocated_pressurers_observe_two(self, rng):
         res = noiseless()
         res.start_pressure("a")
         res.start_pressure("b")
-        assert res.observe("a", rng) == 2
-        assert res.observe("b", rng) == 2
+        assert observe(res, "a", rng) == 2
+        assert observe(res, "b", rng) == 2
 
     def test_n_pressurers_observe_n(self, rng):
         res = noiseless()
         for i in range(5):
             res.start_pressure(f"i{i}")
-        assert res.observe("i0", rng) == 5
+        assert observe(res, "i0", rng) == 5
 
     def test_observe_without_pressure_rejected(self, rng):
         res = noiseless()
         with pytest.raises(ValueError):
-            res.observe("ghost", rng)
+            observe(res, "ghost", rng)
 
     def test_stop_pressure_removes_contribution(self, rng):
         res = noiseless()
         res.start_pressure("a")
         res.start_pressure("b")
         res.stop_pressure("b")
-        assert res.observe("a", rng) == 1
+        assert observe(res, "a", rng) == 1
 
     def test_stop_unknown_is_noop(self):
         noiseless().stop_pressure("ghost")
@@ -60,7 +62,7 @@ class TestRngContentionResource:
         """Paper: the chance of background RNG contention is under 1%."""
         res = ContentionResource()
         res.start_pressure("solo")
-        observations = [res.observe("solo", rng) for _ in range(5000)]
+        observations = [observe(res, "solo", rng) for _ in range(5000)]
         elevated = sum(1 for level in observations if level >= 2)
         assert elevated / len(observations) < 0.02
 
@@ -68,7 +70,7 @@ class TestRngContentionResource:
         res = ContentionResource(background_rate=0.0, drop_rate=0.5)
         res.start_pressure("a")
         res.start_pressure("b")
-        observations = [res.observe("a", rng) for _ in range(500)]
+        observations = [observe(res, "a", rng) for _ in range(500)]
         assert min(observations) == 1 and max(observations) == 2
 
 
@@ -100,7 +102,7 @@ def scalar_window(
                 dead.add(instance_id)
                 res.stop_pressure(instance_id)
                 continue
-            levels[instance_id].append(res.observe(instance_id, rngs[instance_id]))
+            levels[instance_id].append(observe(res, instance_id, rngs[instance_id]))
     return levels
 
 

@@ -4,6 +4,8 @@
 from repro.cloud.services import ServiceConfig
 from repro.core.covert import MemoryBusCovertChannel, RngCovertChannel
 
+from tests.oracles.ctest import observe_contention
+
 
 def launch(env, n, name="svc"):
     client = env.attacker
@@ -60,12 +62,12 @@ class TestMemoryBusChannel:
 
         rng_rate = elevated_fraction(
             lambda s: s.start_channel_pressure("rng"),
-            lambda s: s.observe_channel_contention("rng"),
+            lambda s: observe_contention(s, "rng"),
             lambda s: s.stop_channel_pressure("rng"),
         )
         bus_rate = elevated_fraction(
             lambda s: s.start_channel_pressure("bus"),
-            lambda s: s.observe_channel_contention("bus"),
+            lambda s: observe_contention(s, "bus"),
             lambda s: s.stop_channel_pressure("bus"),
         )
         assert rng_rate < 0.03

@@ -6,6 +6,7 @@ from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.clock import SimClock
 
 from tests.conftest import make_host, row_sandbox
+from tests.oracles.ctest import observe_contention
 
 
 def both_generations(host=None, clock=None):
@@ -28,7 +29,7 @@ class TestSharedSurface:
         for sandbox in sandboxes:
             sandbox.start_channel_pressure("bus")
         assert host.memory_bus.pressurer_count == 2
-        level = sandboxes[0].observe_channel_contention("bus")
+        level = observe_contention(sandboxes[0], "bus")
         assert level >= 1
         for sandbox in sandboxes:
             sandbox.stop_channel_pressure("bus")

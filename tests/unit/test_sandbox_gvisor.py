@@ -9,6 +9,7 @@ from repro.sandbox.gvisor import GVisorSandbox
 from repro.simtime.clock import SimClock
 
 from tests.conftest import make_host, row_sandbox
+from tests.oracles.ctest import observe_contention
 
 
 def make_sandbox(host=None, clock=None, policy=TscPolicy.NATIVE, seed=5, sid="sb-1"):
@@ -89,9 +90,9 @@ class TestGVisorSandbox:
         s2, _, _ = make_sandbox(host, clock, sid="b")
         s1.start_channel_pressure("rng")
         s2.start_channel_pressure("rng")
-        assert s1.observe_channel_contention("rng") == 2
+        assert observe_contention(s1, "rng") == 2
         s2.stop_channel_pressure("rng")
-        assert s1.observe_channel_contention("rng") == 1
+        assert observe_contention(s1, "rng") == 1
 
 
 class TestGVisorTscMitigation:
