@@ -16,7 +16,9 @@ fans the remaining cells out over N worker processes.
 
 Within one run, cells that share a simulated world (same region, seed,
 platform, background traffic) build it once and fork warm snapshots of it
-(:mod:`repro.runner.worldcache`) — byte-identical to fresh builds.
+(:mod:`repro.runner.worldcache`) — byte-identical to fresh builds.  A
+world is captured only when a later cell of the run declares it, and its
+snapshot is released after that world's last fork.
 ``--no-world-cache`` (or ``$REPRO_WORLD_CACHE_SIZE=0``) turns that off.
 
 ``--faults SPEC`` runs the experiment under a seeded deterministic fault

@@ -198,10 +198,10 @@ def run(
             config=params,
             seed=config.base_seed + rep,
             label=f"tenants-{n_tenants}/rep{rep}",
-            # Worlds are distinct per (tenant count, rep) within one
-            # sweep, but re-running the sweep in-process (benchmarks, a
-            # second figure family) forks the warmed populations instead
-            # of regenerating them.
+            # Worlds are distinct per (tenant count, rep), so no later
+            # cell of the sweep declares a cell's world and the runner
+            # captures none of them: a world is snapshotted only for a
+            # later cell of the same run that declares it.
             env=EnvSpec(
                 region=config.region,
                 seed=config.base_seed + rep,

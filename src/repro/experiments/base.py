@@ -27,7 +27,11 @@ from repro.faults import (
     RetryPolicy,
     current_fault_plan,
 )
-from repro.runner.worldcache import EnvSpec, current_world_cache
+from repro.runner.worldcache import (
+    EnvSpec,
+    current_later_uses,
+    current_world_cache,
+)
 from repro.sandbox.base import TscPolicy
 from repro.simtime.clock import SimClock
 from repro.telemetry import current_telemetry
@@ -148,8 +152,9 @@ def default_env(
     active (the runner arms one around cells that declare an
     :class:`~repro.runner.worldcache.EnvSpec`), the fully built world —
     including the warmed background population — is checkpointed on
-    first construction and every later call with the same resolved
-    inputs *forks* the checkpoint instead of rebuilding.  Forked and
+    first construction when a later cell of the run declares the same
+    world, and those later calls *fork* the checkpoint instead of
+    rebuilding; the last of them releases it.  Forked and
     fresh worlds are byte-identical (state, traces, and every subsequent
     RNG draw); see ``docs/DESIGN.md`` ("warm-world contract").  Worlds
     shaped by an enabled fault plan are never forked: their injection
@@ -182,6 +187,7 @@ def default_env(
                     region, seed, tsc_policy, profile, fault_plan,
                     retry_policy, background, platform,
                 ),
+                later_uses=current_later_uses(),
             )
     return _build_env(
         region, seed, tsc_policy, profile, fault_plan,

@@ -136,8 +136,8 @@ def run(
                     seed=seed,
                     label=f"{region}/rep{rep}",
                     # Each (region, rep) world is distinct in one sweep,
-                    # but a re-run in the same process forks the snapshot
-                    # instead of rebuilding the region.
+                    # so the runner snapshots none of them: a world is
+                    # captured only for a later cell that declares it.
                     env=EnvSpec(region=region, seed=seed),
                 )
             )

@@ -9,9 +9,10 @@ benchmark harness.
 
 Cells that declare an :class:`EnvSpec` additionally opt into warm-world
 forking (:mod:`repro.runner.worldcache`): the first cell to need a
-simulated world builds it and a :class:`WorldSnapshot` checkpoints it;
-every sibling needing the same world forks the checkpoint instead of
-rebuilding — byte-identically.
+simulated world builds it and, when a later cell of the run declares the
+same world, a :class:`WorldSnapshot` checkpoints it; those later cells
+fork the checkpoint instead of rebuilding — byte-identically — and the
+last of them releases it.
 """
 
 from repro.errors import CellExecutionError
@@ -30,6 +31,7 @@ from repro.runner.worldcache import (
     EnvSpec,
     WorldCache,
     WorldSnapshot,
+    current_later_uses,
     current_world_cache,
     process_world_cache,
     reset_process_world_cache,
@@ -52,6 +54,7 @@ __all__ = [
     "WorldSnapshot",
     "cache_key",
     "canonicalize",
+    "current_later_uses",
     "current_world_cache",
     "default_cache_dir",
     "process_world_cache",

@@ -29,10 +29,12 @@ content-addressed apart from baseline entries.
 
 Cells that declare an :class:`~repro.runner.worldcache.EnvSpec` execute
 with the process's warm-world cache armed: their ``default_env`` call
-checkpoints the built world once and forks it for every sibling cell
-that needs the same one (:mod:`repro.runner.worldcache`).  Workers
-persist across a pool's cells, so each worker's LRU warms once per
-distinct world, not once per cell.
+checkpoints the built world once and forks it for every later cell that
+declares the same one (:mod:`repro.runner.worldcache`).  Demand is
+counted in spec order over the pending cells, so a world no later cell
+declares is never captured, and its last fork releases the snapshot.
+Workers persist across a pool's cells, so each worker's LRU warms once
+per distinct world, not once per cell.
 
 Per-cell timing, cache-hit, retry, and error counters accumulate on the
 :class:`RunnerConfig`'s :class:`RunStats`, so callers (the CLI, the
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass, field
@@ -56,6 +59,26 @@ from repro.runner.cache import CellCache
 from repro.runner.cellspec import CellResult, CellSpec
 from repro.runner.worldcache import process_world_cache, world_cache_context
 from repro.telemetry import MetricSet, Telemetry, current_telemetry, telemetry_context
+
+
+def _counter(name: str, kind: type) -> property:
+    """A :class:`RunStats` attribute backed by the ``name`` counter."""
+    return property(
+        lambda self: kind(self.metrics.counters.get(name, 0)),
+        lambda self, value: self.metrics.counters.__setitem__(name, value),
+    )
+
+
+#: ``RunStats`` world counters and the ``worldcache.*`` deltas they sum.
+_WORLD_COUNTERS = {
+    "world_hits": "worldcache.hits",
+    "world_misses": "worldcache.misses",
+    "world_evictions": "worldcache.evictions",
+    "world_snapshots": "worldcache.snapshots",
+    "world_snapshot_bytes": "worldcache.snapshot_bytes",
+    "world_fork_seconds": "worldcache.fork_seconds",
+    "world_build_seconds": "worldcache.build_seconds",
+}
 
 
 class RunStats:
@@ -75,11 +98,7 @@ class RunStats:
         "computed_seconds",
         "saved_seconds",
         "wall_seconds",
-        "world_hits",
-        "world_misses",
-        "world_evictions",
-        "world_fork_seconds",
-        "world_build_seconds",
+        *_WORLD_COUNTERS,
     )
 
     def __init__(self, **values: float) -> None:
@@ -89,60 +108,20 @@ class RunStats:
                 raise TypeError(f"RunStats has no counter {name!r}")
             setattr(self, name, value)
 
-    def _get(self, name: str) -> float:
-        return self.metrics.counters.get(name, 0)
-
-    def _set(self, name: str, value: float) -> None:
-        self.metrics.counters[name] = value
-
-    cells = property(
-        lambda self: int(self._get("cells")),
-        lambda self, v: self._set("cells", v),
-    )
-    cache_hits = property(
-        lambda self: int(self._get("cache_hits")),
-        lambda self, v: self._set("cache_hits", v),
-    )
-    cell_retries = property(
-        lambda self: int(self._get("cell_retries")),
-        lambda self, v: self._set("cell_retries", v),
-    )
-    cell_errors = property(
-        lambda self: int(self._get("cell_errors")),
-        lambda self, v: self._set("cell_errors", v),
-    )
-    computed_seconds = property(
-        lambda self: float(self._get("computed_seconds")),
-        lambda self, v: self._set("computed_seconds", v),
-    )
-    saved_seconds = property(
-        lambda self: float(self._get("saved_seconds")),
-        lambda self, v: self._set("saved_seconds", v),
-    )
-    wall_seconds = property(
-        lambda self: float(self._get("wall_seconds")),
-        lambda self, v: self._set("wall_seconds", v),
-    )
-    world_hits = property(
-        lambda self: int(self._get("world_hits")),
-        lambda self, v: self._set("world_hits", v),
-    )
-    world_misses = property(
-        lambda self: int(self._get("world_misses")),
-        lambda self, v: self._set("world_misses", v),
-    )
-    world_evictions = property(
-        lambda self: int(self._get("world_evictions")),
-        lambda self, v: self._set("world_evictions", v),
-    )
-    world_fork_seconds = property(
-        lambda self: float(self._get("world_fork_seconds")),
-        lambda self, v: self._set("world_fork_seconds", v),
-    )
-    world_build_seconds = property(
-        lambda self: float(self._get("world_build_seconds")),
-        lambda self, v: self._set("world_build_seconds", v),
-    )
+    cells = _counter("cells", int)
+    cache_hits = _counter("cache_hits", int)
+    cell_retries = _counter("cell_retries", int)
+    cell_errors = _counter("cell_errors", int)
+    computed_seconds = _counter("computed_seconds", float)
+    saved_seconds = _counter("saved_seconds", float)
+    wall_seconds = _counter("wall_seconds", float)
+    world_hits = _counter("world_hits", int)
+    world_misses = _counter("world_misses", int)
+    world_evictions = _counter("world_evictions", int)
+    world_snapshots = _counter("world_snapshots", int)
+    world_snapshot_bytes = _counter("world_snapshot_bytes", int)
+    world_fork_seconds = _counter("world_fork_seconds", float)
+    world_build_seconds = _counter("world_build_seconds", float)
 
     @property
     def parallelism(self) -> int:
@@ -182,7 +161,9 @@ class RunStats:
             text += (
                 f", worldcache {self.world_hits} forks/"
                 f"{self.world_misses} builds/"
-                f"{self.world_evictions} evictions "
+                f"{self.world_evictions} evictions, "
+                f"{self.world_snapshots} snapshots "
+                f"{self.world_snapshot_bytes / 2**20:.2f}MB "
                 f"(fork {self.world_fork_seconds:.1f}s, "
                 f"build {self.world_build_seconds:.1f}s)"
             )
@@ -282,6 +263,7 @@ def _execute_cell(
     collect_trace: bool = False,
     platform: PlatformProfile | None = None,
     world_cache: bool = True,
+    later_uses: int | None = None,
 ) -> CellResult:
     """Run one cell and time it (top-level so worker processes can load it).
 
@@ -296,7 +278,9 @@ def _execute_cell(
     A cell that declares an :class:`~repro.runner.worldcache.EnvSpec`
     additionally runs with the process's warm-world cache armed (unless
     ``world_cache`` is off), and the cache's counter deltas travel back
-    on the result's ``world``.
+    on the result's ``world``.  ``later_uses`` — how many later cells of
+    the run declare the same world — is the cache's demand for it: the
+    world is captured only when it is positive and released at zero.
 
     With ``collect_trace`` the cell runs under a *fresh* child
     :class:`~repro.telemetry.Telemetry` — in the parent process and in
@@ -315,7 +299,7 @@ def _execute_cell(
     )
     world_before = worlds.stats_snapshot() if worlds is not None else None
     world_scope = (
-        world_cache_context(worlds)
+        world_cache_context(worlds, later_uses)
         if worlds is not None
         else contextlib.nullcontext()
     )
@@ -349,6 +333,20 @@ def _execute_cell(
         trace=child.snapshot_trace() if child is not None else None,
         world=world or None,
     )
+
+
+def _later_uses(specs: Sequence[CellSpec]) -> list[int]:
+    """Per cell, how many later cells declare an equal world (0 without one)."""
+    worlds = [
+        spec.env.content_hash() if spec.env is not None else None
+        for spec in specs
+    ]
+    remaining = Counter(worlds)
+    later = []
+    for world in worlds:
+        remaining[world] -= 1
+        later.append(remaining[world] if world is not None else 0)
+    return later
 
 
 def run_cells(
@@ -413,6 +411,9 @@ def run_cells(
         if result.trace is not None:
             telemetry.metrics.merge(MetricSet.from_state(result.trace["metrics"]))
 
+    # Counted over the pending cells only: a cached cell builds no world.
+    later = _later_uses([spec for _, spec in misses])
+
     def finish(index: int, result: CellResult) -> None:
         results[index] = result
         if cache is not None and runner.cache_write and result.error is None:
@@ -423,14 +424,14 @@ def run_cells(
             pending = {
                 pool.submit(
                     _execute_cell, spec, plan, 0, collect, platform,
-                    runner.world_cache,
-                ): (index, spec, 0)
-                for index, spec in misses
+                    runner.world_cache, uses,
+                ): (index, spec, uses, 0)
+                for (index, spec), uses in zip(misses, later)
             }
             while pending:
                 done, _ = wait_futures(pending, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, spec, attempt = pending.pop(future)
+                    index, spec, uses, attempt = pending.pop(future)
                     result = future.result()
                     if result.error is not None and attempt < runner.max_retries:
                         stats.cell_retries += 1
@@ -438,16 +439,17 @@ def run_cells(
                         absorb_superseded(result)
                         retry = pool.submit(
                             _execute_cell, spec, plan, attempt + 1, collect,
-                            platform, runner.world_cache,
+                            platform, runner.world_cache, uses,
                         )
-                        pending[retry] = (index, spec, attempt + 1)
+                        pending[retry] = (index, spec, uses, attempt + 1)
                     else:
                         finish(index, result)
     elif misses:
-        for index, spec in misses:
+        for (index, spec), uses in zip(misses, later):
             for attempt in range(runner.max_retries + 1):
                 result = _execute_cell(
-                    spec, plan, attempt, collect, platform, runner.world_cache
+                    spec, plan, attempt, collect, platform,
+                    runner.world_cache, uses,
                 )
                 if result.error is None or attempt == runner.max_retries:
                     break
@@ -470,17 +472,8 @@ def run_cells(
             stats.computed_seconds += result.elapsed_s
             telemetry.observe("runner.cell_seconds", result.elapsed_s)
         if result.world:
-            stats.world_hits += int(result.world.get("worldcache.hits", 0))
-            stats.world_misses += int(result.world.get("worldcache.misses", 0))
-            stats.world_evictions += int(
-                result.world.get("worldcache.evictions", 0)
-            )
-            stats.world_fork_seconds += result.world.get(
-                "worldcache.fork_seconds", 0.0
-            )
-            stats.world_build_seconds += result.world.get(
-                "worldcache.build_seconds", 0.0
-            )
+            for counter, name in _WORLD_COUNTERS.items():
+                stats.metrics.inc(counter, result.world.get(name, 0))
         if result.error is not None:
             failed.append(result)
         if result.trace is not None:

@@ -1,14 +1,21 @@
 """Warm-world snapshots: checkpoint a built region once, fork it per cell.
 
-Sweep grids (the figure-family benchmarks, the channel x platform matrix,
-the background-load utilization sweep) are dozens of cells that differ in
-one knob but share the same simulated *world*: the same region profile,
-seed, platform personality, and — most expensively — the same warmed
-background-tenant population.  Before this module every cell re-ran
-``default_env`` plus the whole traffic warmup; with it, the first cell to
-need a world builds it, a :class:`WorldSnapshot` checkpoints the complete
+Sweep grids (the figure-family benchmarks, the channel x platform matrix)
+are dozens of cells that differ in one knob but share the same simulated
+*world*: the same region profile, seed, platform personality, and — most
+expensively — the same warmed background-tenant population.  Before this
+module every cell re-ran ``default_env`` plus the whole traffic warmup;
+with it, the first cell to need a world builds it, a
+:class:`WorldSnapshot` checkpoints the complete
 :class:`~repro.experiments.base.SimulationEnv`, and every later cell
 *forks* a private copy from the snapshot instead.
+
+Capture follows demand.  The runner tells each cell how many *later*
+cells of the same run declare its world (:func:`current_later_uses`): a
+world no later cell declares is never pickled, and a snapshot is released
+right after its last fork.  Pickling costs a working set about the size
+of the world and holding it costs its bytes, so a sweep of distinct
+worlds (the background-load tenant sweep) captures nothing at all.
 
 The snapshot is the pickled object graph of the environment: fleet-store
 and service-state columns, orchestrator instance tables and RNG streams,
@@ -31,8 +38,8 @@ Worlds are keyed by a content hash of their :class:`EnvSpec` — the full
 set of ``default_env`` inputs.  Forking is disabled (build-fresh, no
 snapshot) when an enabled fault plan shapes the world: fault counters
 accumulate on the ambient plan object, which a pickled copy would detach
-from.  The cache itself is an in-process LRU: persistent pool workers
-keep their own and reuse it across every cell of a run.
+from.  The cache itself is an in-process LRU, kept as a cap: persistent
+pool workers keep their own and reuse it across every cell of a run.
 """
 
 from __future__ import annotations
@@ -193,7 +200,8 @@ class WorldCache:
     """An LRU of warm :class:`WorldSnapshot` entries, hashed by spec.
 
     Counters (``worldcache.hits`` / ``misses`` / ``evictions`` /
-    ``fork_seconds`` / ``build_seconds``) accumulate on :attr:`metrics`
+    ``snapshots`` / ``snapshot_bytes`` / ``fork_seconds`` /
+    ``build_seconds``) accumulate on :attr:`metrics`
     only — the runner snapshots per-cell deltas into its ``[runner]``
     stats.  They are deliberately *not* mirrored onto the ambient
     telemetry handle: a warm cell's trace must stay byte-identical to a
@@ -249,8 +257,16 @@ class WorldCache:
         self,
         spec: EnvSpec,
         builder: Callable[[], "SimulationEnv"],
+        later_uses: int | None = None,
     ) -> "SimulationEnv":
         """Fork a warm world for ``spec``, building (and caching) on miss.
+
+        ``later_uses`` is how many later users will ask for this world.
+        ``None`` (unknown) captures on every miss and keeps the snapshot.
+        A positive count captures on a miss too; ``0`` captures nothing
+        and releases any stored snapshot of the world once this call has
+        used it — so a world is pickled only when a later user will fork
+        it, and held only until its last fork.
 
         The miss path returns the freshly built environment itself — the
         checkpoint is taken just before handing it over, so the caller's
@@ -264,6 +280,8 @@ class WorldCache:
         telemetry = current_telemetry()
         spec_hash = spec.content_hash()
         snapshot = self.get(spec_hash)
+        if later_uses == 0:
+            self._entries.pop(spec_hash, None)
         if snapshot is not None and (
             not telemetry.enabled or snapshot.build_trace is not None
         ):
@@ -289,14 +307,16 @@ class WorldCache:
         else:
             env = builder()
         build_seconds = time.perf_counter() - start
-        self.put(
-            WorldSnapshot.capture(
+        if later_uses != 0:
+            snapshot = WorldSnapshot.capture(
                 env,
                 spec_hash=spec_hash,
                 build_trace=build_trace,
                 build_seconds=build_seconds,
             )
-        )
+            self.put(snapshot)
+            self.metrics.inc("worldcache.snapshots")
+            self.metrics.inc("worldcache.snapshot_bytes", snapshot.n_bytes)
         self.metrics.inc("worldcache.misses")
         self.metrics.inc("worldcache.build_seconds", build_seconds)
         return env
@@ -316,6 +336,9 @@ class WorldCache:
 _ACTIVE_CACHE: ContextVar[WorldCache | None] = ContextVar(
     "repro_world_cache", default=None
 )
+_LATER_USES: ContextVar[int | None] = ContextVar(
+    "repro_world_later_uses", default=None
+)
 
 
 def current_world_cache() -> WorldCache | None:
@@ -323,17 +346,31 @@ def current_world_cache() -> WorldCache | None:
     return _ACTIVE_CACHE.get()
 
 
+def current_later_uses() -> int | None:
+    """How many later cells of the run declare this cell's world.
+
+    ``None`` when unknown (outside a runner cell); ``default_env`` hands
+    it to :meth:`WorldCache.build_or_fork` as the world's demand.
+    """
+    return _LATER_USES.get()
+
+
 @contextmanager
-def world_cache_context(cache: WorldCache | None) -> Iterator[WorldCache | None]:
+def world_cache_context(
+    cache: WorldCache | None, later_uses: int | None = None
+) -> Iterator[WorldCache | None]:
     """Activate ``cache`` as the ambient world cache for the block.
 
-    ``world_cache_context(None)`` explicitly disables forking inside the
-    block (shadowing any outer cache).
+    ``later_uses`` is the block's world demand (see
+    :func:`current_later_uses`).  ``world_cache_context(None)`` explicitly
+    disables forking inside the block (shadowing any outer cache).
     """
     token = _ACTIVE_CACHE.set(cache)
+    later_token = _LATER_USES.set(later_uses)
     try:
         yield cache
     finally:
+        _LATER_USES.reset(later_token)
         _ACTIVE_CACHE.reset(token)
 
 

@@ -158,6 +158,25 @@ class TestWorldCache:
         assert delta["worldcache.build_seconds"] > 0
         assert delta["worldcache.fork_seconds"] > 0
 
+    def test_demand_counts_gate_capture_and_release(self):
+        cache = WorldCache()
+        spec = EnvSpec(seed=7, profile=tiny_profile())
+        key = spec.content_hash()
+        cache.build_or_fork(spec, _build, later_uses=0)
+        assert key not in cache and cache.misses == 1
+        assert cache.metrics.counter("worldcache.snapshots") == 0
+        built = cache.build_or_fork(spec, _build, later_uses=2)
+        assert key in cache
+        n_bytes = cache.get(key).n_bytes
+        assert cache.metrics.counter("worldcache.snapshot_bytes") == n_bytes
+        cache.build_or_fork(spec, _build, later_uses=1)
+        assert key in cache  # one later user left
+        forked = cache.build_or_fork(spec, _build, later_uses=0)
+        assert key not in cache  # released after its last fork
+        assert cache.hits == 2 and cache.misses == 2
+        assert cache.metrics.counter("worldcache.snapshots") == 1
+        assert _drive(built) == _drive(forked)
+
     def test_lru_evicts_oldest_world(self):
         cache = WorldCache(maxsize=2)
         specs = [EnvSpec(seed=s, profile=tiny_profile()) for s in (1, 2, 3)]
@@ -278,6 +297,33 @@ def _specs(env_spec: EnvSpec | None) -> list[CellSpec]:
     ]
 
 
+def _seeded_specs(seeds: list[int], fn=_world_cell) -> list[CellSpec]:
+    """One cell per seed, each declaring its own seed's world."""
+    return [
+        CellSpec(
+            experiment="world-smoke",
+            fn=fn,
+            config={"offset": float(position)},
+            seed=seed,
+            label=f"seed-{seed}/{position}",
+            env=EnvSpec(seed=seed, profile=tiny_profile(), background=TRAFFIC),
+        )
+        for position, seed in enumerate(seeds)
+    ]
+
+
+_FLAKY_ATTEMPTS: list[int] = []
+
+
+def _flaky_world_cell(config: dict, seed: int) -> dict:
+    """``_world_cell`` that raises on its first call, after taking its world."""
+    value = _world_cell(config, seed)
+    _FLAKY_ATTEMPTS.append(seed)
+    if config["offset"] and len(_FLAKY_ATTEMPTS) == 2:
+        raise RuntimeError("transient")
+    return value
+
+
 class TestRunnerWiring:
     def test_warm_serial_equals_cold_serial(self):
         reset_process_world_cache()
@@ -288,7 +334,66 @@ class TestRunnerWiring:
         assert warm_values == cold_values
         assert warm.stats.world_misses == 1
         assert warm.stats.world_hits == 3
+        assert warm.stats.world_snapshots == 1
+        assert warm.stats.world_snapshot_bytes > 0
         assert cold.stats.world_hits == 0 and cold.stats.world_misses == 0
+        # The last fork released the world.
+        assert len(process_world_cache()) == 0
+
+    def test_distinct_worlds_capture_nothing(self, monkeypatch):
+        reset_process_world_cache()
+        captures = []
+        capture = WorldSnapshot.capture.__func__
+
+        def counting_capture(cls, *args, **kwargs):
+            captures.append(kwargs.get("spec_hash"))
+            return capture(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            WorldSnapshot, "capture", classmethod(counting_capture)
+        )
+        seeds = [21, 22, 23, 24]
+        warm = RunnerConfig()
+        warm_values = [r.value for r in run_cells(_seeded_specs(seeds), warm)]
+        cold = RunnerConfig(world_cache=False)
+        cold_values = [r.value for r in run_cells(_seeded_specs(seeds), cold)]
+        assert warm_values == cold_values
+        assert captures == []
+        assert len(process_world_cache()) == 0
+        assert warm.stats.world_misses == 4 and warm.stats.world_hits == 0
+        assert warm.stats.world_snapshots == 0
+        assert warm.stats.world_snapshot_bytes == 0
+
+    def test_world_survives_an_interleaved_world(self):
+        reset_process_world_cache()
+        warm = RunnerConfig()
+        results = run_cells(_seeded_specs([21, 22, 21]), warm)
+        cold = RunnerConfig(world_cache=False)
+        cold_values = [
+            r.value for r in run_cells(_seeded_specs([21, 22, 21]), cold)
+        ]
+        assert [r.value for r in results] == cold_values
+        assert results[2].world["worldcache.hits"] == 1
+        assert warm.stats.world_snapshots == 1
+        assert warm.stats.world_misses == 2 and warm.stats.world_hits == 1
+        assert len(process_world_cache()) == 0
+
+    def test_retried_last_consumer_rebuilds_its_released_world(self):
+        reset_process_world_cache()
+        _FLAKY_ATTEMPTS.clear()
+        warm = RunnerConfig()
+        results = run_cells(_seeded_specs([21, 21], _flaky_world_cell), warm)
+        cold = RunnerConfig(world_cache=False)
+        cold_values = [
+            r.value for r in run_cells(_seeded_specs([21, 21]), cold)
+        ]
+        assert warm.stats.cell_retries == 1
+        assert [r.value for r in results] == cold_values
+        # Attempt 0 forked and released the world; the retry built it
+        # fresh and, as the last consumer, captured nothing.
+        assert results[1].world["worldcache.misses"] == 1
+        assert results[1].world.get("worldcache.snapshots", 0) == 0
+        assert len(process_world_cache()) == 0
 
     def test_pooled_warm_equals_serial_warm(self):
         reset_process_world_cache()
@@ -319,6 +424,7 @@ class TestRunnerWiring:
         reset_process_world_cache()
         results = run_cells(_specs(WORLD), RunnerConfig())
         assert results[0].world["worldcache.misses"] == 1
+        assert results[0].world["worldcache.snapshots"] == 1
         for result in results[1:]:
             assert result.world["worldcache.hits"] == 1
 
@@ -342,6 +448,13 @@ class TestRunStatsSummary:
         text = stats.summary()
         assert "worldcache 3 forks/1 builds/2 evictions" in text
         assert "build 1.5s" in text
+
+    def test_reports_snapshots_and_their_size(self):
+        stats = RunStats(
+            world_hits=9, world_misses=3, world_snapshots=3,
+            world_snapshot_bytes=3 * 2**20,
+        )
+        assert "3 snapshots 3.00MB" in stats.summary()
 
 
 # ----------------------------------------------------------------------
