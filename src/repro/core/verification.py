@@ -8,9 +8,15 @@ guided by host fingerprints:
 2. Verify each group with n-way CTests in chunks of at most ``2m - 1``
    instances: ``m .. 2m - 1`` positives are guaranteed to share one host.
    Groups whose chunks all verify are merged hierarchically through their
-   representatives; inconsistent groups fall back to pairwise testing.
-   Tests of groups that are *guaranteed* host-disjoint (different CPU
-   models; any two distinct Gen 2 fingerprints) run concurrently.
+   representatives.  Inconsistent groups fall back to a *host basis*:
+   each chunk cluster is tested once, at threshold 2, together with one
+   representative of every host found so far, and joins the host that
+   lights up with it or becomes a new one.  The paper falls back to
+   pairwise tests here; the basis refines that fallback and gives the
+   same clusters on a noise-free channel, in one test per chunk cluster
+   instead of one per pair.  Tests of groups that are *guaranteed*
+   host-disjoint (different CPU models; any two distinct Gen 2
+   fingerprints) run concurrently.
 3. Hunt false negatives: one representative per verified cluster, all
    tested at once; positives are refined pairwise and their clusters
    merged.  (Skipped for Gen 2 fingerprints, which cannot have false
@@ -24,7 +30,7 @@ number of *waves* (a handful) times the per-test duration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Generator, Hashable, Iterator, Sequence
+from typing import Generator, Hashable, Sequence
 
 from repro.cloud.api import InstanceHandle
 from repro.core.clusters import DisjointSet
@@ -35,9 +41,11 @@ from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 from repro.telemetry import current_telemetry
 
 Clusters = list[list[InstanceHandle]]
+#: One CTest: its handles and the contention threshold it runs at.
+Test = tuple[list[InstanceHandle], int]
 #: Step 2 of one group: yields its tests, is sent their results, and
 #: returns ``(clusters, fell_back)``.
-GroupTests = Generator[list[InstanceHandle], CTestResult, tuple[Clusters, bool]]
+GroupTests = Generator[Test, CTestResult, tuple[Clusters, bool]]
 
 
 @dataclass
@@ -52,7 +60,7 @@ class VerificationReport:
     n_tests / n_batches / busy_seconds:
         Covert-channel cost of this run (batched tests share wall time).
     fallback_groups:
-        Fingerprint groups that degenerated to pairwise testing.
+        Fingerprint groups that fell back to the host basis.
     merged_false_negatives:
         Cluster pairs merged by the step-3 false-negative hunt.
     """
@@ -78,98 +86,23 @@ class VerificationReport:
         return len(self.clusters)
 
 
-class _Fallback:
-    """Pairwise testing between verified units, pruned by transitivity.
-
-    Each unit is a list of handles already known to share a host; a test
-    uses its first handle.  Units that test positive are merged in a
-    :class:`DisjointSet`; negative verdicts are remembered between cluster
-    roots (``root -> roots known to be on other hosts``, symmetric), so a
-    pair is skipped once transitivity or an earlier negative settles it.
-    """
-
-    def __init__(self, units: Clusters) -> None:
-        self.units = units
-        self.ds = DisjointSet(range(len(units)))
-        self.negatives: dict[int, set[int]] = {}
-
-    def negatives_of(self, root: int) -> Collection[int]:
-        """Roots known to be on another host than cluster ``root``."""
-        return self.negatives.get(root, ())
-
-    def record_negative(self, i: int, j: int) -> None:
-        """Remember that the units' current clusters are on different hosts."""
-        root_i, root_j = self.ds.find(i), self.ds.find(j)
-        if root_i != root_j:
-            self.negatives.setdefault(root_i, set()).add(root_j)
-            self.negatives.setdefault(root_j, set()).add(root_i)
-
-    def merge(self, i: int, j: int) -> None:
-        """Union two units, migrating negative knowledge to the new root.
-
-        Host identity is an equivalence relation, so a cluster's negative
-        verdicts extend to everything merged into it.  Only the two old
-        roots' neighbours move; a negative between the two merged clusters
-        contradicts the merge and is dropped.
-        """
-        old_i, old_j = self.ds.find(i), self.ds.find(j)
-        self.ds.union(i, j)
-        new_root = self.ds.find(i)
-        negatives = self.negatives
-        moved = negatives.pop(old_i, set()) | negatives.pop(old_j, set())
-        moved -= {old_i, old_j}
-        for other in moved:
-            neighbours = negatives[other]
-            neighbours.discard(old_i)
-            neighbours.discard(old_j)
-            neighbours.add(new_root)
-        if moved:
-            negatives[new_root] = moved
-
-    def unsettled_pairs(self) -> Iterator[tuple[int, int]]:
-        """Unit pairs in lexicographic order that are still open when the
-        scan reaches them; the caller records each verdict before resuming.
-
-        The outer unit's root and negatives are read once per yielded pair,
-        since only a verdict can change them.
-        """
-        find = self.ds.find
-        n = len(self.units)
-        for i in range(n):
-            root_i = find(i)
-            known = self.negatives_of(root_i)
-            for j in range(i + 1, n):
-                root_j = find(j)
-                if root_j != root_i and root_j not in known:
-                    yield i, j
-                    root_i = find(i)
-                    known = self.negatives_of(root_i)
-
-    def clusters(self) -> Clusters:
-        """The merged units, one block of handles per cluster."""
-        return [
-            [handle for idx in index_cluster for handle in self.units[idx]]
-            for index_cluster in self.ds.clusters()
-        ]
-
-
 def _group_tests(members: list[InstanceHandle], m: int) -> GroupTests:
     """Step 2 for one fingerprint group of at least two members.
 
     Chunk tests first.  If every chunk verified, the chunk clusters merge
     up a hierarchy of representative tests; if a chunk or a merge test
-    comes back negative, the group falls back to pairwise tests between
-    the chunk clusters (not raw members: two units on one host merge after
-    a single positive, so the sweep costs ~C(units, 2) at most).
+    comes back negative, the chunk clusters (not raw members) fall back
+    to the host basis of :func:`_basis_tests`.
     """
     size = 2 * m - 1
     clusters: Clusters = []
     fully_colocated = True
     for chunk in _balanced_chunks(members, size):
-        result = yield chunk
+        threshold = _threshold(m, chunk)
+        result = yield chunk, threshold
         positives = [h for h, p in zip(result.handles, result.positive) if p]
         negatives = [h for h, p in zip(result.handles, result.positive) if not p]
-        if 0 < len(positives) < _threshold(m, result.handles):
+        if 0 < len(positives) < threshold:
             # Inconsistent even after the channel-level retry; treat the
             # whole chunk as not co-located (conservative).
             negatives = list(result.handles)
@@ -185,7 +118,7 @@ def _group_tests(members: list[InstanceHandle], m: int) -> GroupTests:
     if fully_colocated:
         level = [cluster[0] for cluster in clusters]
         while len(level) > 1:
-            result = yield level[:size]
+            result = yield level[:size], _threshold(m, level[:size])
             if not all(result.positive):
                 break
             # The tested representatives share one host; collapse them
@@ -194,14 +127,55 @@ def _group_tests(members: list[InstanceHandle], m: int) -> GroupTests:
         if len(level) == 1:
             return [[h for cluster in clusters for h in cluster]], False
 
-    fallback = _Fallback(clusters)
-    for i, j in fallback.unsettled_pairs():
-        result = yield [fallback.units[i][0], fallback.units[j][0]]
-        if all(result.positive):
-            fallback.merge(i, j)
-        else:
-            fallback.record_negative(i, j)
-    return fallback.clusters(), True
+    return (yield from _basis_tests(clusters)), True
+
+
+def _basis_tests(units: Clusters) -> Generator[Test, CTestResult, Clusters]:
+    """Sort ``units`` (each already on one host) onto distinct hosts.
+
+    The basis holds one unit per host found so far; a unit's first handle
+    is its representative.  Each other unit, in order, is tested once with
+    every basis representative at threshold 2, whatever ``m`` is: at a
+    higher threshold a pair on one host would stay dark.  With the basis
+    on distinct hosts, a noise-free verdict lights nothing (a new host)
+    or the unit and one member (it joins that member).  Any other verdict
+    is re-run once.  Two or three lit instances twice over are one host,
+    since two lit hosts need four: their basis members merge, repairing a
+    basis an earlier noisy all-dark verdict split, and the unit joins
+    them if it is lit or else is a new host.  A unit still ambiguous
+    stays its own cluster (step 3 hunts it for Gen 1).
+    """
+    hosts = DisjointSet(range(len(units)))
+    basis = [0]
+    for unit in range(1, len(units)):
+        candidates = basis + [unit]
+        test = [units[index][0] for index in candidates]
+        first = (yield test, 2).positive
+        verdict = first if _settled(first) else (yield test, 2).positive
+        if not (_settled(verdict) or (verdict == first and sum(verdict) in (2, 3))):
+            continue
+        lit = [index for index, flag in zip(candidates, verdict) if flag]
+        for index in lit[1:]:
+            hosts.union(lit[0], index)
+        basis = [index for index in basis if index not in lit[1:]]
+        if not verdict[-1]:
+            basis.append(unit)
+    return _merged(units, hosts)
+
+
+def _settled(verdict: Sequence[bool]) -> bool:
+    """A basis verdict a noise-free channel gives: nothing lit, or the
+    unit (last) and exactly one basis member."""
+    lit = sum(verdict)
+    return lit == 0 or (lit == 2 and verdict[-1])
+
+
+def _merged(units: Clusters, hosts: DisjointSet) -> Clusters:
+    """The units joined by ``hosts``, one block of handles per cluster."""
+    return [
+        [handle for index in block for handle in units[index]]
+        for block in hosts.clusters()
+    ]
 
 
 class ScalableVerifier:
@@ -320,7 +294,7 @@ class ScalableVerifier:
         # Live generators in group order, each with its batching key and
         # the test it waits on; a wave sends every one a result, and a
         # generator that returns leaves the list.
-        live: list[tuple[str | None, GroupTests, list[InstanceHandle] | None]] = [
+        live: list[tuple[str | None, GroupTests, Test | None]] = [
             (key, tests, next(tests)) for key, tests in tasks
         ]
 
@@ -331,7 +305,8 @@ class ScalableVerifier:
                 batches = _plan_batches([key for key, _g, _t in live], no_false_negatives)
                 span.set(batches=len(batches))
                 for batch in batches:
-                    results = self._run_batch([live[position][2] for position in batch])
+                    chunks, limits = zip(*(live[position][2] for position in batch))
+                    results = self._run_batch(list(chunks), list(limits))
                     for position, result in zip(batch, results):
                         key, tests, _test = live[position]
                         try:
@@ -349,14 +324,9 @@ class ScalableVerifier:
         return clusters
 
     def _run_batch(
-        self,
-        chunks: list[list[InstanceHandle]],
-        force_threshold: int | None = None,
+        self, chunks: list[list[InstanceHandle]], limits: list[int]
     ) -> list[CTestResult]:
-        if force_threshold is not None:
-            limits = [force_threshold] * len(chunks)
-        else:
-            limits = [_threshold(self.m, chunk) for chunk in chunks]
+        """Run ``chunks`` as one batch, each at its threshold in ``limits``."""
         results = self.channel.ctest_batch(chunks, limits)
         # Retry inconsistent results (fewer positives than the threshold is
         # physically impossible without noise), up to the retry policy's
@@ -403,7 +373,7 @@ class ScalableVerifier:
             "verify.false_negative_hunt", clusters=len(clusters)
         ) as span:
             reps = [cluster[0] for cluster in clusters]
-            result = self._run_batch([reps], force_threshold=2)[0]
+            result = self._run_batch([reps], [2])[0]
             positives = [idx for idx, flag in enumerate(result.positive) if flag]
             span.set(positives=len(positives))
             if len(positives) < 2:
@@ -413,18 +383,18 @@ class ScalableVerifier:
             # reveal which of their clusters actually share hosts.  Every
             # positive pair is tested unless transitivity settles it; no
             # negative is remembered here.
-            refined = _Fallback(clusters)
+            hosts = DisjointSet(range(len(clusters)))
             for a in range(len(positives)):
                 for b in range(a + 1, len(positives)):
                     i, j = positives[a], positives[b]
-                    if refined.ds.same(i, j):
+                    if hosts.same(i, j):
                         continue
-                    pair = self._run_batch([[reps[i], reps[j]]])[0]
+                    pair = self._run_batch([[reps[i], reps[j]]], [2])[0]
                     if all(pair.positive):
-                        refined.merge(i, j)
+                        hosts.union(i, j)
                         report.merged_false_negatives += 1
             span.set(merged=report.merged_false_negatives)
-            return refined.clusters()
+            return _merged(clusters, hosts)
 
 
 def _plan_batches(
@@ -474,13 +444,13 @@ def _plan_batches(
 
 
 def _threshold(m: int, chunk: Sequence[InstanceHandle]) -> int:
-    """Per-test contention threshold.
+    """Contention threshold of a chunk or merge test.
 
     A test can only light up when at least ``threshold`` pressurers share
-    a host, so tests smaller than ``m`` (pairs during fallback and
-    refinement, small trailing chunks) drop to their own size — never
-    below the physical minimum of 2 (paper §4.3 adjusts the threshold per
-    test).
+    a host, so tests smaller than ``m`` (small trailing chunks) drop to
+    their own size — never below the physical minimum of 2 (paper §4.3
+    adjusts the threshold per test).  Basis and step-3 tests always run
+    at 2.
     """
     return max(2, min(m, len(chunk)))
 

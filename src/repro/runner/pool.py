@@ -404,10 +404,16 @@ def run_cells(
                 continue
         misses.append((index, spec))
 
+    def absorb_world(result: CellResult) -> None:
+        if result.world:
+            for counter, name in _WORLD_COUNTERS.items():
+                stats.metrics.inc(counter, result.world.get(name, 0))
+
     def absorb_superseded(result: CellResult) -> None:
         # A retried attempt's spans are discarded, but its counters (e.g.
-        # injected-fault tallies) still happened: merge just the metrics
-        # so totals stay exhaustive and order-independent.
+        # injected-fault tallies, world forks and builds) still happened:
+        # merge just those so totals stay exhaustive and order-independent.
+        absorb_world(result)
         if result.trace is not None:
             telemetry.metrics.merge(MetricSet.from_state(result.trace["metrics"]))
 
@@ -471,9 +477,7 @@ def run_cells(
         else:
             stats.computed_seconds += result.elapsed_s
             telemetry.observe("runner.cell_seconds", result.elapsed_s)
-        if result.world:
-            for counter, name in _WORLD_COUNTERS.items():
-                stats.metrics.inc(counter, result.world.get(name, 0))
+        absorb_world(result)
         if result.error is not None:
             failed.append(result)
         if result.trace is not None:

@@ -113,68 +113,50 @@ def test_accurate_fingerprints_cost_linear_in_hosts(scenario):
 
 
 # ----------------------------------------------------------------------
-# Fallback negative memory: root-keyed adjacency == set of root pairs
+# Host basis == the paper's pairwise fallback on a noise-free channel
 # ----------------------------------------------------------------------
-def _fallback_twins(n_units: int):
-    from repro.core.verification import _Fallback
-    from tests.oracles.verification import PairSetFallback
-
-    return [
-        cls([[FakeHandle(f"i{k}")] for k in range(n_units)])
-        for cls in (_Fallback, PairSetFallback)
-    ]
+def _drain(tests, host_of):
+    """Run a step-2 test generator against ``host_of``: its return value
+    and the number of tests it made."""
+    channel = OracleChannel(host_of)
+    try:
+        handles, threshold = next(tests)
+        while True:
+            (result,) = channel.ctest_batch([handles], [threshold])
+            handles, threshold = tests.send(result)
+    except StopIteration as stop:
+        return stop.value, channel.stats.counter("tests")
 
 
 @st.composite
-def fallback_scripts(draw):
-    n_units = draw(st.integers(2, 14))
-    unit = st.integers(0, n_units - 1)
-    step = st.one_of(
-        # Test the next unsettled pair and record its verdict.
-        st.tuples(st.just("next"), st.booleans()),
-        # Apply a verdict to an arbitrary pair, as a retry or the
-        # false-negative hunt could.
-        st.tuples(st.just("merge"), unit, unit),
-        st.tuples(st.just("negative"), unit, unit),
-    )
-    return n_units, draw(st.lists(step, max_size=80))
+def unit_scenarios(draw):
+    """Units of one to three handles on one host each, in random order."""
+    n_units = draw(st.integers(1, 25))
+    n_hosts = draw(st.integers(1, 8))
+    hosts = draw(st.lists(st.integers(0, n_hosts - 1), min_size=n_units, max_size=n_units))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n_units, max_size=n_units))
+    order = draw(st.permutations(range(n_units)))
+    host_of = {}
+    units = []
+    for unit in order:
+        ids = [f"u{unit}.{k}" for k in range(sizes[unit])]
+        host_of.update((iid, hosts[unit]) for iid in ids)
+        units.append([FakeHandle(iid) for iid in ids])
+    return units, host_of
 
 
-@given(fallback_scripts())
+@given(unit_scenarios())
 @settings(max_examples=200, deadline=None)
-def test_fallback_negatives_match_pair_set_oracle(script):
-    """Random negatives and merges give the same sequence of unsettled
-    pairs and the same final clusters in both negative memories."""
-    n_units, steps = script
-    fallback, oracle = _fallback_twins(n_units)
-    scans = [fallback.unsettled_pairs(), oracle.unsettled_pairs()]
-    twins = [fallback, oracle]
+def test_host_basis_matches_pairwise_fallback_oracle(scenario):
+    """On a noise-free channel the basis gives the pair scan's clusters,
+    in the same order, in at most one test per unit after the first."""
+    from repro.core.verification import _basis_tests
+    from tests.oracles.verification import pairwise_fallback_tests
 
-    def next_pair(verdict):
-        """Test the next unsettled pair in both; False once none is left."""
-        pairs = [next(scan, None) for scan in scans]
-        assert pairs[0] == pairs[1]
-        if pairs[0] is None:
-            return False
-        for twin in twins:
-            if verdict:
-                twin.merge(*pairs[0])
-            else:
-                twin.record_negative(*pairs[0])
-        return True
-
-    for step in steps:
-        if step[0] == "next":
-            next_pair(step[1])
-            continue
-        _op, i, j = step
-        for twin in twins:
-            if step[0] == "merge":
-                twin.merge(i, j)
-            else:
-                twin.record_negative(i, j)
-    while next_pair(False):
-        pass
-    assert [[h.instance_id for h in c] for c in fallback.clusters()] == [
-        [h.instance_id for h in c] for c in oracle.clusters()
-    ]
+    units, host_of = scenario
+    basis, n_tests = _drain(_basis_tests(units), host_of)
+    oracle, _n_pairs = _drain(pairwise_fallback_tests(units), host_of)
+    ids = [[h.instance_id for h in c] for c in basis]
+    assert ids == [[h.instance_id for h in c] for c in oracle]
+    assert {frozenset(c) for c in ids} == true_clusters(host_of)
+    assert n_tests == len(units) - 1

@@ -116,20 +116,22 @@ class TestScalableVerifier:
         report = ScalableVerifier(RngCovertChannel()).verify(tagged)
         assert report.n_batches <= max(4, report.n_tests // 2)
 
-    def test_collision_heavy_fallback_stays_cheap(self, tiny_env):
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_collision_heavy_fallback_stays_cheap(self, tiny_env, m):
         """With every instance forged onto ONE fingerprint (maximum
-        collisions), the fallback must resolve clusters in far fewer than
-        pairwise tests, thanks to unit merging and negative-pair memory."""
+        collisions), the host basis resolves the clusters in about one
+        test per instance.  Basis tests run at threshold 2 whatever ``m``
+        is: at threshold ``m`` a pair on one host stays dark, and the
+        basis grows a member per instance (746 tests at ``m = 4``)."""
         tagged, truth = launch_and_tag(tiny_env, 40)
         one_fp = tagged[0][1]
         forged = [(h, one_fp) for h, _fp in tagged]
-        report = ScalableVerifier(RngCovertChannel()).verify(forged)
+        report = ScalableVerifier(RngCovertChannel(), threshold_m=m).verify(forged)
         confusion = pair_confusion(report.cluster_index(), truth)
         assert confusion.precision == 1.0
         assert confusion.recall == 1.0
-        n_hosts = len(set(truth.values()))
-        # Bound: chunk tests + ~units*hosts interactions, well under C(40,2).
-        assert report.n_tests < 40 * 39 // 4
+        # Chunk tests, one basis test per unit and the step-3 hunt.
+        assert report.n_tests <= 2 * 40
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_exact_clusters_for_all_thresholds(self, tiny_env_factory, m):
@@ -273,16 +275,22 @@ class TestPlanBatches:
 
 class ScriptedChannel(CovertChannel):
     """Replays scripted verdicts: ``scripts[call][group]`` is the positive
-    tuple for that group in that call (the last call's script repeats)."""
+    tuple for that group in that call (the last call's script repeats).
+    ``tests`` logs every test as its instance ids and threshold."""
 
     def __init__(self, scripts):
         super().__init__()
         self.scripts = [list(call) for call in scripts]
         self.calls = 0
+        self.tests = []
 
     def ctest_batch(self, groups, threshold_m):
         script = self.scripts[min(self.calls, len(self.scripts) - 1)]
         self.calls += 1
+        self.tests.extend(
+            ("".join(h.instance_id for h in group), threshold)
+            for group, threshold in zip(groups, threshold_m)
+        )
         self.record_batch([len(g) for g in groups], 1.0)
         return [
             CTestResult(
@@ -305,7 +313,7 @@ class TestCTestRetryPolicy:
         # without noise; one re-run resolves it.
         channel = ScriptedChannel([[[True, False]], [[True, True]]])
         verifier = ScalableVerifier(channel)
-        (result,) = verifier._run_batch([self._chunk()])
+        (result,) = verifier._run_batch([self._chunk()], [2])
         assert result.positive == (True, True)
         assert channel.calls == 2
         assert channel.stats.counter("retries") == 1
@@ -313,7 +321,7 @@ class TestCTestRetryPolicy:
     def test_retry_budget_exhausted_keeps_last_result(self):
         channel = ScriptedChannel([[[True, False]]])
         verifier = ScalableVerifier(channel)  # default: one re-run
-        (result,) = verifier._run_batch([self._chunk()])
+        (result,) = verifier._run_batch([self._chunk()], [2])
         assert result.positive == (True, False)
         assert channel.calls == 2
         assert channel.stats.counter("retries") == 1
@@ -323,7 +331,7 @@ class TestCTestRetryPolicy:
             [[[True, False]], [[False, True]], [[True, False]], [[False, False]]]
         )
         verifier = ScalableVerifier(channel, retry_policy=RetryPolicy(max_retries=3))
-        (result,) = verifier._run_batch([self._chunk()])
+        (result,) = verifier._run_batch([self._chunk()], [2])
         assert result.positive == (False, False)
         assert channel.calls == 4
         assert channel.stats.counter("retries") == 3
@@ -331,7 +339,7 @@ class TestCTestRetryPolicy:
     def test_consistent_results_never_retried(self):
         channel = ScriptedChannel([[[True, True]]])
         verifier = ScalableVerifier(channel, retry_policy=RetryPolicy(max_retries=5))
-        verifier._run_batch([self._chunk()])
+        verifier._run_batch([self._chunk()], [2])
         assert channel.calls == 1
         assert channel.stats.counter("retries") == 0
 
@@ -347,7 +355,7 @@ class TestCTestRetryPolicy:
         )
         verifier = ScalableVerifier(channel, retry_policy=RetryPolicy(max_retries=3))
         chunks = [self._chunk(), [FakeHandle("c"), FakeHandle("d")]]
-        first, second = verifier._run_batch(chunks)
+        first, second = verifier._run_batch(chunks, [2, 2])
         assert first.positive == (True, True)
         assert second.positive == (True, True)
         assert channel.calls == 3
@@ -406,10 +414,88 @@ class TestReentrantStats:
         assert delta["tests"] <= channel.stats.counter("tests")
 
 
+class TestHostBasis:
+    """Each rule of the host basis, driven through ``verify`` on a
+    scripted channel.  Every instance shares one Gen 2 fingerprint, so
+    the run is one group and has no step 3; with ``m = 2`` its members
+    split into chunks of at most 3, and each scripted call is one test."""
+
+    @staticmethod
+    def _verify(ids, scripts, m=2):
+        channel = ScriptedChannel([[verdict] for verdict in scripts])
+        fingerprint = Gen2Fingerprint(2_000_000)
+        report = ScalableVerifier(channel, threshold_m=m).verify(
+            [(FakeHandle(iid), fingerprint) for iid in ids]
+        )
+        clusters = ["".join(h.instance_id for h in c) for c in report.clusters]
+        return clusters, channel.tests, report
+
+    def test_unit_joins_the_lit_member_or_becomes_a_new_one(self):
+        clusters, tests, report = self._verify(
+            "abc",
+            [
+                (False, False, False),  # chunk abc: no host in common
+                (True, True),  # b lights up with a: joins it
+                (False, False),  # c lights up with nobody: a new host
+            ],
+        )
+        assert clusters == ["ab", "c"]
+        assert tests == [("abc", 2), ("ab", 2), ("ac", 2)]
+        assert report.fallback_groups == 1
+
+    def test_basis_tests_run_at_threshold_two_whatever_m(self):
+        clusters, tests, _report = self._verify(
+            "abc", [(False, False, False), (False, False), (False,) * 3], m=3
+        )
+        assert clusters == ["a", "b", "c"]
+        # At threshold 3, c's test would miss a pair on one host.
+        assert tests == [("abc", 3), ("ab", 2), ("abc", 2)]
+
+    @pytest.mark.parametrize(
+        "verdict, clusters",
+        [
+            # a and b lit without c: c is a new host.
+            ((True, True, False), ["ab", "c", "d"]),
+            # a, b and c lit: c joins the merged member.
+            ((True, True, True), ["abc", "d"]),
+        ],
+    )
+    def test_repeated_verdict_merges_a_split_basis(self, verdict, clusters):
+        found, tests, _report = self._verify(
+            "abcd",
+            [
+                (False, False),  # chunk ab
+                (False, False),  # chunk cd
+                (False, False),  # noise: b stays dark next to a
+                verdict,
+                verdict,  # the same verdict twice: one host
+                (False,) * 3,
+            ],
+        )
+        assert found == clusters
+        # a and b are one member again: d's test has one of them only.
+        assert tests[-1] == ("acd" if "c" in found else "ad", 2)
+
+    def test_unit_ambiguous_twice_stays_alone(self):
+        clusters, tests, _report = self._verify(
+            "abcd",
+            [
+                (False, False),
+                (False, False),
+                (False, False),  # b: a new host
+                (True, True, False),  # c: a and b lit ...
+                (True, True, True),  # ... then all three: not the same
+                (False, False, False),  # d: a new host
+            ],
+        )
+        assert clusters == ["a", "b", "c", "d"]
+        # c joined no member and entered no basis: d is tested without it.
+        assert tests[-3:] == [("abc", 2), ("abc", 2), ("abd", 2)]
+
+
 class TestFallbackScanScaling:
-    """A large group's pairwise fallback scans O(units^2) pairs; the scan
-    is lazy (no list of C(units, 2) pairs) and settles each pair with one
-    root lookup, so draining a few hundred units stays interactive."""
+    """A large all-negative group makes one basis test per chunk cluster,
+    each one representative larger than the last."""
 
     def test_all_negative_group_drains_quickly(self):
         import time
@@ -419,20 +505,19 @@ class TestFallbackScanScaling:
         tests = _group_tests(members, m)
         start = time.perf_counter()
         sizes = []
-        test = next(tests)
+        test, _threshold = next(tests)
         try:
             while True:
                 sizes.append(len(test))
                 result = CTestResult(handles=tuple(test), positive=(False,) * len(test))
-                test = tests.send(result)
+                test, _threshold = tests.send(result)
         except StopIteration as stop:
             clusters, fell_back = stop.value
         elapsed = time.perf_counter() - start
         n_chunks = len(_balanced_chunks(members, 2 * m - 1))
         assert n_chunks == 117
         assert [len(c) for c in _balanced_chunks(members, 2 * m - 1)] == sizes[:n_chunks]
-        assert len(sizes) - n_chunks == n * (n - 1) // 2 == 61_075
-        assert set(sizes[n_chunks:]) == {2}
+        assert sizes[n_chunks:] == list(range(2, n + 1))
         assert fell_back
         assert [[h.instance_id for h in c] for c in clusters] == [
             [f"i{k}"] for k in range(n)

@@ -394,6 +394,9 @@ class TestRunnerWiring:
         assert results[1].world["worldcache.misses"] == 1
         assert results[1].world.get("worldcache.snapshots", 0) == 0
         assert len(process_world_cache()) == 0
+        # The superseded attempt's fork still counts in the run's totals.
+        assert warm.stats.world_hits == 1
+        assert warm.stats.world_misses == 2
 
     def test_pooled_warm_equals_serial_warm(self):
         reset_process_world_cache()
