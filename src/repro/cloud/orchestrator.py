@@ -91,6 +91,8 @@ class Orchestrator:
         self._reaps = EventBatch(self.scheduler)
         self._stale_reaps = 0
         self._idle_streams: dict[str, Callable[[str], float]] = {}
+        # Per row: its hashed idle draw, NaN until drawn.
+        self._idle_draws = np.empty(0, dtype=np.float64)
         # qualified name -> (helper count, allowed host-index array).  Base
         # shards are pinned per account and helper sets are append-only, so
         # the id->index resolution is reusable until a recruit grows the
@@ -325,11 +327,27 @@ class Orchestrator:
             # nothing from the shared RNG, so interleaved background
             # tenants cannot perturb foreground draw sequences.
             span_s = idle_deadline - idle_grace
-            deadlines = [
-                now + idle_grace + stream(instance_id) * span_s
-                for instance_id in store.instance_ids(rows)
-            ]
+            draws = self._hashed_idle_draws(rows, stream)
+            deadlines = (now + idle_grace + draws * span_s).tolist()
         self._schedule_reaps(rows, deadlines)
+
+    def _hashed_idle_draws(
+        self, rows: np.ndarray, stream: Callable[[str], float]
+    ) -> np.ndarray:
+        """``stream(instance_id)`` of each row.  A draw depends on the id
+        only, so each row's is hashed once and kept: a re-idled row
+        formats and hashes nothing."""
+        kept = self._idle_draws
+        if kept.size < self._instances.n_rows:
+            kept = self._idle_draws = np.r_[kept, np.full(self._instances.n_rows, np.nan)]
+        draws = kept[rows]
+        fresh = np.isnan(draws)
+        if fresh.any():
+            new = rows[fresh]
+            draws[fresh] = kept[new] = [
+                stream(instance_id) for instance_id in self._instances.instance_ids(new)
+            ]
+        return draws
 
     def set_idle_deadline_stream(
         self, service: Service, stream: Callable[[str], float] | None
@@ -349,6 +367,7 @@ class Orchestrator:
             self._idle_streams.pop(key, None)
         else:
             self._idle_streams[key] = stream
+        self._idle_draws = np.empty(0, dtype=np.float64)  # every kept draw is redrawn
 
     def note_demand(self, service: Service, concurrency: int) -> None:
         """Record a demand observation without scaling.
@@ -602,6 +621,11 @@ class Orchestrator:
         cls = GVisorSandbox if self._generation(service) == "gen1" else MicroVMSandbox
         plan = self.fault_plan
         counter = self._instance_counter
+        if plan is None:  # no launch can fail: one segment, its serials one block
+            first = counter.value
+            counter.value += chosen.size
+            seeds = self._rng.integers(2**63, size=chosen.size)
+            return store.launch(index, chosen, np.arange(first, counter.value), seeds, now, now, cls)
         created: list[np.ndarray] = []
         pending: int | None = None
         start = 0
@@ -612,9 +636,7 @@ class Orchestrator:
             pending = None
             while start + len(serials) < chosen.size:
                 serial = next(counter)
-                if plan is not None and plan.launch_would_fail(
-                    instance_id(qualified, serial), 0
-                ):
+                if plan.launch_would_fail(instance_id(qualified, serial), 0):
                     pending = serial
                     break
                 serials.append(serial)

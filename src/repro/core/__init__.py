@@ -9,7 +9,6 @@ internals.
 
 from repro.core.fingerprint import (
     Gen1Fingerprint,
-    Gen1Sample,
     Gen2Fingerprint,
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
@@ -26,7 +25,6 @@ from repro.core.verification import ScalableVerifier, VerificationReport
 
 __all__ = [
     "Gen1Fingerprint",
-    "Gen1Sample",
     "Gen2Fingerprint",
     "fingerprint_gen1_instances",
     "fingerprint_gen2_instances",

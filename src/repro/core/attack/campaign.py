@@ -102,8 +102,9 @@ class ColocationCampaign:
         ) as campaign_span:
             with telemetry.span("campaign.attacker_launch") as span:
                 outcome = self.strategy(self.attacker)
+                attacker_handles = outcome.handles  # built on each read: read once
                 span.set(
-                    instances=len(outcome.handles),
+                    instances=len(attacker_handles),
                     cost_usd=round(outcome.cost_usd, 6),
                 )
 
@@ -124,11 +125,11 @@ class ColocationCampaign:
                 span.set(connected=len(victim_handles))
 
             with telemetry.span("campaign.verification") as span:
-                report = self._verify(outcome.handles, victim_handles, channel)
+                report = self._verify(attacker_handles, victim_handles, channel)
                 span.set(clusters=len(report.clusters), tests=report.n_tests)
 
             cluster_of = report.cluster_index()
-            attacker_ids = [h.instance_id for h in outcome.handles if h.alive]
+            attacker_ids = [h.instance_id for h in attacker_handles if h.alive]
             victim_ids = [h.instance_id for h in victim_handles]
             coverage = victim_instance_coverage(victim_ids, attacker_ids, cluster_of)
 

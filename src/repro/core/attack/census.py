@@ -61,8 +61,8 @@ def estimate_cluster_size(
     across launches is safe at a 1-second rounding precision.
     """
     result = CensusResult()
-    # Batched cumulative-unique reduction; pinned equal to the historical
-    # per-launch set union by the aggregation equivalence suites.
+    # Each launch folds in its distinct fingerprints only; pinned equal to
+    # the per-launch set union by the aggregation equivalence suites.
     seen = FootprintAccumulator()
     for account_idx, client in enumerate(clients):
         names = [
@@ -79,9 +79,7 @@ def estimate_cluster_size(
                 round_start = client.now()
                 handles = client.connect(name, instances_per_launch)
                 tagged = fingerprint_gen1_instances(handles, p_boot=p_boot)
-                launch_unique, cumulative = seen.add_launch(
-                    fp for _, fp in tagged
-                )
+                launch_unique, cumulative = seen.add_launch(tagged.fingerprints)
                 result.per_launch.append(launch_unique)
                 result.cumulative_unique.append(cumulative)
                 client.disconnect(name)

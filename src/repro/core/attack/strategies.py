@@ -17,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import units
-from repro.cloud.api import FaaSClient, InstanceHandle
+from repro.cloud.api import FaaSClient, HandleColumn, InstanceHandle
 from repro.cloud.services import SMALL, ContainerSize, ServiceConfig
 from repro.core.fingerprint import (
+    FingerprintColumn,
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
 )
@@ -33,10 +34,10 @@ class LaunchOutcome:
     ----------
     service_names:
         The attacker services deployed.
-    handles:
-        Instance handles still connected after the final launch.
-    fingerprints:
-        ``(handle, fingerprint)`` pairs for the final instances.
+    connected:
+        Per launch kept connected: its instance handles, as a column.
+    tagged:
+        Per launch kept connected: its fingerprints, as a column.
     launch_footprints:
         Per (round, service) apparent-host footprint: the set of distinct
         fingerprints observed in that launch.  Lets experiments replay the
@@ -46,23 +47,33 @@ class LaunchOutcome:
     """
 
     service_names: list[str]
-    handles: list[InstanceHandle] = field(default_factory=list)
-    fingerprints: list[tuple[InstanceHandle, object]] = field(default_factory=list)
+    connected: list[HandleColumn] = field(default_factory=list)
+    tagged: list[FingerprintColumn] = field(default_factory=list)
     launch_footprints: list[set] = field(default_factory=list)
     cost_usd: float = 0.0
 
     @property
+    def handles(self) -> list[InstanceHandle]:
+        """Instance handles still connected after the final launch."""
+        return [handle for column in self.connected for handle in column]
+
+    @property
+    def fingerprints(self) -> list[tuple[InstanceHandle, object]]:
+        """``(handle, fingerprint)`` pairs for the final instances."""
+        return [pair for column in self.tagged for pair in column]
+
+    @property
     def apparent_hosts(self) -> set:
         """Distinct fingerprints among the final connected instances."""
-        return {fp for _, fp in self.fingerprints}
+        return {fp for column in self.tagged for fp in column.fingerprints}
 
 
 def _fingerprint_batch(
-    handles: list[InstanceHandle], generation: str, p_boot: float
-) -> list[tuple[InstanceHandle, object]]:
+    handles: HandleColumn, generation: str, p_boot: float
+) -> FingerprintColumn:
     if generation == "gen2":
-        return list(fingerprint_gen2_instances(handles))
-    return list(fingerprint_gen1_instances(handles, p_boot=p_boot))
+        return fingerprint_gen2_instances(handles)
+    return fingerprint_gen1_instances(handles, p_boot=p_boot)
 
 
 def naive_launch(
@@ -94,9 +105,9 @@ def naive_launch(
     for name in names:
         handles = client.connect(name, instances_per_service)
         tagged = _fingerprint_batch(handles, generation, p_boot)
-        outcome.handles.extend(handles)
-        outcome.fingerprints.extend(tagged)
-        outcome.launch_footprints.append({fp for _, fp in tagged})
+        outcome.connected.append(handles)
+        outcome.tagged.append(tagged)
+        outcome.launch_footprints.append(set(tagged.fingerprints))
     outcome.cost_usd = client.cost_usd - cost0
     return outcome
 
@@ -140,13 +151,13 @@ def optimized_launch(
         for name in names:
             handles = client.connect(name, instances_per_service)
             tagged = _fingerprint_batch(handles, generation, p_boot)
-            outcome.launch_footprints.append({fp for _, fp in tagged})
+            outcome.launch_footprints.append(set(tagged.fingerprints))
             # Keep the instances busy for the probe work, then idle them
             # out immediately — active time is what the attack pays for.
             client.wait(probe_hold_s)
             if final_round:
-                outcome.handles.extend(handles)
-                outcome.fingerprints.extend(tagged)
+                outcome.connected.append(handles)
+                outcome.tagged.append(tagged)
             else:
                 client.disconnect(name)
         if not final_round:

@@ -18,8 +18,7 @@ from repro import units
 from repro.analysis.drift import DriftFit, estimate_expiration_time, fit_boot_time_drift
 from repro.cloud.api import FaaSClient, InstanceHandle
 from repro.cloud.services import ServiceConfig
-from repro.core import probes
-from repro.core.fingerprint import fingerprint_gen1_instances
+from repro.core.fingerprint import fingerprint_gen1_instances, gen1_samples, group_by_fingerprint
 
 
 @dataclass
@@ -79,22 +78,19 @@ class HostTracker:
             ServiceConfig(name=service_name, max_instances=max(100, self._n_launch))
         )
         handles = self._client.connect(self._service_name, self._n_launch)
-        tagged = fingerprint_gen1_instances(handles, p_boot=1.0)
-        reps: dict[object, InstanceHandle] = {}
-        for handle, fingerprint in tagged:
-            reps.setdefault(fingerprint, handle)
-        self._trackers = list(reps.values())[: self._max_tracked]
+        groups = group_by_fingerprint(fingerprint_gen1_instances(handles, p_boot=1.0))
+        self._trackers = [members[0] for members in groups.values()][: self._max_tracked]
         self.histories = [FingerprintHistory() for _ in self._trackers]
         return len(self._trackers)
 
     def observe(self) -> None:
-        """Take one fingerprint sample from every tracked instance."""
-        for handle, history in zip(self._trackers, self.histories):
-            if not handle.alive:
-                continue
-            sample = handle.run(probes.gen1_fingerprint_probe)
-            history.wall_times.append(sample.wall_time)
-            history.boot_times.append(sample.boot_time())
+        """Sample every alive tracked instance, as one columnar Gen 1 probe."""
+        alive = [i for i, handle in enumerate(self._trackers) if handle.alive]
+        _kept, samples = gen1_samples([self._trackers[i] for i in alive])
+        columns = (samples.positions, samples.wall_times, samples.boot_times)
+        for position, wall_time, boot_time in zip(*(column.tolist() for column in columns)):
+            self.histories[alive[position]].wall_times.append(wall_time)
+            self.histories[alive[position]].boot_times.append(boot_time)
 
     def run(
         self,

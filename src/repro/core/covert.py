@@ -21,7 +21,7 @@ import contextlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, Iterator, NamedTuple, Sequence
 
-from repro.cloud.api import InstanceHandle
+from repro.cloud.api import InstanceHandle, rows_of
 from repro.errors import VerificationError
 from repro.faults import FaultPlan, current_fault_plan
 from repro.hardware.rng_resource import ContentionResource, window_hits
@@ -185,7 +185,7 @@ class RngCovertChannel(CovertChannel):
         from repro.fleet.probe import BootStates  # deferred: loads the PCG64 port
 
         outer = self._boot_states
-        self._boot_states = BootStates.of([handle._instance for handle in handles])
+        self._boot_states = BootStates.of(*rows_of(handles))
         try:
             yield
         finally:

@@ -35,7 +35,12 @@ from typing import Generator, Hashable, Sequence
 from repro.cloud.api import InstanceHandle
 from repro.core.clusters import DisjointSet
 from repro.core.covert import CovertChannel, CTestResult
-from repro.core.fingerprint import Gen1Fingerprint, Gen2Fingerprint, group_by_fingerprint
+from repro.core.fingerprint import (
+    FingerprintColumn,
+    Gen1Fingerprint,
+    Gen2Fingerprint,
+    group_by_fingerprint,
+)
 from repro.errors import VerificationError
 from repro.faults import DEFAULT_CTEST_RETRY, RetryPolicy
 from repro.telemetry import current_telemetry
@@ -215,7 +220,8 @@ class ScalableVerifier:
         self, pairs: Sequence[tuple[InstanceHandle, Hashable]]
     ) -> VerificationReport:
         """Produce verified co-location clusters for ``(handle,
-        fingerprint)`` pairs, as fingerprinting returns them.
+        fingerprint)`` pairs, as fingerprinting returns them: a column, whose
+        codes give the groups and whose rows the channel prepares.
 
         The fingerprints say how far they can be trusted.  Gen 1
         fingerprints of different CPU models are on different hosts, so
@@ -231,21 +237,22 @@ class ScalableVerifier:
         telemetry = current_telemetry()
         report = VerificationReport()
         before = self.channel.stats.snapshot()
-        no_false_negatives = all(isinstance(fp, Gen2Fingerprint) for _h, fp in pairs)
+        column = FingerprintColumn.of(pairs)
+        no_false_negatives = all(isinstance(fp, Gen2Fingerprint) for fp in column.fingerprints)
 
         with telemetry.span(
             "verify",
-            instances=len(pairs),
+            instances=len(column),
             threshold_m=self.m,
             no_false_negatives=no_false_negatives,
         ) as span:
             # Step 1: each fingerprint's handles, with the group's batching key.
             groups = [
                 (_batching_key(fp), members)
-                for fp, members in group_by_fingerprint(pairs).items()
+                for fp, members in group_by_fingerprint(column).items()
             ]
             span.set(groups=len(groups))
-            with self.channel.prepared([handle for handle, _fp in pairs]):
+            with self.channel.prepared(column.handles):
                 clusters = self._verify_groups(groups, report, no_false_negatives)
                 if not no_false_negatives:
                     clusters = self._merge_false_negatives(clusters, report)

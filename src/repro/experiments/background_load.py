@@ -161,6 +161,7 @@ def _load_cell(params: dict, seed: int) -> dict:
         background_instances = env.background.background_instances()
         rejected = env.background.stats.rejected
         env.background.stop()
+    env.close()
     return {
         "utilization": utilization,
         "coverage": coverage,

@@ -65,6 +65,16 @@ class SimulationEnv:
     def region(self) -> str:
         return self.datacenter.profile.name
 
+    def close(self) -> None:
+        """Release the world: detach its event scheduler and stop the
+        background tenants.  A live world is cyclic (DESIGN.md, lifecycle
+        step 2); a closed one is freed as soon as nothing refers to it.
+        Nothing in it may run afterwards.
+        """
+        self.orchestrator.scheduler.detach()
+        if self.background is not None:
+            self.background.stop()
+
 
 def host_coverage(
     env: SimulationEnv, attacker_handles, victim_handles

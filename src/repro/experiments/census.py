@@ -85,18 +85,21 @@ def _region_cell(params: dict, seed: int) -> RegionCensus:
     """One Fig. 12 cell: census one region, then measure the footprint."""
     region = params["region"]
     env = default_env(region, seed=seed)
-    clients = [env.attacker] + [env.victim(a) for a in VICTIM_ACCOUNTS]
     census = estimate_cluster_size(
-        clients,
+        [env.attacker] + [env.victim(a) for a in VICTIM_ACCOUNTS],
         services_per_account=params["services_per_account"],
         launches_per_service=params["launches_per_service"],
         instances_per_launch=params["instances_per_launch"],
         interval_s=params["interval"],
     )
+    # Free the census world before building the attack world.
+    env.close()
+    del env
     # Attacker footprint at once: a fresh standard optimized attack in
     # the same region (fresh environment keeps the census unbiased).
     attack_env = default_env(region, seed=seed + 50)
     outcome = optimized_launch(attack_env.attacker)
+    attack_env.close()
     return RegionCensus(
         region=region,
         census=census,

@@ -164,6 +164,7 @@ def _rep_cell(params: dict, seed: int) -> tuple[float, int, float]:
         n_victim_instances=config.n_victim_instances,
         victim_size=config.victim_size,
     )
+    env.close()
     return outcome.coverage, outcome.attacker_hosts, outcome.attacker_cost_usd
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 from repro import units
 from repro.cloud.services import ServiceConfig
-from repro.core import probes
-from repro.core.fingerprint import fingerprint_gen1_instances
+from repro.core.fingerprint import fingerprint_gen1_instances, group_by_fingerprint
+from repro.core.frequency import measure_tsc_frequency
 from repro.experiments.base import default_env
 from repro.experiments.report import ComparisonRow, format_comparison
 from repro.experiments.spec import Band, FigureSpec
@@ -77,13 +77,10 @@ def _region_cell(params: dict, seed: int) -> list[float]:
     )
     handles = client.connect(service, instances)
     tagged = fingerprint_gen1_instances(handles, p_boot=1.0)
-    reps: dict[object, object] = {}
-    for handle, fp in tagged:
-        reps.setdefault(fp, handle)
     stds_hz = []
-    for handle in reps.values():
+    for handle, *_others in group_by_fingerprint(tagged).values():
         estimate = handle.run(
-            lambda sandbox: probes.measured_frequency_probe(
+            lambda sandbox: measure_tsc_frequency(
                 sandbox,
                 interval_s=params["interval_s"],
                 repetitions=params["repetitions"],

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from repro.cloud.billing import TIER1_RATES, pairwise_test_cost
 from repro.cloud.services import SMALL, ServiceConfig
 from repro.core.covert import RngCovertChannel
-from repro.core.fingerprint import fingerprint_gen1_instances
+from repro.core.fingerprint import fingerprint_gen1_instances, group_by_fingerprint
 from repro.core.pairwise import PairwiseVerifier
 from repro.core.verification import ScalableVerifier
 from repro.experiments.base import default_env
@@ -106,11 +106,8 @@ def run(config: VerificationCostConfig = VerificationCostConfig()) -> Verificati
     # demonstrate SIE's ineffectiveness in FaaS: sample whole fingerprint
     # groups so that, as on a real FaaS platform, every sampled instance is
     # co-located with some sibling and SIE cannot eliminate anything.
-    groups: dict[object, list] = {}
-    for handle, fp in pairs:
-        groups.setdefault(fp, []).append(handle)
     sample = []
-    for members in groups.values():
+    for members in group_by_fingerprint(pairs).values():
         sample.extend(members)
         if len(sample) >= config.pairwise_sample:
             break

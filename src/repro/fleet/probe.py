@@ -23,7 +23,7 @@ through one.  It draws through
 
 :func:`probe_gen1` takes a batch's Gen 1 samples as array draws
 (:mod:`repro.fleet.seeding`), building no ``Generator``.  A Gen 1 probe
-(:func:`repro.core.probes.gen1_fingerprint_probe`) reads the CPU model, the
+of a sandbox reads the CPU model, the
 frequency the model name reports, one TSC value and one
 ``clock_gettime``; its random inputs are the boot offset and one call
 jitter (:class:`~repro.hardware.noise.SyscallNoiseModel`).  Rows fall in
@@ -93,6 +93,8 @@ class Gen1Columns(NamedTuple):
     model_names: list[str]
     #: Per sample: the unrounded boot time ``T_w - tsc / f_r`` (Eq. 4.1).
     boot_times: FloatColumn
+    #: Per sample: the wall-clock reading ``T_w`` it was derived from.
+    wall_times: FloatColumn
     #: Position of the first terminated instance, or the batch length.
     stop: int
 
@@ -155,7 +157,7 @@ def probe_gen1(table: _Rows | None, rows: IndexArray) -> Gen1Columns:
     wall = (now + offset) + jitter
     boot_times = wall - tsc.astype(np.float64) / reported
     return Gen1Columns(
-        np.flatnonzero(sampled), model_codes[sampled], names, boot_times[sampled], stop
+        np.flatnonzero(sampled), model_codes[sampled], names, boot_times[sampled], wall[sampled], stop
     )
 
 
@@ -164,6 +166,7 @@ def _empty(stop: int) -> Gen1Columns:
         np.empty(0, dtype=np.intp),
         np.empty(0, dtype=np.int64),
         [],
+        np.empty(0, dtype=np.float64),
         np.empty(0, dtype=np.float64),
         stop,
     )
@@ -363,18 +366,16 @@ class BootStates:
         self.position[rows - self.first] = np.arange(rows.size, dtype=np.int32)
 
     @classmethod
-    def of(cls, instances: Sequence[ContainerInstance]) -> BootStates | None:
-        """Boot states of the alive, cold rows among ``instances`` in the
-        first one's table; ``None`` when there are none."""
-        if not instances:
+    def of(cls, table: _Rows | None, rows: IndexArray) -> BootStates | None:
+        """Boot states of the alive, cold ones of ``rows`` of ``table``;
+        ``None`` when there are none."""
+        if table is None:
             return None
-        table = instances[0]._rows
-        rows = [
-            instance.row
-            for instance in instances
-            if instance._rows is table and instance.alive and instance.row not in table.hot
-        ]
-        return cls(table, np.unique(rows)) if rows else None
+        rows = rows[table.state[rows] != TERMINATED]
+        if table.hot:
+            rows = rows[~np.isin(rows, list(table.hot))]
+        # A return_* flag keeps np.unique off its numpy.ma import (NumPy 2.x).
+        return cls(table, np.unique(rows, return_index=True)[0]) if rows.size else None
 
     def stream(self, instance: ContainerInstance) -> RowStream | None:
         """The instance's :class:`RowStream`, or ``None`` if its row is not
@@ -486,7 +487,9 @@ def sandbox_streams(
         streams.append(stream)
     for positions in missing.values():
         listed = [instances[i] for i in positions]
-        hashed = BootStates(listed[0]._rows, np.unique([instance.row for instance in listed]))
+        # A return_* flag keeps np.unique off its numpy.ma import (NumPy 2.x).
+        rows = np.unique([instance.row for instance in listed], return_index=True)[0]
+        hashed = BootStates(listed[0]._rows, rows)
         for i, instance in zip(positions, listed):
             streams[i] = hashed.stream(instance)
     return streams  # type: ignore[return-value]  # every None was replaced

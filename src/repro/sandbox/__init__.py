@@ -11,7 +11,7 @@ Cloud Run offers two sandbox generations (paper §2.3):
   ``cpuid`` is trapped, but the guest kernel exports the host's refined TSC
   frequency and the user has guest-root privileges.
 
-Guest probe programs (see :mod:`repro.core.probes`) run against the common
+Guest probe programs (e.g. :mod:`repro.core.frequency`) run against the common
 :class:`~repro.sandbox.base.Sandbox` interface: a view of one instance row
 of :mod:`repro.fleet`, drawing through the row's stream.  Neither generation
 virtualizes the shared-hardware contention surface, so the covert channel

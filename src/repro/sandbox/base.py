@@ -1,6 +1,7 @@
 """Common sandbox interface exposed to guest probe programs.
 
-The attacker's probe code (see :mod:`repro.core.probes`) is written once
+The attacker's probe code (e.g.
+:func:`repro.core.frequency.measure_tsc_frequency`) is written once
 against this interface and runs unchanged in both sandbox generations; what
 differs is which operations succeed, which are emulated, and what hardware
 state leaks through.

@@ -203,8 +203,17 @@ class EventScheduler:
             current_telemetry().count("simtime.events_fired", fired)
 
     def detach(self) -> None:
-        """Stop observing the clock (used when tearing down a simulation)."""
-        self._clock.remove_tick_hook(self._on_tick)
+        """Stop observing the clock and drop every queued event unfired
+        (tearing down a simulation), breaking the cycles through the
+        clock's hook and the queued actions.  A dropped event's cancel
+        counts nothing; detaching twice is a no-op.
+        """
+        if self._on_tick in self._clock._tick_hooks:
+            self._clock.remove_tick_hook(self._on_tick)
+        for _when, _sequence, event in self._queue:
+            event._owner = None
+        self._queue = []
+        self._dead = 0
 
 
 class EventBatch:

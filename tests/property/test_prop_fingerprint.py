@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 from hypothesis import example, given, strategies as st
 
 from repro.analysis.drift import DriftFit, estimate_expiration_time
-from repro.core.fingerprint import Gen1Fingerprint, Gen1Sample
+from repro.core.fingerprint import FingerprintColumn, Gen1Fingerprint, group_by_fingerprint
+
+from tests.oracles.fingerprint import Gen1Sample
 
 boot_times = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
 precisions = st.sampled_from([1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0])
@@ -82,3 +85,17 @@ def test_expiration_nonnegative_and_bounded(slope, intercept, p_boot):
         assert expiration <= p_boot / abs(slope) + 1e-6
     else:
         assert math.isinf(expiration)
+
+
+@given(st.lists(st.integers(0, 6), max_size=60))
+def test_argsort_grouping_matches_dict_grouping(codes):
+    """``group_by_fingerprint``'s one stable argsort over a column's codes
+    gives what a dict filled pair by pair gives: groups in order of first
+    appearance, members in batch order."""
+    handles = [f"h{position}" for position in range(len(codes))]
+    fingerprints = [("fp", code) for code in range(7)]
+    column = FingerprintColumn(handles, np.array(codes, dtype=np.int64), fingerprints)
+    expected: dict = {}
+    for handle, fingerprint in column:
+        expected.setdefault(fingerprint, []).append(handle)
+    assert list(group_by_fingerprint(column).items()) == list(expected.items())

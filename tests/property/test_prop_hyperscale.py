@@ -3,8 +3,9 @@
 Every path PR 8 batched gets a Hypothesis property pinning it to its
 scalar reference on arbitrary inputs:
 
-* :class:`FootprintAccumulator` == per-launch set algebra on arbitrary
-  fingerprint streams;
+* :class:`FootprintAccumulator` fed each launch's column of distinct
+  fingerprints == per-launch set algebra on arbitrary fingerprint
+  streams;
 * ``host_coverage`` (index-mask math) == the per-handle set loop on
   arbitrary fleets with dead and rotated-out instances.
 """
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.services import ServiceConfig
+from repro.core.fingerprint import FingerprintColumn
 from repro.experiments.base import default_env, host_coverage
 
 from tests.conftest import tiny_profile
@@ -26,15 +28,22 @@ from tests.oracles.census import census_reduce_scalar
 # ----------------------------------------------------------------------
 
 
+def coded(launch):
+    """A launch's fingerprints as a column (positions stand in for handles)."""
+    return FingerprintColumn.of(enumerate(launch))
+
+
 @given(
     launches=st.lists(
         st.lists(st.integers(0, 80), max_size=60), max_size=15
     )
 )
 def test_accumulator_matches_set_reduction(launches):
+    """Each launch reaches the accumulator as a fingerprint column's
+    distinct fingerprints, as census launches do."""
     ref_per, ref_cum = census_reduce_scalar(launches)
     acc = FootprintAccumulator()
-    got = [acc.add_launch(launch) for launch in launches]
+    got = [acc.add_launch(coded(launch).fingerprints) for launch in launches]
     assert [g[0] for g in got] == ref_per
     assert [g[1] for g in got] == ref_cum
 

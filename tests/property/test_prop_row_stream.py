@@ -18,7 +18,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cloud.api import InstanceHandle
 from repro.cloud.services import ServiceConfig
-from repro.core import probes
 from repro.core.covert import RngCovertChannel
 from repro.core.fingerprint import gen1_boot_times
 from repro.errors import FingerprintError, InstanceGoneError
@@ -28,6 +27,7 @@ from repro.hardware.noise import SyscallNoiseModel
 from repro.runner import WorldSnapshot
 from tests.conftest import tiny_profile
 from tests.oracles.ctest import loop_reference
+from tests.oracles.fingerprint import gen1_fingerprint_probe
 from tests.oracles.launch import bind_scalar_launch
 from tests.oracles.sandbox import EagerHandle
 
@@ -69,7 +69,7 @@ def outcome(call):
 
 def scalar_probe(kind: str):
     if kind == "track":
-        return probes.gen1_fingerprint_probe
+        return gen1_fingerprint_probe
     if kind == "sleep":
         return lambda sandbox: sandbox.sleep(0.25)
     return lambda sandbox: sandbox.serve_request(0.01)
@@ -87,7 +87,7 @@ def apply(op, world, eager: bool):
                 samples = []
                 for handle in batch:
                     try:
-                        sample = handle.run(probes.gen1_fingerprint_probe)
+                        sample = handle.run(gen1_fingerprint_probe)
                     except FingerprintError:
                         continue
                     samples.append((handle.instance_id, sample.cpu_model, sample.boot_time()))

@@ -22,6 +22,7 @@ import pytest
 from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
+from repro.core.fingerprint import FingerprintColumn
 from repro.experiments.base import default_env
 from repro.fleet import FleetStore, InstanceStore
 from repro.simtime.clock import SimClock
@@ -116,7 +117,8 @@ def test_recruiter_identity_at_64x():
 
 def test_census_identity_at_million_observations():
     """FootprintAccumulator == set algebra over ~1M host observations
-    (30 launches x a 64x serving pool's worth of fingerprints each)."""
+    (30 launches x a 64x serving pool's worth of fingerprints each), each
+    launch folded in as its fingerprint column's distinct fingerprints."""
     n_hosts = PAPER_FLEET_HOSTS * HYPERSCALE_FACTOR
     per_launch = PAPER_ACTIVE_HOSTS * HYPERSCALE_FACTOR  # wave-sized
     rng = np.random.default_rng(9)
@@ -126,7 +128,10 @@ def test_census_identity_at_million_observations():
     ]
     ref_per, ref_cum = census_reduce_scalar(stream)
     acc = FootprintAccumulator()
-    got = [acc.add_launch(launch) for launch in stream]
+    got = [
+        acc.add_launch(FingerprintColumn.of(enumerate(launch)).fingerprints)
+        for launch in stream
+    ]
     assert [g[0] for g in got] == ref_per
     assert [g[1] for g in got] == ref_cum
 

@@ -5,13 +5,14 @@ import pytest
 from repro.cloud.services import ServiceConfig
 from repro.core.fingerprint import (
     Gen1Fingerprint,
-    Gen1Sample,
     Gen2Fingerprint,
     fingerprint_gen1_instances,
     fingerprint_gen2_instances,
     group_by_fingerprint,
 )
 from repro.errors import FingerprintError
+
+from tests.oracles.fingerprint import Gen1Sample
 
 
 class TestGen1Sample:

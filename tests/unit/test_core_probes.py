@@ -1,15 +1,17 @@
-"""Unit tests for the guest-side probe programs."""
+"""Unit tests for the guest-side probe programs (the per-probe oracle's,
+and the measured-frequency estimator run as one)."""
 
 import pytest
 
 from repro import units
-from repro.core import probes
+from repro.core.frequency import measure_tsc_frequency
 from repro.sandbox.base import TscPolicy
 from repro.sandbox.gvisor import GVisorSandbox
 from repro.sandbox.microvm import MicroVMSandbox
 from repro.simtime.clock import SimClock
 
 from tests.conftest import make_host, row_sandbox
+from tests.oracles import fingerprint as probes
 
 
 def gen1_sandbox(host=None, policy=TscPolicy.NATIVE):
@@ -78,6 +80,6 @@ class TestEnvironmentProbe:
 
 class TestMeasuredFrequencyProbe:
     def test_returns_estimate(self):
-        estimate = probes.measured_frequency_probe(gen1_sandbox(), repetitions=5)
+        estimate = measure_tsc_frequency(gen1_sandbox(), repetitions=5)
         assert estimate.repetitions == 5
         assert estimate.mean_hz > 1e9

@@ -25,6 +25,7 @@ from repro.analysis.aggregation import FootprintAccumulator
 from repro.cloud.loadbalancer import HelperHostRecruiter
 from repro.cloud.services import Service, ServiceConfig
 from repro.cloud.traffic import TrafficConfig
+from repro.core.fingerprint import FingerprintColumn
 from repro.errors import InstanceGoneError, LaunchError
 from repro.faults import FaultPlan, FaultSpec
 from repro.fleet import FleetStore
@@ -339,7 +340,10 @@ class TestCensusAggregationIdentity:
         ref_per_launch, ref_cumulative = census_reduce_scalar(stream)
 
         acc = FootprintAccumulator()
-        got = [acc.add_launch(launch) for launch in stream]
+        got = [
+            acc.add_launch(FingerprintColumn.of(enumerate(launch)).fingerprints)
+            for launch in stream
+        ]
         assert [g[0] for g in got] == ref_per_launch
         assert [g[1] for g in got] == ref_cumulative
         assert acc.unique_count == (ref_cumulative[-1] if ref_cumulative else 0)

@@ -165,3 +165,43 @@ def test_terminations_are_in_deadline_order():
     times = [when for when, _instance_id in result["terminations"]]
     assert times == sorted(times)
     assert np.isfinite(times).all()
+
+
+def test_hashed_idle_draws_are_kept_per_row_until_the_stream_changes():
+    """A row's hashed idle draw depends on its id only, so a re-idled row
+    is not drawn again; registering a stream drops every kept draw."""
+    env = default_env(profile=tiny_profile(), seed=3)
+    orch, client = env.orchestrator, env.attacker
+    name = client.deploy(ServiceConfig(name="svc", max_instances=50))
+    service = client._service(name)
+    profile = env.datacenter.profile
+    drawn: list[str] = []
+
+    def stream(value: float):
+        def draw(instance_id: str) -> float:
+            drawn.append(instance_id)
+            return value
+
+        return draw
+
+    def reaped_at(value: float) -> None:
+        """All 10 rows idle out and are reaped at ``value`` of the window."""
+        client.connect(name, 10)
+        client.disconnect(name)
+        deadline = profile.idle_grace + value * (profile.idle_deadline - profile.idle_grace)
+        client.wait(deadline - 1.0)
+        assert orch.alive_count(service) == 10
+        client.wait(2.0)
+        assert orch.alive_count(service) == 0
+
+    orch.set_idle_deadline_stream(service, stream(0.25))
+    client.connect(name, 10)
+    client.disconnect(name)  # draws each row's value once
+    reaped_at(0.25)  # the same rows re-idled: nothing drawn
+    assert len(drawn) == len(set(drawn)) == 10
+
+    client.connect(name, 10)
+    client.disconnect(name)  # fresh rows, drawn once
+    orch.set_idle_deadline_stream(service, stream(0.75))
+    reaped_at(0.75)  # the same rows re-idled, drawn again through the new stream
+    assert len(drawn) == 30 and len(set(drawn)) == 20

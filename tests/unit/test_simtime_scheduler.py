@@ -230,3 +230,19 @@ class TestSchedulerStress:
         sched.call_after(1.0, lambda: fired.append("later"))
         clock.sleep(1.0)
         assert fired[-1] == "later"
+
+
+class TestDetachDropsEvents:
+    def test_detach_drops_queued_events(self, clock):
+        sched = EventScheduler(clock)
+        fired = []
+        event = sched.call_after(1.0, lambda: fired.append("x"))
+        sched.call_after(2.0, lambda: fired.append("y"))
+        sched.detach()
+        assert sched.pending() == 0
+        clock.sleep(5.0)
+        assert fired == []
+        # A dropped event forgets its scheduler: cancelling counts nothing.
+        event.cancel()
+        assert event.cancelled and sched.pending() == 0
+        sched.detach()  # detaching twice is a no-op
